@@ -15,6 +15,7 @@ from .gauss import (
     joint_lower_box_prob,
     solve_common_threshold,
     std_normal_cdf,
+    tail_prob,
     tail_prob_abs,
     tail_prob_max,
     tail_prob_min,
@@ -88,6 +89,7 @@ __all__ = [
     "split_count",
     "std_normal_cdf",
     "steel_statistics",
+    "tail_prob",
     "tail_prob_abs",
     "tail_prob_max",
     "tail_prob_min",

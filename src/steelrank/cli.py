@@ -16,26 +16,25 @@ from scipy.optimize import brentq
 
 from .confidence import ConfidenceResult, simultaneous_bounds, simultaneous_intervals
 from .errors import BudgetError, NumericError, ParameterError
-from .gauss import (
-    DEFAULT_NODES,
-    FactorModel,
-    tail_prob_abs_multi,
-    tail_prob_max_multi,
-    tail_prob_min_multi,
-)
+from .gauss import DEFAULT_NODES, FactorModel, tail_prob
 from .moments import MomentSet, factor_decomposition
-from .pairwise import pairwise_moment_matrix, pairwise_test
+from .pairwise import pairwise_test
 from .randomization import (
     DEFAULT_BUDGET,
     PValue,
-    _mc_tail_counts,
-    control_pairs,
     exact_p_value,
     simulate_p_value,
+    simulated_tail_curve,
     split_count,
 )
-from .ranks import RankedSamples, TiePattern, check_asymptotic_conditions, rank_samples
-from .statistics import SteelObservation, normalize_alternative, rank_sums, steel_statistics
+from .ranks import Diagnostics, RankedSamples, TiePattern, check_asymptotic_conditions, rank_samples
+from .statistics import (
+    ALTERNATIVE_TABLE,
+    SteelObservation,
+    normalize_alternative,
+    rank_sums,
+    steel_statistics,
+)
 
 SCHEMA_VERSION = 1
 MODES = ("steel", "pairwise", "confidence", "quality_harness")
@@ -218,6 +217,15 @@ def _pvalue_dict(pv: PValue) -> dict:
     return out
 
 
+def _diagnostics_dict(diag: Diagnostics) -> dict:
+    return {
+        "max_tie_fraction": diag.max_tie_fraction,
+        "min_group_fraction": diag.min_group_fraction,
+        "epsilon": diag.epsilon,
+        "small_sample_floor": diag.small_sample_floor,
+    }
+
+
 def _moments_dict(ms: MomentSet) -> dict:
     return {
         "mu": ms.mu,
@@ -272,17 +280,14 @@ def _asymptotic_p(
         return PValue(estimate=1.0, method="asymptotic"), [
             "degenerate data: asymptotic p-value set to 1"
         ]
-    s = obs.statistic_value
+    # move the observed statistic half a raw unit towards the body of its tail
     shift = 0.5 if continuity else 0.0
-    if obs.alternative == "greater":
-        u = (s * model.tau - shift) / model.tau
-        p = tail_prob_max_multi(model, u, nodes)
-    elif obs.alternative == "less":
-        u = (s * model.tau + shift) / model.tau
-        p = tail_prob_min_multi(model, u, nodes)
-    else:
-        u = np.maximum((s * model.tau - shift) / model.tau, 0.0)
-        p = tail_prob_abs_multi(model, u, nodes)
+    st = obs.statistic_value * model.tau
+    lower = ALTERNATIVE_TABLE[obs.alternative][1] == "lower"
+    u = (st + shift if lower else st - shift) / model.tau
+    if obs.alternative == "two_sided":
+        u = np.maximum(u, 0.0)
+    p = tail_prob(model, u, obs.alternative, nodes)
     return PValue(estimate=p, method="asymptotic"), []
 
 
@@ -308,12 +313,7 @@ def _steel_section(cfg: RunConfig, samples: RankedSamples) -> dict:
         )
 
     return {
-        "diagnostics": {
-            "max_tie_fraction": diag.max_tie_fraction,
-            "min_group_fraction": diag.min_group_fraction,
-            "epsilon": diag.epsilon,
-            "small_sample_floor": diag.small_sample_floor,
-        },
+        "diagnostics": _diagnostics_dict(diag),
         "moments": _moments_dict(ms),
         "observation": _observation_dict(obs, samples.sizes),
         "p_values": p_values,
@@ -329,20 +329,13 @@ def _pairwise_section(cfg: RunConfig, samples: RankedSamples) -> dict:
         methods.append("monte_carlo")
     if cfg.method in ("asymptotic", "all"):
         methods.append("mvn_sample")
-    pm = pairwise_moment_matrix(samples.sizes, samples.tie_pattern)
     diag = check_asymptotic_conditions(samples, cfg.epsilon)
-    p_values: dict[str, dict] = {}
-    result = None
-    for m in methods:
-        result = pairwise_test(samples, cfg.alternative, m, cfg.nsim, cfg.seed, cfg.conservative_mc)
-        p_values[m] = _pvalue_dict(result.p_values[m])
+    result = pairwise_test(
+        samples, cfg.alternative, methods, cfg.nsim, cfg.seed, cfg.conservative_mc
+    )
+    pm = result.moments
     return {
-        "diagnostics": {
-            "max_tie_fraction": diag.max_tie_fraction,
-            "min_group_fraction": diag.min_group_fraction,
-            "epsilon": diag.epsilon,
-            "small_sample_floor": diag.small_sample_floor,
-        },
+        "diagnostics": _diagnostics_dict(diag),
         "pairwise": {
             "pairs": list(result.labels),
             "mu": pm.mu,
@@ -353,7 +346,7 @@ def _pairwise_section(cfg: RunConfig, samples: RankedSamples) -> dict:
             "statistic": result.statistic,
             "statistic_value": result.statistic_value,
         },
-        "p_values": p_values,
+        "p_values": {m: _pvalue_dict(pv) for m, pv in result.p_values.items()},
         "warnings": list(diag.warnings) + list(result.warnings),
     }
 
@@ -380,50 +373,31 @@ def quality_harness(
     ms_raw = factor_decomposition(samples.sizes, TiePattern.no_ties(samples.N))
     model_adj = FactorModel.from_moments(ms_adj)
     model_raw = FactorModel.from_moments(ms_raw)
-    kind, tail = {
-        "greater": ("s_max", "ge"),
-        "less": ("s_min", "le"),
-        "two_sided": ("s_abs", "ge"),
-    }[alt]
+    kind, side = ALTERNATIVE_TABLE[alt]
 
     def asym(model: FactorModel, t: float, ratio: np.ndarray) -> float:
-        u = t * ratio
-        if alt == "greater":
-            return tail_prob_max_multi(model, u, nodes)
-        if alt == "less":
-            return tail_prob_min_multi(model, u, nodes)
-        return tail_prob_abs_multi(model, u, nodes)
+        return tail_prob(model, t * ratio, alt, nodes)
 
     ones = np.ones(model_adj.K)
     # parameterize by v with threshold t = sgn*v so the solved map decreases in v
-    sgn = -1.0 if tail == "le" else 1.0
+    sgn = -1.0 if side == "lower" else 1.0
     lo = 0.0 if alt == "two_sided" else -14.0
-    thresholds = [
+    thresholds = np.array([
         sgn * brentq(lambda v: asym(model_adj, sgn * v, ones) - p, lo, 14.0, xtol=1e-12)
         for p in p_grid
-    ]
-
-    counts = _mc_tail_counts(
-        samples.tie_pattern,
-        samples.sizes,
-        control_pairs(samples.n_groups),
-        ms_adj.mu,
-        ms_adj.tau,
-        kind,
-        np.asarray(thresholds),
-        tail,
-        nsim,
-        seed,
-    )
+    ])
+    order = np.argsort(thresholds)  # the shared run takes ascending thresholds
+    p_sim = np.empty(thresholds.size)
+    p_sim[order] = simulated_tail_curve(samples, kind, thresholds[order], nsim, seed)
     ratio = ms_adj.tau / ms_raw.tau
     return [
         {
             "threshold": float(t),
-            "p_sim": float(c / nsim),
+            "p_sim": float(p),
             "p_asym_adj": asym(model_adj, t, ones),
             "p_asym_unadj": asym(model_raw, t, ratio),
         }
-        for t, c in zip(thresholds, counts)
+        for t, p in zip(thresholds, p_sim)
     ]
 
 

@@ -20,6 +20,7 @@ from scipy.special import ndtr
 
 from .errors import NumericError, ParameterError
 from .moments import MomentSet
+from .statistics import normalize_alternative
 
 INTEGRATION_LIMIT = 8.5
 DEFAULT_NODES = 160
@@ -98,15 +99,6 @@ class FactorModel:
         )
 
 
-def _as_u(model: FactorModel, u, name: str) -> np.ndarray:
-    arr = np.asarray(u, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(model.K, float(arr))
-    if arr.shape != (model.K,):
-        raise ParameterError(f"{name} must be a scalar or a length-K vector")
-    return arr
-
-
 def _smooth_args(model: FactorModel, u: np.ndarray, z: np.ndarray, keep: np.ndarray) -> np.ndarray:
     numer = u[keep] * model.tau[keep] - np.outer(
         z, np.asarray(model.n, dtype=float)[keep] * model.sigma0
@@ -123,81 +115,71 @@ def _degenerate_caps(model: FactorModel, u: np.ndarray, deg: np.ndarray) -> np.n
     return u[deg] * model.tau[deg] / (np.asarray(model.n, dtype=float)[deg] * model.sigma0)
 
 
-def _product_mass(model, u, nodes, lo, hi, survival: bool) -> float:
-    """Integral of prod_i F_i(z) * phi(z) over [lo, hi], with F = Phi or 1 - Phi."""
+def _box_mass(model: FactorModel, u: np.ndarray, nodes: int, alternative: str) -> float:
+    """Probability of the complement of an alternative's tail, by one quadrature.
+
+    greater: all coordinates <= u_i; less: all >= u_i; two_sided: all |.| <= u_i.
+    Degenerate (sigma_i == 0) factors are indicators that clip the z window.
+    """
+    lo, hi = -INTEGRATION_LIMIT, INTEGRATION_LIMIT
+    deg = model.sigma == 0
+    if deg.any():
+        caps = _degenerate_caps(model, u, deg)
+        if alternative == "less":  # survival indicators are 1 only above their switch points
+            lo = max(lo, float(caps.max()))
+        else:  # indicators are 1 only below; two-sided ones also only above -u_i
+            hi = min(hi, float(caps.min()))
+            if alternative == "two_sided":
+                lo = max(lo, float(-caps.min()))
     if hi <= lo:
         return 0.0
     z, weight = _nodes(nodes, lo, hi)
     keep = model.sigma > 0
     if keep.any():
         a = _smooth_args(model, u, z, keep)
-        vals = np.prod(ndtr(-a if survival else a), axis=1)
+        if alternative == "greater":
+            factors = ndtr(a)
+        elif alternative == "less":
+            factors = ndtr(-a)
+        else:
+            factors = ndtr(a) - ndtr(_smooth_args(model, -u, z, keep))
+        vals = np.prod(factors, axis=1)
     else:
         vals = np.ones_like(z)
     return min(max(float(weight @ vals), 0.0), 1.0)
 
 
-def _box_mass(model: FactorModel, u: np.ndarray, nodes: int) -> float:
-    """P(all standardized coordinates <= u_i); degenerate factors clip the interval."""
-    lo, hi = -INTEGRATION_LIMIT, INTEGRATION_LIMIT
-    deg = model.sigma == 0
-    if deg.any():
-        hi = min(hi, float(_degenerate_caps(model, u, deg).min()))
-    return _product_mass(model, u, nodes, lo, hi, survival=False)
+def tail_prob(model: FactorModel, u, alternative: str, nodes: int = DEFAULT_NODES) -> float:
+    """P(the alternative's extreme statistic is in its tail at u) under the factor model.
 
-
-def tail_prob_max(model: FactorModel, threshold: float, nodes: int = DEFAULT_NODES) -> float:
-    """P(max standardized coordinate >= threshold) under the factor model."""
-    return tail_prob_max_multi(model, _as_u(model, threshold, "threshold"), nodes)
-
-
-def tail_prob_max_multi(model: FactorModel, thresholds, nodes: int = DEFAULT_NODES) -> float:
-    """Per-coordinate-threshold variant: P(any coordinate i >= thresholds[i])."""
-    u = _as_u(model, thresholds, "thresholds")
-    return 1.0 - _box_mass(model, u, nodes)
-
-
-def tail_prob_min(model: FactorModel, threshold: float, nodes: int = DEFAULT_NODES) -> float:
-    """P(min standardized coordinate <= threshold)."""
-    return tail_prob_min_multi(model, _as_u(model, threshold, "threshold"), nodes)
-
-
-def tail_prob_min_multi(model: FactorModel, thresholds, nodes: int = DEFAULT_NODES) -> float:
-    u = _as_u(model, thresholds, "thresholds")
-    lo, hi = -INTEGRATION_LIMIT, INTEGRATION_LIMIT
-    deg = model.sigma == 0
-    if deg.any():  # survival indicator is 1 only above the switch point
-        lo = max(lo, float(_degenerate_caps(model, u, deg).max()))
-    return 1.0 - _product_mass(model, u, nodes, lo, hi, survival=True)
-
-
-def tail_prob_abs(model: FactorModel, threshold: float, nodes: int = DEFAULT_NODES) -> float:
-    """P(max |standardized coordinate| >= threshold), threshold >= 0."""
-    if threshold < 0:
-        raise ParameterError("two-sided threshold must be >= 0")
-    return tail_prob_abs_multi(model, _as_u(model, threshold, "threshold"), nodes)
-
-
-def tail_prob_abs_multi(model: FactorModel, thresholds, nodes: int = DEFAULT_NODES) -> float:
-    u = _as_u(model, thresholds, "thresholds")
-    if (u < 0).any():
+    greater: P(any coordinate i >= u_i); less: P(any <= u_i); two_sided:
+    P(any |coordinate i| >= u_i), u_i >= 0.  ``u`` is a scalar or one threshold
+    per coordinate.
+    """
+    alt = normalize_alternative(alternative)
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 0:
+        u = np.full(model.K, float(u))
+    if u.shape != (model.K,):
+        raise ParameterError("u must be a scalar or a length-K vector")
+    if alt == "two_sided" and (u < 0).any():
         raise ParameterError("two-sided thresholds must be >= 0")
-    lo, hi = -INTEGRATION_LIMIT, INTEGRATION_LIMIT
-    deg = model.sigma == 0
-    if deg.any():  # indicator window is symmetric: -u_i <= z <= u_i per factor
-        caps = _degenerate_caps(model, u, deg)
-        hi = min(hi, float(caps.min()))
-        lo = max(lo, float(-caps.min()))
-    if hi <= lo:
-        return 1.0
-    z, weight = _nodes(nodes, lo, hi)
-    keep = model.sigma > 0
-    if keep.any():
-        inside = ndtr(_smooth_args(model, u, z, keep)) - ndtr(_smooth_args(model, -u, z, keep))
-        vals = np.prod(inside, axis=1)
-    else:
-        vals = np.ones_like(z)
-    return 1.0 - min(max(float(weight @ vals), 0.0), 1.0)
+    return 1.0 - _box_mass(model, u, nodes, alt)
+
+
+def tail_prob_max(model: FactorModel, threshold, nodes: int = DEFAULT_NODES) -> float:
+    """P(max standardized coordinate >= threshold) under the factor model."""
+    return tail_prob(model, threshold, "greater", nodes)
+
+
+def tail_prob_min(model: FactorModel, threshold, nodes: int = DEFAULT_NODES) -> float:
+    """P(min standardized coordinate <= threshold)."""
+    return tail_prob(model, threshold, "less", nodes)
+
+
+def tail_prob_abs(model: FactorModel, threshold, nodes: int = DEFAULT_NODES) -> float:
+    """P(max |standardized coordinate| >= threshold), threshold >= 0."""
+    return tail_prob(model, threshold, "two_sided", nodes)
 
 
 def joint_lower_box_prob(model: FactorModel, c, nodes: int = DEFAULT_NODES) -> float:
@@ -206,7 +188,7 @@ def joint_lower_box_prob(model: FactorModel, c, nodes: int = DEFAULT_NODES) -> f
     if c.shape != (model.K,):
         raise ParameterError("c must be a length-K vector of raw-scale thresholds")
     u = (c - model.mu) / model.tau
-    return _box_mass(model, u, nodes)
+    return _box_mass(model, u, nodes, "greater")
 
 
 def solve_common_threshold(
@@ -219,7 +201,7 @@ def solve_common_threshold(
         raise ParameterError(f"unknown side {side!r}")
 
     def f(u: float) -> float:
-        return _box_mass(model, np.full(model.K, u), nodes) - gamma
+        return _box_mass(model, np.full(model.K, u), nodes, "greater") - gamma
 
     root = float(brentq(f, -45.0, 45.0, xtol=1e-13, maxiter=200))
     if abs(f(root)) > 1e-9:

@@ -1,8 +1,6 @@
 """All-pairs rank comparisons: covariance assembly and randomization/MVN p-values."""
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -11,18 +9,21 @@ import numpy as np
 from .errors import NumericError, ParameterError
 from .moments import _cov_w_exact, _var_w_exact
 from .randomization import (
-    CHUNK_SIZE,
-    PValue,
     TestResult,
     _mc_tail_counts,
-    _reduce,
     _standardize,
-    _tail_for,
     all_pairs,
-    worker_count,
+    sample_chunks,
+    sampled_p_value,
 )
 from .ranks import RankedSamples, TiePattern
-from .statistics import mann_whitney_star, normalize_alternative
+from .statistics import (
+    ALTERNATIVE_TABLE,
+    in_tail,
+    mann_whitney_star,
+    normalize_alternative,
+    reduce_statistic,
+)
 
 METHODS = ("monte_carlo", "mvn_sample")
 
@@ -79,42 +80,59 @@ def pairwise_moment_matrix(sizes: Sequence[int], tie: TiePattern) -> PairwiseMom
     return PairwiseMoments(sizes=sizes, pairs=pairs, mu=mu, tau2=np.diag(cov).copy(), cov=cov)
 
 
+@dataclass(frozen=True)
+class PairwiseResult(TestResult):
+    """All-pairs test result together with the moments it standardized with."""
+
+    moments: PairwiseMoments | None = None
+
+
+def _mvn_root(pm: PairwiseMoments) -> np.ndarray:
+    """Square root of the pair correlation matrix; degenerate pairs get zero rows."""
+    tau = pm.tau
+    scale = np.where(tau > 0, tau, 1.0)
+    corr = pm.cov / np.outer(scale, scale)
+    corr[tau == 0, :] = 0.0
+    corr[:, tau == 0] = 0.0
+    eigvals, eigvecs = np.linalg.eigh(corr)
+    tol = 1e-9 * max(1.0, float(np.abs(eigvals).max(initial=1.0)))
+    if eigvals.min() < -tol:
+        raise NumericError(
+            f"pairwise covariance is not positive semidefinite: min eigenvalue "
+            f"{eigvals.min():.3e} (tolerance {-tol:.3e})"
+        )
+    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+
+
 def _mvn_tail_counts(
-    corr_root: np.ndarray, kind: str, threshold: float, tail: str, nsim: int, seed: int
+    corr_root: np.ndarray, kind: str, threshold: float, nsim: int, seed: int
 ) -> int:
     """Tail count from sampling the standardized joint normal, chunked like the MC engine."""
-    n_chunks = -(-nsim // CHUNK_SIZE)
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
 
-    def one_chunk(ci: int) -> int:
-        b = min(CHUNK_SIZE, nsim - ci * CHUNK_SIZE)
-        rng = np.random.default_rng(seeds[ci])
+    def draw(rng: np.random.Generator, b: int) -> int:
         z = rng.standard_normal((b, corr_root.shape[1])) @ corr_root.T
-        stats = _reduce(kind, z)
-        return int((stats <= threshold).sum() if tail == "le" else (stats >= threshold).sum())
+        return int(in_tail(kind, reduce_statistic(kind, z), threshold).sum())
 
-    threads = worker_count()
-    if threads == 1 or n_chunks == 1:
-        return sum(one_chunk(ci) for ci in range(n_chunks))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(one_chunk, range(n_chunks)))
+    return sum(sample_chunks(nsim, seed, draw))
 
 
 def pairwise_test(
     samples: RankedSamples,
     alternative: str,
-    method: str,
+    method,
     nsim: int,
     seed: int,
     conservative: bool = False,
-) -> TestResult:
-    """Max/min/abs-max over all standardized pairwise statistics with a sampled p-value.
+) -> PairwiseResult:
+    """Max/min/abs-max over all standardized pairwise statistics with sampled p-values.
 
-    ``monte_carlo`` re-splits the pooled midranks (exact conditional model);
-    ``mvn_sample`` draws from the approximating joint normal instead.
+    ``method`` is one of METHODS or a sequence of them; ``p_values`` holds one
+    entry per method.  ``monte_carlo`` re-splits the pooled midranks (exact
+    conditional model); ``mvn_sample`` draws from the approximating joint normal.
     """
     alt = normalize_alternative(alternative)
-    if method not in METHODS:
+    methods = (method,) if isinstance(method, str) else tuple(method)
+    if not methods or any(m not in METHODS for m in methods):
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     if nsim < 1:
         raise ParameterError("nsim must be >= 1")
@@ -129,56 +147,38 @@ def pairwise_test(
         ]
     )
     z = _standardize(w[None, :], pm.mu, tau)[0]
-    kind, tail = _tail_for(alt)
-    observed = float(_reduce(kind, z[None, :])[0])
+    kind = ALTERNATIVE_TABLE[alt][0]
+    observed = float(reduce_statistic(kind, z[None, :])[0])
     warnings: list[str] = []
     if (tau == 0).any():
         warnings.append("fully tied data: statistics are degenerate at 0")
 
-    if method == "monte_carlo":
-        counts = _mc_tail_counts(
-            samples.tie_pattern,
-            samples.sizes,
-            pm.pairs,
-            pm.mu,
-            tau,
-            kind,
-            np.array([observed]),
-            tail,
-            nsim,
-            seed,
-        )
-        hits = int(counts[0])
-    else:
-        scale = np.where(tau > 0, tau, 1.0)
-        corr = pm.cov / np.outer(scale, scale)
-        corr[tau == 0, :] = 0.0
-        corr[:, tau == 0] = 0.0
-        eigvals, eigvecs = np.linalg.eigh(corr)
-        tol = 1e-9 * max(1.0, float(np.abs(eigvals).max(initial=1.0)))
-        if eigvals.min() < -tol:
-            raise NumericError(
-                f"pairwise covariance is not positive semidefinite: min eigenvalue "
-                f"{eigvals.min():.3e} (tolerance {-tol:.3e})"
+    p_values = {}
+    for m in methods:
+        if m == "monte_carlo":
+            counts = _mc_tail_counts(
+                samples.tie_pattern,
+                samples.sizes,
+                pm.pairs,
+                pm.mu,
+                tau,
+                kind,
+                np.array([observed]),
+                nsim,
+                seed,
             )
-        root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-        hits = _mvn_tail_counts(root, kind, observed, tail, nsim, seed)
-
-    estimate = (hits + 1) / (nsim + 1) if conservative else hits / nsim
-    pval = PValue(
-        estimate=estimate,
-        method=method,
-        nsim=nsim,
-        std_error=math.sqrt(estimate * (1 - estimate) / nsim),
-        seed=seed,
-    )
-    return TestResult(
+            hits = int(counts[0])
+        else:
+            hits = _mvn_tail_counts(_mvn_root(pm), kind, observed, nsim, seed)
+        p_values[m] = sampled_p_value(hits, nsim, seed, m, conservative)
+    return PairwiseResult(
         labels=tuple(f"{a + 1}-{b + 1}" for a, b in pm.pairs),
         w_star=w,
         standardized=z,
         statistic=kind,
         statistic_value=observed,
         alternative=alt,
-        p_values={method: pval},
+        p_values=p_values,
         warnings=tuple(warnings),
+        moments=pm,
     )

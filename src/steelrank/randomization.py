@@ -15,14 +15,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .moments import factor_decomposition
 from .ranks import RankedSamples, TiePattern
-from .statistics import SteelObservation
+from .statistics import SteelObservation, in_tail, reduce_statistic
 
 DEFAULT_BUDGET = 10_000_000
 CHUNK_SIZE = 4096
@@ -35,11 +35,35 @@ def worker_count() -> int:
     """Worker cap for Monte Carlo chunks; STEELRANK_THREADS overrides the default."""
     env = os.environ.get("STEELRANK_THREADS", "").strip()
     if env:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0
         if n < 1:
-            raise ParameterError("STEELRANK_THREADS must be >= 1")
+            raise ParameterError(f"STEELRANK_THREADS must be an integer >= 1, got {env!r}")
         return n
     return min(8, os.cpu_count() or 1)
+
+
+def sample_chunks(
+    nsim: int, seed: int, draw: Callable[[np.random.Generator, int], object]
+) -> list:
+    """Results of ``draw(rng, size)`` per chunk of CHUNK_SIZE replicates, in chunk order.
+
+    Chunk i draws from the i-th substream spawned from ``seed``, so the results do
+    not depend on how many worker threads run the chunks.
+    """
+    n_chunks = -(-nsim // CHUNK_SIZE)
+    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+
+    def one_chunk(ci: int):
+        return draw(np.random.default_rng(seeds[ci]), min(CHUNK_SIZE, nsim - ci * CHUNK_SIZE))
+
+    threads = worker_count()
+    if threads == 1 or n_chunks == 1:
+        return [one_chunk(ci) for ci in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one_chunk, range(n_chunks)))
 
 
 def split_count(sizes: Sequence[int]) -> int:
@@ -181,16 +205,6 @@ def _standardize(w: np.ndarray, mu: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return z
 
 
-def _reduce(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "s_max":
-        return z.max(axis=1)
-    if kind == "s_min":
-        return z.min(axis=1)
-    if kind == "s_abs":
-        return np.abs(z).max(axis=1)
-    raise ParameterError(f"unknown statistic {kind!r}")
-
-
 def exact_null_distribution(
     samples: RankedSamples, statistic: str, budget: int = DEFAULT_BUDGET
 ) -> NullSample:
@@ -203,7 +217,7 @@ def exact_null_distribution(
         vals, inv = np.unique(w, axis=0, return_inverse=True)
     else:
         ms = factor_decomposition(samples.sizes, samples.tie_pattern)
-        stats = _reduce(statistic, _standardize(w, ms.mu, ms.tau))
+        stats = reduce_statistic(statistic, _standardize(w, ms.mu, ms.tau))
         vals, inv = np.unique(stats, return_inverse=True)
     weights = np.bincount(inv.reshape(-1), weights=wt)
     return NullSample(
@@ -236,27 +250,13 @@ def exact_moments(
     return ExactMoments(pairs=pairs, mean=mu + first, cov=cov, total=int(total))
 
 
-def _tail_for(alternative: str) -> tuple[str, str]:
-    """(statistic kind, tail direction) implied by an alternative."""
-    return {
-        "greater": ("s_max", "ge"),
-        "less": ("s_min", "le"),
-        "two_sided": ("s_abs", "ge"),
-    }[alternative]
-
-
 def exact_p_value(
     samples: RankedSamples, observation: SteelObservation, budget: int = DEFAULT_BUDGET
 ) -> PValue:
     """Exact tail probability of the observed statistic, ties included in the tail."""
-    kind, tail = _tail_for(observation.alternative)
+    kind = observation.statistic
     dist = exact_null_distribution(samples, kind, budget)
-    obs = observation.statistic_value
-    if tail == "le":
-        in_tail = dist.values <= obs
-    else:
-        in_tail = dist.values >= obs
-    mass = int(dist.weights[in_tail].sum())
+    mass = int(dist.weights[in_tail(kind, dist.values, observation.statistic_value)].sum())
     return PValue(estimate=mass / dist.total, method="exact")
 
 
@@ -268,7 +268,6 @@ def _mc_tail_counts(
     tau: np.ndarray,
     kind: str,
     thresholds: np.ndarray,
-    tail: str,
     nsim: int,
     seed: int,
 ) -> np.ndarray:
@@ -281,13 +280,9 @@ def _mc_tail_counts(
         np.arange(n_groups, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
     )
     thr = np.asarray(thresholds, dtype=float)
-    n_chunks = -(-nsim // CHUNK_SIZE)
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     a_groups = sorted({a for a, _ in pairs})
 
-    def one_chunk(ci: int) -> np.ndarray:
-        b = min(CHUNK_SIZE, nsim - ci * CHUNK_SIZE)
-        rng = np.random.default_rng(seeds[ci])
+    def draw(rng: np.random.Generator, b: int) -> np.ndarray:
         labels = rng.permuted(np.tile(label_template, (b, 1)), axis=1)
         key = labels * n_values + value_class[None, :]
         key += (np.arange(b, dtype=np.int64) * (n_groups * n_values))[:, None]
@@ -298,18 +293,38 @@ def _mc_tail_counts(
         w = np.empty((b, len(pairs)), dtype=float)
         for p, (a, bb) in enumerate(pairs):
             w[:, p] = np.einsum("ij,ij->i", counts[:, bb, :].astype(float), cx[a])
-        stats = _reduce(kind, _standardize(w, mu, tau))
-        if tail == "le":
-            return (stats[:, None] <= thr[None, :]).sum(axis=0).astype(np.int64)
-        return (stats[:, None] >= thr[None, :]).sum(axis=0).astype(np.int64)
+        stats = reduce_statistic(kind, _standardize(w, mu, tau))
+        return in_tail(kind, stats[:, None], thr[None, :]).sum(axis=0).astype(np.int64)
 
-    threads = worker_count()
-    if threads == 1 or n_chunks == 1:
-        results = [one_chunk(ci) for ci in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_chunk, range(n_chunks)))
-    return np.sum(results, axis=0)
+    return np.sum(sample_chunks(nsim, seed, draw), axis=0)
+
+
+def sampled_p_value(
+    hits: int, nsim: int, seed: int, method: str, conservative: bool = False
+) -> PValue:
+    """Sampled tail estimate with its binomial standard error.
+
+    ``conservative`` switches the estimate to (hits+1)/(nsim+1).
+    """
+    estimate = (hits + 1) / (nsim + 1) if conservative else hits / nsim
+    return PValue(
+        estimate=estimate,
+        method=method,
+        nsim=nsim,
+        std_error=math.sqrt(estimate * (1 - estimate) / nsim),
+        seed=seed,
+    )
+
+
+def _control_tail_counts(
+    samples: RankedSamples, kind: str, thresholds: Sequence[float], nsim: int, seed: int
+) -> np.ndarray:
+    """Monte Carlo tail counts of a treatment-vs-control statistic per threshold."""
+    ms = factor_decomposition(samples.sizes, samples.tie_pattern)
+    pairs = control_pairs(samples.n_groups)
+    return _mc_tail_counts(
+        samples.tie_pattern, samples.sizes, pairs, ms.mu, ms.tau, kind, thresholds, nsim, seed
+    )
 
 
 def simulate_p_value(
@@ -322,29 +337,9 @@ def simulate_p_value(
     """Monte Carlo tail estimate.  ``conservative`` switches to (hits+1)/(nsim+1)."""
     if nsim < 1:
         raise ParameterError("nsim must be >= 1")
-    kind, tail = _tail_for(observation.alternative)
-    ms = factor_decomposition(samples.sizes, samples.tie_pattern)
-    counts = _mc_tail_counts(
-        samples.tie_pattern,
-        samples.sizes,
-        control_pairs(samples.n_groups),
-        ms.mu,
-        ms.tau,
-        kind,
-        np.array([observation.statistic_value]),
-        tail,
-        nsim,
-        seed,
-    )
-    hits = int(counts[0])
-    estimate = (hits + 1) / (nsim + 1) if conservative else hits / nsim
-    return PValue(
-        estimate=estimate,
-        method="monte_carlo",
-        nsim=nsim,
-        std_error=math.sqrt(estimate * (1 - estimate) / nsim),
-        seed=seed,
-    )
+    kind = observation.statistic
+    counts = _control_tail_counts(samples, kind, [observation.statistic_value], nsim, seed)
+    return sampled_p_value(int(counts[0]), nsim, seed, "monte_carlo", conservative)
 
 
 def simulated_tail_curve(
@@ -354,7 +349,11 @@ def simulated_tail_curve(
     nsim: int,
     seed: int,
 ) -> np.ndarray:
-    """P(statistic >= t) for each threshold, from a single shared simulation run."""
+    """Tail probability at each threshold from a single shared simulation run.
+
+    The tail is the one the statistic's alternative tests: P(s_min <= t) for
+    ``s_min``, P(statistic >= t) for ``s_max`` and ``s_abs``.
+    """
     if statistic not in ("s_max", "s_min", "s_abs"):
         raise ParameterError(f"tail curves need a scalar statistic, got {statistic!r}")
     if nsim < 1:
@@ -364,17 +363,4 @@ def simulated_tail_curve(
         raise ParameterError("thresholds must be a non-empty vector")
     if np.any(np.diff(thr) < 0):
         raise ParameterError("thresholds must be sorted ascending")
-    ms = factor_decomposition(samples.sizes, samples.tie_pattern)
-    counts = _mc_tail_counts(
-        samples.tie_pattern,
-        samples.sizes,
-        control_pairs(samples.n_groups),
-        ms.mu,
-        ms.tau,
-        statistic,
-        thr,
-        "ge",
-        nsim,
-        seed,
-    )
-    return counts / nsim
+    return _control_tail_counts(samples, statistic, thr, nsim, seed) / nsim

@@ -10,9 +10,14 @@ from .errors import ParameterError
 from .moments import MomentSet
 from .ranks import RankedSamples, _as_scores
 
-ALTERNATIVES = ("greater", "less", "two_sided")
-
-_STAT_FOR_ALTERNATIVE = {"greater": "s_max", "less": "s_min", "two_sided": "s_abs"}
+# alternative -> (extreme statistic, tail side): the one place this mapping lives
+ALTERNATIVE_TABLE = {
+    "greater": ("s_max", "upper"),
+    "less": ("s_min", "lower"),
+    "two_sided": ("s_abs", "upper"),
+}
+ALTERNATIVES = tuple(ALTERNATIVE_TABLE)
+_TAIL_SIDE = dict(ALTERNATIVE_TABLE.values())
 
 
 def normalize_alternative(alternative: str) -> str:
@@ -20,6 +25,24 @@ def normalize_alternative(alternative: str) -> str:
     if alt not in ALTERNATIVES:
         raise ParameterError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
     return alt
+
+
+def reduce_statistic(kind: str, z: np.ndarray) -> np.ndarray:
+    """Row-wise max (s_max), min (s_min) or absolute max (s_abs) of standardized values."""
+    if kind == "s_max":
+        return z.max(axis=1)
+    if kind == "s_min":
+        return z.min(axis=1)
+    if kind == "s_abs":
+        return np.abs(z).max(axis=1)
+    raise ParameterError(f"unknown statistic {kind!r}")
+
+
+def in_tail(kind: str, values, threshold):
+    """Tail membership of statistic values, ties included: <= for s_min, >= otherwise."""
+    if _TAIL_SIDE[kind] == "lower":
+        return values <= threshold
+    return values >= threshold
 
 
 @dataclass(frozen=True)
@@ -40,11 +63,11 @@ class SteelObservation:
 
     @property
     def statistic(self) -> str:
-        return _STAT_FOR_ALTERNATIVE[self.alternative]
+        return ALTERNATIVE_TABLE[self.alternative][0]
 
     @property
     def statistic_value(self) -> float:
-        return {"s_max": self.s_max, "s_min": self.s_min, "s_abs": self.s_abs}[self.statistic]
+        return getattr(self, self.statistic)
 
 
 def mann_whitney_star(control: Sequence[float], treatment: Sequence[float]) -> float:

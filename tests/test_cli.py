@@ -185,3 +185,14 @@ def test_out_file(tmp_path):
 def test_run_config_direct():
     report = run(RunConfig(input=IQ, method="asymptotic", alternative="less"))
     assert report["observation"]["statistic"] == "s_min"
+
+
+def test_bad_thread_count_is_a_parameter_error(capsys, monkeypatch):
+    args = ["--input", IQ, "--method", "simulated", "--nsim", "5000"]
+    for bad in ("two", "0", "1.5"):
+        monkeypatch.setenv("STEELRANK_THREADS", bad)
+        code, out, err = run_main(capsys, args)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "ParameterError"
+        assert "STEELRANK_THREADS" in payload["error"]["message"]

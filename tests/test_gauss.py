@@ -14,11 +14,11 @@ from steelrank import (
     joint_lower_box_prob,
     solve_common_threshold,
     std_normal_cdf,
+    tail_prob,
     tail_prob_abs,
     tail_prob_max,
     tail_prob_min,
 )
-from steelrank.gauss import tail_prob_max_multi
 
 DATA = Path(__file__).parent / "data"
 
@@ -89,6 +89,53 @@ def test_k2_against_bivariate_normal_oracle():
     got = tail_prob_max(model, 2.0)
     assert got == pytest.approx(oracle, abs=1e-6)
     assert got == pytest.approx(0.041, abs=5e-4)
+
+
+def genz(model: FactorModel):
+    """Genz MVN distribution of the standardized coordinates of a factor model."""
+    n = np.asarray(model.n, dtype=float)
+    corr = np.outer(n, n) * model.sigma0**2 / np.outer(model.tau, model.tau)
+    np.fill_diagonal(corr, 1.0)
+    return multivariate_normal(
+        mean=np.zeros(model.K), cov=corr, maxpts=1_000_000, abseps=1e-10, releps=1e-10
+    )
+
+
+# sigma_1 = 0 makes coordinate 1 the common factor itself; coordinate 2 keeps
+# its own noise, so the pair is a bivariate normal with correlation 3/5
+MIXED_DEGENERATE = FactorModel(
+    n=(2, 3), sigma0=1.0, sigma=np.array([0.0, 4.0]), tau=np.array([2.0, 5.0]),
+    mu=np.array([0.0, 0.0]),
+)
+
+
+@pytest.mark.parametrize(
+    "model, u",
+    [
+        (no_ties_model((100, 100, 100)), [1.2, 2.1]),
+        (no_ties_model((8, 3, 6, 11)), [0.4, 1.9, 1.1]),
+        (MIXED_DEGENERATE, [0.7, 1.3]),
+    ],
+)
+def test_unequal_thresholds_against_genz(model, u):
+    u = np.asarray(u)
+    mvn = genz(model)
+    # any z_i >= u_i; any z_i <= -u_i (the reflected box); any |z_i| >= u_i
+    assert tail_prob(model, u, "greater") == pytest.approx(1 - mvn.cdf(u), abs=1e-6)
+    assert tail_prob(model, -u, "less") == pytest.approx(1 - mvn.cdf(u), abs=1e-6)
+    both = mvn.cdf(u, lower_limit=-u)
+    assert tail_prob(model, u, "two_sided") == pytest.approx(1 - both, abs=1e-6)
+    assert tail_prob(model, u, "two-sided") == tail_prob_abs(model, u)
+
+
+def test_tail_prob_rejects_bad_thresholds():
+    model = no_ties_model((3, 3, 3))
+    with pytest.raises(ParameterError):
+        tail_prob(model, [1.0, 2.0, 3.0], "greater")
+    with pytest.raises(ParameterError):
+        tail_prob(model, [1.0, -0.1], "two_sided")
+    with pytest.raises(ParameterError):
+        tail_prob(model, 1.0, "sideways")
 
 
 def test_extreme_thresholds():
@@ -218,7 +265,11 @@ def test_degenerate_factor_becomes_step():
     )
     u = np.array([1.0, 0.5])
     expected = norm.cdf(min(1.0 * 2.0 / 2.0, 0.5 * 3.0 / 3.0))
-    assert 1 - tail_prob_max_multi(model, u) == pytest.approx(expected, abs=1e-10)
+    assert 1 - tail_prob_max(model, u) == pytest.approx(expected, abs=1e-10)
+    # less: some coordinate <= u_i once the common normal is below max u
+    assert tail_prob_min(model, u) == pytest.approx(norm.cdf(1.0), abs=1e-10)
+    # two-sided: the common normal leaves [-min u, min u]
+    assert tail_prob_abs(model, u) == pytest.approx(2 - 2 * norm.cdf(0.5), abs=1e-10)
 
 
 def test_model_validation():

@@ -1,0 +1,58 @@
+"""Byte-exact CLI reports on fixed inputs.
+
+The files under data/golden/ pin every byte of the report, so a refactor that
+is meant to keep behaviour must keep them.  The path-dependent ``config.input``
+value is replaced by the input file's name before comparing.  After a change
+that is meant to alter reports, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+from pathlib import Path
+
+import pytest
+
+from steelrank.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+IQ = ["--input", str(DATA / "iq_birth_condition.csv")]
+LIKERT = ["--input", str(DATA / "likert_small.csv")]
+MC = ["--nsim", "20000", "--seed", "3"]
+ASYM_CONF = ["--mode", "confidence", "--method", "asymptotic", "--round-eps", "0.5"]
+
+CASES = {
+    "steel_greater_all": IQ + ["--alternative", "greater"] + MC,
+    "steel_less_asymptotic_continuity": IQ + ["--alternative", "less", "--method",
+                                              "asymptotic", "--continuity"],
+    "steel_two_sided_conservative": IQ + ["--method", "simulated", "--conservative-mc"] + MC,
+    "steel_exact_likert": LIKERT + ["--alternative", "greater"],
+    "steel_exact_likert_less": LIKERT + ["--alternative", "less", "--method", "exact"],
+    "steel_exact_likert_two_sided_text": LIKERT + ["--output", "text"],
+    "pairwise_all": IQ + ["--mode", "pairwise", "--method", "all"] + MC,
+    "confidence_bounds_less": IQ + ASYM_CONF + ["--alternative", "less", "--conf-level", "0.9"],
+    "confidence_intervals": IQ + ASYM_CONF,
+    "harness_greater": IQ + ["--mode", "quality_harness", "--alternative", "greater"] + MC,
+    "harness_less": IQ + ["--mode", "quality_harness", "--alternative", "less"] + MC,
+}
+
+
+def render(name: str, out: Path) -> str:
+    args = CASES[name]
+    assert main(args + ["--out", str(out)]) == 0
+    path = args[args.index("--input") + 1]
+    return out.read_text(encoding="utf-8").replace(path, Path(path).name)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert render(name, tmp_path / "report") == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            text = render(case, Path(tmp) / "report")
+            (GOLDEN / f"{case}.txt").write_text(text, encoding="utf-8")

@@ -132,10 +132,47 @@ def test_mc_and_mvn_agree_at_moderate_sizes():
     assert abs(p1 - p2) <= 0.015
 
 
+def test_several_methods_in_one_call_match_single_calls():
+    rng = np.random.default_rng(4)
+    s = rank_samples([rng.integers(0, 8, size=6).tolist() for _ in range(4)])
+    both = pairwise_test(s, "less", ("monte_carlo", "mvn_sample"), nsim=5000, seed=8)
+    assert list(both.p_values) == ["monte_carlo", "mvn_sample"]
+    for method in ("monte_carlo", "mvn_sample"):
+        single = pairwise_test(s, "less", method, nsim=5000, seed=8)
+        assert both.p_values[method] == single.p_values[method]
+    pm = pairwise_moment_matrix(s.sizes, s.tie_pattern)
+    assert both.moments.pairs == pm.pairs
+    assert np.array_equal(both.moments.cov, pm.cov)
+
+
+def test_pairwise_report_builds_the_moment_matrix_once(monkeypatch, tmp_path):
+    import steelrank.pairwise as pairwise_module
+    from steelrank.cli import main
+
+    calls = []
+    original = pairwise_module.pairwise_moment_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pairwise_module, "pairwise_moment_matrix", counting)
+    data = tmp_path / "d.csv"
+    data.write_text("group,value\na,1\na,2\na,4\nb,3\nb,5\nc,6\nc,2\n")
+    out = tmp_path / "r.json"
+    argv = ["--input", str(data), "--mode", "pairwise", "--method", "all", "--nsim", "500"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(calls) == 1
+
+
 def test_parameter_validation():
     s = rank_samples([[1, 2], [3, 4]])
     with pytest.raises(ParameterError):
         pairwise_test(s, "greater", "exact", nsim=100, seed=0)
+    with pytest.raises(ParameterError):
+        pairwise_test(s, "greater", ("monte_carlo", "exact"), nsim=100, seed=0)
+    with pytest.raises(ParameterError):
+        pairwise_test(s, "greater", (), nsim=100, seed=0)
     with pytest.raises(ParameterError):
         pairwise_test(s, "greater", "monte_carlo", nsim=0, seed=0)
     with pytest.raises(ParameterError):

@@ -184,6 +184,19 @@ def test_tail_curve_single_threshold_consistency():
     assert curve[0] == pv.estimate
 
 
+def test_tail_curve_of_s_min_is_its_lower_tail():
+    rng = np.random.default_rng(3)
+    s = rank_samples([rng.normal(size=12) for _ in range(3)])
+    thresholds = [-50.0, -1.0, 0.0, 1.0, 50.0]
+    curve = simulated_tail_curve(s, "s_min", thresholds, nsim=5000, seed=6)
+    # P(s_min <= t): empty below the support, everything above it, rising between
+    assert curve[0] == 0.0 and curve[-1] == 1.0
+    assert all(a <= b for a, b in zip(curve, curve[1:]))
+    obs = steel_statistics(s, factor_decomposition(s.sizes, s.tie_pattern), "less")
+    pv = simulate_p_value(s, obs, nsim=5000, seed=6)
+    assert simulated_tail_curve(s, "s_min", [obs.s_min], nsim=5000, seed=6)[0] == pv.estimate
+
+
 def test_tail_curve_monotone_and_sorted_required():
     rng = np.random.default_rng(2)
     s = rank_samples([rng.normal(size=20) for _ in range(3)])
