@@ -21,6 +21,7 @@ from .moments import MomentSet, factor_decomposition
 from .pairwise import pairwise_test
 from .randomization import (
     DEFAULT_BUDGET,
+    EXACT_SPLIT_LIMIT,
     PValue,
     exact_p_value,
     simulate_p_value,
@@ -304,10 +305,10 @@ def _steel_section(cfg: RunConfig, samples: RankedSamples) -> dict:
     warnings += extra
     p_values["asymptotic"] = _pvalue_dict(pv)
 
-    n_splits = split_count(samples.sizes)
-    if cfg.method == "exact" or (cfg.method == "all" and n_splits <= cfg.exact_budget):
+    exact_fits = split_count(samples.sizes) <= min(cfg.exact_budget, EXACT_SPLIT_LIMIT)
+    if cfg.method == "exact" or (cfg.method == "all" and exact_fits):
         p_values["exact"] = _pvalue_dict(exact_p_value(samples, obs, cfg.exact_budget))
-    if cfg.method == "simulated" or (cfg.method == "all" and n_splits > cfg.exact_budget):
+    if cfg.method == "simulated" or (cfg.method == "all" and not exact_fits):
         p_values["monte_carlo"] = _pvalue_dict(
             simulate_p_value(samples, obs, cfg.nsim, cfg.seed, cfg.conservative_mc)
         )

@@ -113,7 +113,7 @@ def _mvn_tail_counts(
         z = rng.standard_normal((b, corr_root.shape[1])) @ corr_root.T
         return int(in_tail(kind, reduce_statistic(kind, z), threshold).sum())
 
-    return sum(sample_chunks(nsim, seed, draw))
+    return sum(sample_chunks(nsim, seed, draw, corr_root.shape[1]))
 
 
 def pairwise_test(

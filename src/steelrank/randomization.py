@@ -7,6 +7,12 @@ while enumerating far fewer states than the raw multinomial count.
 Monte Carlo mode splits the replicates into fixed-size chunks; chunk i draws from an
 independent RNG substream derived from (seed, i).  Results are therefore identical
 for any worker count (the STEELRANK_THREADS environment variable only caps speed).
+
+Memory contract: each worker draws its chunk in consecutive slices of at most
+``_SLICE_CELLS`` array cells (replicates times cells per replicate; one replicate
+where a single one is larger), so the memory a worker holds is bounded by the slice
+budget and depends neither on nsim nor on N x groups x distinct values.  Slicing
+does not change the draws, so reports are the same as drawing each chunk at once.
 """
 from __future__ import annotations
 
@@ -25,7 +31,10 @@ from .ranks import RankedSamples, TiePattern
 from .statistics import SteelObservation, in_tail, reduce_statistic
 
 DEFAULT_BUDGET = 10_000_000
+# enumeration weights are floats, exact integers only up to 2**53 splits
+EXACT_SPLIT_LIMIT = 2**53
 CHUNK_SIZE = 4096
+_SLICE_CELLS = 1 << 21  # cells of one drawn slice: 16 MiB per int64 or float array
 _EXPAND_BLOCK = 1 << 18
 
 STATISTICS = ("s_max", "s_min", "s_abs", "vector_w")
@@ -42,28 +51,44 @@ def worker_count() -> int:
         if n < 1:
             raise ParameterError(f"STEELRANK_THREADS must be an integer >= 1, got {env!r}")
         return n
-    return min(8, os.cpu_count() or 1)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(8, cpus)
 
 
 def sample_chunks(
-    nsim: int, seed: int, draw: Callable[[np.random.Generator, int], object]
+    nsim: int,
+    seed: int,
+    draw: Callable[[np.random.Generator, int], object],
+    cells_per_replicate: int,
 ) -> list:
-    """Results of ``draw(rng, size)`` per chunk of CHUNK_SIZE replicates, in chunk order.
+    """Results of ``draw(rng, size)`` per slice of the CHUNK_SIZE-replicate chunks, in order.
 
     Chunk i draws from the i-th substream spawned from ``seed``, so the results do
-    not depend on how many worker threads run the chunks.
+    not depend on how many worker threads run the chunks.  Each chunk is drawn from
+    its generator in consecutive slices of ``max(1, _SLICE_CELLS //
+    cells_per_replicate)`` replicates (the last one shorter); ``draw`` must consume
+    the generator row by row, so that the slices draw exactly what one call for the
+    whole chunk would.
     """
     n_chunks = -(-nsim // CHUNK_SIZE)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+    rows = max(1, _SLICE_CELLS // cells_per_replicate)
 
-    def one_chunk(ci: int):
-        return draw(np.random.default_rng(seeds[ci]), min(CHUNK_SIZE, nsim - ci * CHUNK_SIZE))
+    def one_chunk(ci: int) -> list:
+        rng = np.random.default_rng(seeds[ci])
+        size = min(CHUNK_SIZE, nsim - ci * CHUNK_SIZE)
+        return [draw(rng, min(rows, size - start)) for start in range(0, size, rows)]
 
     threads = worker_count()
     if threads == 1 or n_chunks == 1:
-        return [one_chunk(ci) for ci in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one_chunk, range(n_chunks)))
+        chunks = [one_chunk(ci) for ci in range(n_chunks)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(one_chunk, range(n_chunks)))
+    return [result for chunk in chunks for result in chunk]
 
 
 def split_count(sizes: Sequence[int]) -> int:
@@ -165,6 +190,11 @@ def _enumerate_w(
         raise BudgetError(
             f"exact enumeration needs {total} splits, over budget {budget}; "
             "use the monte_carlo method instead"
+        )
+    if total > EXACT_SPLIT_LIMIT:
+        raise BudgetError(
+            f"exact enumeration needs {total} splits, over 2**53, beyond which its "
+            "weights are not exact; use the monte_carlo method instead"
         )
     sizes_arr = np.asarray(sizes, dtype=np.int64)
     n_groups = len(sizes)
@@ -283,7 +313,8 @@ def _mc_tail_counts(
     a_groups = sorted({a for a, _ in pairs})
 
     def draw(rng: np.random.Generator, b: int) -> np.ndarray:
-        labels = rng.permuted(np.tile(label_template, (b, 1)), axis=1)
+        labels = np.tile(label_template, (b, 1))
+        rng.permuted(labels, axis=1, out=labels)
         key = labels * n_values + value_class[None, :]
         key += (np.arange(b, dtype=np.int64) * (n_groups * n_values))[:, None]
         counts = np.bincount(key.ravel(), minlength=b * n_groups * n_values)
@@ -296,7 +327,8 @@ def _mc_tail_counts(
         stats = reduce_statistic(kind, _standardize(w, mu, tau))
         return in_tail(kind, stats[:, None], thr[None, :]).sum(axis=0).astype(np.int64)
 
-    return np.sum(sample_chunks(nsim, seed, draw), axis=0)
+    cells = n_groups * n_values + value_class.size
+    return np.sum(sample_chunks(nsim, seed, draw, cells), axis=0)
 
 
 def sampled_p_value(

@@ -97,6 +97,23 @@ def test_exact_over_budget_suggests_monte_carlo(tmp_path, capsys):
     assert "monte_carlo" in payload["error"]["message"]
 
 
+def test_exact_past_2_pow_53_splits_errors_and_all_falls_back(tmp_path, capsys):
+    # two-valued 3x20 has 5.8e26 splits: float weights gave exact p = 3.1e-9 here, MC gives 1
+    rng = np.random.default_rng(1)
+    f = tmp_path / "two_valued.csv"
+    lines = ["group,value"]
+    for g in ("a", "b", "c"):
+        lines += [f"{g},{v}" for v in rng.integers(0, 2, size=20)]
+    f.write_text("\n".join(lines) + "\n")
+    budget = ["--input", str(f), "--exact-budget", str(10**30), "--nsim", "2000"]
+    code, _, err = run_main(capsys, budget + ["--method", "exact"])
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "BudgetError"
+    code, out, _ = run_main(capsys, budget + ["--method", "all"])
+    assert code == 0
+    assert set(json.loads(out)["p_values"]) == {"asymptotic", "monte_carlo"}
+
+
 def test_degenerate_single_value_groups(tmp_path, capsys):
     f = tmp_path / "deg.csv"
     f.write_text("group,value\na,5\nb,5\n")

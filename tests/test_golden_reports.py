@@ -17,6 +17,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 IQ = ["--input", str(DATA / "iq_birth_condition.csv")]
 LIKERT = ["--input", str(DATA / "likert_small.csv")]
+R1 = ["--input", str(DATA / "r1_10x50.csv")]
 MC = ["--nsim", "20000", "--seed", "3"]
 ASYM_CONF = ["--mode", "confidence", "--method", "asymptotic", "--round-eps", "0.5"]
 
@@ -33,6 +34,9 @@ CASES = {
     "confidence_intervals": IQ + ASYM_CONF,
     "harness_greater": IQ + ["--mode", "quality_harness", "--alternative", "greater"] + MC,
     "harness_less": IQ + ["--mode", "quality_harness", "--alternative", "less"] + MC,
+    "steel_simulated_r1_10x50": R1 + ["--method", "simulated", "--nsim", "10000", "--seed", "5"],
+    "pairwise_all_r1_10x50": R1 + ["--mode", "pairwise", "--method", "all", "--nsim", "10000",
+                                   "--seed", "5"],
 }
 
 

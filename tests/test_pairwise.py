@@ -12,7 +12,9 @@ from steelrank import (
     steel_statistics,
     var_w,
 )
+from steelrank import randomization
 from steelrank.moments import factor_decomposition
+from steelrank.pairwise import _mvn_root, _mvn_tail_counts
 
 from _oracles import enumerate_pair_stats, random_tie_pattern
 
@@ -116,6 +118,23 @@ def test_pairwise_reproducible_across_workers(monkeypatch):
     monkeypatch.setenv("STEELRANK_THREADS", "6")
     b = pairwise_test(s, "greater", "mvn_sample", nsim=20000, seed=5)
     assert a.p_values["mvn_sample"] == b.p_values["mvn_sample"]
+
+
+def test_mvn_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch):
+    rng = np.random.default_rng(8)
+    s = rank_samples([rng.integers(0, 7, size=8).tolist() for _ in range(4)])
+    pm = pairwise_moment_matrix(s.sizes, s.tie_pattern)
+    root = _mvn_root(pm)
+    n_pairs = len(pm.pairs)
+    for kind, threshold in (("s_max", 1.2), ("s_max", 2.3), ("s_min", -1.9), ("s_abs", 2.1)):
+        counts = {}
+        for rows, threads in ((None, "1"), (1, "1"), (7, "1"), (7, "2")):
+            monkeypatch.setenv("STEELRANK_THREADS", threads)
+            cells = 1 << 40 if rows is None else rows * n_pairs
+            monkeypatch.setattr(randomization, "_SLICE_CELLS", cells)
+            counts[rows, threads] = _mvn_tail_counts(root, kind, threshold, 9000, 6)
+        assert 0 < counts[None, "1"] < 9000
+        assert set(counts.values()) == {counts[None, "1"]}
 
 
 def test_mc_and_mvn_agree_at_moderate_sizes():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,9 @@ from steelrank import (
     split_count,
     steel_statistics,
 )
+from steelrank import randomization
+from steelrank.pairwise import pairwise_moment_matrix
+from steelrank.randomization import _mc_tail_counts, all_pairs, control_pairs, worker_count
 
 from _oracles import split_moments
 
@@ -217,3 +221,94 @@ def test_exact_weights_are_split_counts():
     # every labeled split of [1,1,2,2,3] into (2,3) collapses onto few W values
     mean = float((dist.weights / dist.total) @ dist.values[:, 0])
     assert Fraction(mean).limit_denominator(100) == Fraction(3, 1)
+
+
+def _sliced(monkeypatch, rows, cells):
+    """Make the sampling runner draw ``rows`` replicates per slice (None: whole chunks)."""
+    monkeypatch.setattr(randomization, "_SLICE_CELLS", 1 << 40 if rows is None else rows * cells)
+
+
+def _tail_count_setup(tied, all_group_pairs):
+    rng = np.random.default_rng(21)
+    draw = (lambda: rng.integers(0, 5, size=9)) if tied else (lambda: rng.normal(size=9))
+    s = rank_samples([draw() for _ in range(4)])
+    if all_group_pairs:
+        pm = pairwise_moment_matrix(s.sizes, s.tie_pattern)
+        pairs, mu, tau = all_pairs(4), pm.mu, pm.tau
+    else:
+        ms = factor_decomposition(s.sizes, s.tie_pattern)
+        pairs, mu, tau = control_pairs(4), ms.mu, ms.tau
+    cells = s.n_groups * len(s.tie_pattern.d) + s.tie_pattern.N
+    return s, pairs, mu, tau, cells
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("all_group_pairs", [False, True])
+def test_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch, tied, all_group_pairs):
+    s, pairs, mu, tau, cells = _tail_count_setup(tied, all_group_pairs)
+    thresholds = np.array([-1.5, -0.5, 0.0, 0.7, 1.8, 2.6])
+    for kind in ("s_max", "s_min", "s_abs"):
+        counts = {}
+        for rows in (None, 1, 7):
+            _sliced(monkeypatch, rows, cells)
+            counts[rows] = _mc_tail_counts(
+                s.tie_pattern, s.sizes, pairs, mu, tau, kind, thresholds, 5000, 13
+            )
+        assert 0 < counts[None].sum() < 5000 * thresholds.size
+        np.testing.assert_array_equal(counts[1], counts[None])
+        np.testing.assert_array_equal(counts[7], counts[None])
+
+
+def test_sliced_chunks_agree_across_worker_counts(monkeypatch):
+    s, pairs, mu, tau, cells = _tail_count_setup(True, True)
+    thresholds = np.array([0.5, 1.5, 2.5])
+    _sliced(monkeypatch, None, cells)
+    whole = _mc_tail_counts(s.tie_pattern, s.sizes, pairs, mu, tau, "s_abs", thresholds, 9000, 4)
+    _sliced(monkeypatch, 7, cells)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STEELRANK_THREADS", threads)
+        sliced = _mc_tail_counts(
+            s.tie_pattern, s.sizes, pairs, mu, tau, "s_abs", thresholds, 9000, 4
+        )
+        np.testing.assert_array_equal(sliced, whole)
+
+
+def test_monte_carlo_memory_is_bounded_by_the_slice_budget(monkeypatch):
+    # untied 3x1000: one whole 4096-replicate chunk held about 938 MiB of counts
+    monkeypatch.setenv("STEELRANK_THREADS", "1")
+    rng = np.random.default_rng(3)
+    s, obs = _steel([rng.normal(size=1000) for _ in range(3)], "greater")
+    tracemalloc.start()
+    try:
+        simulate_p_value(s, obs, nsim=4096, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_exact_refuses_split_counts_its_float_weights_cannot_hold():
+    # two-valued 3x20: 5.8e26 splits; past 2**53 the weights were silently wrong
+    rng = np.random.default_rng(0)
+    s, obs = _steel([rng.integers(0, 2, size=20) for _ in range(3)], "greater")
+    assert split_count(s.sizes) > 2**53
+    with pytest.raises(BudgetError, match=r"2\*\*53"):
+        exact_p_value(s, obs, budget=10**30)
+    with pytest.raises(BudgetError, match=r"2\*\*53"):
+        exact_moments(s.sizes, s.tie_pattern, budget=10**30)
+
+
+def test_worker_count_honours_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("STEELRANK_THREADS", raising=False)
+    monkeypatch.setattr(randomization.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(randomization.os, "sched_getaffinity", lambda pid: {3, 7}, raising=False)
+    assert worker_count() == 2
+    monkeypatch.setattr(
+        randomization.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False
+    )
+    assert worker_count() == 8
+    monkeypatch.delattr(randomization.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(randomization.os, "cpu_count", lambda: 3)
+    assert worker_count() == 3
+    monkeypatch.setenv("STEELRANK_THREADS", "5")
+    assert worker_count() == 5
