@@ -21,7 +21,6 @@ from .moments import MomentSet, factor_decomposition
 from .pairwise import pairwise_test
 from .randomization import (
     DEFAULT_BUDGET,
-    EXACT_SPLIT_LIMIT,
     PValue,
     exact_p_value,
     simulate_p_value,
@@ -305,7 +304,7 @@ def _steel_section(cfg: RunConfig, samples: RankedSamples) -> dict:
     warnings += extra
     p_values["asymptotic"] = _pvalue_dict(pv)
 
-    exact_fits = split_count(samples.sizes) <= min(cfg.exact_budget, EXACT_SPLIT_LIMIT)
+    exact_fits = split_count(samples.sizes) <= cfg.exact_budget
     if cfg.method == "exact" or (cfg.method == "all" and exact_fits):
         p_values["exact"] = _pvalue_dict(exact_p_value(samples, obs, cfg.exact_budget))
     if cfg.method == "simulated" or (cfg.method == "all" and not exact_fits):

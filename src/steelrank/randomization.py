@@ -1,8 +1,10 @@
 """Conditional randomization null distributions: exact enumeration and seeded Monte Carlo.
 
-Exact mode walks the distinct allocations of tied value blocks to groups, weighting
-each by the number of labeled splits it represents, so the distribution is exact
-while enumerating far fewer states than the raw multinomial count.
+Exact mode is a network walk over the tied value blocks: a state is the cumulative
+group counts plus twice the Mann-Whitney values, and after each block the
+allocations that reach the same state are merged, their numbers of labeled splits
+summed.  Contract: the weights are exact integers at any split count, and work and
+memory scale with the live merged states, not with the splits.
 
 Monte Carlo mode splits the replicates into fixed-size chunks; chunk i draws from an
 independent RNG substream derived from (seed, i).  Results are therefore identical
@@ -21,7 +23,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,11 +33,10 @@ from .ranks import RankedSamples, TiePattern
 from .statistics import SteelObservation, in_tail, reduce_statistic
 
 DEFAULT_BUDGET = 10_000_000
-# enumeration weights are floats, exact integers only up to 2**53 splits
-EXACT_SPLIT_LIMIT = 2**53
 CHUNK_SIZE = 4096
 _SLICE_CELLS = 1 << 21  # cells of one drawn slice: 16 MiB per int64 or float array
-_EXPAND_BLOCK = 1 << 18
+_EXPAND_BLOCK = 1 << 18  # (state, composition) expansions per exact-enumeration batch
+_KEY_LIMIT = 1 << 62  # largest radix product of one packed state key
 
 STATISTICS = ("s_max", "s_min", "s_abs", "vector_w")
 
@@ -115,7 +116,7 @@ class NullSample:
     """Weighted support of a statistic under the randomization distribution."""
 
     values: np.ndarray  # (M,) statistic values, or (M, K) for vector_w
-    weights: np.ndarray  # (M,) integer multiplicities
+    weights: np.ndarray  # (M,) exact split counts: int64, Python ints past 2**63 splits
     total: int
     statistic: str
 
@@ -146,21 +147,22 @@ class TestResult:
 
 @lru_cache(maxsize=None)
 def _compositions(total: int, groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nonnegative integer vectors summing to ``total`` plus multinomial weights."""
+    """All nonnegative integer vectors summing to ``total`` plus their multinomials.
+
+    The multinomials are exact Python ints in an object array.
+    """
     if groups == 1:
-        return np.array([[total]], dtype=np.int64), np.array([1.0])
-    blocks = []
-    for first in range(total + 1):
-        sub, _ = _compositions(total - first, groups - 1)
-        blk = np.empty((len(sub), groups), dtype=np.int64)
-        blk[:, 0] = first
-        blk[:, 1:] = sub
-        blocks.append(blk)
-    comps = np.concatenate(blocks)
-    fact = [math.factorial(i) for i in range(total + 1)]
-    weights = np.array(
-        [fact[total] / math.prod(fact[v] for v in row) for row in comps], dtype=float
-    )
+        comps = np.array([[total]], dtype=np.int64)
+    else:
+        blocks = []
+        for first in range(total + 1):
+            sub, _ = _compositions(total - first, groups - 1)
+            blk = np.empty((len(sub), groups), dtype=np.int64)
+            blk[:, 0] = first
+            blk[:, 1:] = sub
+            blocks.append(blk)
+        comps = np.concatenate(blocks)
+    weights = np.array([split_count(row) for row in comps.tolist()], dtype=object)
     comps.setflags(write=False)
     weights.setflags(write=False)
     return comps, weights
@@ -174,16 +176,82 @@ def all_pairs(n_groups: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a in range(n_groups) for b in range(a + 1, n_groups))
 
 
+def _sum_by_key(key: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index of one row per distinct key, exact weight sum per key), keys ascending."""
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return order[starts], np.add.reduceat(wt[order], starts)
+
+
+def _merge_states(
+    states: np.ndarray, wt: np.ndarray, columns: Sequence[int], radices: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``states`` equal in ``columns`` merged into one row carrying their summed weight.
+
+    The columns are packed into one int64 key in mixed radix; where the running
+    radix product would pass _KEY_LIMIT, the partial key is renumbered densely
+    before going on.
+    """
+    key = np.zeros(len(wt), dtype=np.int64)
+    span = 1
+    for col, radix in zip(columns, radices):
+        if span * radix > _KEY_LIMIT:
+            uniq, key = np.unique(key, return_inverse=True)
+            span = uniq.size
+        key = key * radix + states[:, col]
+        span *= radix
+    first, wt = _sum_by_key(key, wt)
+    return states[first], wt
+
+
+def _expansion_batches(
+    cum: np.ndarray, comps: np.ndarray, sizes: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Batches of (state row, composition) pairs to expand, as two index arrays.
+
+    ``cum`` holds the group counts of the states, equal rows adjacent.  A row is
+    expanded by every composition that keeps its counts within ``sizes``.  All
+    expansions that reach the same new counts fall into one batch, so merging each
+    batch on its own merges completely.  Batches start every _EXPAND_BLOCK
+    expansions, at the next change of new counts.
+    """
+    first = np.flatnonzero(np.concatenate(([True], (cum[1:] != cum[:-1]).any(axis=1))))
+    length = np.diff(np.append(first, len(cum)))
+    target = cum[first, None, :] + comps[None, :, :]
+    gi, gj = np.nonzero((target <= sizes).all(axis=2))
+    n = length[gi]
+    ends = [len(gi)]
+    if n.sum() > _EXPAND_BLOCK:  # order by new counts, then cut between them
+        target = target[gi, gj]
+        order = np.lexsort(target.T[::-1])
+        gi, gj, n, target = gi[order], gj[order], n[order], target[order]
+        starts = np.flatnonzero(np.concatenate(([True], (target[1:] != target[:-1]).any(axis=1))))
+        batch = (np.cumsum(n) - n)[starts] // _EXPAND_BLOCK
+        ends = [*starts[np.flatnonzero(np.diff(batch)) + 1], len(gi)]
+    lo = 0
+    for hi in ends:
+        bn = n[lo:hi]
+        rows = np.repeat(first[gi[lo:hi]] - (np.cumsum(bn) - bn), bn) + np.arange(bn.sum())
+        yield rows, np.repeat(gj[lo:hi], bn)
+        lo = hi
+
+
 def _enumerate_w(
     tie: TiePattern,
     sizes: Sequence[int],
     pairs: Sequence[tuple[int, int]],
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mann-Whitney values of the requested pairs for every distinct block allocation.
+    """Mann-Whitney values of the requested pairs with the number of splits giving each.
 
-    Returns (w, weights) where w has one row per distinct allocation and weights
-    count the labeled splits collapsing onto it (summing to split_count(sizes)).
+    Returns (w, weights): one row per distinct w vector, and exact integer weights
+    counting the labeled splits that give it (summing to split_count(sizes)).  The
+    weights are int64 below 2**63 splits and Python ints in an object array above.
+
+    A network walk over the tie blocks: a state is the cumulative group counts
+    and twice the Mann-Whitney values, all integers, and the allocations of the
+    blocks so far that reach the same state are merged after each block.
     """
     total = split_count(sizes)
     if total > budget:
@@ -191,41 +259,38 @@ def _enumerate_w(
             f"exact enumeration needs {total} splits, over budget {budget}; "
             "use the monte_carlo method instead"
         )
-    if total > EXACT_SPLIT_LIMIT:
-        raise BudgetError(
-            f"exact enumeration needs {total} splits, over 2**53, beyond which its "
-            "weights are not exact; use the monte_carlo method instead"
-        )
+    k = len(sizes)
     sizes_arr = np.asarray(sizes, dtype=np.int64)
-    n_groups = len(sizes)
-    n_pairs = len(pairs)
-    cum = np.zeros((1, n_groups), dtype=np.int64)
-    w = np.zeros((1, n_pairs), dtype=float)
-    wt = np.ones(1, dtype=float)
+    a_idx = [a for a, _ in pairs]
+    b_idx = [b for _, b in pairs]
+    # the key leaves out the last group's count, which the other counts fix
+    columns = [*range(k - 1), *range(k, k + len(pairs))]
+    radices = [int(n) + 1 for n in sizes[:-1]]
+    radices += [2 * int(sizes[a]) * int(sizes[b]) + 1 for a, b in pairs]
+    dtype = np.int64 if total < 2**63 else object
+    states = np.zeros((1, k + len(pairs)), dtype=np.int64)  # counts, then 2W per pair
+    wt = np.ones(1, dtype=dtype)
+    moves = {}  # per block size: fitting compositions, their weights, step and slope
     for dv in tie.d:
-        comps, cw = _compositions(dv, n_groups)
-        new_cum, new_w, new_wt = [], [], []
-        for start in range(0, cum.shape[0], _EXPAND_BLOCK):
-            sl = slice(start, min(start + _EXPAND_BLOCK, cum.shape[0]))
-            cand = cum[sl, None, :] + comps[None, :, :]
-            ok = (cand <= sizes_arr).all(axis=2)
-            ii, jj = np.nonzero(ok)
-            if ii.size == 0:
-                continue
-            kk = comps[jj].astype(float)
-            base = cum[sl][ii].astype(float)
-            w_blk = w[sl][ii]
-            for p, (a, b) in enumerate(pairs):
-                w_blk[:, p] += kk[:, b] * (base[:, a] + 0.5 * kk[:, a])
-            new_cum.append(cand[ii, jj])
-            new_w.append(w_blk)
-            new_wt.append(wt[sl][ii] * cw[jj])
-        cum = np.concatenate(new_cum)
-        w = np.concatenate(new_w)
-        wt = np.concatenate(new_wt)
+        if dv not in moves:
+            comps, cw = _compositions(dv, k)
+            fits = (comps <= sizes_arr).all(axis=1)
+            comps = comps[fits]
+            # a block adds its counts, and to 2W of pair (a, b) k_b * (2 cum_a + k_a)
+            step = np.hstack([comps, comps[:, b_idx] * comps[:, a_idx]])
+            moves[dv] = comps, cw[fits].astype(dtype), step, 2 * comps[:, b_idx]
+        comps, cw, step, slope = moves[dv]
+        # merged states come sorted by key, counts leading, so equal counts are adjacent
+        parts = []
+        for rows, jj in _expansion_batches(states[:, :k], comps, sizes_arr):
+            new = states[rows]
+            new[:, k:] += slope[jj] * new[:, a_idx]
+            new += step[jj]
+            parts.append(_merge_states(new, wt[rows] * cw[jj], columns, radices))
+        states, wt = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     if wt.sum() != total:
         raise AssertionError("enumeration weights do not sum to the split count")
-    return w, wt
+    return states[:, k:] / 2, wt
 
 
 def _standardize(w: np.ndarray, mu: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -249,10 +314,9 @@ def exact_null_distribution(
         ms = factor_decomposition(samples.sizes, samples.tie_pattern)
         stats = reduce_statistic(statistic, _standardize(w, ms.mu, ms.tau))
         vals, inv = np.unique(stats, return_inverse=True)
-    weights = np.bincount(inv.reshape(-1), weights=wt)
     return NullSample(
         values=vals,
-        weights=weights.astype(np.int64),
+        weights=_sum_by_key(inv.reshape(-1), wt)[1],
         total=split_count(samples.sizes),
         statistic=statistic,
     )
@@ -272,12 +336,13 @@ def exact_moments(
     n_groups = len(sizes)
     pairs = all_pairs(n_groups) if all_group_pairs else control_pairs(n_groups)
     w, wt = _enumerate_w(tie, sizes, pairs, budget)
-    total = wt.sum()
+    total = int(wt.sum())
+    wt = wt.astype(float)
     mu = np.array([sizes[a] * sizes[b] / 2 for a, b in pairs])
     wc = w - mu
     first = (wt @ wc) / total
     cov = (wc.T * wt) @ wc / total - np.outer(first, first)
-    return ExactMoments(pairs=pairs, mean=mu + first, cov=cov, total=int(total))
+    return ExactMoments(pairs=pairs, mean=mu + first, cov=cov, total=total)
 
 
 def exact_p_value(

@@ -7,6 +7,7 @@ weights.  Used to pin expected values and to validate the package's faster route
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,36 @@ def tail_weight(dist: dict, obs, direction: str) -> Fraction:
     else:
         hit = sum(w for v, w in dist.items() if v >= obs)
     return Fraction(hit, total)
+
+
+def two_valued_tail(groups, mu, tau, statistic: str) -> Fraction:
+    """Exact tail mass of a control-vs-treatment statistic on 0/1 data.
+
+    Given the pooled number of ones, the ones per group are multivariate
+    hypergeometric, and W* of control vs group g follows from the two counts.
+    The tail is ``<=`` for s_min and ``>=`` for s_max and s_abs.
+    """
+    sizes = [len(g) for g in groups]
+    ones = [int(sum(g)) for g in groups]
+    n0 = sizes[0]
+
+    def stat(c):
+        c0 = c[0]
+        w = np.array([(n0 - c0) * ci + (c0 * ci + (n0 - c0) * (ni - ci)) / 2
+                      for ci, ni in zip(c[1:], sizes[1:])])
+        z = (w - mu) / tau
+        return {"s_max": z.max(), "s_min": z.min(), "s_abs": np.abs(z).max()}[statistic]
+
+    observed = stat(ones)
+    mass = 0
+    for head in itertools.product(*(range(n + 1) for n in sizes[:-1])):
+        c = head + (sum(ones) - sum(head),)
+        if not 0 <= c[-1] <= sizes[-1]:
+            continue
+        s = stat(c)
+        if (s <= observed) if statistic == "s_min" else (s >= observed):
+            mass += math.prod(math.comb(n, k) for n, k in zip(sizes, c))
+    return Fraction(mass, math.comb(sum(sizes), sum(ones)))
 
 
 def random_tie_pattern(rng: np.random.Generator, n_total: int) -> tuple[int, ...]:

@@ -2,8 +2,12 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from steelrank import factor_decomposition, rank_samples
 from steelrank.cli import RunConfig, main, quality_harness, render_json, run
+
+from _oracles import two_valued_tail
 
 DATA = Path(__file__).parent / "data"
 IQ = str(DATA / "iq_birth_condition.csv")
@@ -97,21 +101,27 @@ def test_exact_over_budget_suggests_monte_carlo(tmp_path, capsys):
     assert "monte_carlo" in payload["error"]["message"]
 
 
-def test_exact_past_2_pow_53_splits_errors_and_all_falls_back(tmp_path, capsys):
+def test_exact_past_2_pow_53_splits_is_exact_and_all_answers_exact(tmp_path, capsys):
     # two-valued 3x20 has 5.8e26 splits: float weights gave exact p = 3.1e-9 here, MC gives 1
     rng = np.random.default_rng(1)
+    groups = [rng.integers(0, 2, size=20) for _ in range(3)]
     f = tmp_path / "two_valued.csv"
     lines = ["group,value"]
-    for g in ("a", "b", "c"):
-        lines += [f"{g},{v}" for v in rng.integers(0, 2, size=20)]
+    for g, values in zip(("a", "b", "c"), groups):
+        lines += [f"{g},{v}" for v in values]
     f.write_text("\n".join(lines) + "\n")
+    samples = rank_samples(groups)
+    ms = factor_decomposition(samples.sizes, samples.tie_pattern)
     budget = ["--input", str(f), "--exact-budget", str(10**30), "--nsim", "2000"]
-    code, _, err = run_main(capsys, budget + ["--method", "exact"])
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "BudgetError"
-    code, out, _ = run_main(capsys, budget + ["--method", "all"])
-    assert code == 0
-    assert set(json.loads(out)["p_values"]) == {"asymptotic", "monte_carlo"}
+    for alternative, statistic in (("greater", "s_max"), ("less", "s_min"), ("two-sided", "s_abs")):
+        want = float(two_valued_tail(groups, ms.mu, ms.tau, statistic))
+        for method in ("exact", "all"):
+            args = budget + ["--alternative", alternative, "--method", method]
+            code, out, _ = run_main(capsys, args)
+            assert code == 0
+            p_values = json.loads(out)["p_values"]
+            assert set(p_values) == {"asymptotic", "exact"}
+            assert p_values["exact"]["estimate"] == pytest.approx(want, rel=1e-9)
 
 
 def test_degenerate_single_value_groups(tmp_path, capsys):

@@ -18,6 +18,7 @@ GOLDEN = DATA / "golden"
 IQ = ["--input", str(DATA / "iq_birth_condition.csv")]
 LIKERT = ["--input", str(DATA / "likert_small.csv")]
 R1 = ["--input", str(DATA / "r1_10x50.csv")]
+UNTIED = ["--input", str(DATA / "untied_5x5x4.csv")]
 MC = ["--nsim", "20000", "--seed", "3"]
 ASYM_CONF = ["--mode", "confidence", "--method", "asymptotic", "--round-eps", "0.5"]
 
@@ -37,6 +38,8 @@ CASES = {
     "steel_simulated_r1_10x50": R1 + ["--method", "simulated", "--nsim", "10000", "--seed", "5"],
     "pairwise_all_r1_10x50": R1 + ["--mode", "pairwise", "--method", "all", "--nsim", "10000",
                                    "--seed", "5"],
+    "steel_all_untied_5x5x4_greater": UNTIED + ["--method", "all", "--alternative", "greater"],
+    "steel_all_untied_5x5x4_two_sided": UNTIED + ["--method", "all", "--alternative", "two-sided"],
 }
 
 

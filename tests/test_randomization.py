@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from steelrank import randomization
 from steelrank.pairwise import pairwise_moment_matrix
 from steelrank.randomization import _mc_tail_counts, all_pairs, control_pairs, worker_count
 
-from _oracles import split_moments
+from _oracles import enumerate_pair_stats, split_moments, two_valued_tail
 
 
 def _steel(groups, alternative):
@@ -287,15 +288,84 @@ def test_monte_carlo_memory_is_bounded_by_the_slice_budget(monkeypatch):
     assert peak < 64 * 2**20
 
 
-def test_exact_refuses_split_counts_its_float_weights_cannot_hold():
-    # two-valued 3x20: 5.8e26 splits; past 2**53 the weights were silently wrong
+@pytest.mark.parametrize("n, weight_type", [(13, np.int64), (20, object)])
+def test_exact_weights_stay_exact_past_2_pow_53_splits(n, weight_type):
+    # two-valued 3x13 (8.2e16 splits) and 3x20 (5.8e26): float weights were wrong here
     rng = np.random.default_rng(0)
-    s, obs = _steel([rng.integers(0, 2, size=20) for _ in range(3)], "greater")
+    groups = [rng.integers(0, 2, size=n) for _ in range(3)]
+    s = rank_samples(groups)
     assert split_count(s.sizes) > 2**53
-    with pytest.raises(BudgetError, match=r"2\*\*53"):
-        exact_p_value(s, obs, budget=10**30)
-    with pytest.raises(BudgetError, match=r"2\*\*53"):
-        exact_moments(s.sizes, s.tie_pattern, budget=10**30)
+    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    for alternative in ("greater", "less", "two-sided"):
+        obs = steel_statistics(s, ms, alternative)
+        want = two_valued_tail(groups, ms.mu, ms.tau, obs.statistic)
+        got = exact_p_value(s, obs, budget=10**30).estimate
+        assert got == pytest.approx(float(want), rel=0, abs=1e-12)
+    dist = exact_null_distribution(s, "vector_w", budget=10**30)
+    assert dist.weights.dtype == weight_type
+    assert sum(dist.weights.tolist()) == dist.total == split_count(s.sizes)
+    em = exact_moments(s.sizes, s.tie_pattern, budget=10**30)
+    assert em.total == split_count(s.sizes)
+    assert em.mean == pytest.approx(ms.mu, rel=1e-12)
+    assert np.diag(em.cov) == pytest.approx(ms.tau2, rel=1e-10)
+
+
+def _weight_map(w, wt):
+    return {tuple(row): int(c) for row, c in zip(w.tolist(), wt.tolist())}
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_merged_states_match_index_level_enumeration(monkeypatch, tied):
+    rng = np.random.default_rng(5 + tied)
+    for _ in range(12):
+        sizes = tuple(int(n) for n in rng.integers(1, 4, size=int(rng.integers(2, 5))))
+        while sum(sizes) > 9:
+            sizes = sizes[:-1]
+        n_total = sum(sizes)
+        values = rng.integers(0, 3, size=n_total) if tied else rng.permutation(n_total)
+        tie = rank_samples([values[: sizes[0]], values[sizes[0]:]]).tie_pattern
+        for pairs in (control_pairs(len(sizes)), all_pairs(len(sizes))):
+            want = Counter(map(tuple, enumerate_pair_stats(values, sizes, pairs).tolist()))
+            # _KEY_LIMIT 1 renumbers the partial key densely before every column;
+            # _EXPAND_BLOCK 3 cuts most steps into several batches
+            for name, value in ((None, None), ("_KEY_LIMIT", 1), ("_EXPAND_BLOCK", 3)):
+                if name:
+                    monkeypatch.setattr(randomization, name, value)
+                w, wt = randomization._enumerate_w(tie, sizes, pairs)
+                monkeypatch.undo()
+                assert len(set(map(tuple, w.tolist()))) == len(w)
+                assert _weight_map(w, wt) == dict(want)
+
+
+def test_all_pairs_moments_past_the_key_limit_match_the_formulas():
+    # 8 groups of 2, all 28 pairs: the state key needs 3**7 * 9**28 > 2**62 values
+    sizes = (2,) * 8
+    tie = TiePattern((6, 5, 5))
+    assert 3**7 * 9**28 > randomization._KEY_LIMIT
+    em = exact_moments(sizes, tie, all_group_pairs=True, budget=10**12)
+    pm = pairwise_moment_matrix(sizes, tie)
+    assert em.total == split_count(sizes)
+    assert em.mean == pytest.approx(pm.mu, rel=1e-12)
+    assert em.cov == pytest.approx(pm.cov, rel=1e-9, abs=1e-10)
+
+
+def test_exact_work_and_memory_follow_the_merged_states():
+    # untied (6,6,6): 17.2M splits but only 37**2 distinct (W_1, W_2) rows
+    sizes = (6, 6, 6)
+    tie = TiePattern((1,) * 18)
+    assert split_count(sizes) == 17_153_136
+    w, wt = randomization._enumerate_w(tie, sizes, control_pairs(3), budget=10**8)
+    assert len(w) == 37**2
+    assert wt.dtype == np.int64 and int(wt.sum()) == split_count(sizes)
+    rng = np.random.default_rng(8)
+    s, obs = _steel([rng.normal(size=n) for n in sizes], "two_sided")
+    tracemalloc.start()
+    try:
+        exact_p_value(s, obs, budget=10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_worker_count_honours_cpu_affinity(monkeypatch):
