@@ -7,12 +7,12 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .confidence import ConfidenceResult, simultaneous_bounds, simultaneous_intervals
 from .errors import BudgetError, NumericError, ParameterError
@@ -77,8 +77,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ParameterError("nsim must be >= 1")
     if not 0 < cfg.conf_level < 1:
         raise ParameterError("conf-level must be in (0, 1)")
-    if cfg.rounding_eps < 0:
-        raise ParameterError("round-eps must be >= 0")
+    if not 0 <= cfg.rounding_eps < math.inf:  # NaN fails both comparisons
+        raise ParameterError(f"round-eps must be finite and >= 0, got {cfg.rounding_eps}")
     return dataclasses.replace(cfg, alternative=normalize_alternative(cfg.alternative))
 
 
@@ -367,6 +367,8 @@ def quality_harness(
     standardization, which is what ignoring ties would report; without ties the
     two asymptotic columns coincide.
     """
+    from scipy.optimize import brentq
+
     alt = normalize_alternative(alternative)
     samples = rank_samples(groups)
     ms_adj = factor_decomposition(samples.sizes, samples.tie_pattern)

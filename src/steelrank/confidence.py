@@ -6,6 +6,7 @@ the no-ties moment formulas.  Tied (rounded) data should widen the result throug
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,11 +117,17 @@ def select_indices(
 
 
 def _prepare(groups: Sequence[Sequence[float]], rounding_eps: float):
-    if rounding_eps < 0:
-        raise ParameterError("rounding_eps must be >= 0")
+    if not 0 <= rounding_eps < math.inf:  # NaN fails both comparisons
+        raise ParameterError(f"rounding_eps must be finite and >= 0, got {rounding_eps}")
     if len(groups) < 2:
         raise ParameterError("need a control group and at least one treatment group")
     arrays = [_as_scores(g) for g in groups]
+    for g, a in enumerate(arrays):
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:  # shifts of infinite values are undefined (inf - inf)
+            raise ParameterError(
+                f"shift bounds need finite data: group {g} index {bad[0]} is {a[bad[0]]}"
+            )
     sizes = tuple(a.size for a in arrays)
     pooled = np.concatenate(arrays)
     warnings = []

@@ -14,6 +14,10 @@ relative error <= 1e-8 against the K=1 collapse 1 - Phi(u) for |u| <= 6.  Beyond
 |u| of about 8 the fixed window, not the node count, limits accuracy (relative
 error 5.7e-6 at u = 8 on the (7, 5) design) until the window follows the
 integrand's mass.
+
+Import rule: ``scipy.optimize`` is loaded only when a threshold is solved (here
+``solve_common_threshold``, in the CLI ``quality_harness``), so steel, exact and
+pairwise runs start up with numpy and ``scipy.special`` alone.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr
 
 from .errors import NumericError, ParameterError
@@ -135,6 +138,8 @@ def _box_mass(
     that clip the z window: the normal mass beyond their switch point is all tail, so it
     is taken exactly from ndtr and only the window inside it is integrated.
     """
+    if nodes < 1:
+        raise ParameterError(f"nodes must be >= 1, got {nodes}")
     lo, hi = -INTEGRATION_LIMIT, INTEGRATION_LIMIT
     beyond = 0.0  # tail mass outside the degenerate indicators' switch points
     deg = model.sigma == 0
@@ -190,6 +195,10 @@ def tail_prob(model: FactorModel, u, alternative: str, nodes: int = DEFAULT_NODE
     saturates at exactly 0.0 or 1.0.  Against the K=1 collapse 1 - Phi(u) the relative
     error is <= 1e-8 for |u| <= 6.  Beyond |u| of about 8 the fixed [-8.5, 8.5] window,
     not the node count, limits accuracy.
+
+    ``nodes`` is a request: the rule uses 8 panels x max(2, ceil(nodes/8)) nodes, so
+    any request up to 16 gives 16 nodes and 160 gives 160.  nodes < 1 is a
+    ParameterError.
     """
     alt = normalize_alternative(alternative)
     u = np.asarray(u, dtype=float)
@@ -234,6 +243,8 @@ def solve_common_threshold(
         raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
     if side != "upper_box":
         raise ParameterError(f"unknown side {side!r}")
+
+    from scipy.optimize import brentq
 
     def f(u: float) -> float:
         return _box_mass(model, np.full(model.K, u), nodes, "greater")[0] - gamma

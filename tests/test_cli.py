@@ -153,6 +153,45 @@ def test_confidence_mode_directions(capsys):
     assert len(conf["upper"]) == 3
 
 
+def test_node_count_below_one_is_a_parameter_error(capsys):
+    likert = str(DATA / "likert_small.csv")
+    for mode in ("steel", "confidence"):
+        for bad in ("0", "-5"):
+            args = ["--input", likert, "--mode", mode, "--method", "asymptotic", "--nodes", bad]
+            code, out, err = run_main(capsys, args)
+            assert code == 2 and out == ""
+            payload = json.loads(err)
+            assert payload["error"]["type"] == "ParameterError"
+            assert "nodes" in payload["error"]["message"]
+
+
+def test_non_finite_round_eps_is_a_parameter_error(capsys):
+    for bad in ("nan", "inf", "-inf", "-0.5"):
+        args = ["--input", IQ, "--mode", "confidence", "--method", "asymptotic",
+                f"--round-eps={bad}"]
+        code, out, err = run_main(capsys, args)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "ParameterError"
+        assert "round-eps" in payload["error"]["message"]
+
+
+def test_confidence_mode_rejects_infinite_data_but_rank_tests_accept_it(tmp_path, capsys):
+    f = tmp_path / "inf.csv"
+    f.write_text("group,value\nc,1\nc,inf\nc,3\nc,4\nt,2\nt,inf\nt,5\nt,6\n")
+    code, out, err = run_main(
+        capsys, ["--input", str(f), "--mode", "confidence", "--method", "asymptotic"]
+    )
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "ParameterError"
+    assert "group 0 index 1" in payload["error"]["message"]
+    # +-inf are orderable, so the rank test itself still answers
+    code, out, _ = run_main(capsys, ["--input", str(f), "--method", "exact"])
+    assert code == 0
+    assert 0 < json.loads(out)["p_values"]["exact"]["estimate"] <= 1
+
+
 def test_pairwise_mode(capsys):
     _, out, _ = run_main(
         capsys,

@@ -203,7 +203,19 @@ def test_parameter_validation():
         simultaneous_bounds([[1, 2], [3, 4]], 1.5, "upper")
     with pytest.raises(ParameterError):
         simultaneous_bounds([[1, 2], [3, 4]], 0.9, "sideways")
-    with pytest.raises(ParameterError):
-        simultaneous_bounds([[1, 2], [3, 4]], 0.9, "upper", rounding_eps=-0.1)
+    for eps in (-0.1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ParameterError, match="rounding_eps"):
+            simultaneous_bounds([[1, 2], [3, 4]], 0.9, "upper", rounding_eps=eps)
+        with pytest.raises(ParameterError, match="rounding_eps"):
+            simultaneous_intervals([[1, 2], [3, 4]], 0.9, rounding_eps=eps)
     with pytest.raises(ParameterError):
         simultaneous_intervals([[1, 2]], 0.9)
+
+
+def test_non_finite_data_is_rejected_with_group_and_index():
+    # inf - inf in the differences would report NaN and -inf bounds
+    control, treatment = [1.0, 3.0, 4.0, 5.0], [2.0, 5.0, 6.0, float("-inf")]
+    with pytest.raises(ParameterError, match="group 1 index 3"):
+        simultaneous_bounds([control, treatment], 0.9, "upper")
+    with pytest.raises(ParameterError, match="group 0 index 1"):
+        simultaneous_intervals([[1, float("inf"), 3, 4], [2, 4, 5, 6]], 0.9)

@@ -311,3 +311,30 @@ def test_model_validation():
     with pytest.raises(ParameterError):
         FactorModel(n=(2,), sigma0=1.0, sigma=np.array([1.0]), tau=np.array([5.0]),
                     mu=np.array([1.0]))
+
+
+def test_node_count_below_one_is_rejected_on_every_path():
+    model = no_ties_model((5, 4, 4))
+    degenerate = FactorModel(
+        n=(2, 3), sigma0=1.0, sigma=np.array([0.0, 0.0]), tau=np.array([2.0, 3.0]),
+        mu=np.array([0.0, 0.0]),
+    )
+    for nodes in (0, -5):
+        for alternative in ("greater", "less", "two_sided"):
+            with pytest.raises(ParameterError, match="nodes"):
+                tail_prob(model, 1.0, alternative, nodes=nodes)
+            # the degenerate window returns early; the check comes first
+            with pytest.raises(ParameterError, match="nodes"):
+                tail_prob(degenerate, 20.0, alternative, nodes=nodes)
+        with pytest.raises(ParameterError, match="nodes"):
+            joint_lower_box_prob(model, model.mu, nodes=nodes)
+        with pytest.raises(ParameterError, match="nodes"):
+            solve_common_threshold(model, 0.9, nodes=nodes)
+
+
+def test_node_request_rounds_up_to_whole_panels():
+    # 8 panels x max(2, ceil(nodes/8)) nodes: 1..16 all use 16, 17..24 use 24
+    model = iq_model()
+    assert tail_prob_max(model, 1.5, nodes=1) == tail_prob_max(model, 1.5, nodes=16)
+    assert tail_prob_max(model, 1.5, nodes=17) == tail_prob_max(model, 1.5, nodes=24)
+    assert tail_prob_max(model, 1.5, nodes=16) != tail_prob_max(model, 1.5, nodes=17)

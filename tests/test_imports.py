@@ -1,5 +1,10 @@
-"""Guard against modules reaching into each other's private names."""
+"""Guard the package's import structure: no private cross-module names, and no
+scipy.optimize on runs that solve no threshold."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import steelrank
@@ -33,3 +38,41 @@ def private_import_edges() -> set[tuple[str, str, str]]:
 
 def test_private_cross_module_imports_match_allowlist():
     assert private_import_edges() == ALLOWED
+
+
+# Runs in a fresh interpreter so that no earlier test has loaded scipy.optimize.
+FOOTPRINT_SCRIPT = """
+import json, os, sys
+import steelrank.cli as cli
+
+DATA = sys.argv[1]
+def run(*args):
+    code = cli.main(["--out", os.devnull, *args])
+    return {"args": args, "code": code, "optimize": "scipy.optimize" in sys.modules}
+
+runs = [{"args": ["import"], "code": 0, "optimize": "scipy.optimize" in sys.modules}]
+runs.append(run("--input", f"{DATA}/likert_small.csv", "--method", "all"))
+runs.append(run("--input", f"{DATA}/iq_birth_condition.csv", "--method", "simulated",
+                "--nsim", "2000"))
+runs.append(run("--input", f"{DATA}/iq_birth_condition.csv", "--mode", "pairwise",
+                "--nsim", "2000"))
+runs.append(run("--input", f"{DATA}/likert_small.csv", "--mode", "confidence",
+                "--method", "asymptotic"))
+print(json.dumps(runs))
+"""
+
+
+def test_runs_that_solve_no_threshold_never_load_scipy_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    data = Path(__file__).parent / "data"
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, str(data)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    *quiet, confidence = json.loads(done.stdout.splitlines()[-1])
+    for entry in quiet:  # import, steel exact, steel Monte Carlo, pairwise
+        assert entry["code"] == 0, entry
+        assert not entry["optimize"], entry
+    # the confidence solve still works, and loads the solver on demand
+    assert confidence["code"] == 0 and confidence["optimize"], confidence
