@@ -75,6 +75,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ParameterError(f"output must be json or text, got {cfg.output!r}")
     if cfg.nsim < 1:
         raise ParameterError("nsim must be >= 1")
+    if cfg.seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.nodes < 1:
+        raise ParameterError(f"nodes must be >= 1, got {cfg.nodes}")
     if not 0 < cfg.conf_level < 1:
         raise ParameterError("conf-level must be in (0, 1)")
     if not 0 <= cfg.rounding_eps < math.inf:  # NaN fails both comparisons

@@ -116,3 +116,37 @@ def random_tie_pattern(rng: np.random.Generator, n_total: int) -> tuple[int, ...
     cuts = sorted(rng.choice(n_total - 1, size=n_cuts, replace=False) + 1) if n_cuts else []
     edges = [0] + list(cuts) + [n_total]
     return tuple(int(b - a) for a, b in zip(edges[:-1], edges[1:]))
+
+
+def replayed_statistics(values, sizes, pairs, mu, tau, kind, nsim, seed, chunk_size):
+    """Per-replicate statistic from replaying the Monte Carlo runner's draws.
+
+    Chunk i of ``chunk_size`` replicates draws from the i-th child of
+    ``SeedSequence(seed)``: one ``permuted`` call over the rows of the tiled group
+    labels, each row labeling the pooled values in ascending order.  Every
+    replicate's W* is recomputed by pair counting and standardized (0 where
+    tau is 0).
+    """
+    pooled = sorted(values)
+    template = np.repeat(np.arange(len(sizes)), sizes)
+    stats = []
+    n_chunks = -(-nsim // chunk_size)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        size = min(chunk_size, nsim - i * chunk_size)
+        rng = np.random.default_rng(child)
+        for labels in rng.permuted(np.tile(template, (size, 1)), axis=1):
+            groups = [[v for v, g in zip(pooled, labels) if g == k] for k in range(len(sizes))]
+            w = np.array([brute_w_star(groups[a], groups[b]) for a, b in pairs])
+            z = np.zeros(len(pairs))
+            ok = tau > 0
+            z[ok] = (w[ok] - mu[ok]) / tau[ok]
+            stats.append({"s_max": z.max(), "s_min": z.min(), "s_abs": np.abs(z).max()}[kind])
+    return np.array(stats)
+
+
+def replayed_tail_counts(values, sizes, pairs, mu, tau, kind, thresholds, nsim, seed, chunk_size):
+    """Replayed tail counts per threshold: ``<=`` for s_min, ``>=`` for s_max and s_abs."""
+    stats = replayed_statistics(values, sizes, pairs, mu, tau, kind, nsim, seed, chunk_size)
+    if kind == "s_min":
+        return np.array([(stats <= t).sum() for t in thresholds], dtype=np.int64)
+    return np.array([(stats >= t).sum() for t in thresholds], dtype=np.int64)

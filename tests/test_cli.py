@@ -153,16 +153,40 @@ def test_confidence_mode_directions(capsys):
     assert len(conf["upper"]) == 3
 
 
-def test_node_count_below_one_is_a_parameter_error(capsys):
+def _parameter_error_runs(tmp_path):
+    """(input, mode, method) runs covering every mode, also where no quadrature runs."""
     likert = str(DATA / "likert_small.csv")
-    for mode in ("steel", "confidence"):
+    tied = tmp_path / "tied.csv"
+    tied.write_text("a,5\na,5\nb,5\n")
+    return [
+        (likert, "steel", "asymptotic"),
+        (likert, "confidence", "asymptotic"),
+        (IQ, "pairwise", "all"),
+        (str(tied), "steel", "all"),
+    ]
+
+
+def test_node_count_below_one_is_a_parameter_error(tmp_path, capsys):
+    for path, mode, method in _parameter_error_runs(tmp_path):
         for bad in ("0", "-5"):
-            args = ["--input", likert, "--mode", mode, "--method", "asymptotic", "--nodes", bad]
+            args = ["--input", path, "--mode", mode, "--method", method, "--nodes", bad]
             code, out, err = run_main(capsys, args)
             assert code == 2 and out == ""
             payload = json.loads(err)
             assert payload["error"]["type"] == "ParameterError"
             assert "nodes" in payload["error"]["message"]
+
+
+def test_negative_seed_is_a_parameter_error(tmp_path, capsys):
+    runs = [(IQ, "steel", "simulated"), (IQ, "pairwise", "simulated")]
+    for path, mode, method in runs + _parameter_error_runs(tmp_path):
+        args = ["--input", path, "--mode", mode, "--method", method, "--nsim", "100",
+                "--seed", "-1"]
+        code, out, err = run_main(capsys, args)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "ParameterError"
+        assert "seed" in payload["error"]["message"]
 
 
 def test_non_finite_round_eps_is_a_parameter_error(capsys):

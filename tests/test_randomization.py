@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +25,13 @@ from steelrank import randomization
 from steelrank.pairwise import pairwise_moment_matrix
 from steelrank.randomization import _mc_tail_counts, all_pairs, control_pairs, worker_count
 
-from _oracles import enumerate_pair_stats, split_moments, two_valued_tail
+from _oracles import (
+    enumerate_pair_stats,
+    replayed_statistics,
+    replayed_tail_counts,
+    split_moments,
+    two_valued_tail,
+)
 
 
 def _steel(groups, alternative):
@@ -274,8 +281,40 @@ def test_sliced_chunks_agree_across_worker_counts(monkeypatch):
         np.testing.assert_array_equal(sliced, whole)
 
 
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("all_group_pairs", [False, True])
+def test_tail_counts_equal_the_replayed_draws(monkeypatch, tied, all_group_pairs):
+    s, pairs, mu, tau, cells = _tail_count_setup(tied, all_group_pairs)
+    nsim, seed = randomization.CHUNK_SIZE + 1500, 29  # two chunks
+    replay = (s.midranks, s.sizes, pairs, mu, tau)
+    for kind in ("s_max", "s_min", "s_abs"):
+        # the first replicates' values are attained, so replicates tie at the tail boundary
+        head = replayed_statistics(*replay, kind, 40, seed, randomization.CHUNK_SIZE)
+        thresholds = np.array([-50.0, *np.unique(head), 50.0])
+        want = replayed_tail_counts(
+            *replay, kind, thresholds, nsim, seed, randomization.CHUNK_SIZE
+        )
+        assert want[0] in (0, nsim) and want[-1] in (0, nsim)
+        for rows in (None, 1000):  # the real slice budget, then five slices per full chunk
+            if rows is not None:
+                _sliced(monkeypatch, rows, cells)
+            got = _mc_tail_counts(s.tie_pattern, s.sizes, pairs, mu, tau, kind, thresholds,
+                                  nsim, seed)
+            np.testing.assert_array_equal(got, want)
+        monkeypatch.undo()
+
+
+def test_negative_seed_is_a_parameter_error():
+    s, obs = _steel([[1, 2], [3, 4]], "greater")
+    with pytest.raises(ParameterError, match="seed"):
+        randomization.sample_chunks(10, -1, lambda rng, b: b, 1)
+    with pytest.raises(ParameterError, match="seed"):
+        simulate_p_value(s, obs, nsim=10, seed=-1)
+
+
 def test_monte_carlo_memory_is_bounded_by_the_slice_budget(monkeypatch):
-    # untied 3x1000: one whole 4096-replicate chunk held about 938 MiB of counts
+    # untied 3x1000: a slice's int64 arrays take about 2 MiB, where one whole
+    # 4096-replicate chunk held about 938 MiB of counts
     monkeypatch.setenv("STEELRANK_THREADS", "1")
     rng = np.random.default_rng(3)
     s, obs = _steel([rng.normal(size=1000) for _ in range(3)], "greater")
@@ -285,7 +324,14 @@ def test_monte_carlo_memory_is_bounded_by_the_slice_budget(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 8 * 2**20
+    if sys.platform.startswith("linux"):
+        # slices small enough to reuse freed memory fault no fresh pages in
+        import resource
+
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        simulate_p_value(s, obs, nsim=4096, seed=1)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
 
 
 @pytest.mark.parametrize("n, weight_type", [(13, np.int64), (20, object)])
