@@ -9,15 +9,28 @@ memory scale with the live merged states, not with the splits.
 Monte Carlo mode splits the replicates into fixed-size chunks; chunk i draws from an
 independent RNG substream derived from (seed, i).  Results are therefore identical
 for any worker count (the STEELRANK_THREADS environment variable only caps speed).
+A replicate depends on the data only through its (group, distinct value) count
+table, which is drawn one of two ways, chosen by a cost rule on the design:
 
-Memory contract: each worker draws its chunk in consecutive slices of at most
-``_SLICE_CELLS`` array cells (replicates times cells per replicate; one replicate
-where a single one is larger), so the memory a worker holds is bounded by the slice
-budget, about 3 MiB, and depends neither on nsim nor on N x groups x distinct
-values.  The budget is sized so that a slice's arrays fit a core's L2 cache and
-the allocator reuses their freed memory from slice to slice instead of faulting
-fresh pages in.  Slicing does not change the draws, so reports are the same as
-drawing each chunk at once.
+* Count tables, when N >= _TABLE_DRAW_RATIO * V * (G - 1) for N values, V distinct
+  values and G groups (heavily tied data): block by block in ascending value
+  order, G - 1 vectorized hypergeometric draws per block over a whole chunk.  A
+  worker holds about CHUNK_SIZE x (groups + pairs) int64 cells, independent of
+  N and V.  The draws depend on the chunk size, so each chunk is drawn in one
+  piece and the slice budget below does not apply.
+* Permutations otherwise: the group labels of the N pooled values are permuted
+  row by row.  Each worker draws its chunk in consecutive slices of at most
+  ``_SLICE_CELLS`` array cells (replicates times cells per replicate; one
+  replicate where a single one is larger), so the memory a worker holds is bounded
+  by the slice budget, about 3 MiB, and depends neither on nsim nor on N x groups
+  x distinct values.  The budget is sized so that a slice's arrays fit a core's L2
+  cache and the allocator reuses their freed memory from slice to slice instead of
+  faulting fresh pages in.  Slicing does not change the draws, so reports are the
+  same as drawing each chunk at once.
+
+Both draws sample the same conditional distribution, but from different random
+streams: only designs the rule routes to count tables report other Monte Carlo
+estimates than a permutation draw would.
 """
 from __future__ import annotations
 
@@ -40,6 +53,7 @@ CHUNK_SIZE = 4096
 _SLICE_CELLS = 1 << 18  # cells of one drawn slice: 2 MiB of int64, fits L2, reused unfaulted
 _EXPAND_BLOCK = 1 << 18  # (state, composition) expansions per exact-enumeration batch
 _KEY_LIMIT = 1 << 62  # largest radix product of one packed state key
+_TABLE_DRAW_RATIO = 12  # N / (V (G-1)) from which count-table draws beat permutations
 
 STATISTICS = ("s_max", "s_min", "s_abs", "vector_w")
 
@@ -71,22 +85,24 @@ def sample_chunks(
     nsim: int,
     seed: int,
     draw: Callable[[np.random.Generator, int], object],
-    cells_per_replicate: int,
+    cells_per_replicate: int | None,
 ) -> list:
     """Results of ``draw(rng, size)`` per slice of the CHUNK_SIZE-replicate chunks, in order.
 
     Chunk i draws from the i-th substream spawned from ``seed``, so the results do
-    not depend on how many worker threads run the chunks.  Each chunk is drawn from
-    its generator in consecutive slices of ``max(1, _SLICE_CELLS //
-    cells_per_replicate)`` replicates (the last one shorter); ``draw`` must consume
-    the generator row by row, so that the slices draw exactly what one call for the
-    whole chunk would.
+    not depend on how many worker threads run the chunks.  With an int
+    ``cells_per_replicate`` each chunk is drawn from its generator in consecutive
+    slices of ``max(1, _SLICE_CELLS // cells_per_replicate)`` replicates (the last
+    one shorter); ``draw`` must then consume the generator row by row, so that the
+    slices draw exactly what one call for the whole chunk would.  With ``None``
+    ``draw`` gets each whole chunk in one call, for draws that read the generator
+    in another order; their results do not depend on _SLICE_CELLS.
     """
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     n_chunks = -(-nsim // CHUNK_SIZE)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-    rows = _slice_rows(cells_per_replicate)
+    rows = CHUNK_SIZE if cells_per_replicate is None else _slice_rows(cells_per_replicate)
 
     def one_chunk(ci: int) -> list:
         rng = np.random.default_rng(seeds[ci])
@@ -365,6 +381,15 @@ def exact_p_value(
     return PValue(estimate=mass / dist.total, method="exact")
 
 
+def _draws_count_tables(tie: TiePattern, n_groups: int) -> bool:
+    """Whether Monte Carlo draws count tables by block rather than permuting labels.
+
+    Permuting costs about N per replicate, the count-table draw about V (G-1)
+    hypergeometric draws; the table draw is the faster above _TABLE_DRAW_RATIO.
+    """
+    return tie.N >= _TABLE_DRAW_RATIO * tie.e * (n_groups - 1)
+
+
 def _mc_tail_counts(
     tie: TiePattern,
     sizes: Sequence[int],
@@ -378,28 +403,64 @@ def _mc_tail_counts(
 ) -> np.ndarray:
     """Tail counts per threshold over nsim random splits (chunked, reproducible).
 
-    One bincount per slice gives each replicate's (group, distinct value) count
-    table.  Twice the Mann-Whitney value of pair (a, b) is the exact integer
-    sum_j counts_b[j] * (2 cum_a[j] - counts_a[j]), so w = 2W / 2 is exact.
+    A replicate is its (group, distinct value) count table, drawn one of two ways
+    (see _draws_count_tables): by permuting the group labels of the N pooled values
+    and taking one bincount per slice, or block by block as a chain of
+    hypergeometric draws.  Twice the Mann-Whitney value of pair (a, b) is the exact
+    integer sum_j counts_b[j] * (2 cum_a[j] - counts_a[j]), so w = 2W / 2 is exact.
     """
     d = np.asarray(tie.d, dtype=np.int64)
     n_values = d.size
     n_groups = len(sizes)
-    value_class = np.repeat(np.arange(n_values, dtype=np.int64), d)
-    # group labels pre-scaled by n_values: permuting them draws what permuting 0..G-1 would
-    label_template = np.repeat(
-        np.arange(n_groups, dtype=np.int64) * n_values, np.asarray(sizes, dtype=np.int64)
-    )
-    cells = n_groups * n_values + value_class.size
-    # bincount key of a cell: its scaled label plus its row's table start plus its value class
-    row_start = np.arange(min(_slice_rows(cells), nsim), dtype=np.int64) * (n_groups * n_values)
-    offsets = row_start[:, None] + value_class
+    sizes = np.asarray(sizes, dtype=np.int64)
     thr = np.asarray(thresholds, dtype=float)
     firsts = sorted({a for a, _ in pairs})
     # control_pairs and all_pairs pair each first group a with a+1, ..., last, in order
     assert list(pairs) == [(a, b) for a in firsts for b in range(a + 1, n_groups)], pairs
 
-    def draw(rng: np.random.Generator, reps: int) -> np.ndarray:
+    def tail_counts(w2: np.ndarray) -> np.ndarray:
+        stats = reduce_statistic(kind, _standardize(w2 / 2, mu, tau))
+        return in_tail(kind, stats[:, None], thr[None, :]).sum(axis=0).astype(np.int64)
+
+    if _draws_count_tables(tie, n_groups):
+        columns = np.cumsum([0] + [n_groups - 1 - a for a in firsts])  # pair columns per first
+
+        def draw_tables(rng: np.random.Generator, reps: int) -> np.ndarray:
+            # block by block: the counts k of the block per group are multivariate
+            # hypergeometric given the places still free, and 2W of pair (a, b)
+            # grows by k_b * (2 cum_a + k_a) with cum_a the count before the block
+            free = np.tile(sizes, (reps, 1))
+            k = np.empty_like(free)
+            w2 = np.zeros((reps, len(pairs)), dtype=np.int64)
+            unplaced = tie.N
+            for dv in d.tolist():
+                left = dv
+                rest = unplaced - free[:, 0]
+                for g in range(n_groups - 1):
+                    k[:, g] = rng.hypergeometric(free[:, g], rest, left)
+                    left = left - k[:, g]
+                    rest -= free[:, g + 1]
+                k[:, -1] = left
+                unplaced -= dv
+                for a, lo, hi in zip(firsts, columns, columns[1:]):
+                    h = sizes[a] - free[:, a : a + 1]
+                    h *= 2
+                    h += k[:, a : a + 1]
+                    w2[:, lo:hi] += k[:, a + 1 :] * h
+                free -= k
+            return tail_counts(w2)
+
+        return np.sum(sample_chunks(nsim, seed, draw_tables, None), axis=0)
+
+    value_class = np.repeat(np.arange(n_values, dtype=np.int64), d)
+    # group labels pre-scaled by n_values: permuting them draws what permuting 0..G-1 would
+    label_template = np.repeat(np.arange(n_groups, dtype=np.int64) * n_values, sizes)
+    cells = n_groups * n_values + value_class.size
+    # bincount key of a cell: its scaled label plus its row's table start plus its value class
+    row_start = np.arange(min(_slice_rows(cells), nsim), dtype=np.int64) * (n_groups * n_values)
+    offsets = row_start[:, None] + value_class
+
+    def draw_labels(rng: np.random.Generator, reps: int) -> np.ndarray:
         key = np.tile(label_template, (reps, 1))
         rng.permuted(key, axis=1, out=key)
         key += offsets[:reps]
@@ -411,10 +472,9 @@ def _mc_tail_counts(
             c2 *= 2
             c2 -= counts[:, a, :]
             w2.append(np.einsum("ikj,ij->ik", counts[:, a + 1 :, :], c2))
-        stats = reduce_statistic(kind, _standardize(np.hstack(w2) / 2, mu, tau))
-        return in_tail(kind, stats[:, None], thr[None, :]).sum(axis=0).astype(np.int64)
+        return tail_counts(np.hstack(w2))
 
-    return np.sum(sample_chunks(nsim, seed, draw, cells), axis=0)
+    return np.sum(sample_chunks(nsim, seed, draw_labels, cells), axis=0)
 
 
 def sampled_p_value(
@@ -479,6 +539,8 @@ def simulated_tail_curve(
     thr = np.asarray(thresholds, dtype=float)
     if thr.ndim != 1 or thr.size == 0:
         raise ParameterError("thresholds must be a non-empty vector")
+    if np.isnan(thr).any():
+        raise ParameterError("thresholds must not be NaN")
     if np.any(np.diff(thr) < 0):
         raise ParameterError("thresholds must be sorted ascending")
     return _control_tail_counts(samples, statistic, thr, nsim, seed) / nsim

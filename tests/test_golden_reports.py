@@ -5,7 +5,9 @@ is meant to keep behaviour must keep them.  The path-dependent ``config.input``
 value is replaced by the input file's name before comparing.  After a change
 that is meant to alter reports, regenerate them with
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    PYTHONPATH=src python tests/test_golden_reports.py [case ...]
+
+which rewrites the named cases, or every case when none is named.
 """
 from pathlib import Path
 
@@ -19,6 +21,7 @@ IQ = ["--input", str(DATA / "iq_birth_condition.csv")]
 LIKERT = ["--input", str(DATA / "likert_small.csv")]
 R1 = ["--input", str(DATA / "r1_10x50.csv")]
 UNTIED = ["--input", str(DATA / "untied_5x5x4.csv")]
+TWO = ["--input", str(DATA / "two_valued_3x20.csv")]
 MC = ["--nsim", "20000", "--seed", "3"]
 ASYM_CONF = ["--mode", "confidence", "--method", "asymptotic", "--round-eps", "0.5"]
 
@@ -40,6 +43,11 @@ CASES = {
                                    "--seed", "5"],
     "steel_all_untied_5x5x4_greater": UNTIED + ["--method", "all", "--alternative", "greater"],
     "steel_all_untied_5x5x4_two_sided": UNTIED + ["--method", "all", "--alternative", "two-sided"],
+    # two-valued 3x20 draws count tables, the r1 and IQ cases permute labels
+    "steel_simulated_two_valued_3x20": TWO + ["--method", "simulated", "--alternative",
+                                              "greater"] + MC,
+    "pairwise_simulated_two_valued_3x20": TWO + ["--mode", "pairwise", "--method",
+                                                 "simulated"] + MC,
 }
 
 
@@ -57,9 +65,10 @@ def test_report_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in sys.argv[1:] or sorted(CASES):
             text = render(case, Path(tmp) / "report")
             (GOLDEN / f"{case}.txt").write_text(text, encoding="utf-8")

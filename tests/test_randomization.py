@@ -24,6 +24,9 @@ from steelrank import (
 from steelrank import randomization
 from steelrank.pairwise import pairwise_moment_matrix
 from steelrank.randomization import _mc_tail_counts, all_pairs, control_pairs, worker_count
+from steelrank.statistics import reduce_statistic
+
+from conftest import DATA_DIR, load_grouped_csv
 
 from _oracles import (
     enumerate_pair_stats,
@@ -219,6 +222,11 @@ def test_tail_curve_monotone_and_sorted_required():
         simulated_tail_curve(s, "s_max", [1.0, 0.5], nsim=100, seed=0)
     with pytest.raises(ParameterError):
         simulated_tail_curve(s, "vector_w", [0.5], nsim=100, seed=0)
+    # a NaN threshold is in no tail, so it would read as tail 0
+    with pytest.raises(ParameterError, match="NaN"):
+        simulated_tail_curve(s, "s_max", [0.0, math.nan], nsim=100, seed=0)
+    curve = simulated_tail_curve(s, "s_max", [-math.inf, 0.0, math.inf], nsim=100, seed=0)
+    assert curve[0] == 1.0 and curve[2] == 0.0
 
 
 def test_exact_weights_are_split_counts():
@@ -236,16 +244,19 @@ def _sliced(monkeypatch, rows, cells):
     monkeypatch.setattr(randomization, "_SLICE_CELLS", 1 << 40 if rows is None else rows * cells)
 
 
+def _pair_moments(s, all_group_pairs):
+    if all_group_pairs:
+        pm = pairwise_moment_matrix(s.sizes, s.tie_pattern)
+        return all_pairs(s.n_groups), pm.mu, pm.tau
+    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    return control_pairs(s.n_groups), ms.mu, ms.tau
+
+
 def _tail_count_setup(tied, all_group_pairs):
     rng = np.random.default_rng(21)
     draw = (lambda: rng.integers(0, 5, size=9)) if tied else (lambda: rng.normal(size=9))
     s = rank_samples([draw() for _ in range(4)])
-    if all_group_pairs:
-        pm = pairwise_moment_matrix(s.sizes, s.tie_pattern)
-        pairs, mu, tau = all_pairs(4), pm.mu, pm.tau
-    else:
-        ms = factor_decomposition(s.sizes, s.tie_pattern)
-        pairs, mu, tau = control_pairs(4), ms.mu, ms.tau
+    pairs, mu, tau = _pair_moments(s, all_group_pairs)
     cells = s.n_groups * len(s.tie_pattern.d) + s.tie_pattern.N
     return s, pairs, mu, tau, cells
 
@@ -312,12 +323,8 @@ def test_negative_seed_is_a_parameter_error():
         simulate_p_value(s, obs, nsim=10, seed=-1)
 
 
-def test_monte_carlo_memory_is_bounded_by_the_slice_budget(monkeypatch):
-    # untied 3x1000: a slice's int64 arrays take about 2 MiB, where one whole
-    # 4096-replicate chunk held about 938 MiB of counts
+def _assert_monte_carlo_memory_is_bounded(monkeypatch, s, obs):
     monkeypatch.setenv("STEELRANK_THREADS", "1")
-    rng = np.random.default_rng(3)
-    s, obs = _steel([rng.normal(size=1000) for _ in range(3)], "greater")
     tracemalloc.start()
     try:
         simulate_p_value(s, obs, nsim=4096, seed=1)
@@ -332,6 +339,22 @@ def test_monte_carlo_memory_is_bounded_by_the_slice_budget(monkeypatch):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         simulate_p_value(s, obs, nsim=4096, seed=1)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
+def test_monte_carlo_memory_is_bounded_by_the_slice_budget(monkeypatch):
+    # untied 3x1000: a slice's int64 arrays take about 2 MiB, where one whole
+    # 4096-replicate chunk held about 938 MiB of counts
+    rng = np.random.default_rng(3)
+    s, obs = _steel([rng.normal(size=1000) for _ in range(3)], "greater")
+    _assert_monte_carlo_memory_is_bounded(monkeypatch, s, obs)
+
+
+def test_count_table_memory_does_not_grow_with_the_data(monkeypatch):
+    # r1 3x2000 draws whole chunks of count tables: replicates x (groups + pairs) cells
+    s = _r1((2000,) * 3, 3)
+    assert randomization._draws_count_tables(s.tie_pattern, s.n_groups)
+    obs = steel_statistics(s, factor_decomposition(s.sizes, s.tie_pattern), "greater")
+    _assert_monte_carlo_memory_is_bounded(monkeypatch, s, obs)
 
 
 @pytest.mark.parametrize("n, weight_type", [(13, np.int64), (20, object)])
@@ -428,3 +451,103 @@ def test_worker_count_honours_cpu_affinity(monkeypatch):
     assert worker_count() == 3
     monkeypatch.setenv("STEELRANK_THREADS", "5")
     assert worker_count() == 5
+
+
+def _r1(sizes, seed):
+    """Normal data recorded to one decimal: a few dozen distinct values."""
+    rng = np.random.default_rng(seed)
+    return rank_samples([np.round(rng.normal(size=n), 1) for n in sizes])
+
+
+def _two_valued_fixture():
+    groups = load_grouped_csv(DATA_DIR / "two_valued_3x20.csv")
+    return [groups[g] for g in ("g0", "g1", "g2")]
+
+
+def test_monte_carlo_draw_is_routed_by_the_cost_rule(iq_groups):
+    def tables(s):
+        return randomization._draws_count_tables(s.tie_pattern, s.n_groups)
+
+    r1_10x50 = load_grouped_csv(DATA_DIR / "r1_10x50.csv")
+    rng = np.random.default_rng(4)
+    assert tables(rank_samples(_two_valued_fixture()))
+    assert tables(_r1((2000,) * 3, 1))
+    assert not tables(rank_samples(iq_groups))
+    assert not tables(rank_samples(list(r1_10x50.values())))
+    assert not tables(_r1((100,) * 3, 1))
+    assert not tables(rank_samples([rng.normal(size=100) for _ in range(3)]))
+    for tied in (False, True):
+        assert not tables(_tail_count_setup(tied, False)[0])
+
+
+def _routed_groups(name):
+    rng = np.random.default_rng(11)
+    if name == "two_valued_3x20":
+        return _two_valued_fixture()
+    if name == "three_valued_3x30":
+        return [rng.integers(0, 3, size=30) for _ in range(3)]
+    if name == "two_valued_15_25_30":
+        return [rng.integers(0, 2, size=n) for n in (15, 25, 30)]
+    return [rng.integers(0, 2, size=20) for _ in range(4)]  # two_valued_4x20
+
+
+@pytest.mark.parametrize("design", ["two_valued_3x20", "three_valued_3x30", "two_valued_15_25_30"])
+@pytest.mark.parametrize("all_group_pairs", [False, True])
+def test_count_table_draw_matches_exact_enumeration(design, all_group_pairs):
+    s = rank_samples(_routed_groups(design))
+    assert randomization._draws_count_tables(s.tie_pattern, s.n_groups)
+    pairs, mu, tau = _pair_moments(s, all_group_pairs)
+    w, wt = randomization._enumerate_w(s.tie_pattern, s.sizes, pairs,
+                                        budget=split_count(s.sizes))
+    z = np.zeros_like(w)
+    z[:, tau > 0] = (w[:, tau > 0] - mu[tau > 0]) / tau[tau > 0]
+    prob = np.array([int(c) / split_count(s.sizes) for c in wt.tolist()])
+    nsim = 100_000
+    for kind in ("s_max", "s_min", "s_abs"):
+        stats = reduce_statistic(kind, z)
+        support, at = np.unique(stats, return_inverse=True)
+        mass = np.bincount(at.ravel(), weights=prob)
+        tails = np.cumsum(mass) if kind == "s_min" else np.cumsum(mass[::-1])[::-1]
+        # six attained thresholds whose exact tail is neither tiny nor near one
+        inner = np.flatnonzero((tails > 0.01) & (tails < 0.99))
+        picks = inner[np.linspace(0, inner.size - 1, 6).astype(int)]
+        exact = tails[picks]
+        got = _mc_tail_counts(s.tie_pattern, s.sizes, pairs, mu, tau, kind, support[picks],
+                              nsim, 17) / nsim
+        se = np.sqrt(exact * (1 - exact) / nsim)
+        assert np.all(np.abs(got - exact) <= 4 * se), (kind, got, exact)
+
+
+def test_count_table_draws_agree_across_worker_counts_and_slices(monkeypatch):
+    s = rank_samples(_routed_groups("two_valued_4x20"))
+    pairs, mu, tau = _pair_moments(s, True)
+    cells = s.n_groups * len(s.tie_pattern.d) + s.tie_pattern.N
+    thresholds = np.array([0.5, 1.5, 2.5])
+    nsim = 2 * randomization.CHUNK_SIZE + 700
+
+    def counts():
+        return _mc_tail_counts(s.tie_pattern, s.sizes, pairs, mu, tau, "s_abs", thresholds,
+                               nsim, 4)
+
+    monkeypatch.setenv("STEELRANK_THREADS", "1")
+    serial = counts()
+    assert 0 < serial.sum() < nsim * thresholds.size
+    monkeypatch.setenv("STEELRANK_THREADS", "2")
+    np.testing.assert_array_equal(counts(), serial)
+    for rows in (None, 1, 7):
+        _sliced(monkeypatch, rows, cells)
+        np.testing.assert_array_equal(counts(), serial)
+
+
+@pytest.mark.parametrize("design", ["two_valued_3x20", "two_valued_4x20"])
+def test_two_valued_monte_carlo_matches_the_hypergeometric_oracle(design):
+    # the fixture at the settings of its golden reports, and four groups
+    groups = _routed_groups(design)
+    s = rank_samples(groups)
+    assert randomization._draws_count_tables(s.tie_pattern, s.n_groups)
+    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    for alternative in ("greater", "less", "two-sided"):
+        obs = steel_statistics(s, ms, alternative)
+        want = float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
+        got = simulate_p_value(s, obs, nsim=20000, seed=3).estimate
+        assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / 20000), (alternative, got, want)
