@@ -4,6 +4,7 @@ randomization model, with exact tie handling throughout."""
 from .confidence import (
     ConfidenceResult,
     IndexSelection,
+    kth_difference,
     pairwise_differences,
     select_indices,
     simultaneous_bounds,
@@ -73,6 +74,7 @@ __all__ = [
     "extract_tie_pattern",
     "factor_decomposition",
     "joint_lower_box_prob",
+    "kth_difference",
     "mann_whitney_star",
     "mean_w",
     "pairwise_differences",

@@ -18,6 +18,10 @@ from .moments import factor_decomposition
 from .ranks import TiePattern, _as_scores, extract_tie_pattern
 
 DIRECTIONS = ("upper", "lower")
+# kth_difference: a table of at most _SORT_CELLS differences is partitioned whole;
+# a larger one is narrowed until at most _CANDIDATE_CELLS distinct cells are left
+_SORT_CELLS = 1 << 18
+_CANDIDATE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,88 @@ class ConfidenceResult:
 
 
 def pairwise_differences(control: Sequence[float], treatment: Sequence[float]) -> np.ndarray:
-    """All treatment-minus-control differences, ascending."""
+    """All treatment-minus-control differences, ascending.
+
+    This materializes all n0*ni values, so its memory grows with n0*ni.  The
+    bounds select their order statistics with ``kth_difference`` instead; this
+    stays as the public helper and as the oracle the selection is tested against.
+    """
     x = _as_scores(control)
     y = _as_scores(treatment)
     return np.sort(np.subtract.outer(y, x).ravel())
+
+
+def _count_below(ys, xs, lo, hi, pivot, strict: bool) -> np.ndarray:
+    """Per row i, the number of columns whose fl(ys[i] - xs[j]) is below pivot
+    (< if strict, else <=), by bisection inside [lo[i], hi[i]].
+
+    Every row must be non-decreasing in j and the count must lie in its window."""
+    lo, hi = lo.copy(), hi.copy()
+    while (act := np.flatnonzero(lo < hi)).size:
+        a, b = lo[act], hi[act]
+        mid = (a + b) // 2
+        d = ys[act] - xs[mid]
+        go = d < pivot if strict else d <= pivot
+        lo[act] = np.where(go, mid + 1, a)
+        hi[act] = np.where(go, b, mid)
+    return lo
+
+
+def kth_difference(control: Sequence[float], treatment: Sequence[float], k: int) -> float:
+    """The k-th smallest (1-based) of the n0*ni differences y - x, without sorting them all.
+
+    Equal to ``pairwise_differences(control, treatment)[k - 1]``: each difference
+    is the float64 ``fl(y - x)`` that ``np.subtract.outer`` forms.  A table of at
+    most ``_SORT_CELLS`` differences is partitioned whole.  A larger one is
+    searched over the distinct values (Johnson & Mizoguchi, 1978): with rows the
+    distinct treatment values ascending and columns the distinct control values
+    descending, fl(y - x) is non-decreasing along both, because rounding is
+    monotone.  Each row keeps a window of columns that may still hold the answer.
+    The pivot is a weighted median of the windows' middle cells; bisection counts
+    each row's cells below and at it, and every step drops at least a quarter of
+    the window cells.  Once at most ``_CANDIDATE_CELLS`` cells are left they are
+    sorted and the answer read off their cumulative multiplicities.  Beyond the
+    small-table case memory is O(n0 + ni + _CANDIDATE_CELLS).
+
+    The result is an order statistic, so only the sign of a zero can depend on
+    the path: inputs holding -0.0 can give -0.0.  ``simultaneous_bounds`` adds
+    0.0 to its inputs, so no difference it selects is -0.0.
+    """
+    x = _as_scores(control)
+    y = _as_scores(treatment)
+    if int(k) != k or not 1 <= k <= x.size * y.size:
+        raise ParameterError(f"k must be an integer in [1, {x.size * y.size}], got {k!r}")
+    k = int(k)
+    if x.size * y.size <= _SORT_CELLS:
+        return float(np.partition(np.subtract.outer(y, x).ravel(), k - 1)[k - 1])
+    ys, cy = np.unique(y, return_counts=True)
+    xs, cx = np.unique(x, return_counts=True)
+    xs, cx = xs[::-1], cx[::-1]
+    cum = np.concatenate(([0], np.cumsum(cx)))  # multiplicity of columns [0, j), per unit of cy
+    lo = np.zeros(ys.size, dtype=np.int64)
+    hi = np.full(ys.size, xs.size, dtype=np.int64)
+    # invariant: cells left of lo are below the answer, cells from hi on are above it
+    while (width := hi - lo).sum() > _CANDIDATE_CELLS:
+        rows = np.flatnonzero(width)
+        mids = ys[rows] - xs[(lo[rows] + hi[rows]) // 2]
+        order = np.argsort(mids)
+        acc = np.cumsum(width[rows][order])
+        pivot = mids[order[np.searchsorted(acc, (acc[-1] + 1) // 2)]]
+        n_lt = _count_below(ys, xs, lo, hi, pivot, strict=True)
+        if k <= cy @ cum[n_lt]:
+            hi = n_lt
+            continue
+        n_le = _count_below(ys, xs, n_lt, hi, pivot, strict=False)
+        if k <= cy @ cum[n_le]:
+            return float(pivot)
+        lo = n_le
+    starts = np.cumsum(width) - width
+    rows = np.repeat(np.arange(ys.size), width)
+    cols = np.arange(width.sum()) - np.repeat(starts - lo, width)
+    d = ys[rows] - xs[cols]
+    order = np.argsort(d)
+    seen = np.cumsum((cy[rows] * cx[cols])[order])
+    return float(d[order[np.searchsorted(seen, k - cy @ cum[lo])]])
 
 
 def select_indices(
@@ -105,8 +187,7 @@ def select_indices(
         cons_cov = coverage(cons_j)
         unreachable = cons_cov < gamma
     if direction == "lower":
-        cons_j = tuple(int(m) + 1 - j for m, j in zip(limits, cons_j))
-        closest_j = tuple(int(m) + 1 - j for m, j in zip(limits, closest_j))
+        cons_j, closest_j = _reflect(model, cons_j), _reflect(model, closest_j)
     return IndexSelection(
         j=tuple(int(v) for v in cons_j),
         j_closest=tuple(int(v) for v in closest_j),
@@ -121,7 +202,9 @@ def _prepare(groups: Sequence[Sequence[float]], rounding_eps: float):
         raise ParameterError(f"rounding_eps must be finite and >= 0, got {rounding_eps}")
     if len(groups) < 2:
         raise ParameterError("need a control group and at least one treatment group")
-    arrays = [_as_scores(g) for g in groups]
+    # + 0.0 turns -0.0 into 0.0, so no selected difference is -0.0 (np.sort orders
+    # the two zeros arbitrarily, and rounded data such as round(-0.04, 1) holds -0.0)
+    arrays = [_as_scores(g) + 0.0 for g in groups]
     for g, a in enumerate(arrays):
         bad = np.flatnonzero(~np.isfinite(a))
         if bad.size:  # shifts of infinite values are undefined (inf - inf)
@@ -140,6 +223,25 @@ def _prepare(groups: Sequence[Sequence[float]], rounding_eps: float):
     return arrays, FactorModel.from_moments(ms), warnings
 
 
+def _reflect(model: FactorModel, j) -> tuple[int, ...]:
+    """Upper-bound indices as the matching lower-bound ones: j -> n0*n_i + 1 - j."""
+    return tuple(int(m) + 1 - int(v) for m, v in zip(np.rint(2 * model.mu), j))
+
+
+def _selected(arrays, j, offset: float) -> tuple[float, ...]:
+    """The j_i-th ordered difference of each treatment vs control, plus offset."""
+    return tuple(kth_difference(arrays[0], t, ji) + offset for t, ji in zip(arrays[1:], j))
+
+
+def _unreachable_warnings(sel: IndexSelection, gamma: float) -> list[str]:
+    if not sel.unreachable:
+        return []
+    return [
+        f"conservative target unreachable: best joint coverage "
+        f"{sel.achieved_conservative:.6g} < {gamma:.6g}"
+    ]
+
+
 def simultaneous_bounds(
     groups: Sequence[Sequence[float]],
     gamma: float,
@@ -154,30 +256,21 @@ def simultaneous_bounds(
     """
     arrays, model, warnings = _prepare(groups, rounding_eps)
     sel = select_indices(model, gamma, direction, nodes)
-    values = []
-    for i, treatment in enumerate(arrays[1:]):
-        diffs = pairwise_differences(arrays[0], treatment)
-        v = float(diffs[sel.j[i] - 1])
-        values.append(v + rounding_eps if direction == "upper" else v - rounding_eps)
-    if sel.unreachable:
-        warnings = warnings + [
-            f"conservative target unreachable: best joint coverage "
-            f"{sel.achieved_conservative:.6g} < {gamma:.6g}"
-        ]
+    values = _selected(arrays, sel.j, rounding_eps if direction == "upper" else -rounding_eps)
     none = (None,) * (len(arrays) - 1)
     return ConfidenceResult(
         direction=direction,
         nominal_gamma=gamma,
         one_sided_gamma=gamma,
-        lower=tuple(values) if direction == "lower" else none,
-        upper=tuple(values) if direction == "upper" else none,
+        lower=values if direction == "lower" else none,
+        upper=values if direction == "upper" else none,
         j_lower=sel.j if direction == "lower" else None,
         j_upper=sel.j if direction == "upper" else None,
         achieved_conservative=sel.achieved_conservative,
         achieved_closest=sel.achieved_closest,
         unreachable=sel.unreachable,
         widened_by=rounding_eps,
-        warnings=tuple(warnings),
+        warnings=tuple(warnings + _unreachable_warnings(sel, gamma)),
     )
 
 
@@ -187,26 +280,34 @@ def simultaneous_intervals(
     rounding_eps: float = 0.0,
     nodes: int = DEFAULT_NODES,
 ) -> ConfidenceResult:
-    """Two-sided simultaneous intervals: one-sided bounds at level (1+gamma)/2 each."""
+    """Two-sided simultaneous intervals: one-sided bounds at level (1+gamma)/2 each.
+
+    Both sides share one index selection: the lower side takes the reflected
+    upper indices, which is what ``select_indices(..., "lower")`` returns, with
+    the same coverages.
+    """
     if not 0 < gamma < 1:
         raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
     side = (1 + gamma) / 2
-    up = simultaneous_bounds(groups, side, "upper", rounding_eps, nodes)
-    lo = simultaneous_bounds(groups, side, "lower", rounding_eps, nodes)
-    for lo_v, up_v in zip(lo.lower, up.upper):
+    arrays, model, warnings = _prepare(groups, rounding_eps)
+    sel = select_indices(model, side, "upper", nodes)
+    j_lower = _reflect(model, sel.j)
+    lower = _selected(arrays, j_lower, -rounding_eps)
+    upper = _selected(arrays, sel.j, rounding_eps)
+    for lo_v, up_v in zip(lower, upper):
         if lo_v > up_v:
             raise NumericError("interval construction produced lower > upper")
     return ConfidenceResult(
         direction="interval",
         nominal_gamma=gamma,
         one_sided_gamma=side,
-        lower=lo.lower,
-        upper=up.upper,
-        j_lower=lo.j_lower,
-        j_upper=up.j_upper,
-        achieved_conservative=up.achieved_conservative,
-        achieved_closest=up.achieved_closest,
-        unreachable=up.unreachable or lo.unreachable,
+        lower=lower,
+        upper=upper,
+        j_lower=j_lower,
+        j_upper=sel.j,
+        achieved_conservative=sel.achieved_conservative,
+        achieved_closest=sel.achieved_closest,
+        unreachable=sel.unreachable,
         widened_by=rounding_eps,
-        warnings=tuple(dict.fromkeys(lo.warnings + up.warnings)),
+        warnings=tuple(warnings + _unreachable_warnings(sel, side)),
     )

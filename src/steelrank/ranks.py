@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ class TiePattern:
     """Multiplicities of the distinct pooled values, in ascending value order.
 
     All conditional moments depend on the pooled data only through this object.
+    Its tie sums are computed once per pattern, on first use.
     """
 
     d: tuple[int, ...]
@@ -54,21 +56,21 @@ class TiePattern:
         """Number of distinct pooled values."""
         return len(self.d)
 
-    @property
+    @cached_property
     def N(self) -> int:
         return sum(self.d)
 
-    @property
+    @cached_property
     def s2(self) -> int:
         """Sum of d*(d-1) over the multiplicities."""
         return sum(m * (m - 1) for m in self.d)
 
-    @property
+    @cached_property
     def s3(self) -> int:
         """Sum of d*(d-1)*(d-2)."""
         return sum(m * (m - 1) * (m - 2) for m in self.d)
 
-    @property
+    @cached_property
     def s3_plus(self) -> int:
         """Sum of d*(d-1)*(d+1), the classical d^3 - d tie sum."""
         return sum(m * (m - 1) * (m + 1) for m in self.d)

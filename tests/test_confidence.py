@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from steelrank import confidence
 from steelrank import (
     FactorModel,
     ParameterError,
@@ -10,6 +12,7 @@ from steelrank import (
     exact_null_distribution,
     factor_decomposition,
     joint_lower_box_prob,
+    kth_difference,
     pairwise_differences,
     rank_samples,
     select_indices,
@@ -219,3 +222,114 @@ def test_non_finite_data_is_rejected_with_group_and_index():
         simultaneous_bounds([control, treatment], 0.9, "upper")
     with pytest.raises(ParameterError, match="group 0 index 1"):
         simultaneous_intervals([[1, float("inf"), 3, 4], [2, 4, 5, 6]], 0.9)
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+def _narrowing(monkeypatch, candidates):
+    """Send every table through the distinct-value narrowing, stopping at ``candidates`` cells."""
+    monkeypatch.setattr(confidence, "_SORT_CELLS", 0)
+    monkeypatch.setattr(confidence, "_CANDIDATE_CELLS", candidates)
+
+
+def _draw(rng, kind, n):
+    if kind == "untied":
+        return rng.normal(size=n)
+    if kind == "grid":  # + 0.0: the oracle orders -0.0 and 0.0 arbitrarily
+        return np.round(rng.normal(size=n), 1) + 0.0
+    if kind == "integer":
+        return rng.integers(-3, 4, size=n).astype(float)
+    if kind == "equal":
+        return np.full(n, 2.5)
+    # finite values whose differences overflow to +-inf
+    return rng.choice([-1.7e308, -1.6e308, -1e308, 0.0, 1.0, 1e308, 1.6e308, 1.7e308], size=n)
+
+
+KINDS = ("untied", "grid", "integer", "equal", "huge")
+
+
+@pytest.mark.parametrize("candidates", [None, 0, 1, 7, 64])
+@pytest.mark.parametrize("kind", KINDS)
+def test_kth_difference_is_the_sorted_outer_order_statistic(monkeypatch, kind, candidates):
+    if candidates is not None:
+        _narrowing(monkeypatch, candidates)
+    rng = np.random.default_rng([17, KINDS.index(kind), candidates or 0])
+    with np.errstate(over="ignore"):
+        for _ in range(40):
+            n0, ni = (int(v) for v in rng.integers(1, 30, size=2))
+            x, y = _draw(rng, kind, n0), _draw(rng, kind, ni)
+            diffs = np.sort(np.subtract.outer(y, x).ravel())
+            for k in {1, n0 * ni, *rng.integers(1, n0 * ni + 1, size=3).tolist()}:
+                assert _bits(kth_difference(x, y, k)) == _bits(diffs[k - 1]), (n0, ni, k)
+
+
+@pytest.mark.parametrize("kind", ["untied", "grid"])
+def test_kth_difference_narrows_large_tables_exactly(kind):
+    # 600 x 500 cells exceed the whole-table sort, so the default narrowing runs
+    rng = np.random.default_rng(23)
+    x, y = _draw(rng, kind, 600), _draw(rng, kind, 500) + 0.3
+    assert x.size * y.size > confidence._SORT_CELLS
+    diffs = pairwise_differences(x, y)
+    for k in (1, 2, 1000, 150_000, 299_999, 300_000):
+        assert _bits(kth_difference(x, y, k)) == _bits(diffs[k - 1]), k
+
+
+def test_kth_difference_rejects_out_of_range_k():
+    for k in (0, 7, 2.5, -1):
+        with pytest.raises(ParameterError, match="k must be"):
+            kth_difference([1.0, 2.0], [3.0, 4.0, 5.0], k)
+
+
+@pytest.mark.parametrize("narrow", [False, True])
+def test_zero_bounds_are_positive_zero_on_data_holding_negative_zero(monkeypatch, narrow):
+    if narrow:
+        _narrowing(monkeypatch, 0)
+    rng = np.random.default_rng(3)
+    # recorded to 0.1, so round(-0.04, 1) == -0.0 appears among the values
+    groups = [np.round(rng.normal(scale=0.06, size=40), 1).tolist() for _ in range(3)]
+    assert any(np.signbit(v) and v == 0 for g in groups for v in g)
+    res = simultaneous_intervals(groups, 0.5)
+    bounds = res.lower + res.upper
+    assert 0.0 in bounds
+    assert all(_bits(v) == _bits(0.0) for v in bounds if v == 0)
+    one_sided = simultaneous_bounds(groups, 0.6, "upper").upper
+    assert all(_bits(v) == _bits(0.0) for v in one_sided if v == 0)
+
+
+def _count_check(control, treatment, value, j):
+    """below < j <= at, counting differences in row chunks without forming them all."""
+    below = at = 0
+    for start in range(0, treatment.size, 250):
+        d = np.subtract.outer(treatment[start:start + 250], control)
+        below += int((d < value).sum())
+        at += int((d <= value).sum())
+    assert below < j <= at, (value, j, below, at)
+
+
+def test_bound_memory_does_not_grow_with_the_difference_count():
+    # 5000 x 5000 = 2.5e7 differences per treatment: sorting them needed two
+    # 200 MB arrays per treatment
+    rng = np.random.default_rng(41)
+    groups = [rng.normal(size=5000) + shift for shift in (0.0, 0.2, -0.1)]
+    simultaneous_bounds([[0.0, 1.0], [0.5, 2.0]], 0.9, "upper")  # loads the threshold solver
+    tracemalloc.start()
+    try:
+        res = simultaneous_bounds(groups, 0.95, "upper")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    for t, value, j in zip(groups[1:], res.upper, res.j_upper):
+        _count_check(groups[0], t, value, j)
+
+
+def test_rounded_3x2000_intervals_select_the_sorted_differences():
+    rng = np.random.default_rng(43)
+    groups = [np.round(rng.normal(size=2000) + shift, 1) + 0.0 for shift in (0.0, 0.25, 0.5)]
+    res = simultaneous_intervals(groups, 0.9, rounding_eps=0.05)
+    for i, t in enumerate(groups[1:]):
+        diffs = pairwise_differences(groups[0], t)
+        assert res.lower[i] == diffs[res.j_lower[i] - 1] - 0.05
+        assert res.upper[i] == diffs[res.j_upper[i] - 1] + 0.05
