@@ -15,9 +15,13 @@ relative error <= 1e-8 against the K=1 collapse 1 - Phi(u) for |u| <= 6.  Beyond
 error 5.7e-6 at u = 8 on the (7, 5) design) until the window follows the
 integrand's mass.
 
-Import rule: ``scipy.optimize`` is loaded only when a threshold is solved (here
-``solve_common_threshold``, in the CLI ``quality_harness``), so steel, exact and
-pairwise runs start up with numpy and ``scipy.special`` alone.
+Import rule: scipy is loaded only where it is used.  ``scipy.special`` comes in
+with the first normal tail (``_normal``, called by ``_box_mass`` and
+``std_normal_cdf``), and ``scipy.optimize`` only when a threshold is solved (here
+``solve_common_threshold``, in the CLI ``quality_harness``).  So importing the
+package and all-pairs runs, whose p-values are sampled, load numpy alone; steel
+runs, whose reports carry the asymptotic p-value, add ``scipy.special``; and
+confidence runs add ``scipy.optimize`` as well.
 """
 from __future__ import annotations
 
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .errors import NumericError, ParameterError
 from .moments import MomentSet
@@ -55,9 +58,16 @@ def _nodes(num_nodes: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
     return z, weight
 
 
+def _normal():
+    """scipy.special's (ndtr, log_ndtr), imported here on the first normal tail."""
+    from scipy.special import log_ndtr, ndtr
+
+    return ndtr, log_ndtr
+
+
 def std_normal_cdf(z: float) -> float:
     """Standard normal distribution function (saturates at 0/1 for huge |z|)."""
-    return float(ndtr(z))
+    return float(_normal()[0](z))
 
 
 @dataclass(frozen=True)
@@ -140,6 +150,7 @@ def _box_mass(
     """
     if nodes < 1:
         raise ParameterError(f"nodes must be >= 1, got {nodes}")
+    ndtr, log_ndtr = _normal()
     lo, hi = -INTEGRATION_LIMIT, INTEGRATION_LIMIT
     beyond = 0.0  # tail mass outside the degenerate indicators' switch points
     deg = model.sigma == 0

@@ -65,8 +65,15 @@ def pairwise_moment_matrix(sizes: Sequence[int], tie: TiePattern) -> PairwiseMom
     n_pairs = len(pairs)
     mu = np.array([sizes[a] * sizes[b] / 2 for a, b in pairs])
     cov = np.zeros((n_pairs, n_pairs), dtype=float)
+    exact: dict[tuple[int, ...], float] = {}  # each distinct size tuple's moment, once
+
+    def moment(*ns: int) -> float:
+        if ns not in exact:
+            exact[ns] = float((_var_w_exact if len(ns) == 2 else _cov_w_exact)(*ns, tie))
+        return exact[ns]
+
     for p, (a, b) in enumerate(pairs):
-        cov[p, p] = float(_var_w_exact(sizes[a], sizes[b], tie))
+        cov[p, p] = moment(sizes[a], sizes[b])
         for q in range(p + 1, n_pairs):
             c, d = pairs[q]
             shared = {a, b} & {c, d}
@@ -75,8 +82,7 @@ def pairwise_moment_matrix(sizes: Sequence[int], tie: TiePattern) -> PairwiseMom
             s = shared.pop()
             others = [v for v in (a, b, c, d) if v != s]
             sign = 1.0 if (s == a) == (s == c) else -1.0
-            val = float(_cov_w_exact(sizes[s], sizes[others[0]], sizes[others[1]], tie))
-            cov[p, q] = cov[q, p] = sign * val
+            cov[p, q] = cov[q, p] = sign * moment(sizes[s], sizes[others[0]], sizes[others[1]])
     return PairwiseMoments(sizes=sizes, pairs=pairs, mu=mu, tau2=np.diag(cov).copy(), cov=cov)
 
 

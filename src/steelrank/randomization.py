@@ -4,7 +4,11 @@ Exact mode is a network walk over the tied value blocks: a state is the cumulati
 group counts plus twice the Mann-Whitney values, and after each block the
 allocations that reach the same state are merged, their numbers of labeled splits
 summed.  Contract: the weights are exact integers at any split count, and work and
-memory scale with the live merged states, not with the splits.
+memory scale with the live merged states and their fitting expansions, not with
+the splits.  The candidate expansions (distinct count rows times block
+compositions) are tested for fit in blocks of about _EXPAND_BLOCK cells, 2 MiB of
+int64, and expanded in batches of about _EXPAND_BLOCK rows, so candidates that do
+not fit cost time but no memory beyond a block.
 
 Monte Carlo mode splits the replicates into fixed-size chunks; chunk i draws from an
 independent RNG substream derived from (seed, i).  Results are therefore identical
@@ -241,15 +245,28 @@ def _expansion_batches(
     expansions that reach the same new counts fall into one batch, so merging each
     batch on its own merges completely.  Batches start every _EXPAND_BLOCK
     expansions, at the next change of new counts.
+
+    The fit test runs over blocks of distinct count rows, each holding about
+    _EXPAND_BLOCK candidate cells (rows x compositions x groups; one row where a
+    single row holds more), and the fitting (row, composition) pairs are joined in
+    row-major order, the order one test over all rows would give.
     """
     first = np.flatnonzero(np.concatenate(([True], (cum[1:] != cum[:-1]).any(axis=1))))
     length = np.diff(np.append(first, len(cum)))
-    target = cum[first, None, :] + comps[None, :, :]
-    gi, gj = np.nonzero((target <= sizes).all(axis=2))
+    base = cum[first]
+    blocks = range(0, len(first), max(1, _EXPAND_BLOCK // comps.size))
+    found = [
+        np.nonzero((base[lo : lo + blocks.step, None, :] + comps[None, :, :] <= sizes).all(axis=2))
+        for lo in blocks
+    ]
+    gi, gj = found[0]
+    if len(found) > 1:
+        gi = np.concatenate([bi + lo for (bi, _), lo in zip(found, blocks)])
+        gj = np.concatenate([bj for _, bj in found])
     n = length[gi]
     ends = [len(gi)]
     if n.sum() > _EXPAND_BLOCK:  # order by new counts, then cut between them
-        target = target[gi, gj]
+        target = base[gi] + comps[gj]
         order = np.lexsort(target.T[::-1])
         gi, gj, n, target = gi[order], gj[order], n[order], target[order]
         starts = np.flatnonzero(np.concatenate(([True], (target[1:] != target[:-1]).any(axis=1))))

@@ -1,10 +1,12 @@
-"""Guard the package's import structure: no private cross-module names, and no
-scipy.optimize on runs that solve no threshold."""
+"""Guard the package's import structure: no private cross-module names, no scipy on
+import or on sampled all-pairs runs, and no scipy.optimize on runs that solve no
+threshold."""
 import ast
 import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import steelrank
@@ -40,21 +42,25 @@ def test_private_cross_module_imports_match_allowlist():
     assert private_import_edges() == ALLOWED
 
 
-# Runs in a fresh interpreter so that no earlier test has loaded scipy.optimize.
+# Runs in a fresh interpreter so that no earlier test has loaded scipy; the
+# pairwise run comes before any steel run, whose asymptotic p-value loads scipy.special.
 FOOTPRINT_SCRIPT = """
 import json, os, sys
 import steelrank.cli as cli
 
 DATA = sys.argv[1]
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
 def run(*args):
     code = cli.main(["--out", os.devnull, *args])
-    return {"args": args, "code": code, "optimize": "scipy.optimize" in sys.modules}
+    return {"args": args, "code": code, "scipy": loaded()}
 
-runs = [{"args": ["import"], "code": 0, "optimize": "scipy.optimize" in sys.modules}]
+runs = [{"args": ["import"], "code": 0, "scipy": loaded()}]
+runs.append(run("--input", f"{DATA}/iq_birth_condition.csv", "--mode", "pairwise",
+                "--nsim", "2000"))
 runs.append(run("--input", f"{DATA}/likert_small.csv", "--method", "all"))
 runs.append(run("--input", f"{DATA}/iq_birth_condition.csv", "--method", "simulated",
-                "--nsim", "2000"))
-runs.append(run("--input", f"{DATA}/iq_birth_condition.csv", "--mode", "pairwise",
                 "--nsim", "2000"))
 runs.append(run("--input", f"{DATA}/likert_small.csv", "--mode", "confidence",
                 "--method", "asymptotic"))
@@ -62,7 +68,10 @@ print(json.dumps(runs))
 """
 
 
-def test_runs_that_solve_no_threshold_never_load_scipy_optimize():
+@lru_cache(maxsize=None)
+def import_footprint() -> tuple[dict, ...]:
+    """Per run, the scipy modules loaded after it: import, pairwise (Monte Carlo and
+    MVN sampling), steel exact, steel Monte Carlo, confidence."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     data = Path(__file__).parent / "data"
@@ -70,9 +79,24 @@ def test_runs_that_solve_no_threshold_never_load_scipy_optimize():
         [sys.executable, "-c", FOOTPRINT_SCRIPT, str(data)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
-    *quiet, confidence = json.loads(done.stdout.splitlines()[-1])
-    for entry in quiet:  # import, steel exact, steel Monte Carlo, pairwise
-        assert entry["code"] == 0, entry
-        assert not entry["optimize"], entry
+    runs = tuple(json.loads(done.stdout.splitlines()[-1]))
+    assert all(entry["code"] == 0 for entry in runs), runs
+    return runs
+
+
+def test_runs_that_solve_no_threshold_never_load_scipy_optimize():
+    *quiet, confidence = import_footprint()
+    for entry in quiet:  # import, pairwise, steel exact, steel Monte Carlo
+        assert "scipy.optimize" not in entry["scipy"], entry["args"]
     # the confidence solve still works, and loads the solver on demand
-    assert confidence["code"] == 0 and confidence["optimize"], confidence
+    assert "scipy.optimize" in confidence["scipy"], confidence["args"]
+
+
+def test_scipy_special_loads_only_with_the_first_normal_tail():
+    imported, pairwise, *asymptotic = import_footprint()
+    # importing the package and a sampled all-pairs run load no scipy at all
+    assert imported["scipy"] == [] and pairwise["scipy"] == [], (imported, pairwise)
+    # steel reports carry the asymptotic p-value, and confidence runs solve on the
+    # normal tail, so these load it (scipy.optimize: the test above)
+    for entry in asymptotic:
+        assert "scipy.special" in entry["scipy"], entry["args"]

@@ -87,6 +87,27 @@ def test_antisymmetry_and_disjoint_identities():
     assert em.cov[i12, i13] == pytest.approx(pm.cov[i12, i13], rel=1e-10, abs=1e-12)
 
 
+def test_repeated_sizes_keep_each_entry_its_own_closed_form():
+    # the assembly evaluates each distinct size tuple once; every entry must still
+    # be the closed form of its own two pairs, bit for bit
+    from steelrank import cov_w
+
+    sizes = (3, 5, 3, 5, 4)
+    tie = TiePattern((2, 1, 3, 1, 1, 4, 2, 1, 1, 2, 1, 1))
+    pm = pairwise_moment_matrix(sizes, tie)
+    for p, (a, b) in enumerate(pm.pairs):
+        assert pm.cov[p, p] == var_w(sizes[a], sizes[b], tie)
+        for q, (c, d) in enumerate(pm.pairs):
+            shared = {a, b} & {c, d}
+            if p == q or not shared:
+                assert p == q or pm.cov[p, q] == 0
+                continue
+            (s,) = shared
+            n1, n2 = (sizes[v] for v in (a, b, c, d) if v != s)
+            sign = 1 if (s == a) == (s == c) else -1
+            assert pm.cov[p, q] == sign * cov_w(sizes[s], n1, n2, tie)
+
+
 def test_pairwise_test_identical_constant_samples():
     s = rank_samples([[3, 3], [3, 3], [3, 3]])
     for method in ("monte_carlo", "mvn_sample"):

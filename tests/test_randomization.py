@@ -437,6 +437,25 @@ def test_exact_work_and_memory_follow_the_merged_states():
     assert peak < 64 * 2**20
 
 
+def test_exact_candidate_memory_is_bounded_by_the_expansion_block():
+    # two-valued 4x12: 8.5M candidate cells (count rows x block compositions x
+    # groups), which one fit test over all rows held at once (a 72 MiB peak)
+    rng = np.random.default_rng(0)
+    groups = [rng.integers(0, 2, size=12) for _ in range(4)]
+    s = rank_samples(groups)
+    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    for alternative in ("greater", "less", "two-sided"):
+        obs = steel_statistics(s, ms, alternative)
+        tracemalloc.start()
+        try:
+            got = exact_p_value(s, obs, budget=10**30).estimate
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+        assert got == float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
+
+
 def test_worker_count_honours_cpu_affinity(monkeypatch):
     monkeypatch.delenv("STEELRANK_THREADS", raising=False)
     monkeypatch.setattr(randomization.os, "cpu_count", lambda: 64)
