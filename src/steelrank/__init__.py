@@ -15,7 +15,6 @@ from .gauss import (
     FactorModel,
     joint_lower_box_prob,
     solve_common_threshold,
-    std_normal_cdf,
     tail_prob,
     tail_prob_abs,
     tail_prob_max,
@@ -89,7 +88,6 @@ __all__ = [
     "simultaneous_intervals",
     "solve_common_threshold",
     "split_count",
-    "std_normal_cdf",
     "steel_statistics",
     "tail_prob",
     "tail_prob_abs",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .confidence import ConfidenceResult, simultaneous_bounds, simultaneous_intervals
 from .errors import BudgetError, NumericError, ParameterError
-from .gauss import DEFAULT_NODES, FactorModel, tail_prob
+from .gauss import DEFAULT_NODES, FactorModel, brent_root, tail_prob
 from .moments import MomentSet, factor_decomposition
 from .pairwise import pairwise_test
 from .randomization import (
@@ -369,10 +369,11 @@ def quality_harness(
     tail equals each grid entry; one shared simulation run supplies p_sim.  The
     unadjusted column re-expresses the same raw event through the no-ties
     standardization, which is what ignoring ties would report; without ties the
-    two asymptotic columns coincide.
+    two asymptotic columns coincide.  Every grid entry must be finite and in (0, 1).
     """
-    from scipy.optimize import brentq
-
+    for p in p_grid:
+        if not 0 < p < 1:
+            raise ParameterError(f"p_grid entries must be in (0, 1), got {p}")
     alt = normalize_alternative(alternative)
     samples = rank_samples(groups)
     ms_adj = factor_decomposition(samples.sizes, samples.tie_pattern)
@@ -389,7 +390,7 @@ def quality_harness(
     sgn = -1.0 if side == "lower" else 1.0
     lo = 0.0 if alt == "two_sided" else -14.0
     thresholds = np.array([
-        sgn * brentq(lambda v: asym(model_adj, sgn * v, ones) - p, lo, 14.0, xtol=1e-12)
+        sgn * brent_root(lambda v: asym(model_adj, sgn * v, ones) - p, lo, 14.0, xtol=1e-12)
         for p in p_grid
     ])
     order = np.argsort(thresholds)  # the shared run takes ascending thresholds

@@ -15,19 +15,21 @@ relative error <= 1e-8 against the K=1 collapse 1 - Phi(u) for |u| <= 6.  Beyond
 error 5.7e-6 at u = 8 on the (7, 5) design) until the window follows the
 integrand's mass.
 
-Import rule: scipy is loaded only where it is used.  ``scipy.special`` comes in
-with the first normal tail (``_normal``, called by ``_box_mass`` and
-``std_normal_cdf``), and ``scipy.optimize`` only when a threshold is solved (here
-``solve_common_threshold``, in the CLI ``quality_harness``).  So importing the
-package and all-pairs runs, whose p-values are sampled, load numpy alone; steel
-runs, whose reports carry the asymptotic p-value, add ``scipy.special``; and
-confidence runs add ``scipy.optimize`` as well.
+Import rule: scipy is loaded only where it is used, and only ``scipy.special``:
+it comes in with the first normal tail (``_normal``, called by ``_box_mass``).
+Thresholds are solved by ``brent_root``, a step-for-step port of scipy's
+``brentq``, so no run loads ``scipy.optimize``.  Importing the package and
+all-pairs runs, whose p-values are sampled, load numpy alone; steel runs, whose
+reports carry the asymptotic p-value, and confidence and harness runs add
+``scipy.special``.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -63,11 +65,6 @@ def _normal():
     from scipy.special import log_ndtr, ndtr
 
     return ndtr, log_ndtr
-
-
-def std_normal_cdf(z: float) -> float:
-    """Standard normal distribution function (saturates at 0/1 for huge |z|)."""
-    return float(_normal()[0](z))
 
 
 @dataclass(frozen=True)
@@ -246,21 +243,98 @@ def joint_lower_box_prob(model: FactorModel, c, nodes: int = DEFAULT_NODES) -> f
     return _box_mass(model, u, nodes, "greater")[0]
 
 
+_RTOL = 4 * sys.float_info.epsilon
+
+
+def brent_root(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float = 2e-12,
+    rtol: float = _RTOL,
+    maxiter: int = 100,
+) -> float:
+    """A root of f on [a, b], where f(a) and f(b) differ in sign, by Brent's method.
+
+    A step-for-step port of scipy.optimize.brentq (Brent 1973, *Algorithms for
+    Minimization without Derivatives*, ch. 4; scipy's ``Zeros/brentq.c``): the same
+    bracket bookkeeping, the same interpolation and extrapolation expressions in the
+    same order, and the same defaults, so the iterates and the root are bit-identical
+    to scipy's.  The root x0 is within xtol + rtol*|x0| of a sign change of f, and an
+    end where f is exactly 0 is returned at once.  A same-sign bracket, a NaN value of
+    f, or maxiter steps without convergence is a NumericError; xtol <= 0 or rtol below
+    4*eps is a ParameterError.
+    """
+    if not xtol > 0:
+        raise ParameterError(f"xtol must be > 0, got {xtol}")
+    if not rtol >= _RTOL:
+        raise ParameterError(f"rtol must be >= {_RTOL}, got {rtol}")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericError(f"the function value at x={x} is NaN; the root solve cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NumericError(f"f(a) and f(b) must have different signs, got {fpre} and {fcur}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2  # the tolerance is 2*delta
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets inf or NaN here, which fails the step test
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NumericError(f"root solve did not converge in {maxiter} steps, last x={xcur}")
+
+
 def solve_common_threshold(
     model: FactorModel, gamma: float, side: str = "upper_box", nodes: int = DEFAULT_NODES
 ) -> float:
-    """u with P(all W_i <= mu_i + u*tau_i) == gamma, by bracketed root finding."""
+    """u with P(all W_i <= mu_i + u*tau_i) == gamma, by ``brent_root`` on [-45, 45].
+
+    The root is taken to xtol 1e-13 in at most 200 steps, and a box mass more than
+    1e-9 from gamma at the root is a NumericError.
+    """
     if not 0 < gamma < 1:
         raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
     if side != "upper_box":
         raise ParameterError(f"unknown side {side!r}")
 
-    from scipy.optimize import brentq
-
     def f(u: float) -> float:
         return _box_mass(model, np.full(model.K, u), nodes, "greater")[0] - gamma
 
-    root = float(brentq(f, -45.0, 45.0, xtol=1e-13, maxiter=200))
+    root = brent_root(f, -45.0, 45.0, xtol=1e-13, maxiter=200)
     if abs(f(root)) > 1e-9:
         raise NumericError("threshold solve did not reach the 1e-9 target")
     return root

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steelrank import factor_decomposition, rank_samples
+from steelrank import ParameterError, factor_decomposition, rank_samples
 from steelrank.cli import RunConfig, main, quality_harness, render_json, run
 
 from _oracles import two_valued_tail
@@ -236,6 +236,15 @@ def test_harness_without_ties_columns_coincide():
     for row in rows:
         assert abs(row["p_asym_adj"] - row["p_asym_unadj"]) <= 1e-12
         assert set(row) == {"threshold", "p_sim", "p_asym_adj", "p_asym_unadj"}
+
+
+def test_harness_rejects_p_grid_entries_outside_the_open_unit_interval():
+    rng = np.random.default_rng(15)
+    groups = [np.round(rng.normal(size=12), 1).tolist() for _ in range(3)]
+    for bad in (1.5, 0.0, 1.0, -0.1, float("nan"), float("inf")):
+        for alternative in ("greater", "less", "two_sided"):
+            with pytest.raises(ParameterError, match="p_grid"):
+                quality_harness(groups, alternative, p_grid=(0.1, bad), nsim=200)
 
 
 def test_harness_mode_text_output_is_csv(tmp_path, capsys):

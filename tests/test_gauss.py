@@ -4,21 +4,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.stats import multivariate_normal, norm
 
 from steelrank import (
     FactorModel,
+    NumericError,
     ParameterError,
     TiePattern,
+    extract_tie_pattern,
     factor_decomposition,
     joint_lower_box_prob,
     solve_common_threshold,
-    std_normal_cdf,
     tail_prob,
     tail_prob_abs,
     tail_prob_max,
     tail_prob_min,
 )
+from steelrank.cli import quality_harness
+from steelrank.gauss import _box_mass, _normal, brent_root
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,29 +43,34 @@ def iq_model() -> FactorModel:
     return model
 
 
+def ndtr(z: float) -> float:
+    """The normal distribution function that _box_mass evaluates, as a Python float."""
+    return float(_normal()[0](z))
+
+
 def test_cdf_against_frozen_high_precision_table():
     table = json.loads((DATA / "normal_cdf_table.json").read_text())
     for entry in table:
         z = float(entry["z"])
         expected = float(entry["phi"])
-        assert abs(std_normal_cdf(z) - expected) <= 1e-12
+        assert abs(ndtr(z) - expected) <= 1e-12
 
 
 def test_cdf_point_values():
-    assert std_normal_cdf(0.0) == 0.5
-    assert std_normal_cdf(1.6448536269514722) == pytest.approx(0.95, abs=1e-12)
+    assert ndtr(0.0) == 0.5
+    assert ndtr(1.6448536269514722) == pytest.approx(0.95, abs=1e-12)
     # far tail against the asymptotic-series value frozen from the table
-    assert std_normal_cdf(-8.0) == pytest.approx(6.22096057427178412351599517e-16, rel=1e-10)
+    assert ndtr(-8.0) == pytest.approx(6.22096057427178412351599517e-16, rel=1e-10)
 
 
 def test_cdf_symmetry():
     for z in np.linspace(-10, 10, 81):
-        assert abs(std_normal_cdf(-z) - (1 - std_normal_cdf(z))) <= 1e-15
+        assert abs(ndtr(-z) - (1 - ndtr(z))) <= 1e-15
 
 
 def test_cdf_saturates():
-    assert std_normal_cdf(41.0) == 1.0
-    assert std_normal_cdf(-41.0) == 0.0
+    assert ndtr(41.0) == 1.0
+    assert ndtr(-41.0) == 0.0
 
 
 def test_k1_analytic_collapse():
@@ -338,3 +347,101 @@ def test_node_request_rounds_up_to_whole_panels():
     assert tail_prob_max(model, 1.5, nodes=1) == tail_prob_max(model, 1.5, nodes=16)
     assert tail_prob_max(model, 1.5, nodes=17) == tail_prob_max(model, 1.5, nodes=24)
     assert tail_prob_max(model, 1.5, nodes=16) != tail_prob_max(model, 1.5, nodes=17)
+
+
+def _same_root(f, a, b, **kwargs) -> float:
+    root = brent_root(f, a, b, **kwargs)
+    assert root == brentq(f, a, b, **kwargs)  # the same float, not merely close
+    return root
+
+
+def test_brent_root_matches_scipy_on_threshold_solves():
+    # the box solve of solve_common_threshold: random sizes, K = 1..5, gamma in (0.5, 0.999)
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        sizes = tuple(int(v) for v in rng.integers(2, 30, size=int(rng.integers(2, 7))))
+        model = no_ties_model(sizes)
+        gamma = float(rng.uniform(0.5, 0.999))
+
+        def f(u):
+            return _box_mass(model, np.full(model.K, u), 160, "greater")[0] - gamma
+
+        root = _same_root(f, -45.0, 45.0, xtol=1e-13, maxiter=200)
+        assert solve_common_threshold(model, gamma) == root
+
+
+@pytest.mark.parametrize("alternative", ["greater", "less", "two_sided"])
+def test_brent_root_matches_scipy_on_harness_tail_solves(alternative):
+    # quality_harness's tail solve on tied data, parameterized so the map decreases in v
+    rng = np.random.default_rng(31)
+    groups = [np.round(rng.normal(size=n), 1).tolist() for n in (12, 9, 10)]
+    model = FactorModel.from_moments(
+        factor_decomposition((12, 9, 10), extract_tie_pattern(np.concatenate(groups)))
+    )
+    sgn = -1.0 if alternative == "less" else 1.0
+    lo = 0.0 if alternative == "two_sided" else -14.0
+    grid = (0.2, 0.1, 0.05, 0.01)
+    expected = [
+        sgn * _same_root(
+            lambda v: tail_prob(model, sgn * v * np.ones(model.K), alternative) - p,
+            lo, 14.0, xtol=1e-12,
+        )
+        for p in grid
+    ]
+    rows = quality_harness(groups, alternative, p_grid=grid, nsim=200, seed=1)
+    assert [row["threshold"] for row in rows] == expected
+
+
+def test_brent_root_matches_scipy_on_closed_forms():
+    cases = [
+        (lambda x: x * x - 2.0, 0.0, 2.0, math.sqrt(2.0)),
+        (lambda x: math.cos(x), 0.0, 3.0, math.pi / 2),
+        (lambda x: math.exp(x) - 10.0, -5.0, 5.0, math.log(10.0)),
+        (lambda x: x**3 - 0.027, -1.0, 2.0, 0.3),
+        (lambda x: math.tanh(40.0 * (x + 1.25)), -3.0, 3.0, -1.25),
+    ]
+    for f, a, b, exact in cases:
+        for kwargs in ({}, {"xtol": 1e-14}, {"xtol": 1e-3}, {"rtol": 1e-6}, {"xtol": 5e-324, "maxiter": 200}):
+            root = _same_root(f, a, b, **kwargs)
+            tol = kwargs.get("xtol", 2e-12) + kwargs.get("rtol", 4 * np.finfo(float).eps) * abs(exact)
+            assert abs(root - exact) <= tol + 1e-15
+    # a coarse xtol makes the final delta steps decide the root
+    rng = np.random.default_rng(7)
+    for c, k in rng.uniform((-3.0, 0.2), (3.0, 5.0), size=(100, 2)).tolist():
+        _same_root(lambda x: math.tanh(k * (x - c)), -4.0, 4.0, xtol=1e-3)
+        _same_root(lambda x: (x - c) ** 3 + k * (x - c), -4.0, 4.0, xtol=1e-3)
+    # subnormal values: some divided differences underflow to 0, where the C code
+    # divides by zero and bisects; the port must take the same steps
+    _same_root(lambda x: (x - 1.7) ** 3 * 5e-324, -9.0, 9.0)
+    _same_root(lambda x: math.tanh(x + 2.2) * 1e-322, -9.0, 9.0)
+
+
+def test_brent_root_returns_an_exact_zero_end_at_once():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 1.0
+
+    assert brent_root(f, 1.0, 5.0) == 1.0 and calls == [1.0, 5.0]
+    calls.clear()
+    assert brent_root(f, -3.0, 1.0) == 1.0 and calls == [-3.0, 1.0]
+    # an exact zero at an end wins over a same-sign check
+    assert brent_root(lambda x: 0.0, 4.0, 9.0) == 4.0
+
+
+def test_brent_root_failures_are_numeric_errors():
+    with pytest.raises(NumericError, match="different signs"):
+        brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(NumericError, match="different signs"):
+        brent_root(lambda x: -1.0 - x * x, -1.0, 1.0)
+    with pytest.raises(NumericError, match="NaN"):
+        brent_root(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(NumericError, match="NaN"):  # NaN inside the bracket
+        brent_root(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0)
+    with pytest.raises(NumericError, match="converge"):
+        brent_root(lambda x: x**3 - 0.027, -1.0, 2.0, maxiter=6)  # scipy needs 17 steps
+    with pytest.raises(ParameterError):
+        brent_root(lambda x: x, -1.0, 1.0, xtol=0.0)
+    with pytest.raises(ParameterError):
+        brent_root(lambda x: x, -1.0, 1.0, rtol=1e-16)

@@ -1,6 +1,5 @@
 """Guard the package's import structure: no private cross-module names, no scipy on
-import or on sampled all-pairs runs, and no scipy.optimize on runs that solve no
-threshold."""
+import or on sampled all-pairs runs, and no scipy.optimize anywhere."""
 import ast
 import json
 import os
@@ -42,6 +41,28 @@ def test_private_cross_module_imports_match_allowlist():
     assert private_import_edges() == ALLOWED
 
 
+def scipy_optimize_imports() -> set[tuple[str, int]]:
+    """(module, line) of every import of scipy.optimize or its submodules in the package."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+                if node.module == "scipy":  # from scipy import optimize
+                    names = [f"scipy.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names):
+                found.add((path.stem, node.lineno))
+    return found
+
+
+def test_no_module_imports_scipy_optimize():
+    assert scipy_optimize_imports() == set()
+
+
 # Runs in a fresh interpreter so that no earlier test has loaded scipy; the
 # pairwise run comes before any steel run, whose asymptotic p-value loads scipy.special.
 FOOTPRINT_SCRIPT = """
@@ -64,6 +85,8 @@ runs.append(run("--input", f"{DATA}/iq_birth_condition.csv", "--method", "simula
                 "--nsim", "2000"))
 runs.append(run("--input", f"{DATA}/likert_small.csv", "--mode", "confidence",
                 "--method", "asymptotic"))
+runs.append(run("--input", f"{DATA}/likert_small.csv", "--mode", "quality_harness",
+                "--alternative", "greater", "--nsim", "2000"))
 print(json.dumps(runs))
 """
 
@@ -71,7 +94,7 @@ print(json.dumps(runs))
 @lru_cache(maxsize=None)
 def import_footprint() -> tuple[dict, ...]:
     """Per run, the scipy modules loaded after it: import, pairwise (Monte Carlo and
-    MVN sampling), steel exact, steel Monte Carlo, confidence."""
+    MVN sampling), steel exact, steel Monte Carlo, confidence, quality harness."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     data = Path(__file__).parent / "data"
@@ -84,19 +107,21 @@ def import_footprint() -> tuple[dict, ...]:
     return runs
 
 
-def test_runs_that_solve_no_threshold_never_load_scipy_optimize():
-    *quiet, confidence = import_footprint()
-    for entry in quiet:  # import, pairwise, steel exact, steel Monte Carlo
+def test_no_run_loads_scipy_optimize():
+    runs = import_footprint()
+    for entry in runs:
         assert "scipy.optimize" not in entry["scipy"], entry["args"]
-    # the confidence solve still works, and loads the solver on demand
-    assert "scipy.optimize" in confidence["scipy"], confidence["args"]
+    # the confidence and harness runs solve thresholds with gauss.brent_root, on
+    # normal tails from scipy.special
+    for entry in runs[-2:]:
+        assert "scipy.special" in entry["scipy"], entry["args"]
 
 
 def test_scipy_special_loads_only_with_the_first_normal_tail():
     imported, pairwise, *asymptotic = import_footprint()
     # importing the package and a sampled all-pairs run load no scipy at all
     assert imported["scipy"] == [] and pairwise["scipy"] == [], (imported, pairwise)
-    # steel reports carry the asymptotic p-value, and confidence runs solve on the
-    # normal tail, so these load it (scipy.optimize: the test above)
+    # steel reports carry the asymptotic p-value, and confidence and harness runs
+    # solve on the normal tail, so these load it
     for entry in asymptotic:
         assert "scipy.special" in entry["scipy"], entry["args"]
