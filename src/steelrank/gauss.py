@@ -250,8 +250,7 @@ def brent_root(
     f: Callable[[float], float],
     a: float,
     b: float,
-    xtol: float = 2e-12,
-    rtol: float = _RTOL,
+    xtol: float,
     maxiter: int = 100,
 ) -> float:
     """A root of f on [a, b], where f(a) and f(b) differ in sign, by Brent's method.
@@ -259,16 +258,14 @@ def brent_root(
     A step-for-step port of scipy.optimize.brentq (Brent 1973, *Algorithms for
     Minimization without Derivatives*, ch. 4; scipy's ``Zeros/brentq.c``): the same
     bracket bookkeeping, the same interpolation and extrapolation expressions in the
-    same order, and the same defaults, so the iterates and the root are bit-identical
-    to scipy's.  The root x0 is within xtol + rtol*|x0| of a sign change of f, and an
-    end where f is exactly 0 is returned at once.  A same-sign bracket, a NaN value of
-    f, or maxiter steps without convergence is a NumericError; xtol <= 0 or rtol below
-    4*eps is a ParameterError.
+    same order, and scipy's rtol = 4*eps, so the iterates and the root are
+    bit-identical to scipy's at the same xtol and maxiter.  The root x0 is within
+    xtol + 4*eps*|x0| of a sign change of f, and an end where f is exactly 0 is
+    returned at once.  A same-sign bracket, a NaN value of f, or maxiter steps without
+    convergence is a NumericError; xtol <= 0 is a ParameterError.
     """
     if not xtol > 0:
         raise ParameterError(f"xtol must be > 0, got {xtol}")
-    if not rtol >= _RTOL:
-        raise ParameterError(f"rtol must be >= {_RTOL}, got {rtol}")
 
     def value(x: float) -> float:
         fx = float(f(x))
@@ -292,7 +289,7 @@ def brent_root(
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2  # the tolerance is 2*delta
+        delta = (xtol + _RTOL * abs(xcur)) / 2  # the tolerance is 2*delta
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur

@@ -401,9 +401,9 @@ def test_brent_root_matches_scipy_on_closed_forms():
         (lambda x: math.tanh(40.0 * (x + 1.25)), -3.0, 3.0, -1.25),
     ]
     for f, a, b, exact in cases:
-        for kwargs in ({}, {"xtol": 1e-14}, {"xtol": 1e-3}, {"rtol": 1e-6}, {"xtol": 5e-324, "maxiter": 200}):
+        for kwargs in ({"xtol": 2e-12}, {"xtol": 1e-14}, {"xtol": 1e-3}, {"xtol": 5e-324, "maxiter": 200}):
             root = _same_root(f, a, b, **kwargs)
-            tol = kwargs.get("xtol", 2e-12) + kwargs.get("rtol", 4 * np.finfo(float).eps) * abs(exact)
+            tol = kwargs["xtol"] + 4 * np.finfo(float).eps * abs(exact)
             assert abs(root - exact) <= tol + 1e-15
     # a coarse xtol makes the final delta steps decide the root
     rng = np.random.default_rng(7)
@@ -412,8 +412,8 @@ def test_brent_root_matches_scipy_on_closed_forms():
         _same_root(lambda x: (x - c) ** 3 + k * (x - c), -4.0, 4.0, xtol=1e-3)
     # subnormal values: some divided differences underflow to 0, where the C code
     # divides by zero and bisects; the port must take the same steps
-    _same_root(lambda x: (x - 1.7) ** 3 * 5e-324, -9.0, 9.0)
-    _same_root(lambda x: math.tanh(x + 2.2) * 1e-322, -9.0, 9.0)
+    _same_root(lambda x: (x - 1.7) ** 3 * 5e-324, -9.0, 9.0, xtol=2e-12)
+    _same_root(lambda x: math.tanh(x + 2.2) * 1e-322, -9.0, 9.0, xtol=2e-12)
 
 
 def test_brent_root_returns_an_exact_zero_end_at_once():
@@ -423,25 +423,23 @@ def test_brent_root_returns_an_exact_zero_end_at_once():
         calls.append(x)
         return x - 1.0
 
-    assert brent_root(f, 1.0, 5.0) == 1.0 and calls == [1.0, 5.0]
+    assert brent_root(f, 1.0, 5.0, xtol=1e-12) == 1.0 and calls == [1.0, 5.0]
     calls.clear()
-    assert brent_root(f, -3.0, 1.0) == 1.0 and calls == [-3.0, 1.0]
+    assert brent_root(f, -3.0, 1.0, xtol=1e-12) == 1.0 and calls == [-3.0, 1.0]
     # an exact zero at an end wins over a same-sign check
-    assert brent_root(lambda x: 0.0, 4.0, 9.0) == 4.0
+    assert brent_root(lambda x: 0.0, 4.0, 9.0, xtol=1e-12) == 4.0
 
 
 def test_brent_root_failures_are_numeric_errors():
     with pytest.raises(NumericError, match="different signs"):
-        brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        brent_root(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
     with pytest.raises(NumericError, match="different signs"):
-        brent_root(lambda x: -1.0 - x * x, -1.0, 1.0)
+        brent_root(lambda x: -1.0 - x * x, -1.0, 1.0, xtol=1e-12)
     with pytest.raises(NumericError, match="NaN"):
-        brent_root(lambda x: math.nan, 0.0, 1.0)
+        brent_root(lambda x: math.nan, 0.0, 1.0, xtol=1e-12)
     with pytest.raises(NumericError, match="NaN"):  # NaN inside the bracket
-        brent_root(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0)
+        brent_root(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, xtol=1e-12)
     with pytest.raises(NumericError, match="converge"):
-        brent_root(lambda x: x**3 - 0.027, -1.0, 2.0, maxiter=6)  # scipy needs 17 steps
+        brent_root(lambda x: x**3 - 0.027, -1.0, 2.0, xtol=2e-12, maxiter=6)  # scipy needs 17 steps
     with pytest.raises(ParameterError):
         brent_root(lambda x: x, -1.0, 1.0, xtol=0.0)
-    with pytest.raises(ParameterError):
-        brent_root(lambda x: x, -1.0, 1.0, rtol=1e-16)
