@@ -16,22 +16,18 @@ from .gauss import (
     joint_lower_box_prob,
     solve_common_threshold,
     tail_prob,
-    tail_prob_abs,
-    tail_prob_max,
-    tail_prob_min,
 )
 from .moments import MomentSet, cov_w, factor_decomposition, mean_w, var_w
-from .pairwise import PairwiseMoments, pairwise_moment_matrix, pairwise_test
+from .pairwise import PairwiseMoments, PairwiseResult, pairwise_moment_matrix, pairwise_test
 from .randomization import (
     ExactMoments,
     NullSample,
     PValue,
-    TestResult,
     exact_moments,
     exact_null_distribution,
     exact_p_value,
-    simulate_p_value,
-    simulated_tail_curve,
+    sampled_p_value,
+    simulated_tail_counts,
     split_count,
 )
 from .ranks import (
@@ -59,10 +55,10 @@ __all__ = [
     "NumericError",
     "PValue",
     "PairwiseMoments",
+    "PairwiseResult",
     "ParameterError",
     "RankedSamples",
     "SteelObservation",
-    "TestResult",
     "TiePattern",
     "check_asymptotic_conditions",
     "compute_midranks",
@@ -82,16 +78,13 @@ __all__ = [
     "rank_samples",
     "rank_sums",
     "select_indices",
-    "simulate_p_value",
-    "simulated_tail_curve",
+    "sampled_p_value",
     "simultaneous_bounds",
     "simultaneous_intervals",
+    "simulated_tail_counts",
     "solve_common_threshold",
     "split_count",
     "steel_statistics",
     "tail_prob",
-    "tail_prob_abs",
-    "tail_prob_max",
-    "tail_prob_min",
     "var_w",
 ]

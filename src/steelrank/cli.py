@@ -23,8 +23,8 @@ from .randomization import (
     DEFAULT_BUDGET,
     PValue,
     exact_p_value,
-    simulate_p_value,
-    simulated_tail_curve,
+    sampled_p_value,
+    simulated_tail_counts,
     split_count,
 )
 from .ranks import Diagnostics, RankedSamples, TiePattern, check_asymptotic_conditions, rank_samples
@@ -81,6 +81,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ParameterError(f"nodes must be >= 1, got {cfg.nodes}")
     if not 0 < cfg.conf_level < 1:
         raise ParameterError("conf-level must be in (0, 1)")
+    if not 0 < cfg.epsilon < 1:  # NaN fails both comparisons
+        raise ParameterError(f"epsilon must be in (0, 1), got {cfg.epsilon}")
     if not 0 <= cfg.rounding_eps < math.inf:  # NaN fails both comparisons
         raise ParameterError(f"round-eps must be finite and >= 0, got {cfg.rounding_eps}")
     return dataclasses.replace(cfg, alternative=normalize_alternative(cfg.alternative))
@@ -312,8 +314,11 @@ def _steel_section(cfg: RunConfig, samples: RankedSamples) -> dict:
     if cfg.method == "exact" or (cfg.method == "all" and exact_fits):
         p_values["exact"] = _pvalue_dict(exact_p_value(samples, obs, cfg.exact_budget))
     if cfg.method == "simulated" or (cfg.method == "all" and not exact_fits):
+        counts = simulated_tail_counts(
+            samples, ms, obs.statistic, [obs.statistic_value], cfg.nsim, cfg.seed
+        )
         p_values["monte_carlo"] = _pvalue_dict(
-            simulate_p_value(samples, obs, cfg.nsim, cfg.seed, cfg.conservative_mc)
+            sampled_p_value(int(counts[0]), cfg.nsim, cfg.seed, "monte_carlo", cfg.conservative_mc)
         )
 
     return {
@@ -395,7 +400,8 @@ def quality_harness(
     ])
     order = np.argsort(thresholds)  # the shared run takes ascending thresholds
     p_sim = np.empty(thresholds.size)
-    p_sim[order] = simulated_tail_curve(samples, kind, thresholds[order], nsim, seed)
+    hits = simulated_tail_counts(samples, ms_adj, kind, thresholds[order], nsim, seed)
+    p_sim[order] = hits / nsim
     ratio = ms_adj.tau / ms_raw.tau
     return [
         {

@@ -219,21 +219,6 @@ def tail_prob(model: FactorModel, u, alternative: str, nodes: int = DEFAULT_NODE
     return _box_mass(model, u, nodes, alt)[1]
 
 
-def tail_prob_max(model: FactorModel, threshold, nodes: int = DEFAULT_NODES) -> float:
-    """P(max standardized coordinate >= threshold) under the factor model."""
-    return tail_prob(model, threshold, "greater", nodes)
-
-
-def tail_prob_min(model: FactorModel, threshold, nodes: int = DEFAULT_NODES) -> float:
-    """P(min standardized coordinate <= threshold)."""
-    return tail_prob(model, threshold, "less", nodes)
-
-
-def tail_prob_abs(model: FactorModel, threshold, nodes: int = DEFAULT_NODES) -> float:
-    """P(max |standardized coordinate| >= threshold), threshold >= 0."""
-    return tail_prob(model, threshold, "two_sided", nodes)
-
-
 def joint_lower_box_prob(model: FactorModel, c, nodes: int = DEFAULT_NODES) -> float:
     """P(W_i <= c_i for all i) with thresholds c on the raw statistic scale."""
     c = np.asarray(c, dtype=float)

@@ -43,6 +43,11 @@ class MomentSet:
     def tau(self) -> np.ndarray:
         return np.sqrt(self.tau2)
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(control, treatment) index pairs, in the order of mu and tau."""
+        return tuple((0, i) for i in range(1, len(self.sizes)))
+
 
 def _check_size(n: int, name: str) -> int:
     if int(n) != n or n < 1:

@@ -7,14 +7,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .moments import _cov_w_exact, _var_w_exact
+from .moments import cov_w, var_w
 from .randomization import (
-    TestResult,
-    _mc_tail_counts,
-    _standardize,
+    PValue,
     all_pairs,
     sample_chunks,
     sampled_p_value,
+    simulated_tail_counts,
 )
 from .ranks import RankedSamples, TiePattern
 from .statistics import (
@@ -23,6 +22,7 @@ from .statistics import (
     mann_whitney_star,
     normalize_alternative,
     reduce_statistic,
+    standardize,
 )
 
 METHODS = ("monte_carlo", "mvn_sample")
@@ -69,7 +69,7 @@ def pairwise_moment_matrix(sizes: Sequence[int], tie: TiePattern) -> PairwiseMom
 
     def moment(*ns: int) -> float:
         if ns not in exact:
-            exact[ns] = float((_var_w_exact if len(ns) == 2 else _cov_w_exact)(*ns, tie))
+            exact[ns] = (var_w if len(ns) == 2 else cov_w)(*ns, tie)
         return exact[ns]
 
     for p, (a, b) in enumerate(pairs):
@@ -87,10 +87,18 @@ def pairwise_moment_matrix(sizes: Sequence[int], tie: TiePattern) -> PairwiseMom
 
 
 @dataclass(frozen=True)
-class PairwiseResult(TestResult):
-    """All-pairs test result together with the moments it standardized with."""
+class PairwiseResult:
+    """Observed all-pairs statistics, their p-values and the moments they standardized with."""
 
-    moments: PairwiseMoments | None = None
+    labels: tuple[str, ...]
+    w_star: np.ndarray
+    standardized: np.ndarray
+    statistic: str
+    statistic_value: float
+    alternative: str
+    p_values: dict[str, PValue]
+    warnings: tuple[str, ...]
+    moments: PairwiseMoments
 
 
 def _mvn_root(pm: PairwiseMoments) -> np.ndarray:
@@ -152,7 +160,7 @@ def pairwise_test(
             for a, b in pm.pairs
         ]
     )
-    z = _standardize(w[None, :], pm.mu, tau)[0]
+    z = standardize(w, pm.mu, tau)
     kind = ALTERNATIVE_TABLE[alt][0]
     observed = float(reduce_statistic(kind, z[None, :])[0])
     warnings: list[str] = []
@@ -162,18 +170,7 @@ def pairwise_test(
     p_values = {}
     for m in methods:
         if m == "monte_carlo":
-            counts = _mc_tail_counts(
-                samples.tie_pattern,
-                samples.sizes,
-                pm.pairs,
-                pm.mu,
-                tau,
-                kind,
-                np.array([observed]),
-                nsim,
-                seed,
-            )
-            hits = int(counts[0])
+            hits = int(simulated_tail_counts(samples, pm, kind, [observed], nsim, seed)[0])
         else:
             hits = _mvn_tail_counts(_mvn_root(pm), kind, observed, nsim, seed)
         p_values[m] = sampled_p_value(hits, nsim, seed, m, conservative)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
@@ -50,7 +50,7 @@ import numpy as np
 from .errors import BudgetError, ParameterError
 from .moments import factor_decomposition
 from .ranks import RankedSamples, TiePattern
-from .statistics import SteelObservation, in_tail, reduce_statistic
+from .statistics import SteelObservation, in_tail, reduce_statistic, standardize
 
 DEFAULT_BUDGET = 10_000_000
 CHUNK_SIZE = 4096
@@ -159,20 +159,6 @@ class ExactMoments:
     mean: np.ndarray
     cov: np.ndarray
     total: int
-
-
-@dataclass(frozen=True)
-class TestResult:
-    """Observed statistics with the p-values computed for them."""
-
-    labels: tuple[str, ...]
-    w_star: np.ndarray
-    standardized: np.ndarray
-    statistic: str
-    statistic_value: float
-    alternative: str
-    p_values: dict[str, PValue] = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
 
 
 @lru_cache(maxsize=None)
@@ -336,13 +322,6 @@ def _enumerate_w(
     return states[:, k:] / 2, wt
 
 
-def _standardize(w: np.ndarray, mu: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    z = np.zeros_like(w)
-    ok = tau > 0
-    z[:, ok] = (w[:, ok] - mu[ok]) / tau[ok]
-    return z
-
-
 def exact_null_distribution(
     samples: RankedSamples, statistic: str, budget: int = DEFAULT_BUDGET
 ) -> NullSample:
@@ -355,7 +334,7 @@ def exact_null_distribution(
         vals, inv = np.unique(w, axis=0, return_inverse=True)
     else:
         ms = factor_decomposition(samples.sizes, samples.tie_pattern)
-        stats = reduce_statistic(statistic, _standardize(w, ms.mu, ms.tau))
+        stats = reduce_statistic(statistic, standardize(w, ms.mu, ms.tau))
         vals, inv = np.unique(stats, return_inverse=True)
     return NullSample(
         values=vals,
@@ -436,7 +415,7 @@ def _mc_tail_counts(
     assert list(pairs) == [(a, b) for a in firsts for b in range(a + 1, n_groups)], pairs
 
     def tail_counts(w2: np.ndarray) -> np.ndarray:
-        stats = reduce_statistic(kind, _standardize(w2 / 2, mu, tau))
+        stats = reduce_statistic(kind, standardize(w2 / 2, mu, tau))
         return in_tail(kind, stats[:, None], thr[None, :]).sum(axis=0).astype(np.int64)
 
     if _draws_count_tables(tie, n_groups):
@@ -511,46 +490,23 @@ def sampled_p_value(
     )
 
 
-def _control_tail_counts(
-    samples: RankedSamples, kind: str, thresholds: Sequence[float], nsim: int, seed: int
-) -> np.ndarray:
-    """Monte Carlo tail counts of a treatment-vs-control statistic per threshold."""
-    ms = factor_decomposition(samples.sizes, samples.tie_pattern)
-    pairs = control_pairs(samples.n_groups)
-    return _mc_tail_counts(
-        samples.tie_pattern, samples.sizes, pairs, ms.mu, ms.tau, kind, thresholds, nsim, seed
-    )
-
-
-def simulate_p_value(
+def simulated_tail_counts(
     samples: RankedSamples,
-    observation: SteelObservation,
-    nsim: int,
-    seed: int,
-    conservative: bool = False,
-) -> PValue:
-    """Monte Carlo tail estimate.  ``conservative`` switches to (hits+1)/(nsim+1)."""
-    if nsim < 1:
-        raise ParameterError("nsim must be >= 1")
-    kind = observation.statistic
-    counts = _control_tail_counts(samples, kind, [observation.statistic_value], nsim, seed)
-    return sampled_p_value(int(counts[0]), nsim, seed, "monte_carlo", conservative)
-
-
-def simulated_tail_curve(
-    samples: RankedSamples,
+    moments,
     statistic: str,
     thresholds: Sequence[float],
     nsim: int,
     seed: int,
 ) -> np.ndarray:
-    """Tail probability at each threshold from a single shared simulation run.
+    """Monte Carlo tail counts of a statistic at each threshold, from one shared run.
 
-    The tail is the one the statistic's alternative tests: P(s_min <= t) for
-    ``s_min``, P(statistic >= t) for ``s_max`` and ``s_abs``.
+    ``moments`` is a MomentSet (treatment-vs-control pairs) or a PairwiseMoments
+    (all pairs); its pairs are standardized with its mu and tau.  The tail is the
+    one the statistic's alternative tests: s_min <= t for ``s_min``, statistic >= t
+    for ``s_max`` and ``s_abs``.  Returns int64 counts out of nsim replicates.
     """
     if statistic not in ("s_max", "s_min", "s_abs"):
-        raise ParameterError(f"tail curves need a scalar statistic, got {statistic!r}")
+        raise ParameterError(f"tail counts need a scalar statistic, got {statistic!r}")
     if nsim < 1:
         raise ParameterError("nsim must be >= 1")
     thr = np.asarray(thresholds, dtype=float)
@@ -560,4 +516,9 @@ def simulated_tail_curve(
         raise ParameterError("thresholds must not be NaN")
     if np.any(np.diff(thr) < 0):
         raise ParameterError("thresholds must be sorted ascending")
-    return _control_tail_counts(samples, statistic, thr, nsim, seed) / nsim
+    if moments.sizes != samples.sizes:
+        raise ParameterError("moments were computed for different group sizes")
+    pairs, mu, tau = moments.pairs, moments.mu, moments.tau
+    return _mc_tail_counts(
+        samples.tie_pattern, samples.sizes, pairs, mu, tau, statistic, thr, nsim, seed
+    )

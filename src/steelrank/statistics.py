@@ -38,6 +38,14 @@ def reduce_statistic(kind: str, z: np.ndarray) -> np.ndarray:
     raise ParameterError(f"unknown statistic {kind!r}")
 
 
+def standardize(w: np.ndarray, mu: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """(w - mu) / tau over the last axis; pairs with tau = 0 get standardized value 0."""
+    z = np.zeros_like(w)
+    ok = tau > 0
+    z[..., ok] = (w[..., ok] - mu[ok]) / tau[ok]
+    return z
+
+
 def in_tail(kind: str, values, threshold):
     """Tail membership of statistic values, ties included: <= for s_min, >= otherwise."""
     if _TAIL_SIDE[kind] == "lower":
@@ -104,9 +112,7 @@ def steel_statistics(
     )
     tau = moments.tau
     degenerate = tuple(int(i) for i in np.flatnonzero(tau == 0))
-    z = np.zeros_like(w)
-    ok = tau > 0
-    z[ok] = (w[ok] - moments.mu[ok]) / tau[ok]
+    z = standardize(w, moments.mu, tau)
     return SteelObservation(
         w_star=w,
         standardized=z,

@@ -25,15 +25,13 @@ from steelrank import (
     mean_w,
     pairwise_moment_matrix,
     rank_samples,
+    sampled_p_value,
     select_indices,
-    simulate_p_value,
-    simulated_tail_curve,
+    simulated_tail_counts,
     simultaneous_bounds,
     simultaneous_intervals,
     steel_statistics,
-    tail_prob_abs,
-    tail_prob_max,
-    tail_prob_min,
+    tail_prob,
     var_w,
 )
 from steelrank.cli import main, quality_harness
@@ -133,9 +131,9 @@ def test_criterion_3_k1_analytic_collapse():
         factor_decomposition((7, 5), TiePattern.no_ties(12))
     )
     for u in np.linspace(-5.0, 5.0, 101):
-        assert abs(tail_prob_max(model, u) - (1 - norm.cdf(u))) <= 1e-8
-        assert abs(tail_prob_min(model, u) - norm.cdf(u)) <= 1e-8
-        assert abs(tail_prob_abs(model, abs(u)) - 2 * (1 - norm.cdf(abs(u)))) <= 1e-8
+        assert abs(tail_prob(model, u, "greater") - (1 - norm.cdf(u))) <= 1e-8
+        assert abs(tail_prob(model, u, "less") - norm.cdf(u)) <= 1e-8
+        assert abs(tail_prob(model, abs(u), "two_sided") - 2 * (1 - norm.cdf(abs(u)))) <= 1e-8
 
 
 @criterion(4, "reference four-group fixture reproduces the published analysis")
@@ -150,16 +148,17 @@ def test_criterion_4_reference_example(iq_groups):
     assert np.sqrt(ms.tau2) == pytest.approx([6.210249] * 3, abs=1e-6)
     assert obs.s_min == pytest.approx(-1.7713, abs=5e-5)
     model = FactorModel.from_moments(ms)
-    assert tail_prob_min(model, obs.s_min) == pytest.approx(0.0946, abs=5e-4)
+    assert tail_prob(model, obs.s_min, "less") == pytest.approx(0.0946, abs=5e-4)
     nsim = 100_000
-    pv = simulate_p_value(samples, obs, nsim=nsim, seed=20260809)
+    counts = simulated_tail_counts(samples, ms, obs.statistic, [obs.s_min], nsim, 20260809)
+    pv = sampled_p_value(int(counts[0]), nsim, 20260809, "monte_carlo")
     band = 3 * math.sqrt(0.10474 * (1 - 0.10474) / nsim)
     assert abs(pv.estimate - 0.10474) <= band
 
 
 def _threshold_grid(model, p_grid):
     return sorted(
-        brentq(lambda u: tail_prob_max(model, u) - p, -10.0, 12.0, xtol=1e-12)
+        brentq(lambda u: tail_prob(model, u, "greater") - p, -10.0, 12.0, xtol=1e-12)
         for p in p_grid
     )
 
@@ -173,13 +172,12 @@ def test_criterion_5_approximation_quality():
     for data in scenarios:
         groups = [data[:100].tolist(), data[100:200].tolist(), data[200:].tolist()]
         samples = rank_samples(groups)
-        model = FactorModel.from_moments(
-            factor_decomposition(samples.sizes, samples.tie_pattern)
-        )
+        ms = factor_decomposition(samples.sizes, samples.tie_pattern)
+        model = FactorModel.from_moments(ms)
         thresholds = _threshold_grid(model, (0.2, 0.1, 0.05, 0.02, 0.01))
-        curve = simulated_tail_curve(samples, "s_max", thresholds, nsim=100_000, seed=99)
+        curve = simulated_tail_counts(samples, ms, "s_max", thresholds, 100_000, 99) / 100_000
         for t, p_mc in zip(thresholds, curve):
-            p_asym = tail_prob_max(model, t)
+            p_asym = tail_prob(model, t, "greater")
             assert 0.009 <= p_asym <= 0.21
             assert abs(p_asym - p_mc) <= 0.01
     elapsed = time.perf_counter() - start

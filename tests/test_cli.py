@@ -177,6 +177,20 @@ def test_node_count_below_one_is_a_parameter_error(tmp_path, capsys):
             assert "nodes" in payload["error"]["message"]
 
 
+def test_epsilon_outside_the_open_unit_interval_is_a_parameter_error(tmp_path, capsys):
+    likert = str(DATA / "likert_small.csv")
+    runs = [(likert, "quality_harness", "all")] + _parameter_error_runs(tmp_path)
+    for path, mode, method in runs:
+        for bad in ("5", "nan", "0", "1", "-0.1"):
+            args = ["--input", path, "--mode", mode, "--method", method, "--nsim", "100",
+                    f"--epsilon={bad}"]
+            code, out, err = run_main(capsys, args)
+            assert code == 2 and out == "", (mode, bad)
+            payload = json.loads(err)
+            assert payload["error"]["type"] == "ParameterError"
+            assert "epsilon" in payload["error"]["message"]
+
+
 def test_negative_seed_is_a_parameter_error(tmp_path, capsys):
     runs = [(IQ, "steel", "simulated"), (IQ, "pairwise", "simulated")]
     for path, mode, method in runs + _parameter_error_runs(tmp_path):

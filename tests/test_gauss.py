@@ -17,9 +17,6 @@ from steelrank import (
     joint_lower_box_prob,
     solve_common_threshold,
     tail_prob,
-    tail_prob_abs,
-    tail_prob_max,
-    tail_prob_min,
 )
 from steelrank.cli import quality_harness
 from steelrank.gauss import _box_mass, _normal, brent_root
@@ -76,10 +73,10 @@ def test_cdf_saturates():
 def test_k1_analytic_collapse():
     model = no_ties_model((7, 5))
     for u in np.linspace(-5, 5, 101):
-        assert tail_prob_max(model, u) == pytest.approx(1 - norm.cdf(u), abs=1e-8)
-        assert tail_prob_min(model, u) == pytest.approx(norm.cdf(u), abs=1e-8)
+        assert tail_prob(model, u, "greater") == pytest.approx(1 - norm.cdf(u), abs=1e-8)
+        assert tail_prob(model, u, "less") == pytest.approx(norm.cdf(u), abs=1e-8)
     for u in np.linspace(0, 5, 101):
-        assert tail_prob_abs(model, u) == pytest.approx(2 * (1 - norm.cdf(u)), abs=1e-8)
+        assert tail_prob(model, u, "two_sided") == pytest.approx(2 * (1 - norm.cdf(u)), abs=1e-8)
 
 
 # sigma_i = 0 for every treatment: both coordinates are the common factor itself
@@ -94,16 +91,16 @@ def test_small_tails_keep_relative_accuracy(model):
     # abs=1e-8 above cannot see cancellation in a tail of 1e-9; the collapse to
     # one standard normal must hold in relative terms out to |u| = 6
     for u in np.linspace(0, 6, 25):
-        assert tail_prob_max(model, u) == pytest.approx(norm.sf(u), rel=1e-8, abs=0)
-        assert tail_prob_min(model, -u) == pytest.approx(norm.sf(u), rel=1e-8, abs=0)
-        assert tail_prob_abs(model, u) == pytest.approx(2 * norm.sf(u), rel=1e-8, abs=0)
+        assert tail_prob(model, u, "greater") == pytest.approx(norm.sf(u), rel=1e-8, abs=0)
+        assert tail_prob(model, -u, "less") == pytest.approx(norm.sf(u), rel=1e-8, abs=0)
+        assert tail_prob(model, u, "two_sided") == pytest.approx(2 * norm.sf(u), rel=1e-8, abs=0)
 
 
 def test_k1_quantile_examples():
     model = no_ties_model((4, 9))
-    assert tail_prob_max(model, 1.6448536) == pytest.approx(0.05, abs=1e-6)
-    assert tail_prob_min(model, -1.6448536) == pytest.approx(0.05, abs=1e-6)
-    assert tail_prob_abs(model, 1.959964) == pytest.approx(0.05, abs=1e-6)
+    assert tail_prob(model, 1.6448536, "greater") == pytest.approx(0.05, abs=1e-6)
+    assert tail_prob(model, -1.6448536, "less") == pytest.approx(0.05, abs=1e-6)
+    assert tail_prob(model, 1.959964, "two_sided") == pytest.approx(0.05, abs=1e-6)
 
 
 def test_k2_against_bivariate_normal_oracle():
@@ -112,7 +109,7 @@ def test_k2_against_bivariate_normal_oracle():
     model = no_ties_model((100, 100, 100))
     rho = 100 / 201
     oracle = 1 - multivariate_normal(mean=[0, 0], cov=[[1, rho], [rho, 1]]).cdf([2.0, 2.0])
-    got = tail_prob_max(model, 2.0)
+    got = tail_prob(model, 2.0, "greater")
     assert got == pytest.approx(oracle, abs=1e-6)
     assert got == pytest.approx(0.041, abs=5e-4)
 
@@ -151,7 +148,7 @@ def test_unequal_thresholds_against_genz(model, u):
     assert tail_prob(model, -u, "less") == pytest.approx(1 - mvn.cdf(u), abs=1e-6)
     both = mvn.cdf(u, lower_limit=-u)
     assert tail_prob(model, u, "two_sided") == pytest.approx(1 - both, abs=1e-6)
-    assert tail_prob(model, u, "two-sided") == tail_prob_abs(model, u)
+    assert tail_prob(model, u, "two-sided") == tail_prob(model, u, "two_sided")
 
 
 def test_tail_prob_rejects_bad_thresholds():
@@ -166,50 +163,51 @@ def test_tail_prob_rejects_bad_thresholds():
 
 def test_extreme_thresholds():
     model = no_ties_model((5, 5, 5))
-    assert tail_prob_max(model, -10.0) == pytest.approx(1.0, abs=1e-10)
-    assert tail_prob_max(model, 50.0) == 0.0
-    assert tail_prob_abs(model, 0.0) == 1.0
+    assert tail_prob(model, -10.0, "greater") == pytest.approx(1.0, abs=1e-10)
+    assert tail_prob(model, 50.0, "greater") == 0.0
+    assert tail_prob(model, 0.0, "two_sided") == 1.0
 
 
 def test_saturation_on_every_side():
     # tails far beyond any coordinate round to exactly 0, full boxes to exactly 1
     model = no_ties_model((5, 5, 5))
-    assert tail_prob_min(model, -50.0) == 0.0
-    assert tail_prob_abs(model, 50.0) == 0.0
+    assert tail_prob(model, -50.0, "less") == 0.0
+    assert tail_prob(model, 50.0, "two_sided") == 0.0
     assert tail_prob(model, [50.0, 50.0], "greater") == 0.0
     assert tail_prob(model, [-50.0, -50.0], "less") == 0.0
     assert joint_lower_box_prob(model, [np.inf, np.inf]) == 1.0
     for degenerate in (FULLY_DEGENERATE, MIXED_DEGENERATE):
-        assert tail_prob_max(degenerate, 50.0) == 0.0
-        assert tail_prob_min(degenerate, -50.0) == 0.0
-        assert tail_prob_abs(degenerate, 50.0) == 0.0
+        assert tail_prob(degenerate, 50.0, "greater") == 0.0
+        assert tail_prob(degenerate, -50.0, "less") == 0.0
+        assert tail_prob(degenerate, 50.0, "two_sided") == 0.0
         assert joint_lower_box_prob(degenerate, [np.inf, np.inf]) == 1.0
 
 
 def test_min_max_symmetry():
     model = no_ties_model((6, 4, 8))
     for u in np.linspace(-3, 3, 25):
-        assert tail_prob_min(model, -u) == pytest.approx(tail_prob_max(model, u), abs=1e-10)
+        upper = tail_prob(model, u, "greater")
+        assert tail_prob(model, -u, "less") == pytest.approx(upper, abs=1e-10)
 
 
 def test_two_sided_bonferroni_bound():
     model = no_ties_model((6, 6, 6, 6))
     for u in np.linspace(0.2, 3.0, 15):
-        two = tail_prob_abs(model, u)
-        bound = tail_prob_max(model, u) + tail_prob_min(model, -u)
+        two = tail_prob(model, u, "two_sided")
+        bound = tail_prob(model, u, "greater") + tail_prob(model, -u, "less")
         assert two <= bound + 1e-12
 
 
 def test_two_sided_rejects_negative_threshold():
     with pytest.raises(ParameterError):
-        tail_prob_abs(no_ties_model((3, 3)), -0.5)
+        tail_prob(no_ties_model((3, 3)), -0.5, "two_sided")
 
 
 def test_monotonicity():
     model = no_ties_model((6, 6, 6))
     grid = np.linspace(-4, 4, 33)
-    maxes = [tail_prob_max(model, u) for u in grid]
-    mins = [tail_prob_min(model, u) for u in grid]
+    maxes = [tail_prob(model, u, "greater") for u in grid]
+    mins = [tail_prob(model, u, "less") for u in grid]
     assert all(a >= b - 1e-14 for a, b in zip(maxes, maxes[1:]))
     assert all(a <= b + 1e-14 for a, b in zip(mins, mins[1:]))
 
@@ -219,7 +217,7 @@ def test_treatment_permutation_invariance():
     ms = factor_decomposition((5, 4, 7, 3), TiePattern.no_ties(19))
     b = FactorModel.from_moments(ms)
     for u in (0.5, 1.5, 2.5):
-        assert tail_prob_max(a, u) == pytest.approx(tail_prob_max(b, u), abs=1e-12)
+        assert tail_prob(a, u, "greater") == pytest.approx(tail_prob(b, u, "greater"), abs=1e-12)
 
 
 def test_box_prob_trivial_cases():
@@ -232,7 +230,7 @@ def test_box_prob_complement_identity():
     model = no_ties_model((100, 100, 100))
     c = model.mu + 2.0 * model.tau
     assert joint_lower_box_prob(model, c) == pytest.approx(
-        1 - tail_prob_max(model, 2.0), abs=1e-12
+        1 - tail_prob(model, 2.0, "greater"), abs=1e-12
     )
 
 
@@ -290,10 +288,11 @@ def test_quadrature_node_doubling():
     for model in models:
         for u in (0.5, 1.7713, 2.5):
             assert abs(
-                tail_prob_max(model, u, nodes=160) - tail_prob_max(model, u, nodes=320)
+                tail_prob(model, u, "greater", nodes=160)
+                - tail_prob(model, u, "greater", nodes=320)
             ) <= 1e-10
             assert abs(
-                tail_prob_min(model, -u, nodes=160) - tail_prob_min(model, -u, nodes=320)
+                tail_prob(model, -u, "less", nodes=160) - tail_prob(model, -u, "less", nodes=320)
             ) <= 1e-10
 
 
@@ -306,11 +305,11 @@ def test_degenerate_factor_becomes_step():
     )
     u = np.array([1.0, 0.5])
     expected = norm.cdf(min(1.0 * 2.0 / 2.0, 0.5 * 3.0 / 3.0))
-    assert 1 - tail_prob_max(model, u) == pytest.approx(expected, abs=1e-10)
+    assert 1 - tail_prob(model, u, "greater") == pytest.approx(expected, abs=1e-10)
     # less: some coordinate <= u_i once the common normal is below max u
-    assert tail_prob_min(model, u) == pytest.approx(norm.cdf(1.0), abs=1e-10)
+    assert tail_prob(model, u, "less") == pytest.approx(norm.cdf(1.0), abs=1e-10)
     # two-sided: the common normal leaves [-min u, min u]
-    assert tail_prob_abs(model, u) == pytest.approx(2 - 2 * norm.cdf(0.5), abs=1e-10)
+    assert tail_prob(model, u, "two_sided") == pytest.approx(2 - 2 * norm.cdf(0.5), abs=1e-10)
 
 
 def test_model_validation():
@@ -344,9 +343,9 @@ def test_node_count_below_one_is_rejected_on_every_path():
 def test_node_request_rounds_up_to_whole_panels():
     # 8 panels x max(2, ceil(nodes/8)) nodes: 1..16 all use 16, 17..24 use 24
     model = iq_model()
-    assert tail_prob_max(model, 1.5, nodes=1) == tail_prob_max(model, 1.5, nodes=16)
-    assert tail_prob_max(model, 1.5, nodes=17) == tail_prob_max(model, 1.5, nodes=24)
-    assert tail_prob_max(model, 1.5, nodes=16) != tail_prob_max(model, 1.5, nodes=17)
+    assert tail_prob(model, 1.5, "greater", nodes=1) == tail_prob(model, 1.5, "greater", nodes=16)
+    assert tail_prob(model, 1.5, "greater", nodes=17) == tail_prob(model, 1.5, "greater", nodes=24)
+    assert tail_prob(model, 1.5, "greater", nodes=16) != tail_prob(model, 1.5, "greater", nodes=17)
 
 
 def _same_root(f, a, b, **kwargs) -> float:

@@ -48,6 +48,14 @@ CASES = {
                                               "greater"] + MC,
     "pairwise_simulated_two_valued_3x20": TWO + ["--mode", "pairwise", "--method",
                                                  "simulated"] + MC,
+    # s_min through steel Monte Carlo, s_max and s_min through pairwise Monte Carlo
+    # and MVN sampling, s_abs through the harness
+    "steel_simulated_less": IQ + ["--alternative", "less", "--method", "simulated"] + MC,
+    "pairwise_all_greater": IQ + ["--mode", "pairwise", "--method", "all",
+                                  "--alternative", "greater"] + MC,
+    "pairwise_all_less": IQ + ["--mode", "pairwise", "--method", "all",
+                               "--alternative", "less"] + MC,
+    "harness_two_sided": IQ + ["--mode", "quality_harness", "--alternative", "two-sided"] + MC,
 }
 
 

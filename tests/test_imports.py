@@ -17,10 +17,6 @@ PACKAGE = Path(steelrank.__file__).parent
 ALLOWED = {
     ("confidence", "ranks", "_as_scores"),
     ("statistics", "ranks", "_as_scores"),
-    ("pairwise", "moments", "_cov_w_exact"),
-    ("pairwise", "moments", "_var_w_exact"),
-    ("pairwise", "randomization", "_mc_tail_counts"),
-    ("pairwise", "randomization", "_standardize"),
 }
 
 

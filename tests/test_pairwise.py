@@ -8,7 +8,8 @@ from steelrank import (
     pairwise_moment_matrix,
     pairwise_test,
     rank_samples,
-    simulate_p_value,
+    sampled_p_value,
+    simulated_tail_counts,
     steel_statistics,
     var_w,
 )
@@ -125,7 +126,8 @@ def test_pairwise_k2_consistent_with_control_route():
     res = pairwise_test(s, "two_sided", "monte_carlo", nsim=40000, seed=3)
     ms = factor_decomposition(s.sizes, s.tie_pattern)
     obs = steel_statistics(s, ms, "two_sided")
-    pv = simulate_p_value(s, obs, nsim=40000, seed=3)
+    counts = simulated_tail_counts(s, ms, obs.statistic, [obs.statistic_value], 40000, 3)
+    pv = sampled_p_value(int(counts[0]), 40000, 3, "monte_carlo")
     assert res.statistic_value == pytest.approx(obs.s_abs, rel=1e-12)
     se = max(pv.std_error, res.p_values["monte_carlo"].std_error)
     assert abs(res.p_values["monte_carlo"].estimate - pv.estimate) <= 3 * se + 1e-12

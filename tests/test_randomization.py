@@ -15,14 +15,14 @@ from steelrank import (
     exact_null_distribution,
     exact_p_value,
     factor_decomposition,
+    pairwise_moment_matrix,
     rank_samples,
-    simulate_p_value,
-    simulated_tail_curve,
+    sampled_p_value,
+    simulated_tail_counts,
     split_count,
     steel_statistics,
 )
 from steelrank import randomization
-from steelrank.pairwise import pairwise_moment_matrix
 from steelrank.randomization import _mc_tail_counts, all_pairs, control_pairs, worker_count
 from steelrank.statistics import reduce_statistic
 
@@ -41,6 +41,19 @@ def _steel(groups, alternative):
     s = rank_samples(groups)
     ms = factor_decomposition(s.sizes, s.tie_pattern)
     return s, steel_statistics(s, ms, alternative)
+
+
+def _mc_p(s, obs, nsim, seed, conservative=False):
+    """Monte Carlo p-value of a steel observation: tail count, then sampled_p_value."""
+    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    counts = simulated_tail_counts(s, ms, obs.statistic, [obs.statistic_value], nsim, seed)
+    return sampled_p_value(int(counts[0]), nsim, seed, "monte_carlo", conservative)
+
+
+def _curve(s, statistic, thresholds, nsim, seed):
+    """Treatment-vs-control tail probabilities at each threshold from one shared run."""
+    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    return simulated_tail_counts(s, ms, statistic, thresholds, nsim, seed) / nsim
 
 
 def test_split_count():
@@ -143,7 +156,7 @@ def test_simulated_matches_exact_within_four_se():
     exact = 1 / 6
     bad = 0
     for seed in range(100):
-        pv = simulate_p_value(s, obs, nsim=2000, seed=seed)
+        pv = _mc_p(s, obs, nsim=2000, seed=seed)
         se = math.sqrt(exact * (1 - exact) / 2000)
         if abs(pv.estimate - exact) > 4 * se:
             bad += 1
@@ -153,49 +166,49 @@ def test_simulated_matches_exact_within_four_se():
 def test_simulation_reproducible_across_worker_counts(monkeypatch):
     s, obs = _steel([[1, 5, 2, 7], [3, 4, 8, 8], [2, 2, 9, 1]], "two_sided")
     monkeypatch.setenv("STEELRANK_THREADS", "1")
-    serial = simulate_p_value(s, obs, nsim=30000, seed=42)
+    serial = _mc_p(s, obs, nsim=30000, seed=42)
     monkeypatch.setenv("STEELRANK_THREADS", "7")
-    threaded = simulate_p_value(s, obs, nsim=30000, seed=42)
+    threaded = _mc_p(s, obs, nsim=30000, seed=42)
     assert serial == threaded
-    again = simulate_p_value(s, obs, nsim=30000, seed=42)
+    again = _mc_p(s, obs, nsim=30000, seed=42)
     assert again == serial
 
 
 def test_simulated_fully_tied_is_one():
     s, obs = _steel([[2, 2, 2], [2, 2]], "greater")
-    assert simulate_p_value(s, obs, nsim=500, seed=0).estimate == 1.0
+    assert _mc_p(s, obs, nsim=500, seed=0).estimate == 1.0
 
 
 def test_conservative_convention():
     s, obs = _steel([[1, 2], [3, 4]], "greater")
-    pv = simulate_p_value(s, obs, nsim=1000, seed=3, conservative=True)
-    hits = round(simulate_p_value(s, obs, nsim=1000, seed=3).estimate * 1000)
+    pv = _mc_p(s, obs, nsim=1000, seed=3, conservative=True)
+    hits = round(_mc_p(s, obs, nsim=1000, seed=3).estimate * 1000)
     assert pv.estimate == (hits + 1) / 1001
 
 
 def test_pvalue_metadata():
     s, obs = _steel([[1, 2], [3, 4]], "greater")
-    pv = simulate_p_value(s, obs, nsim=5000, seed=11)
+    pv = _mc_p(s, obs, nsim=5000, seed=11)
     assert pv.method == "monte_carlo"
     assert pv.nsim == 5000 and pv.seed == 11
     assert pv.std_error == pytest.approx(
         math.sqrt(pv.estimate * (1 - pv.estimate) / 5000), rel=1e-12
     )
     with pytest.raises(ParameterError):
-        simulate_p_value(s, obs, nsim=0, seed=1)
+        _mc_p(s, obs, nsim=0, seed=1)
 
 
 def test_tail_curve_below_support_is_one():
     s, _ = _steel([[1, 2, 3], [4, 5, 6]], "greater")
-    curve = simulated_tail_curve(s, "s_max", [-50.0, -40.0], nsim=2000, seed=1)
+    curve = _curve(s, "s_max", [-50.0, -40.0], nsim=2000, seed=1)
     assert curve.tolist() == [1.0, 1.0]
 
 
 def test_tail_curve_single_threshold_consistency():
     s, obs = _steel([[1, 2, 3], [2, 3, 6]], "greater")
     t = obs.s_max
-    curve = simulated_tail_curve(s, "s_max", [t], nsim=20000, seed=9)
-    pv = simulate_p_value(s, obs, nsim=20000, seed=9)
+    curve = _curve(s, "s_max", [t], nsim=20000, seed=9)
+    pv = _mc_p(s, obs, nsim=20000, seed=9)
     assert curve[0] == pv.estimate
 
 
@@ -203,30 +216,56 @@ def test_tail_curve_of_s_min_is_its_lower_tail():
     rng = np.random.default_rng(3)
     s = rank_samples([rng.normal(size=12) for _ in range(3)])
     thresholds = [-50.0, -1.0, 0.0, 1.0, 50.0]
-    curve = simulated_tail_curve(s, "s_min", thresholds, nsim=5000, seed=6)
+    curve = _curve(s, "s_min", thresholds, nsim=5000, seed=6)
     # P(s_min <= t): empty below the support, everything above it, rising between
     assert curve[0] == 0.0 and curve[-1] == 1.0
     assert all(a <= b for a, b in zip(curve, curve[1:]))
     obs = steel_statistics(s, factor_decomposition(s.sizes, s.tie_pattern), "less")
-    pv = simulate_p_value(s, obs, nsim=5000, seed=6)
-    assert simulated_tail_curve(s, "s_min", [obs.s_min], nsim=5000, seed=6)[0] == pv.estimate
+    pv = _mc_p(s, obs, nsim=5000, seed=6)
+    assert _curve(s, "s_min", [obs.s_min], nsim=5000, seed=6)[0] == pv.estimate
 
 
 def test_tail_curve_monotone_and_sorted_required():
     rng = np.random.default_rng(2)
     s = rank_samples([rng.normal(size=20) for _ in range(3)])
     thresholds = [-1.0, 0.0, 1.0, 2.0]
-    curve = simulated_tail_curve(s, "s_max", thresholds, nsim=5000, seed=5)
+    curve = _curve(s, "s_max", thresholds, nsim=5000, seed=5)
     assert all(a >= b for a, b in zip(curve, curve[1:]))
     with pytest.raises(ParameterError):
-        simulated_tail_curve(s, "s_max", [1.0, 0.5], nsim=100, seed=0)
+        _curve(s, "s_max", [1.0, 0.5], nsim=100, seed=0)
     with pytest.raises(ParameterError):
-        simulated_tail_curve(s, "vector_w", [0.5], nsim=100, seed=0)
+        _curve(s, "vector_w", [0.5], nsim=100, seed=0)
     # a NaN threshold is in no tail, so it would read as tail 0
     with pytest.raises(ParameterError, match="NaN"):
-        simulated_tail_curve(s, "s_max", [0.0, math.nan], nsim=100, seed=0)
-    curve = simulated_tail_curve(s, "s_max", [-math.inf, 0.0, math.inf], nsim=100, seed=0)
+        _curve(s, "s_max", [0.0, math.nan], nsim=100, seed=0)
+    curve = _curve(s, "s_max", [-math.inf, 0.0, math.inf], nsim=100, seed=0)
     assert curve[0] == 1.0 and curve[2] == 0.0
+
+
+def test_tail_counts_reject_moments_of_another_design():
+    s = rank_samples([[1, 2, 3], [4, 5], [6, 7]])
+    swapped = factor_decomposition((2, 3, 2), s.tie_pattern)
+    with pytest.raises(ParameterError, match="different group sizes"):
+        simulated_tail_counts(s, swapped, "s_max", [0.0], 100, 0)
+    with pytest.raises(ParameterError, match="different group sizes"):
+        simulated_tail_counts(s, pairwise_moment_matrix((2, 2, 3), s.tie_pattern), "s_max",
+                              [0.0], 100, 0)
+
+
+@pytest.mark.parametrize("all_group_pairs", [False, True])
+def test_tail_counts_take_either_moments_type(all_group_pairs):
+    s, pairs, mu, tau, _ = _tail_count_setup(True, all_group_pairs)
+    if all_group_pairs:
+        moments = pairwise_moment_matrix(s.sizes, s.tie_pattern)
+    else:
+        moments = factor_decomposition(s.sizes, s.tie_pattern)
+    assert moments.pairs == pairs
+    thresholds = np.array([-0.5, 0.7, 1.8])
+    for kind in ("s_max", "s_min", "s_abs"):
+        got = simulated_tail_counts(s, moments, kind, thresholds, 3000, 8)
+        want = _mc_tail_counts(s.tie_pattern, s.sizes, pairs, mu, tau, kind, thresholds, 3000, 8)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
 
 def test_exact_weights_are_split_counts():
@@ -320,14 +359,14 @@ def test_negative_seed_is_a_parameter_error():
     with pytest.raises(ParameterError, match="seed"):
         randomization.sample_chunks(10, -1, lambda rng, b: b, 1)
     with pytest.raises(ParameterError, match="seed"):
-        simulate_p_value(s, obs, nsim=10, seed=-1)
+        _mc_p(s, obs, nsim=10, seed=-1)
 
 
 def _assert_monte_carlo_memory_is_bounded(monkeypatch, s, obs):
     monkeypatch.setenv("STEELRANK_THREADS", "1")
     tracemalloc.start()
     try:
-        simulate_p_value(s, obs, nsim=4096, seed=1)
+        _mc_p(s, obs, nsim=4096, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -337,7 +376,7 @@ def _assert_monte_carlo_memory_is_bounded(monkeypatch, s, obs):
         import resource
 
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        simulate_p_value(s, obs, nsim=4096, seed=1)
+        _mc_p(s, obs, nsim=4096, seed=1)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
 
 
@@ -568,5 +607,5 @@ def test_two_valued_monte_carlo_matches_the_hypergeometric_oracle(design):
     for alternative in ("greater", "less", "two-sided"):
         obs = steel_statistics(s, ms, alternative)
         want = float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
-        got = simulate_p_value(s, obs, nsim=20000, seed=3).estimate
+        got = _mc_p(s, obs, nsim=20000, seed=3).estimate
         assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / 20000), (alternative, got, want)

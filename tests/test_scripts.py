@@ -19,3 +19,18 @@ def test_reference_example_runs_every_analysis_path(capsys):
         assert f"==== mode={mode} ====" in out
     assert '"direction": "upper"' in out  # alternative "less" gives upper bounds
     assert "full steel report:" in out
+
+
+def test_approximation_quality_writes_one_csv_per_scenario(monkeypatch, tmp_path, capsys):
+    argv = ["approximation_quality.py", "--nsim", "500", "--out-dir", str(tmp_path)]
+    monkeypatch.setattr("sys.argv", argv)
+    _load("approximation_quality").main()
+    names = ("normal_no_ties", "normal_rounded_1dp", "two_valued", "nine_valued")
+    for name in names:
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == "threshold,p_sim,p_asym_adj,p_asym_unadj"
+        assert len(lines) == 7  # the header and one row per p-grid entry
+        for line in lines[1:]:
+            assert len(line.split(",")) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.csv" for n in names)
+    assert capsys.readouterr().out.count("wrote") == 4
