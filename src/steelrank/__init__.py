@@ -5,7 +5,6 @@ from .confidence import (
     ConfidenceResult,
     IndexSelection,
     kth_difference,
-    pairwise_differences,
     select_indices,
     simultaneous_bounds,
     simultaneous_intervals,
@@ -20,11 +19,7 @@ from .gauss import (
 from .moments import MomentSet, cov_w, factor_decomposition, mean_w, var_w
 from .pairwise import PairwiseMoments, PairwiseResult, pairwise_moment_matrix, pairwise_test
 from .randomization import (
-    ExactMoments,
-    NullSample,
     PValue,
-    exact_moments,
-    exact_null_distribution,
     exact_p_value,
     sampled_p_value,
     simulated_tail_counts,
@@ -47,11 +42,9 @@ __all__ = [
     "BudgetError",
     "ConfidenceResult",
     "Diagnostics",
-    "ExactMoments",
     "FactorModel",
     "IndexSelection",
     "MomentSet",
-    "NullSample",
     "NumericError",
     "PValue",
     "PairwiseMoments",
@@ -63,8 +56,6 @@ __all__ = [
     "check_asymptotic_conditions",
     "compute_midranks",
     "cov_w",
-    "exact_moments",
-    "exact_null_distribution",
     "exact_p_value",
     "extract_tie_pattern",
     "factor_decomposition",
@@ -72,7 +63,6 @@ __all__ = [
     "kth_difference",
     "mann_whitney_star",
     "mean_w",
-    "pairwise_differences",
     "pairwise_moment_matrix",
     "pairwise_test",
     "rank_samples",

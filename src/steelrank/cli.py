@@ -312,7 +312,8 @@ def _steel_section(cfg: RunConfig, samples: RankedSamples) -> dict:
 
     exact_fits = split_count(samples.sizes) <= cfg.exact_budget
     if cfg.method == "exact" or (cfg.method == "all" and exact_fits):
-        p_values["exact"] = _pvalue_dict(exact_p_value(samples, obs, cfg.exact_budget))
+        pv = exact_p_value(samples, ms, obs.statistic, obs.statistic_value, cfg.exact_budget)
+        p_values["exact"] = _pvalue_dict(pv)
     if cfg.method == "simulated" or (cfg.method == "all" and not exact_fits):
         counts = simulated_tail_counts(
             samples, ms, obs.statistic, [obs.statistic_value], cfg.nsim, cfg.seed

@@ -62,18 +62,6 @@ class ConfidenceResult:
     warnings: tuple[str, ...] = ()
 
 
-def pairwise_differences(control: Sequence[float], treatment: Sequence[float]) -> np.ndarray:
-    """All treatment-minus-control differences, ascending.
-
-    This materializes all n0*ni values, so its memory grows with n0*ni.  The
-    bounds select their order statistics with ``kth_difference`` instead; this
-    stays as the public helper and as the oracle the selection is tested against.
-    """
-    x = _as_scores(control)
-    y = _as_scores(treatment)
-    return np.sort(np.subtract.outer(y, x).ravel())
-
-
 def _count_below(ys, xs, lo, hi, pivot, strict: bool) -> np.ndarray:
     """Per row i, the number of columns whose fl(ys[i] - xs[j]) is below pivot
     (< if strict, else <=), by bisection inside [lo[i], hi[i]].
@@ -93,7 +81,7 @@ def _count_below(ys, xs, lo, hi, pivot, strict: bool) -> np.ndarray:
 def kth_difference(control: Sequence[float], treatment: Sequence[float], k: int) -> float:
     """The k-th smallest (1-based) of the n0*ni differences y - x, without sorting them all.
 
-    Equal to ``pairwise_differences(control, treatment)[k - 1]``: each difference
+    Equal to ``np.sort(np.subtract.outer(y, x).ravel())[k - 1]``: each difference
     is the float64 ``fl(y - x)`` that ``np.subtract.outer`` forms.  A table of at
     most ``_SORT_CELLS`` differences is partitioned whole.  A larger one is
     searched over the distinct values (Johnson & Mizoguchi, 1978): with rows the

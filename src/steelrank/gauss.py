@@ -301,7 +301,7 @@ def brent_root(
 
 
 def solve_common_threshold(
-    model: FactorModel, gamma: float, side: str = "upper_box", nodes: int = DEFAULT_NODES
+    model: FactorModel, gamma: float, nodes: int = DEFAULT_NODES
 ) -> float:
     """u with P(all W_i <= mu_i + u*tau_i) == gamma, by ``brent_root`` on [-45, 45].
 
@@ -310,8 +310,6 @@ def solve_common_threshold(
     """
     if not 0 < gamma < 1:
         raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
-    if side != "upper_box":
-        raise ParameterError(f"unknown side {side!r}")
 
     def f(u: float) -> float:
         return _box_mass(model, np.full(model.K, u), nodes, "greater")[0] - gamma

@@ -150,8 +150,6 @@ def pairwise_test(
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     if nsim < 1:
         raise ParameterError("nsim must be >= 1")
-    if samples.n_groups < 2:
-        raise ParameterError("all-pairs comparison needs at least two groups")
     pm = pairwise_moment_matrix(samples.sizes, samples.tie_pattern)
     tau = pm.tau
     w = np.array(

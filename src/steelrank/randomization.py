@@ -48,9 +48,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .moments import factor_decomposition
 from .ranks import RankedSamples, TiePattern
-from .statistics import SteelObservation, in_tail, reduce_statistic, standardize
+from .statistics import in_tail, reduce_statistic, standardize
 
 DEFAULT_BUDGET = 10_000_000
 CHUNK_SIZE = 4096
@@ -58,8 +57,6 @@ _SLICE_CELLS = 1 << 18  # cells of one drawn slice: 2 MiB of int64, fits L2, reu
 _EXPAND_BLOCK = 1 << 18  # (state, composition) expansions per exact-enumeration batch
 _KEY_LIMIT = 1 << 62  # largest radix product of one packed state key
 _TABLE_DRAW_RATIO = 12  # N / (V (G-1)) from which count-table draws beat permutations
-
-STATISTICS = ("s_max", "s_min", "s_abs", "vector_w")
 
 
 def worker_count() -> int:
@@ -141,26 +138,6 @@ class PValue:
     seed: int | None = None
 
 
-@dataclass(frozen=True)
-class NullSample:
-    """Weighted support of a statistic under the randomization distribution."""
-
-    values: np.ndarray  # (M,) statistic values, or (M, K) for vector_w
-    weights: np.ndarray  # (M,) exact split counts: int64, Python ints past 2**63 splits
-    total: int
-    statistic: str
-
-
-@dataclass(frozen=True)
-class ExactMoments:
-    """Empirical first and second moments over the full enumeration."""
-
-    pairs: tuple[tuple[int, int], ...]
-    mean: np.ndarray
-    cov: np.ndarray
-    total: int
-
-
 @lru_cache(maxsize=None)
 def _compositions(total: int, groups: int) -> tuple[np.ndarray, np.ndarray]:
     """All nonnegative integer vectors summing to ``total`` plus their multinomials.
@@ -182,10 +159,6 @@ def _compositions(total: int, groups: int) -> tuple[np.ndarray, np.ndarray]:
     comps.setflags(write=False)
     weights.setflags(write=False)
     return comps, weights
-
-
-def control_pairs(n_groups: int) -> tuple[tuple[int, int], ...]:
-    return tuple((0, i) for i in range(1, n_groups))
 
 
 def all_pairs(n_groups: int) -> tuple[tuple[int, int], ...]:
@@ -322,59 +295,35 @@ def _enumerate_w(
     return states[:, k:] / 2, wt
 
 
-def exact_null_distribution(
-    samples: RankedSamples, statistic: str, budget: int = DEFAULT_BUDGET
-) -> NullSample:
-    """Full weighted null distribution of the chosen statistic."""
-    if statistic not in STATISTICS:
-        raise ParameterError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
-    pairs = control_pairs(samples.n_groups)
-    w, wt = _enumerate_w(samples.tie_pattern, samples.sizes, pairs, budget)
-    if statistic == "vector_w":
-        vals, inv = np.unique(w, axis=0, return_inverse=True)
-    else:
-        ms = factor_decomposition(samples.sizes, samples.tie_pattern)
-        stats = reduce_statistic(statistic, standardize(w, ms.mu, ms.tau))
-        vals, inv = np.unique(stats, return_inverse=True)
-    return NullSample(
-        values=vals,
-        weights=_sum_by_key(inv.reshape(-1), wt)[1],
-        total=split_count(samples.sizes),
-        statistic=statistic,
-    )
-
-
-def exact_moments(
-    sizes: Sequence[int],
-    tie: TiePattern,
-    all_group_pairs: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> ExactMoments:
-    """Mean vector and covariance matrix of the pair statistics by full enumeration.
-
-    Independent of the closed-form moment formulas; useful as a small-sample oracle.
-    """
-    sizes = tuple(int(n) for n in sizes)
-    n_groups = len(sizes)
-    pairs = all_pairs(n_groups) if all_group_pairs else control_pairs(n_groups)
-    w, wt = _enumerate_w(tie, sizes, pairs, budget)
-    total = int(wt.sum())
-    wt = wt.astype(float)
-    mu = np.array([sizes[a] * sizes[b] / 2 for a, b in pairs])
-    wc = w - mu
-    first = (wt @ wc) / total
-    cov = (wc.T * wt) @ wc / total - np.outer(first, first)
-    return ExactMoments(pairs=pairs, mean=mu + first, cov=cov, total=total)
+def _check_request(samples: RankedSamples, moments, statistic: str) -> None:
+    """The checks both tail entries make: a scalar statistic, and moments of this design."""
+    if statistic not in ("s_max", "s_min", "s_abs"):
+        raise ParameterError(f"statistic must be s_max, s_min or s_abs, got {statistic!r}")
+    if moments.sizes != samples.sizes:
+        raise ParameterError("moments were computed for different group sizes")
 
 
 def exact_p_value(
-    samples: RankedSamples, observation: SteelObservation, budget: int = DEFAULT_BUDGET
+    samples: RankedSamples,
+    moments,
+    statistic: str,
+    threshold: float,
+    budget: int = DEFAULT_BUDGET,
 ) -> PValue:
-    """Exact tail probability of the observed statistic, ties included in the tail."""
-    kind = observation.statistic
-    dist = exact_null_distribution(samples, kind, budget)
-    mass = int(dist.weights[in_tail(kind, dist.values, observation.statistic_value)].sum())
-    return PValue(estimate=mass / dist.total, method="exact")
+    """Exact tail probability of a statistic at ``threshold``, ties included in the tail.
+
+    ``moments`` is a MomentSet (treatment-vs-control pairs) or a PairwiseMoments
+    (all pairs), as for simulated_tail_counts; the tail is s_min <= threshold for
+    ``s_min``, statistic >= threshold for ``s_max`` and ``s_abs``.  The tail mass
+    is the exact integer count of the splits in it.
+    """
+    _check_request(samples, moments, statistic)
+    if math.isnan(threshold):
+        raise ParameterError("threshold must not be NaN")
+    w, wt = _enumerate_w(samples.tie_pattern, samples.sizes, moments.pairs, budget)
+    stats = reduce_statistic(statistic, standardize(w, moments.mu, moments.tau))
+    mass = int(wt[in_tail(statistic, stats, threshold)].sum())
+    return PValue(estimate=mass / split_count(samples.sizes), method="exact")
 
 
 def _draws_count_tables(tie: TiePattern, n_groups: int) -> bool:
@@ -411,7 +360,7 @@ def _mc_tail_counts(
     sizes = np.asarray(sizes, dtype=np.int64)
     thr = np.asarray(thresholds, dtype=float)
     firsts = sorted({a for a, _ in pairs})
-    # control_pairs and all_pairs pair each first group a with a+1, ..., last, in order
+    # MomentSet.pairs and all_pairs pair each first group a with a+1, ..., last, in order
     assert list(pairs) == [(a, b) for a in firsts for b in range(a + 1, n_groups)], pairs
 
     def tail_counts(w2: np.ndarray) -> np.ndarray:
@@ -505,8 +454,7 @@ def simulated_tail_counts(
     one the statistic's alternative tests: s_min <= t for ``s_min``, statistic >= t
     for ``s_max`` and ``s_abs``.  Returns int64 counts out of nsim replicates.
     """
-    if statistic not in ("s_max", "s_min", "s_abs"):
-        raise ParameterError(f"tail counts need a scalar statistic, got {statistic!r}")
+    _check_request(samples, moments, statistic)
     if nsim < 1:
         raise ParameterError("nsim must be >= 1")
     thr = np.asarray(thresholds, dtype=float)
@@ -516,8 +464,6 @@ def simulated_tail_counts(
         raise ParameterError("thresholds must not be NaN")
     if np.any(np.diff(thr) < 0):
         raise ParameterError("thresholds must be sorted ascending")
-    if moments.sizes != samples.sizes:
-        raise ParameterError("moments were computed for different group sizes")
     pairs, mu, tau = moments.pairs, moments.mu, moments.tau
     return _mc_tail_counts(
         samples.tie_pattern, samples.sizes, pairs, mu, tau, statistic, thr, nsim, seed

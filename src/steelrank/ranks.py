@@ -98,7 +98,6 @@ class RankedSamples:
     groups: np.ndarray
     sizes: tuple[int, ...]
     tie_pattern: TiePattern
-    values: np.ndarray
 
     def __post_init__(self) -> None:
         mid = np.asarray(self.midranks, dtype=float)
@@ -186,8 +185,7 @@ def rank_samples(groups: Sequence[Sequence[float]]) -> RankedSamples:
     midranks = compute_midranks(pooled)
     tie = extract_tie_pattern(pooled)
     labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    values = np.unique(pooled)
-    return RankedSamples(midranks, labels, sizes, tie, values)
+    return RankedSamples(midranks, labels, sizes, tie)
 
 
 def check_asymptotic_conditions(

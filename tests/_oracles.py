@@ -20,6 +20,13 @@ def brute_w_star(x, y) -> float:
     return lt + eq / 2
 
 
+def pairwise_differences(control, treatment) -> np.ndarray:
+    """All n0*ni treatment-minus-control differences fl(y - x), ascending."""
+    x = np.asarray(control, dtype=float)
+    y = np.asarray(treatment, dtype=float)
+    return np.sort(np.subtract.outer(y, x).ravel())
+
+
 def brute_midranks(values) -> list[float]:
     """Midrank of v = #(w < v) + (#(w == v) + 1)/2, straight from the definition."""
     out = []

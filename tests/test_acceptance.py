@@ -18,8 +18,6 @@ from steelrank import (
     FactorModel,
     TiePattern,
     cov_w,
-    exact_moments,
-    exact_null_distribution,
     factor_decomposition,
     joint_lower_box_prob,
     mean_w,
@@ -36,6 +34,7 @@ from steelrank import (
 )
 from steelrank.cli import main, quality_harness
 
+from _exact import exact_moments, exact_null_distribution
 from _oracles import random_tie_pattern
 
 

@@ -9,16 +9,17 @@ from steelrank import (
     FactorModel,
     ParameterError,
     TiePattern,
-    exact_null_distribution,
     factor_decomposition,
     joint_lower_box_prob,
     kth_difference,
-    pairwise_differences,
     rank_samples,
     select_indices,
     simultaneous_bounds,
     simultaneous_intervals,
 )
+
+from _exact import exact_null_distribution
+from _oracles import pairwise_differences
 
 
 def no_ties_model(sizes) -> FactorModel:

@@ -1,5 +1,6 @@
-"""Guard the package's import structure: no private cross-module names, no scipy on
-import or on sampled all-pairs runs, and no scipy.optimize anywhere."""
+"""Guard the package's import structure: a pinned public surface, no private
+cross-module names, no scipy on import or on sampled all-pairs runs, and no
+scipy.optimize anywhere."""
 import ast
 import json
 import os
@@ -11,6 +12,27 @@ from pathlib import Path
 import steelrank
 
 PACKAGE = Path(steelrank.__file__).parent
+
+# the public surface: a name joins it with a user-facing caller, not for tests alone
+PUBLIC_NAMES = [
+    "BudgetError", "ConfidenceResult", "Diagnostics", "FactorModel", "IndexSelection",
+    "MomentSet", "NumericError", "PValue", "PairwiseMoments", "PairwiseResult",
+    "ParameterError", "RankedSamples", "SteelObservation", "TiePattern",
+    "check_asymptotic_conditions", "compute_midranks", "cov_w", "exact_p_value",
+    "extract_tie_pattern", "factor_decomposition", "joint_lower_box_prob", "kth_difference",
+    "mann_whitney_star", "mean_w", "pairwise_moment_matrix", "pairwise_test", "rank_samples",
+    "rank_sums", "sampled_p_value", "select_indices", "simulated_tail_counts",
+    "simultaneous_bounds", "simultaneous_intervals", "solve_common_threshold", "split_count",
+    "steel_statistics", "tail_prob", "var_w",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(steelrank.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 38
+    for name in PUBLIC_NAMES:
+        assert hasattr(steelrank, name), name
+
 
 # (importing module, source module, private name) edges that are allowed to stay;
 # cli has none: it parses input and renders reports through public names only

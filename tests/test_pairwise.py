@@ -4,7 +4,6 @@ import pytest
 from steelrank import (
     ParameterError,
     TiePattern,
-    exact_moments,
     pairwise_moment_matrix,
     pairwise_test,
     rank_samples,
@@ -17,6 +16,7 @@ from steelrank import randomization
 from steelrank.moments import factor_decomposition
 from steelrank.pairwise import _mvn_root, _mvn_tail_counts
 
+from _exact import exact_moments
 from _oracles import enumerate_pair_stats, random_tie_pattern
 
 

@@ -11,8 +11,6 @@ from steelrank import (
     BudgetError,
     ParameterError,
     TiePattern,
-    exact_moments,
-    exact_null_distribution,
     exact_p_value,
     factor_decomposition,
     pairwise_moment_matrix,
@@ -23,11 +21,12 @@ from steelrank import (
     steel_statistics,
 )
 from steelrank import randomization
-from steelrank.randomization import _mc_tail_counts, all_pairs, control_pairs, worker_count
+from steelrank.randomization import _mc_tail_counts, all_pairs, worker_count
 from steelrank.statistics import reduce_statistic
 
 from conftest import DATA_DIR, load_grouped_csv
 
+from _exact import exact_moments, exact_null_distribution
 from _oracles import (
     enumerate_pair_stats,
     replayed_statistics,
@@ -41,6 +40,12 @@ def _steel(groups, alternative):
     s = rank_samples(groups)
     ms = factor_decomposition(s.sizes, s.tie_pattern)
     return s, steel_statistics(s, ms, alternative)
+
+
+def _exact_p(s, obs, budget=randomization.DEFAULT_BUDGET):
+    """Exact p-value of a steel observation, at its statistic and observed value."""
+    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    return exact_p_value(s, ms, obs.statistic, obs.statistic_value, budget)
 
 
 def _mc_p(s, obs, nsim, seed, conservative=False):
@@ -123,17 +128,17 @@ def test_exact_moments_match_formulas_small_grid():
 def test_exact_p_value_hand_case():
     s, obs = _steel([[1, 2], [3, 4]], "greater")
     assert obs.w_star.tolist() == [4]
-    assert exact_p_value(s, obs).estimate == pytest.approx(1 / 6, rel=1e-15)
+    assert _exact_p(s, obs).estimate == pytest.approx(1 / 6, rel=1e-15)
 
 
 def test_exact_p_value_at_minimum_is_one():
     s, obs = _steel([[3, 4], [1, 2]], "greater")  # observed W* = 0, the minimum
-    assert exact_p_value(s, obs).estimate == 1.0
+    assert _exact_p(s, obs).estimate == 1.0
 
 
 def test_exact_p_value_fully_tied():
     s, obs = _steel([[5, 5], [5, 5]], "two_sided")
-    assert exact_p_value(s, obs).estimate == 1.0
+    assert _exact_p(s, obs).estimate == 1.0
 
 
 def test_tail_inclusivity():
@@ -141,14 +146,14 @@ def test_tail_inclusivity():
     for _ in range(10):
         groups = [rng.integers(0, 5, size=3).tolist() for _ in range(3)]
         s, obs = _steel(groups, "less")
-        p = exact_p_value(s, obs).estimate
+        p = _exact_p(s, obs).estimate
         assert p >= 1 / split_count(s.sizes)
 
 
 def test_budget_error_advises_monte_carlo():
     s, obs = _steel([list(range(20)), list(range(20, 40))], "greater")
     with pytest.raises(BudgetError, match="monte_carlo"):
-        exact_p_value(s, obs, budget=1000)
+        _exact_p(s, obs, budget=1000)
 
 
 def test_simulated_matches_exact_within_four_se():
@@ -250,6 +255,51 @@ def test_tail_counts_reject_moments_of_another_design():
     with pytest.raises(ParameterError, match="different group sizes"):
         simulated_tail_counts(s, pairwise_moment_matrix((2, 2, 3), s.tie_pattern), "s_max",
                               [0.0], 100, 0)
+    with pytest.raises(ParameterError, match="different group sizes"):
+        exact_p_value(s, swapped, "s_max", 0.0)
+    with pytest.raises(ParameterError, match="different group sizes"):
+        exact_p_value(s, pairwise_moment_matrix((2, 2, 3), s.tie_pattern), "s_max", 0.0)
+
+
+def test_exact_p_value_rejects_a_nan_threshold_and_vector_statistics():
+    s = rank_samples([[1, 2, 3], [4, 5], [6, 7]])
+    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    # a NaN threshold is in no tail, so it would read as p = 0
+    with pytest.raises(ParameterError, match="NaN"):
+        exact_p_value(s, ms, "s_max", math.nan)
+    with pytest.raises(ParameterError):
+        exact_p_value(s, ms, "vector_w", 0.0)
+    assert exact_p_value(s, ms, "s_max", -math.inf).estimate == 1.0
+    assert exact_p_value(s, ms, "s_max", math.inf).estimate == 0.0
+
+
+@pytest.mark.parametrize("all_group_pairs", [False, True])
+def test_exact_p_value_equals_index_level_enumeration(all_group_pairs):
+    # tiny tied designs: every attained value of each statistic is a threshold,
+    # so splits tie with it at the tail boundary
+    rng = np.random.default_rng(41 + all_group_pairs)
+    for _ in range(10):
+        sizes = tuple(int(n) for n in rng.integers(1, 4, size=int(rng.integers(2, 4))))
+        values = rng.integers(0, 3, size=sum(sizes))
+        cuts = np.cumsum(sizes)[:-1]
+        s = rank_samples(np.split(values, cuts))
+        if all_group_pairs:
+            moments = pairwise_moment_matrix(s.sizes, s.tie_pattern)
+        else:
+            moments = factor_decomposition(s.sizes, s.tie_pattern)
+        w = enumerate_pair_stats(values, sizes, moments.pairs)
+        ok = moments.tau > 0
+        z = np.zeros_like(w)
+        z[:, ok] = (w[:, ok] - moments.mu[ok]) / moments.tau[ok]
+        total = split_count(sizes)
+        assert len(w) == total
+        for kind, stats in (("s_max", z.max(axis=1)), ("s_min", z.min(axis=1)),
+                            ("s_abs", np.abs(z).max(axis=1))):
+            for t in np.unique(stats):
+                hits = int((stats <= t).sum() if kind == "s_min" else (stats >= t).sum())
+                got = exact_p_value(s, moments, kind, float(t)).estimate
+                # the tail mass is the exact split count: hits / total, correctly rounded
+                assert round(got * total) == hits and got == hits / total, (sizes, kind, t)
 
 
 @pytest.mark.parametrize("all_group_pairs", [False, True])
@@ -288,7 +338,7 @@ def _pair_moments(s, all_group_pairs):
         pm = pairwise_moment_matrix(s.sizes, s.tie_pattern)
         return all_pairs(s.n_groups), pm.mu, pm.tau
     ms = factor_decomposition(s.sizes, s.tie_pattern)
-    return control_pairs(s.n_groups), ms.mu, ms.tau
+    return ms.pairs, ms.mu, ms.tau
 
 
 def _tail_count_setup(tied, all_group_pairs):
@@ -407,7 +457,7 @@ def test_exact_weights_stay_exact_past_2_pow_53_splits(n, weight_type):
     for alternative in ("greater", "less", "two-sided"):
         obs = steel_statistics(s, ms, alternative)
         want = two_valued_tail(groups, ms.mu, ms.tau, obs.statistic)
-        got = exact_p_value(s, obs, budget=10**30).estimate
+        got = _exact_p(s, obs, budget=10**30).estimate
         assert got == pytest.approx(float(want), rel=0, abs=1e-12)
     dist = exact_null_distribution(s, "vector_w", budget=10**30)
     assert dist.weights.dtype == weight_type
@@ -432,7 +482,7 @@ def test_merged_states_match_index_level_enumeration(monkeypatch, tied):
         n_total = sum(sizes)
         values = rng.integers(0, 3, size=n_total) if tied else rng.permutation(n_total)
         tie = rank_samples([values[: sizes[0]], values[sizes[0]:]]).tie_pattern
-        for pairs in (control_pairs(len(sizes)), all_pairs(len(sizes))):
+        for pairs in (tuple((0, b) for b in range(1, len(sizes))), all_pairs(len(sizes))):
             want = Counter(map(tuple, enumerate_pair_stats(values, sizes, pairs).tolist()))
             # _KEY_LIMIT 1 renumbers the partial key densely before every column;
             # _EXPAND_BLOCK 3 cuts most steps into several batches
@@ -462,14 +512,14 @@ def test_exact_work_and_memory_follow_the_merged_states():
     sizes = (6, 6, 6)
     tie = TiePattern((1,) * 18)
     assert split_count(sizes) == 17_153_136
-    w, wt = randomization._enumerate_w(tie, sizes, control_pairs(3), budget=10**8)
+    w, wt = randomization._enumerate_w(tie, sizes, ((0, 1), (0, 2)), budget=10**8)
     assert len(w) == 37**2
     assert wt.dtype == np.int64 and int(wt.sum()) == split_count(sizes)
     rng = np.random.default_rng(8)
     s, obs = _steel([rng.normal(size=n) for n in sizes], "two_sided")
     tracemalloc.start()
     try:
-        exact_p_value(s, obs, budget=10**8)
+        _exact_p(s, obs, budget=10**8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -487,7 +537,7 @@ def test_exact_candidate_memory_is_bounded_by_the_expansion_block():
         obs = steel_statistics(s, ms, alternative)
         tracemalloc.start()
         try:
-            got = exact_p_value(s, obs, budget=10**30).estimate
+            got = _exact_p(s, obs, budget=10**30).estimate
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

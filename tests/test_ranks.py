@@ -138,4 +138,3 @@ def test_rank_samples_structure():
     assert s.tie_pattern == TiePattern((2, 1, 3))
     assert s.midranks.sum() == 21
     assert s.group_midranks(0).tolist() == [1.5, 1.5]
-    assert s.values.tolist() == [1, 2, 3]
