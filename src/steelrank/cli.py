@@ -10,13 +10,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .confidence import ConfidenceResult, simultaneous_bounds, simultaneous_intervals
 from .errors import BudgetError, NumericError, ParameterError
-from .gauss import DEFAULT_NODES, FactorModel, brent_root, tail_prob
+from .gauss import DEFAULT_NODES, MAX_NODES, FactorModel, brent_root, tail_prob
 from .moments import MomentSet, factor_decomposition
 from .pairwise import pairwise_test
 from .randomization import (
@@ -77,8 +78,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ParameterError("nsim must be >= 1")
     if cfg.seed < 0:
         raise ParameterError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.nodes < 1:
-        raise ParameterError(f"nodes must be >= 1, got {cfg.nodes}")
+    if not 1 <= cfg.nodes <= MAX_NODES:
+        raise ParameterError(f"nodes must be in [1, {MAX_NODES}], got {cfg.nodes}")
     if not 0 < cfg.conf_level < 1:
         raise ParameterError("conf-level must be in (0, 1)")
     if not 0 < cfg.epsilon < 1:  # NaN fails both comparisons
@@ -474,7 +475,9 @@ def run(cfg: RunConfig) -> dict:
 # entry point
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args does not change it."""
     p = argparse.ArgumentParser(
         prog="steelrank",
         description="Rank-based many-to-one and all-pairs comparisons with ties",

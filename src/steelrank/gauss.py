@@ -15,13 +15,10 @@ relative error <= 1e-8 against the K=1 collapse 1 - Phi(u) for |u| <= 6.  Beyond
 error 5.7e-6 at u = 8 on the (7, 5) design) until the window follows the
 integrand's mass.
 
-Import rule: scipy is loaded only where it is used, and only ``scipy.special``:
-it comes in with the first normal tail (``_normal``, called by ``_box_mass``).
-Thresholds are solved by ``brent_root``, a step-for-step port of scipy's
-``brentq``, so no run loads ``scipy.optimize``.  Importing the package and
-all-pairs runs, whose p-values are sampled, load numpy alone; steel runs, whose
-reports carry the asymptotic p-value, and confidence and harness runs add
-``scipy.special``.
+Import rule: no run imports scipy.  The normal CDF and its log are Cephes' ndtr
+evaluated in numpy (``_ndtr``, ``_log_ndtr``), and thresholds are solved by
+``brent_root``, a step-for-step port of scipy's ``brentq``, so every mode runs on
+numpy and the standard library alone.
 """
 from __future__ import annotations
 
@@ -29,6 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -39,6 +37,7 @@ from .statistics import normalize_alternative
 
 INTEGRATION_LIMIT = 8.5
 DEFAULT_NODES = 160
+MAX_NODES = 8192  # leggauss builds an O(n^2) companion matrix and takes O(n^3) time
 _PANELS = 8
 
 
@@ -60,11 +59,120 @@ def _nodes(num_nodes: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
     return z, weight
 
 
-def _normal():
-    """scipy.special's (ndtr, log_ndtr), imported here on the first normal tail."""
-    from scipy.special import log_ndtr, ndtr
+def _padded(*coefficients: float) -> list[float]:
+    return [0.0] * (9 - len(coefficients)) + list(coefficients)
 
-    return ndtr, log_ndtr
+
+# Cephes ndtr.c (Moshier 1989), the normal CDF that scipy.special.ndtr runs: erfc(z) is
+# exp(-z^2) P(z)/Q(z) for 1 <= z < 8 and exp(-z^2) R(z)/S(z) from 8, and erf(z) is
+# z T(z^2)/U(z^2) for z < 1.  One column per polynomial, highest power first, with the
+# implicit leading 1 of Cephes' p1evl written out; the leading zeros make a 9-row Horner
+# round exactly as polevl and p1evl do.
+_CEPHES = np.array([
+    _padded(2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+            4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+            9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2),
+    _padded(1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+            1.65666309194161350182e3, 5.57535340817727675546e2),
+    _padded(5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+            6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0),
+    _padded(1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0),
+    _padded(9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+            7.00332514112805075473e3, 5.55923013010394962768e4),
+    _padded(1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+            2.26290000613890934246e4, 4.92673942608635921086e4),
+])
+# row 2i + j: Horner step i of the numerator (j = 0) or denominator (j = 1); column b:
+# the branch, 0 = P/Q, 1 = R/S, 2 = T/U
+_HORNER = np.ascontiguousarray(_CEPHES.reshape(3, 2, 9).transpose(2, 1, 0).reshape(18, 3))
+_MAXLOG = 7.09782712893383996843e2  # Cephes: erfc(z) is 0 once z^2 exceeds it
+_HORNER_CAP = 1e10  # keeps R(z), S(z) finite; it only moves values that are discarded
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _cephes_terms(x: np.ndarray):
+    """Cephes' ndtr at sqrt(2)*x for a flat x, in pieces: (half, small, z2, num, den).
+
+    With z = |x| and z2 = z*z, ``small`` marks z < 1, where Cephes takes erf(x) as
+    x*T(z2)/U(z2) and ndtr = 0.5 + half with half = erf(x)/2.  Elsewhere num/den is
+    P(z)/Q(z) or R(z)/S(z), erfc(z) = exp(-z2)*num/den (0 once z2 passes MAXLOG),
+    half = copysign(erfc(z), x)/2 and ndtr = [x > 0] - half.  Every product and quotient
+    is rounded as in Cephes.  From z = sqrt(1/2) to 1 Cephes writes ndtr as erfc(z)/2
+    or 1 - erfc(z)/2 with erfc = 1 - erf; there erf(z) >= 0.68, so 1 - erf is exact
+    and 0.5 + half rounds alike.  The numerators and denominators run as one stacked
+    Horner; a 0/1 branch matrix picks each element's coefficients, an exact product.
+    """
+    n = x.size
+    z = np.abs(x)
+    with np.errstate(over="ignore"):  # z*z past 1e308 is inf, which is the limit wanted
+        z2 = z * z
+    small = z < 1.0
+    far = z >= 8.0
+    branch = np.empty((3, n))
+    np.logical_not(small | far, out=branch[0])
+    branch[1] = far
+    branch[2] = small
+    coef = (_HORNER @ branch).reshape(9, 2 * n)
+    w = np.minimum(z, _HORNER_CAP)
+    np.copyto(w, z2, where=small)
+    w = np.concatenate((w, w))
+    acc = coef[0] * w
+    for c in coef[1:-1]:
+        acc += c
+        acc *= w
+    acc += coef[-1]
+    num, den = acc[:n], acc[n:]
+    half = np.exp(-z2)
+    np.copyto(half, 0.0, where=z2 > _MAXLOG)
+    np.copysign(half, x, out=half)
+    np.copyto(half, x, where=small)
+    half *= num
+    half /= den
+    half *= 0.5
+    return half, small, z2, num, den
+
+
+def _ndtr(a) -> np.ndarray:
+    """The standard normal CDF, Cephes' ndtr evaluated in numpy.
+
+    Numeric contract: within 4 ulp of scipy.special.ndtr (bit for bit with Cephes
+    run on math.exp; numpy's exp rounds differently), 0 and 1 at -inf and inf, NaN
+    for NaN, and no floating-point warning.
+    """
+    a = np.asarray(a, dtype=float)
+    x = a.ravel() * _SQRT_HALF
+    half, small, *_ = _cephes_terms(x)
+    out = np.subtract(x > 0, half)
+    np.add(0.5, half, out=out, where=small)
+    return out.reshape(a.shape)
+
+
+def _log_ndtr(a) -> np.ndarray:
+    """log Phi(a): log1p(-ndtr(-a)) for a >= -1, and below -1 the log of the tail.
+
+    There the tail is exp(-z^2)*num/den/2 with z = -a/sqrt(2), so its log is
+    log(num/den/2) - z^2 with no exp to underflow; between -sqrt(2) and -1, where
+    Cephes uses erf, it is log(ndtr(a)).  Numeric contract: within 6 ulp of
+    scipy.special.log_ndtr, except between -sqrt(2) and -1, where scipy takes the
+    Faddeeva erfcx, both are within 4 ulp of the exact value and they differ by up to
+    8; -inf and 0 at -inf and inf, NaN for NaN, and no floating-point warning.
+    """
+    a = np.asarray(a, dtype=float)
+    flat = a.ravel()
+    x = flat * -_SQRT_HALF  # ndtr(-a) = ndtr(sqrt(2)*x)
+    half, small, z2, num, den = _cephes_terms(x)
+    out = np.divide(num, den)
+    out *= 0.5
+    np.log(out, out=out)
+    out -= z2
+    left = flat < -1.0
+    np.log(0.5 - half, out=out, where=small & left)
+    # -ndtr(-a): -(0.5 + half) where small, and half itself where x <= -1
+    np.subtract(-0.5, half, out=half, where=small)
+    np.log1p(half, out=out, where=~left)
+    return out.reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -145,9 +253,8 @@ def _box_mass(
     that clip the z window: the normal mass beyond their switch point is all tail, so it
     is taken exactly from ndtr and only the window inside it is integrated.
     """
-    if nodes < 1:
-        raise ParameterError(f"nodes must be >= 1, got {nodes}")
-    ndtr, log_ndtr = _normal()
+    if not 1 <= nodes <= MAX_NODES:
+        raise ParameterError(f"nodes must be in [1, {MAX_NODES}], got {nodes}")
     lo, hi = -INTEGRATION_LIMIT, INTEGRATION_LIMIT
     beyond = 0.0  # tail mass outside the degenerate indicators' switch points
     deg = model.sigma == 0
@@ -156,11 +263,11 @@ def _box_mass(
         if alternative == "less":  # survival indicators are 1 only above their switch points
             edge = float(caps.max())
             lo = max(lo, edge)
-            beyond = float(ndtr(edge))
+            beyond = float(_ndtr(edge))
         else:  # indicators are 1 only below; two-sided ones also only above -u_i
             edge = float(caps.min())
             hi = min(hi, edge)
-            beyond = float(ndtr(-edge))
+            beyond = float(_ndtr(-edge))
             if alternative == "two_sided":
                 lo = max(lo, -edge)
                 beyond *= 2
@@ -171,16 +278,16 @@ def _box_mass(
     if keep.any():
         a = _smooth_args(model, u, z, keep)
         if alternative == "greater":
-            logs = log_ndtr(a)
+            logs = _log_ndtr(a)
         elif alternative == "less":
-            logs = log_ndtr(-a)
+            logs = _log_ndtr(-a)
         else:
             b = _smooth_args(model, -u, z, keep)
             # miss = 1 - factor: log1p keeps a factor near 1 exact, the difference a small one
-            below = ndtr(b)
-            miss = ndtr(-a) + below
+            below, upper_miss, inside = _ndtr(np.stack((b, -a, a)))
+            miss = upper_miss + below
             with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.where(miss < 0.5, np.log1p(-miss), np.log(ndtr(a) - below))
+                logs = np.where(miss < 0.5, np.log1p(-miss), np.log(inside - below))
         s = logs.sum(axis=0)
     else:
         s = np.zeros_like(z)
@@ -303,18 +410,33 @@ def brent_root(
 def solve_common_threshold(
     model: FactorModel, gamma: float, nodes: int = DEFAULT_NODES
 ) -> float:
-    """u with P(all W_i <= mu_i + u*tau_i) == gamma, by ``brent_root`` on [-45, 45].
+    """u with P(all W_i <= mu_i + u*tau_i) == gamma, by ``brent_root``.
 
+    The standardized coordinates are standard normals with nonnegative correlations,
+    so by Slepian's inequality (1962) Phi(u)^K <= P(all <= u) <= Phi(u), and the root
+    lies in [Phi^-1(gamma), Phi^-1(gamma^(1/K))].  The solve starts from that bracket
+    when the quadrature confirms the sign change at its ends, and from [-45, 45]
+    otherwise, always so when K = 1.  Box masses are kept within the solve, so the
+    sign check, Brent's end values and the final check share their quadratures.
     The root is taken to xtol 1e-13 in at most 200 steps, and a box mass more than
     1e-9 from gamma at the root is a NumericError.
     """
     if not 0 < gamma < 1:
         raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
+    known: dict[float, float] = {}
 
     def f(u: float) -> float:
-        return _box_mass(model, np.full(model.K, u), nodes, "greater")[0] - gamma
+        if u not in known:
+            known[u] = _box_mass(model, np.full(model.K, u), nodes, "greater")[0] - gamma
+        return known[u]
 
-    root = brent_root(f, -45.0, 45.0, xtol=1e-13, maxiter=200)
+    lo, hi = -45.0, 45.0
+    upper = gamma ** (1.0 / model.K)
+    if model.K > 1 and upper < 1.0:
+        a, b = NormalDist().inv_cdf(gamma), NormalDist().inv_cdf(upper)
+        if f(a) < 0 < f(b):
+            lo, hi = a, b
+    root = brent_root(f, lo, hi, xtol=1e-13, maxiter=200)
     if abs(f(root)) > 1e-9:
         raise NumericError("threshold solve did not reach the 1e-9 target")
     return root

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from steelrank import ParameterError, factor_decomposition, rank_samples
-from steelrank.cli import RunConfig, main, quality_harness, render_json, run
+from steelrank.cli import RunConfig, build_parser, main, quality_harness, render_json, run
+from steelrank.gauss import MAX_NODES
 
 from _oracles import two_valued_tail
 
@@ -175,6 +176,32 @@ def test_node_count_below_one_is_a_parameter_error(tmp_path, capsys):
             payload = json.loads(err)
             assert payload["error"]["type"] == "ParameterError"
             assert "nodes" in payload["error"]["message"]
+
+
+def test_parser_is_built_once_and_usage_exits_are_unchanged(capsys):
+    assert build_parser() is build_parser()
+    helps = []
+    for _ in range(2):  # the cached parser gives the same help and exit codes every time
+        with pytest.raises(SystemExit) as exit_help:
+            main(["--help"])
+        helps.append(capsys.readouterr().out)
+        assert exit_help.value.code == 0
+        with pytest.raises(SystemExit) as exit_usage:
+            main(["--mode", "steel"])  # --input is required
+        assert exit_usage.value.code == 2 and "--input" in capsys.readouterr().err
+    assert helps[0] == helps[1] and "--nodes" in helps[0]
+
+
+def test_node_count_above_the_cap_is_a_parameter_error(tmp_path, capsys):
+    # the cap bounds leggauss's O(n^2) memory and O(n^3) time before any quadrature runs
+    for path, mode, method in _parameter_error_runs(tmp_path):
+        for bad in (str(MAX_NODES + 1), "1000000000"):
+            args = ["--input", path, "--mode", mode, "--method", method, "--nodes", bad]
+            code, out, err = run_main(capsys, args)
+            assert code == 2 and out == ""
+            payload = json.loads(err)
+            assert payload["error"]["type"] == "ParameterError"
+            assert str(MAX_NODES) in payload["error"]["message"]
 
 
 def test_epsilon_outside_the_open_unit_interval_is_a_parameter_error(tmp_path, capsys):

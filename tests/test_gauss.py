@@ -1,10 +1,14 @@
 import json
 import math
+import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import log_ndtr as scipy_log_ndtr
+from scipy.special import ndtr as scipy_ndtr
 from scipy.stats import multivariate_normal, norm
 
 from steelrank import (
@@ -19,7 +23,8 @@ from steelrank import (
     tail_prob,
 )
 from steelrank.cli import quality_harness
-from steelrank.gauss import _box_mass, _normal, brent_root
+import steelrank.gauss as gauss
+from steelrank.gauss import _box_mass, _log_ndtr, _ndtr, brent_root
 
 DATA = Path(__file__).parent / "data"
 
@@ -42,7 +47,53 @@ def iq_model() -> FactorModel:
 
 def ndtr(z: float) -> float:
     """The normal distribution function that _box_mass evaluates, as a Python float."""
-    return float(_normal()[0](z))
+    return float(_ndtr(z))
+
+
+def ulps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """|got - want| in units of the last place of the larger; 0 where equal, also at inf."""
+    same = (got == want) | (np.isnan(got) & np.isnan(want))
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    return np.where(same, 0.0, gap)
+
+
+CDF_GRID = np.concatenate([
+    np.linspace(-40.0, 40.0, 400_001),
+    -np.geomspace(40.0, 1e300, 2_000),  # far left: the log must not underflow
+])
+# scipy takes log_ndtr below -1 from the Faddeeva erfcx; between -sqrt(2) and -1 the
+# port takes log(ndtr), and both are within 4 ulp of the exact value there (checked
+# against 120-bit mpmath on 4,001 points), so they may differ by up to 8 ulp
+ERF_GAP = (CDF_GRID > -math.sqrt(2.0)) & (CDF_GRID < -1.0)
+
+
+def test_cdf_and_log_cdf_against_scipy_special():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf, log_cdf = _ndtr(CDF_GRID), _log_ndtr(CDF_GRID)
+    assert ulps(cdf, scipy_ndtr(CDF_GRID)).max() <= 4
+    gap = ulps(log_cdf, scipy_log_ndtr(CDF_GRID))
+    assert gap[~ERF_GAP].max() <= 6
+    assert gap[ERF_GAP].max() <= 8
+    # the grid's shape survives, and a 0-d input gives a 0-d result
+    square = CDF_GRID[:400].reshape(20, 20)
+    assert np.array_equal(_ndtr(square), cdf[:400].reshape(20, 20))
+    assert np.array_equal(_log_ndtr(square), log_cdf[:400].reshape(20, 20))
+    assert _ndtr(1.5).shape == () and _log_ndtr(1.5).shape == ()
+
+
+def test_cdf_and_log_cdf_exact_values():
+    r2 = math.sqrt(2.0)
+    x = np.array([0.0, -0.0, 1.0, -1.0, r2, -r2, 8 * r2, -8 * r2, np.inf, -np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf, log_cdf = _ndtr(x), _log_ndtr(x)
+    for got, want in ((cdf, scipy_ndtr(x)), (log_cdf, scipy_log_ndtr(x))):
+        assert np.array_equal(got, want, equal_nan=True), (got, want)
+    assert cdf[:2].tolist() == [0.5, 0.5] and cdf[8:10].tolist() == [1.0, 0.0]
+    assert log_cdf[8:10].tolist() == [0.0, -np.inf]
+    assert np.isnan(cdf[10]) and np.isnan(log_cdf[10])
 
 
 def test_cdf_against_frozen_high_precision_table():
@@ -340,6 +391,18 @@ def test_node_count_below_one_is_rejected_on_every_path():
             solve_common_threshold(model, 0.9, nodes=nodes)
 
 
+def test_node_count_above_the_cap_is_rejected_on_every_path():
+    model = no_ties_model((5, 4, 4))
+    for nodes in (gauss.MAX_NODES + 1, 10**9):
+        for alternative in ("greater", "less", "two_sided"):
+            with pytest.raises(ParameterError, match="nodes"):
+                tail_prob(model, 1.0, alternative, nodes=nodes)
+        with pytest.raises(ParameterError, match="nodes"):
+            joint_lower_box_prob(model, model.mu, nodes=nodes)
+        with pytest.raises(ParameterError, match="nodes"):
+            solve_common_threshold(model, 0.9, nodes=nodes)
+
+
 def test_node_request_rounds_up_to_whole_panels():
     # 8 panels x max(2, ceil(nodes/8)) nodes: 1..16 all use 16, 17..24 use 24
     model = iq_model()
@@ -355,7 +418,9 @@ def _same_root(f, a, b, **kwargs) -> float:
 
 
 def test_brent_root_matches_scipy_on_threshold_solves():
-    # the box solve of solve_common_threshold: random sizes, K = 1..5, gamma in (0.5, 0.999)
+    # the box solve of solve_common_threshold: random sizes, K = 1..5, gamma in (0.5, 0.999),
+    # on the bracket the solver uses: Slepian's [Phi^-1(gamma), Phi^-1(gamma^(1/K))] for
+    # K >= 2, where the quadrature confirms the sign change, and [-45, 45] at K = 1
     rng = np.random.default_rng(2024)
     for _ in range(40):
         sizes = tuple(int(v) for v in rng.integers(2, 30, size=int(rng.integers(2, 7))))
@@ -365,8 +430,55 @@ def test_brent_root_matches_scipy_on_threshold_solves():
         def f(u):
             return _box_mass(model, np.full(model.K, u), 160, "greater")[0] - gamma
 
-        root = _same_root(f, -45.0, 45.0, xtol=1e-13, maxiter=200)
+        lo, hi = -45.0, 45.0
+        if model.K > 1:
+            lo, hi = NormalDist().inv_cdf(gamma), NormalDist().inv_cdf(gamma ** (1 / model.K))
+            assert f(lo) < 0 < f(hi), (sizes, gamma)
+        root = _same_root(f, lo, hi, xtol=1e-13, maxiter=200)
         assert solve_common_threshold(model, gamma) == root
+
+
+def _counted_box_mass(monkeypatch) -> list[float]:
+    """Record the common threshold of every _box_mass call the solver makes."""
+    calls = []
+
+    def counted(model, u, nodes, alternative):
+        calls.append(float(u[0]))
+        return _box_mass(model, u, nodes, alternative)
+
+    monkeypatch.setattr(gauss, "_box_mass", counted)
+    return calls
+
+
+def test_threshold_solve_takes_at_most_12_box_masses(monkeypatch):
+    calls = _counted_box_mass(monkeypatch)
+    rng = np.random.default_rng(7)
+    for sizes in ((5, 5, 5), (6, 6, 6, 6), (10, 4, 7), (30, 3, 12, 8, 20), (9,) * 11):
+        model = no_ties_model(sizes)
+        for gamma in (0.5, 0.9, 0.95, 0.99, float(rng.uniform(0.6, 0.999))):
+            calls.clear()
+            u = solve_common_threshold(model, gamma)
+            assert len(calls) <= 12, (sizes, gamma, len(calls))
+            # Slepian's bracket comes first, and every call is at a distinct threshold
+            lo, hi = NormalDist().inv_cdf(gamma), NormalDist().inv_cdf(gamma ** (1 / model.K))
+            assert calls[:2] == [lo, hi] and lo < u < hi
+            assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("sizes, gamma", [
+    ((6, 6), 0.5), ((6, 6), 0.9), ((6, 6), 0.99),  # K = 1: Slepian's ends coincide
+    ((5, 5, 5), 1 - 2**-53),  # gamma^(1/K) rounds to 1, where Phi^-1 is undefined
+])
+def test_threshold_solve_falls_back_to_the_wide_bracket(monkeypatch, sizes, gamma):
+    calls = _counted_box_mass(monkeypatch)
+    model = no_ties_model(sizes)
+    u = solve_common_threshold(model, gamma)
+    assert calls[:2] == [-45.0, 45.0] and len(set(calls)) == len(calls)
+
+    def f(v):
+        return _box_mass(model, np.full(model.K, v), 160, "greater")[0] - gamma
+
+    assert u == brentq(f, -45.0, 45.0, xtol=1e-13, maxiter=200)
 
 
 @pytest.mark.parametrize("alternative", ["greater", "less", "two_sided"])

@@ -1,6 +1,5 @@
 """Guard the package's import structure: a pinned public surface, no private
-cross-module names, no scipy on import or on sampled all-pairs runs, and no
-scipy.optimize anywhere."""
+cross-module names, and no scipy anywhere: no module imports it and no run loads it."""
 import ast
 import json
 import os
@@ -59,43 +58,50 @@ def test_private_cross_module_imports_match_allowlist():
     assert private_import_edges() == ALLOWED
 
 
-def scipy_optimize_imports() -> set[tuple[str, int]]:
-    """(module, line) of every import of scipy.optimize or its submodules in the package."""
+def scipy_imports() -> set[tuple[str, int]]:
+    """(module, line) of every import of scipy or any of its submodules in the package."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module or ""]
-                if node.module == "scipy":  # from scipy import optimize
-                    names = [f"scipy.{alias.name}" for alias in node.names]
             elif isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            if any(n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names):
+            if any(n.split(".")[0] == "scipy" for n in names):
                 found.add((path.stem, node.lineno))
     return found
 
 
-def test_no_module_imports_scipy_optimize():
-    assert scipy_optimize_imports() == set()
+def test_no_module_imports_scipy():
+    assert scipy_imports() == set()
 
 
-# Runs in a fresh interpreter so that no earlier test has loaded scipy; the
-# pairwise run comes before any steel run, whose asymptotic p-value loads scipy.special.
+# Runs in a fresh interpreter so that no earlier test has loaded scipy; _box_mass,
+# which evaluates every normal tail and box, is counted per run.
 FOOTPRINT_SCRIPT = """
 import json, os, sys
 import steelrank.cli as cli
+import steelrank.gauss as gauss
 
 DATA = sys.argv[1]
+box_calls = [0]
+box_mass = gauss._box_mass
+def counted(*args):
+    box_calls[0] += 1
+    return box_mass(*args)
+gauss._box_mass = counted
+
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 def run(*args):
+    box_calls[0] = 0
     code = cli.main(["--out", os.devnull, *args])
-    return {"args": args, "code": code, "scipy": loaded()}
+    return {"args": args, "code": code, "scipy": loaded(), "box_calls": box_calls[0]}
 
-runs = [{"args": ["import"], "code": 0, "scipy": loaded()}]
+runs = [{"args": ["import"], "code": 0, "scipy": loaded(), "box_calls": 0}]
 runs.append(run("--input", f"{DATA}/iq_birth_condition.csv", "--mode", "pairwise",
                 "--nsim", "2000"))
 runs.append(run("--input", f"{DATA}/likert_small.csv", "--method", "all"))
@@ -111,8 +117,9 @@ print(json.dumps(runs))
 
 @lru_cache(maxsize=None)
 def import_footprint() -> tuple[dict, ...]:
-    """Per run, the scipy modules loaded after it: import, pairwise (Monte Carlo and
-    MVN sampling), steel exact, steel Monte Carlo, confidence, quality harness."""
+    """Per run, the scipy modules loaded after it and its _box_mass calls: import,
+    pairwise (Monte Carlo and MVN sampling), steel exact, steel Monte Carlo,
+    confidence, quality harness."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     data = Path(__file__).parent / "data"
@@ -125,21 +132,16 @@ def import_footprint() -> tuple[dict, ...]:
     return runs
 
 
-def test_no_run_loads_scipy_optimize():
-    runs = import_footprint()
-    for entry in runs:
-        assert "scipy.optimize" not in entry["scipy"], entry["args"]
-    # the confidence and harness runs solve thresholds with gauss.brent_root, on
-    # normal tails from scipy.special
-    for entry in runs[-2:]:
-        assert "scipy.special" in entry["scipy"], entry["args"]
+def test_no_run_loads_scipy():
+    for entry in import_footprint():
+        assert entry["scipy"] == [], entry["args"]
 
 
-def test_scipy_special_loads_only_with_the_first_normal_tail():
+def test_normal_tails_run_on_numpy_alone():
     imported, pairwise, *asymptotic = import_footprint()
-    # importing the package and a sampled all-pairs run load no scipy at all
-    assert imported["scipy"] == [] and pairwise["scipy"] == [], (imported, pairwise)
+    # importing the package and a sampled all-pairs run take no normal tail
+    assert imported["box_calls"] == 0 and pairwise["box_calls"] == 0, (imported, pairwise)
     # steel reports carry the asymptotic p-value, and confidence and harness runs
-    # solve on the normal tail, so these load it
+    # solve on the normal tail: these evaluate it, and still load no scipy
     for entry in asymptotic:
-        assert "scipy.special" in entry["scipy"], entry["args"]
+        assert entry["box_calls"] > 0 and entry["scipy"] == [], entry
