@@ -8,7 +8,10 @@ memory scale with the live merged states and their fitting expansions, not with
 the splits.  The candidate expansions (distinct count rows times block
 compositions) are tested for fit in blocks of about _EXPAND_BLOCK cells, 2 MiB of
 int64, and expanded in batches of about _EXPAND_BLOCK rows, so candidates that do
-not fit cost time but no memory beyond a block.
+not fit cost time but no memory beyond a block.  Given the tie pattern, the sizes
+and the pairs, the walk's result does not depend on the data, so each process
+keeps the results of its recent walks, read-only, in an LRU cache of at most
+_WALK_CACHE_BYTES of arrays.
 
 Monte Carlo mode splits the replicates into fixed-size chunks; chunk i draws from an
 independent RNG substream derived from (seed, i).  Results are therefore identical
@@ -40,6 +43,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,6 +61,7 @@ CHUNK_SIZE = 4096
 _SLICE_CELLS = 1 << 18  # cells of one drawn slice: 2 MiB of int64, fits L2, reused unfaulted
 _EXPAND_BLOCK = 1 << 18  # (state, composition) expansions per exact-enumeration batch
 _KEY_LIMIT = 1 << 62  # largest radix product of one packed state key
+_WALK_CACHE_BYTES = 1 << 20  # array bytes the per-process exact walk cache holds at most
 _TABLE_DRAW_RATIO = 12  # N / (V (G-1)) from which count-table draws beat permutations
 
 
@@ -138,19 +144,22 @@ class PValue:
     seed: int | None = None
 
 
-@lru_cache(maxsize=None)
-def _compositions(total: int, groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nonnegative integer vectors summing to ``total`` plus their multinomials.
+@lru_cache(maxsize=256)
+def _compositions(total: int, caps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Nonnegative integer vectors summing to ``total`` with entry g at most ``caps[g]``,
+    in lexicographic order, plus their multinomials; ``total`` is at most sum(caps).
 
-    The multinomials are exact Python ints in an object array.
+    Only vectors that fit are built: the first entry runs over the values that leave
+    a sum the remaining caps can hold.  The multinomials are exact Python ints in an
+    object array.
     """
-    if groups == 1:
+    if len(caps) == 1:
         comps = np.array([[total]], dtype=np.int64)
     else:
         blocks = []
-        for first in range(total + 1):
-            sub, _ = _compositions(total - first, groups - 1)
-            blk = np.empty((len(sub), groups), dtype=np.int64)
+        for first in range(max(0, total - sum(caps[1:])), min(total, caps[0]) + 1):
+            sub, _ = _compositions(total - first, caps[1:])
+            blk = np.empty((len(sub), len(caps)), dtype=np.int64)
             blk[:, 0] = first
             blk[:, 1:] = sub
             blocks.append(blk)
@@ -239,6 +248,49 @@ def _expansion_batches(
         lo = hi
 
 
+class _WalkCache:
+    """LRU map from (tie blocks, sizes, pairs) to the read-only (w, weights) of a walk.
+
+    It holds at most _WALK_CACHE_BYTES of arrays; larger results, and Python-int
+    weights (2**63 splits and more), are not kept.  One lock guards the
+    bookkeeping; two threads that miss on one key both walk, and the first result
+    stored stays.
+    """
+
+    def __init__(self) -> None:
+        self._items: OrderedDict = OrderedDict()
+        self._nbytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key) -> tuple[np.ndarray, np.ndarray] | None:
+        with self._lock:
+            hit = self._items.get(key)
+            if hit is not None:
+                self._items.move_to_end(key)
+            return hit
+
+    def put(self, key, result: tuple[np.ndarray, np.ndarray]) -> None:
+        nbytes = sum(a.nbytes for a in result)
+        if nbytes > _WALK_CACHE_BYTES or result[1].dtype == object:
+            return
+        with self._lock:
+            if key in self._items:
+                return
+            self._items[key] = result
+            self._nbytes += nbytes
+            while self._nbytes > _WALK_CACHE_BYTES:
+                _, old = self._items.popitem(last=False)
+                self._nbytes -= sum(a.nbytes for a in old)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._items.clear()
+            self._nbytes = 0
+
+
+_WALKS = _WalkCache()
+
+
 def _enumerate_w(
     tie: TiePattern,
     sizes: Sequence[int],
@@ -247,13 +299,9 @@ def _enumerate_w(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mann-Whitney values of the requested pairs with the number of splits giving each.
 
-    Returns (w, weights): one row per distinct w vector, and exact integer weights
-    counting the labeled splits that give it (summing to split_count(sizes)).  The
-    weights are int64 below 2**63 splits and Python ints in an object array above.
-
-    A network walk over the tie blocks: a state is the cumulative group counts
-    and twice the Mann-Whitney values, all integers, and the allocations of the
-    blocks so far that reach the same state are merged after each block.
+    Returns (w, weights) as from _walk, read-only.  The budget is checked on every
+    call; a walk of the same tie pattern, sizes and pairs is taken from the
+    process's walk cache.
     """
     total = split_count(sizes)
     if total > budget:
@@ -261,6 +309,29 @@ def _enumerate_w(
             f"exact enumeration needs {total} splits, over budget {budget}; "
             "use the monte_carlo method instead"
         )
+    key = (tie.d, tuple(int(n) for n in sizes), tuple((int(a), int(b)) for a, b in pairs))
+    result = _WALKS.get(key)
+    if result is None:
+        result = _walk(tie, key[1], key[2])
+        _WALKS.put(key, result)
+    return result
+
+
+def _walk(
+    tie: TiePattern, sizes: Sequence[int], pairs: Sequence[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mann-Whitney values of the requested pairs with the number of splits giving each.
+
+    Returns (w, weights): one row per distinct w vector, and exact integer weights
+    counting the labeled splits that give it (summing to split_count(sizes)).  The
+    weights are int64 below 2**63 splits and Python ints in an object array above.
+    Both arrays are read-only.
+
+    A network walk over the tie blocks: a state is the cumulative group counts
+    and twice the Mann-Whitney values, all integers, and the allocations of the
+    blocks so far that reach the same state are merged after each block.
+    """
+    total = split_count(sizes)
     k = len(sizes)
     sizes_arr = np.asarray(sizes, dtype=np.int64)
     a_idx = [a for a, _ in pairs]
@@ -275,12 +346,10 @@ def _enumerate_w(
     moves = {}  # per block size: fitting compositions, their weights, step and slope
     for dv in tie.d:
         if dv not in moves:
-            comps, cw = _compositions(dv, k)
-            fits = (comps <= sizes_arr).all(axis=1)
-            comps = comps[fits]
+            comps, cw = _compositions(dv, tuple(min(dv, int(n)) for n in sizes))
             # a block adds its counts, and to 2W of pair (a, b) k_b * (2 cum_a + k_a)
             step = np.hstack([comps, comps[:, b_idx] * comps[:, a_idx]])
-            moves[dv] = comps, cw[fits].astype(dtype), step, 2 * comps[:, b_idx]
+            moves[dv] = comps, cw.astype(dtype), step, 2 * comps[:, b_idx]
         comps, cw, step, slope = moves[dv]
         # merged states come sorted by key, counts leading, so equal counts are adjacent
         parts = []
@@ -292,7 +361,10 @@ def _enumerate_w(
         states, wt = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     if wt.sum() != total:
         raise AssertionError("enumeration weights do not sum to the split count")
-    return states[:, k:] / 2, wt
+    w = states[:, k:] / 2
+    w.setflags(write=False)
+    wt.setflags(write=False)
+    return w, wt
 
 
 def _check_request(samples: RankedSamples, moments, statistic: str) -> None:

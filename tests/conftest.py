@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from steelrank import randomization
+
 DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -20,3 +22,9 @@ def iq_groups():
     """Four groups of six IQ scores (control first) used for cross-validation."""
     groups = load_grouped_csv(DATA_DIR / "iq_birth_condition.csv")
     return [groups[g] for g in ("control", "t1", "t2", "t3")]
+
+
+@pytest.fixture(autouse=True)
+def _empty_walk_cache():
+    """Each test starts without cached exact walks, so its first exact call walks."""
+    randomization._WALKS.clear()

@@ -1,5 +1,7 @@
+import itertools
 import math
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -29,6 +31,7 @@ from conftest import DATA_DIR, load_grouped_csv
 from _exact import exact_moments, exact_null_distribution
 from _oracles import (
     enumerate_pair_stats,
+    random_tie_pattern,
     replayed_statistics,
     replayed_tail_counts,
     split_moments,
@@ -53,6 +56,20 @@ def _mc_p(s, obs, nsim, seed, conservative=False):
     ms = factor_decomposition(s.sizes, s.tie_pattern)
     counts = simulated_tail_counts(s, ms, obs.statistic, [obs.statistic_value], nsim, seed)
     return sampled_p_value(int(counts[0]), nsim, seed, "monte_carlo", conservative)
+
+
+@pytest.fixture
+def walk_calls(monkeypatch):
+    """The argument tuples of every call of the uncached exact walk, in order."""
+    calls = []
+    walk = randomization._walk
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(randomization, "_walk", counted)
+    return calls
 
 
 def _curve(s, statistic, thresholds, nsim, seed):
@@ -473,8 +490,9 @@ def _weight_map(w, wt):
 
 
 @pytest.mark.parametrize("tied", [False, True])
-def test_merged_states_match_index_level_enumeration(monkeypatch, tied):
+def test_merged_states_match_index_level_enumeration(monkeypatch, walk_calls, tied):
     rng = np.random.default_rng(5 + tied)
+    configurations = 0
     for _ in range(12):
         sizes = tuple(int(n) for n in rng.integers(1, 4, size=int(rng.integers(2, 5))))
         while sum(sizes) > 9:
@@ -486,11 +504,14 @@ def test_merged_states_match_index_level_enumeration(monkeypatch, tied):
             want = Counter(map(tuple, enumerate_pair_stats(values, sizes, pairs).tolist()))
             # _KEY_LIMIT 1 renumbers the partial key densely before every column;
             # _EXPAND_BLOCK 3 cuts most steps into several batches
+            # (the uncached walk: a cached result would not run the patched code)
             for name, value in ((None, None), ("_KEY_LIMIT", 1), ("_EXPAND_BLOCK", 3)):
-                if name:
-                    monkeypatch.setattr(randomization, name, value)
-                w, wt = randomization._enumerate_w(tie, sizes, pairs)
-                monkeypatch.undo()
+                with monkeypatch.context() as patched:
+                    if name:
+                        patched.setattr(randomization, name, value)
+                    w, wt = randomization._walk(tie, sizes, pairs)
+                configurations += 1
+                assert len(walk_calls) == configurations
                 assert len(set(map(tuple, w.tolist()))) == len(w)
                 assert _weight_map(w, wt) == dict(want)
 
@@ -507,7 +528,7 @@ def test_all_pairs_moments_past_the_key_limit_match_the_formulas():
     assert em.cov == pytest.approx(pm.cov, rel=1e-9, abs=1e-10)
 
 
-def test_exact_work_and_memory_follow_the_merged_states():
+def test_exact_work_and_memory_follow_the_merged_states(walk_calls):
     # untied (6,6,6): 17.2M splits but only 37**2 distinct (W_1, W_2) rows
     sizes = (6, 6, 6)
     tie = TiePattern((1,) * 18)
@@ -517,16 +538,18 @@ def test_exact_work_and_memory_follow_the_merged_states():
     assert wt.dtype == np.int64 and int(wt.sum()) == split_count(sizes)
     rng = np.random.default_rng(8)
     s, obs = _steel([rng.normal(size=n) for n in sizes], "two_sided")
+    randomization._WALKS.clear()  # the bound is on the walk, not on a cache hit
     tracemalloc.start()
     try:
         _exact_p(s, obs, budget=10**8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert len(walk_calls) == 2
     assert peak < 64 * 2**20
 
 
-def test_exact_candidate_memory_is_bounded_by_the_expansion_block():
+def test_exact_candidate_memory_is_bounded_by_the_expansion_block(walk_calls):
     # two-valued 4x12: 8.5M candidate cells (count rows x block compositions x
     # groups), which one fit test over all rows held at once (a 72 MiB peak)
     rng = np.random.default_rng(0)
@@ -543,6 +566,177 @@ def test_exact_candidate_memory_is_bounded_by_the_expansion_block():
             tracemalloc.stop()
         assert peak < 12 * 2**20
         assert got == float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
+    assert len(walk_calls) == 3  # 2.3e26 splits: Python-int weights, never cached
+
+
+def test_one_control_against_many_tied_values_builds_only_fitting_moves(monkeypatch):
+    # one control value against 16,000 two-valued treatment values: 16,001 splits,
+    # but a block of about 8,000 tied values has about 8,000 compositions, of which
+    # two fit (control count 0 or 1); building all of them took 16 s
+    recorded = []
+    compositions = randomization._compositions
+
+    def spy(total, caps):
+        comps, weights = compositions(total, caps)
+        recorded.append((total, comps))
+        return comps, weights
+
+    monkeypatch.setattr(randomization, "_compositions", spy)
+    rng = np.random.default_rng(12)
+    for n in (9, 16_000):
+        groups = [[0.0], rng.integers(0, 2, size=n).astype(float)]
+        s = rank_samples(groups)
+        ms = factor_decomposition(s.sizes, s.tie_pattern)
+        assert s.tie_pattern.e == 2 and split_count(s.sizes) == n + 1
+        recorded.clear()
+        if n == 9:  # the index-level oracle runs on the small instance only
+            w = enumerate_pair_stats(np.concatenate(groups), s.sizes, ms.pairs)
+            z = (w[:, 0] - ms.mu[0]) / ms.tau[0]
+        for alternative in ("greater", "less", "two-sided"):
+            obs = steel_statistics(s, ms, alternative)
+            got = _exact_p(s, obs).estimate
+            assert got == float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
+            if n == 9:
+                stats = {"s_max": z, "s_min": z, "s_abs": np.abs(z)}[obs.statistic]
+                t = obs.statistic_value
+                hits = (stats <= t) if obs.statistic == "s_min" else (stats >= t)
+                assert got == hits.sum() / len(z)
+        moves = [(total, comps) for total, comps in recorded if comps.shape[1] == 2]
+        assert sorted(total for total, _ in moves) == sorted(s.tie_pattern.d)
+        for total, comps in moves:
+            assert (comps <= np.asarray(s.sizes)).all() and (comps.sum(axis=1) == total).all()
+            assert comps[:, 0].tolist() == [0, 1]
+
+
+def test_compositions_are_the_fitting_ones_in_order():
+    for total, caps in ((4, (4, 4, 4)), (4, (1, 4, 2)), (5, (2, 1, 2)), (3, (0, 3)), (6, (2, 2, 2))):
+        comps, weights = randomization._compositions(total, caps)
+        want = [c for c in itertools.product(*(range(total + 1) for _ in caps))
+                if sum(c) == total and all(x <= cap for x, cap in zip(c, caps))]
+        assert comps.tolist() == [list(c) for c in want]
+        assert weights.tolist() == [split_count(c) for c in want]
+        assert not comps.flags.writeable and not weights.flags.writeable
+
+
+_UNTIED_333 = (TiePattern((1,) * 9), (3, 3, 3), ((0, 1), (0, 2)))
+
+
+def test_a_repeated_walk_comes_from_the_cache(walk_calls):
+    tie, sizes, pairs = _UNTIED_333
+    w, wt = randomization._enumerate_w(tie, sizes, pairs)
+    again = randomization._enumerate_w(tie, np.array(sizes), [list(p) for p in pairs])
+    assert len(walk_calls) == 1
+    assert again[0] is w and again[1] is wt
+    randomization._enumerate_w(tie, sizes, all_pairs(3))
+    randomization._enumerate_w(TiePattern((2,) + (1,) * 7), sizes, pairs)
+    assert len(walk_calls) == 3
+
+
+def test_a_cache_hit_still_checks_the_budget(walk_calls):
+    tie, sizes, pairs = _UNTIED_333
+    assert split_count(sizes) == 1680
+    randomization._enumerate_w(tie, sizes, pairs, budget=1680)
+    with pytest.raises(BudgetError, match="1680 splits"):
+        randomization._enumerate_w(tie, sizes, pairs, budget=1679)
+    s, obs = _steel([[1, 2, 3], [4, 5, 6], [7, 8, 9]], "greater")
+    with pytest.raises(BudgetError):
+        _exact_p(s, obs, budget=1000)
+    assert len(walk_calls) == 1
+
+
+def test_walk_results_are_read_only(walk_calls):
+    tie, sizes, pairs = _UNTIED_333
+    for _ in range(2):  # the walk, then the cache hit
+        w, wt = randomization._enumerate_w(tie, sizes, pairs)
+        assert not w.flags.writeable and not wt.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            wt[0] = 99
+    assert len(walk_calls) == 1
+
+
+def _cached_nbytes():
+    return sum(a.nbytes for result in randomization._WALKS._items.values() for a in result)
+
+
+def test_the_cache_holds_its_byte_cap_and_evicts_the_least_recently_used(monkeypatch, walk_calls):
+    # distinct tie patterns of 4 + 4 + 4 values, with a cap of a few results
+    cap = 64 * 2**10
+    monkeypatch.setattr(randomization, "_WALK_CACHE_BYTES", cap)
+    rng = np.random.default_rng(21)
+    ties = list(dict.fromkeys(random_tie_pattern(rng, 12) for _ in range(60)))
+    assert len(ties) > 40
+    sizes, pairs = (4, 4, 4), ((0, 1), (0, 2))
+    w, wt = randomization._enumerate_w(TiePattern(ties[0]), sizes, pairs)
+    for d in ties[1:]:
+        randomization._enumerate_w(TiePattern(ties[0]), sizes, pairs)  # keeps the first recent
+        randomization._enumerate_w(TiePattern(d), sizes, pairs)
+        assert _cached_nbytes() == randomization._WALKS._nbytes <= cap
+    assert len(walk_calls) == len(ties)
+    cached = [key[0] for key in randomization._WALKS._items]
+    assert 1 < len(cached) < len(ties)
+    assert cached[-2:] == [ties[0], ties[-1]]  # the touched first, then the newest
+    assert ties[1] not in cached
+    again = randomization._enumerate_w(TiePattern(ties[0]), sizes, pairs)
+    assert again[0] is w and len(walk_calls) == len(ties)
+    randomization._enumerate_w(TiePattern(ties[1]), sizes, pairs)
+    assert len(walk_calls) == len(ties) + 1
+
+
+def test_results_over_the_cap_and_python_int_weights_are_not_cached(monkeypatch, walk_calls):
+    # two-valued 3x20: 5.8e26 splits, so the weights are Python ints
+    rng = np.random.default_rng(0)
+    s = rank_samples([rng.integers(0, 2, size=20) for _ in range(3)])
+    pairs = ((0, 1), (0, 2))
+    for _ in range(2):
+        w, wt = randomization._enumerate_w(s.tie_pattern, s.sizes, pairs, budget=10**30)
+        assert wt.dtype == object and not wt.flags.writeable
+    assert len(walk_calls) == 2 and not randomization._WALKS._items
+    # an int64 result larger than the cap
+    tie, sizes, pairs = _UNTIED_333
+    monkeypatch.setattr(randomization, "_WALK_CACHE_BYTES", 64)
+    for _ in range(2):
+        w, wt = randomization._enumerate_w(tie, sizes, pairs)
+        assert w.nbytes + wt.nbytes > 64
+    assert len(walk_calls) == 4 and randomization._WALKS._nbytes == 0
+
+
+def test_two_threads_walking_at_once_get_identical_results():
+    rng = np.random.default_rng(23)
+    keys = list(dict.fromkeys(random_tie_pattern(rng, 12) for _ in range(30)))
+    sizes, pairs = (4, 4, 4), ((0, 1), (0, 2))  # all results fit the 1 MiB cap at once
+    want = [randomization._walk(TiePattern(d), sizes, pairs) for d in keys]
+    results = [[None] * len(keys) for _ in range(2)]
+    errors = []
+    start = threading.Barrier(2, timeout=30)
+
+    def worker(slot):
+        try:
+            for i, d in enumerate(keys):
+                start.wait()  # both threads ask for the same key at once
+                results[slot][i] = randomization._enumerate_w(TiePattern(d), sizes, pairs)
+        except Exception as exc:  # reported below: an assertion in a thread is lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    for i, (w, wt) in enumerate(want):
+        for slot in range(2):
+            got_w, got_wt = results[slot][i]
+            np.testing.assert_array_equal(got_w, w)
+            np.testing.assert_array_equal(got_wt, wt)
+    assert _cached_nbytes() == randomization._WALKS._nbytes <= randomization._WALK_CACHE_BYTES
+    assert len(randomization._WALKS._items) == len(keys)
 
 
 def test_worker_count_honours_cpu_affinity(monkeypatch):
