@@ -7,15 +7,16 @@ the no-ties moment formulas.  Tied (rounded) data should widen the result throug
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from ._cache import DESIGNS
 from .errors import NumericError, ParameterError
 from .gauss import DEFAULT_NODES, FactorModel, joint_lower_box_prob, solve_common_threshold
 from .moments import factor_decomposition
-from .ranks import TiePattern, _as_scores, extract_tie_pattern
+from .ranks import TiePattern, _as_scores
 
 DIRECTIONS = ("upper", "lower")
 # kth_difference: a table of at most _SORT_CELLS differences is partitioned whole;
@@ -174,15 +175,39 @@ def select_indices(
         cons_j = tuple(int(v) for v in limits)
         cons_cov = coverage(cons_j)
         unreachable = cons_cov < gamma
-    if direction == "lower":
-        cons_j, closest_j = _reflect(model, cons_j), _reflect(model, closest_j)
-    return IndexSelection(
+    sel = IndexSelection(
         j=tuple(int(v) for v in cons_j),
         j_closest=tuple(int(v) for v in closest_j),
         achieved_conservative=cons_cov,
         achieved_closest=closest_cov,
         unreachable=unreachable,
     )
+    return _reflected(model, sel) if direction == "lower" else sel
+
+
+def _reflected(model: FactorModel, sel: IndexSelection) -> IndexSelection:
+    """An upper-bound selection as the matching lower-bound one."""
+    return replace(sel, j=_reflect(model, sel.j), j_closest=_reflect(model, sel.j_closest))
+
+
+def _selection(
+    sizes: tuple[int, ...], gamma: float, direction: str, nodes: int
+) -> tuple[FactorModel, IndexSelection]:
+    """The no-ties model of a design and its selection at one-sided level gamma.
+
+    Neither depends on the data, so the model and the upper selection are kept per
+    process in ``_cache.DESIGNS``; a lower selection reflects the upper one, as
+    ``select_indices`` does.
+    """
+    if direction not in DIRECTIONS:
+        raise ParameterError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+
+    def solve() -> tuple[FactorModel, IndexSelection]:
+        model = FactorModel.from_moments(factor_decomposition(sizes, TiePattern.no_ties(sum(sizes))))
+        return model, select_indices(model, gamma, "upper", nodes)
+
+    model, sel = DESIGNS.get(("selection", sizes, gamma, nodes), solve)
+    return model, _reflected(model, sel) if direction == "lower" else sel
 
 
 def _prepare(groups: Sequence[Sequence[float]], rounding_eps: float):
@@ -199,16 +224,23 @@ def _prepare(groups: Sequence[Sequence[float]], rounding_eps: float):
             raise ParameterError(
                 f"shift bounds need finite data: group {g} index {bad[0]} is {a[bad[0]]}"
             )
-    sizes = tuple(a.size for a in arrays)
-    pooled = np.concatenate(arrays)
+    lo, hi = float(arrays[0].min()), float(arrays[0].max())
+    for g, a in enumerate(arrays[1:], start=1):
+        # every difference lies between these two; Python floats overflow without a warning
+        if not math.isfinite(float(a.max()) - lo) or not math.isfinite(float(a.min()) - hi):
+            raise ParameterError(
+                f"shift bounds need differences within the float64 range: "
+                f"group {g} minus group 0 overflows"
+            )
     warnings = []
-    if extract_tie_pattern(pooled).e < pooled.size and rounding_eps == 0:
-        warnings.append(
-            "ties present in the data; the shift model assumes continuity - "
-            "consider a rounding_eps matching the recording grid"
-        )
-    ms = factor_decomposition(sizes, TiePattern.no_ties(int(pooled.size)))
-    return arrays, FactorModel.from_moments(ms), warnings
+    if rounding_eps == 0:
+        pooled = np.sort(np.concatenate(arrays))
+        if (pooled[1:] == pooled[:-1]).any():
+            warnings.append(
+                "ties present in the data; the shift model assumes continuity - "
+                "consider a rounding_eps matching the recording grid"
+            )
+    return arrays, warnings
 
 
 def _reflect(model: FactorModel, j) -> tuple[int, ...]:
@@ -242,8 +274,8 @@ def simultaneous_bounds(
     Upper bounds are the selected ordered differences plus rounding_eps; lower
     bounds use the reflected indices minus rounding_eps.
     """
-    arrays, model, warnings = _prepare(groups, rounding_eps)
-    sel = select_indices(model, gamma, direction, nodes)
+    arrays, warnings = _prepare(groups, rounding_eps)
+    _, sel = _selection(tuple(a.size for a in arrays), gamma, direction, nodes)
     values = _selected(arrays, sel.j, rounding_eps if direction == "upper" else -rounding_eps)
     none = (None,) * (len(arrays) - 1)
     return ConfidenceResult(
@@ -277,8 +309,8 @@ def simultaneous_intervals(
     if not 0 < gamma < 1:
         raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
     side = (1 + gamma) / 2
-    arrays, model, warnings = _prepare(groups, rounding_eps)
-    sel = select_indices(model, side, "upper", nodes)
+    arrays, warnings = _prepare(groups, rounding_eps)
+    model, sel = _selection(tuple(a.size for a in arrays), side, "upper", nodes)
     j_lower = _reflect(model, sel.j)
     lower = _selected(arrays, j_lower, -rounding_eps)
     upper = _selected(arrays, sel.j, rounding_eps)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._cache import DESIGNS
 from .errors import NumericError, ParameterError
 from .ranks import TiePattern
 
@@ -20,7 +21,8 @@ _CLAMP_TOL = 1e-9
 @dataclass(frozen=True)
 class MomentSet:
     """Means, variances and covariances of the K control-vs-treatment statistics,
-    plus the one-factor split (common variance sigma0_2, idiosyncratic sigma2)."""
+    plus the one-factor split (common variance sigma0_2, idiosyncratic sigma2).
+    The arrays are read-only."""
 
     sizes: tuple[int, ...]
     mu: np.ndarray
@@ -30,6 +32,12 @@ class MomentSet:
     sigma2: np.ndarray
     correction_ratio: np.ndarray
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("mu", "tau2", "cov", "sigma2", "correction_ratio"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n0(self) -> int:
@@ -124,12 +132,21 @@ def factor_decomposition(sizes, tie: TiePattern) -> MomentSet:
     independent V's, which is what makes the one-dimensional quadrature work:
     cov[i][j] = n_i*n_j*sigma0_2 off the diagonal and tau2[i] = n_i^2*sigma0_2
     + sigma2[i] on it.
+
+    The formulas read the data only through N, s2, s3, s3_plus and whether all
+    values are tied, so results are kept per process in ``_cache.DESIGNS`` under
+    the sizes and those sums: tie patterns with equal sums share one entry.
     """
     sizes = tuple(_check_size(n, "size") for n in sizes)
     if len(sizes) < 2:
         raise ParameterError("need a control size and at least one treatment size")
     if sum(sizes) != tie.N:
         raise ParameterError(f"sizes sum to {sum(sizes)} but tie pattern has N = {tie.N}")
+    key = ("moments", sizes, tie.s2, tie.s3, tie.s3_plus, tie.e == 1)  # N = sum(sizes)
+    return DESIGNS.get(key, lambda: _factor_decomposition(sizes, tie))
+
+
+def _factor_decomposition(sizes: tuple[int, ...], tie: TiePattern) -> MomentSet:
     n0 = sizes[0]
     treat = sizes[1:]
     k = len(treat)

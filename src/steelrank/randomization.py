@@ -43,8 +43,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,6 +50,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ._cache import ByteLRU
 from .errors import BudgetError, ParameterError
 from .ranks import RankedSamples, TiePattern
 from .statistics import in_tail, reduce_statistic, standardize
@@ -248,47 +247,8 @@ def _expansion_batches(
         lo = hi
 
 
-class _WalkCache:
-    """LRU map from (tie blocks, sizes, pairs) to the read-only (w, weights) of a walk.
-
-    It holds at most _WALK_CACHE_BYTES of arrays; larger results, and Python-int
-    weights (2**63 splits and more), are not kept.  One lock guards the
-    bookkeeping; two threads that miss on one key both walk, and the first result
-    stored stays.
-    """
-
-    def __init__(self) -> None:
-        self._items: OrderedDict = OrderedDict()
-        self._nbytes = 0
-        self._lock = threading.Lock()
-
-    def get(self, key) -> tuple[np.ndarray, np.ndarray] | None:
-        with self._lock:
-            hit = self._items.get(key)
-            if hit is not None:
-                self._items.move_to_end(key)
-            return hit
-
-    def put(self, key, result: tuple[np.ndarray, np.ndarray]) -> None:
-        nbytes = sum(a.nbytes for a in result)
-        if nbytes > _WALK_CACHE_BYTES or result[1].dtype == object:
-            return
-        with self._lock:
-            if key in self._items:
-                return
-            self._items[key] = result
-            self._nbytes += nbytes
-            while self._nbytes > _WALK_CACHE_BYTES:
-                _, old = self._items.popitem(last=False)
-                self._nbytes -= sum(a.nbytes for a in old)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._items.clear()
-            self._nbytes = 0
-
-
-_WALKS = _WalkCache()
+# (tie blocks, sizes, pairs) -> read-only (w, weights); Python-int weights are not kept
+_WALKS = ByteLRU(_WALK_CACHE_BYTES)
 
 
 def _enumerate_w(
@@ -310,11 +270,7 @@ def _enumerate_w(
             "use the monte_carlo method instead"
         )
     key = (tie.d, tuple(int(n) for n in sizes), tuple((int(a), int(b)) for a, b in pairs))
-    result = _WALKS.get(key)
-    if result is None:
-        result = _walk(tie, key[1], key[2])
-        _WALKS.put(key, result)
-    return result
+    return _WALKS.get(key, lambda: _walk(tie, key[1], key[2]))
 
 
 def _walk(

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from steelrank import randomization
+from steelrank import _cache, cli, gauss, randomization
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -25,6 +25,12 @@ def iq_groups():
 
 
 @pytest.fixture(autouse=True)
-def _empty_walk_cache():
-    """Each test starts without cached exact walks, so its first exact call walks."""
+def _cold_caches():
+    """Each test starts with every per-process cache empty, so its first call computes:
+    exact walks and compositions, moment sets and index selections, quadrature nodes
+    and the CLI parser."""
     randomization._WALKS.clear()
+    randomization._compositions.cache_clear()
+    _cache.DESIGNS.clear()
+    gauss._nodes.cache_clear()
+    cli.build_parser.cache_clear()

@@ -257,6 +257,20 @@ def test_confidence_mode_rejects_infinite_data_but_rank_tests_accept_it(tmp_path
     assert 0 < json.loads(out)["p_values"]["exact"]["estimate"] <= 1
 
 
+def test_confidence_mode_rejects_data_whose_differences_overflow(tmp_path, capsys):
+    f = tmp_path / "huge.csv"
+    rows = [("c", v) for v in (-1e308, -1.1e308, -1.2e308, 0.0, 1.0, 2.0)]
+    rows += [("t", v) for v in (1e308, 1.1e308, 1.2e308, 5.0, 6.0, 7.0)]
+    f.write_text("group,value\n" + "".join(f"{g},{v!r}\n" for g, v in rows))
+    for alternative in ("less", "greater", "two-sided"):
+        code, out, err = run_main(capsys, ["--input", str(f), "--mode", "confidence",
+                                           "--method", "asymptotic", "--alternative", alternative])
+        assert code == 2 and out == ""
+        payload = json.loads(err)  # the whole of stderr: no numpy overflow warning
+        assert payload["error"]["type"] == "ParameterError"
+        assert "group 1 minus group 0 overflows" in payload["error"]["message"]
+
+
 def test_pairwise_mode(capsys):
     _, out, _ = run_main(
         capsys,

@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from steelrank import confidence
+from steelrank import _cache, confidence
 from steelrank import (
     FactorModel,
     ParameterError,
@@ -223,6 +224,77 @@ def test_non_finite_data_is_rejected_with_group_and_index():
         simultaneous_bounds([control, treatment], 0.9, "upper")
     with pytest.raises(ParameterError, match="group 0 index 1"):
         simultaneous_intervals([[1, float("inf"), 3, 4], [2, 4, 5, 6]], 0.9)
+
+
+def test_data_whose_differences_overflow_is_rejected_with_the_group():
+    # finite values, but y - x overflows float64: the bound would read inf
+    huge = [[-1e308, -1.1e308, -1.2e308, 0, 1, 2], [1e308, 1.1e308, 1.2e308, 5, 6, 7]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy overflow warning on the way
+        for groups in (huge, huge[::-1], [huge[0], [0.0, 1.0], huge[1]]):
+            g = len(groups) - 1
+            for direction in confidence.DIRECTIONS:
+                with pytest.raises(ParameterError, match=f"group {g} minus group 0 overflows"):
+                    simultaneous_bounds(groups, 0.95, direction)
+            with pytest.raises(ParameterError, match=f"group {g} minus group 0 overflows"):
+                simultaneous_intervals(groups, 0.95)
+        res = simultaneous_intervals([[0.0, 1.0, 2.0], [1.7e308, 1.75e308, 1.6e308]], 0.5)
+    assert all(np.isfinite(res.lower + res.upper))
+
+
+def _selection_keys():
+    return [key for key in _cache.DESIGNS._items if key[0] == "selection"]
+
+
+def test_ties_warning_is_per_call_when_the_selection_is_cached(monkeypatch):
+    solves = []
+    select = confidence.select_indices
+    monkeypatch.setattr(
+        confidence, "select_indices", lambda *args: solves.append(args) or select(*args)
+    )
+    untied = [[0.1, 0.5, 0.9, 1.3, 2.2], [0.4, 1.1, 1.6, 2.0, 2.7, 3.1]]
+    tied = [[0, 0, 1, 1, 2], [1, 1, 2, 2, 3, 3]]
+    for groups, warned in ((untied, False), (tied, True), (untied, False)):
+        res = simultaneous_bounds(groups, 0.9, "lower")
+        assert any("rounding_eps" in w for w in res.warnings) == warned
+    assert len(solves) == 1 and len(_selection_keys()) == 1
+
+
+def test_bounds_equal_those_computed_with_the_caches_cleared():
+    rng = np.random.default_rng(17)
+    sizes = (9, 7, 8)
+    calls = [
+        lambda g: simultaneous_bounds(g, 0.9, "upper"),
+        lambda g: simultaneous_bounds(g, 0.9, "lower"),
+        lambda g: simultaneous_intervals(g, 0.8),  # one-sided 0.9: the same selection
+        lambda g: simultaneous_bounds(g, 0.95, "lower", rounding_eps=0.05),
+    ]
+    for _ in range(3):
+        groups = [np.round(rng.normal(size=n), 1) for n in sizes]
+        warm = [call(groups) for call in calls]
+        assert len(_selection_keys()) == 2
+        for call, want in zip(calls, warm):
+            _cache.DESIGNS.clear()
+            assert call(groups) == want
+    model = no_ties_model(sizes)
+    for direction in confidence.DIRECTIONS:
+        _, sel = confidence._selection(sizes, 0.9, direction, confidence.DEFAULT_NODES)
+        assert sel == select_indices(model, 0.9, direction)
+
+
+def test_failed_selections_are_not_cached():
+    groups = [[0.1, 0.5, 0.9, 1.3], [0.4, 1.1, 1.6, 2.0]]
+    for gamma in (float("nan"), 1.0, 0.0):
+        with pytest.raises(ParameterError, match="gamma"):
+            simultaneous_bounds(groups, gamma, "upper")
+        with pytest.raises(ParameterError, match="gamma"):
+            simultaneous_intervals(groups, gamma)
+    for nodes in (0, 10**6):
+        with pytest.raises(ParameterError):
+            simultaneous_bounds(groups, 0.9, "lower", nodes=nodes)
+    assert _selection_keys() == []
+    simultaneous_bounds(groups, 0.9, "lower")
+    assert len(_selection_keys()) == 1
 
 
 def _bits(v) -> bytes:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from steelrank import _cache
 from steelrank.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -68,8 +69,13 @@ def render(name: str, out: Path) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path):
+    """Steel and confidence reports are rendered twice: with the per-process caches
+    cold (the conftest fixture empties them) and then warm from the first run."""
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
-    assert render(name, tmp_path / "report") == expected
+    assert render(name, tmp_path / "cold") == expected
+    if name.startswith(("steel", "confidence")):
+        assert _cache.DESIGNS._items
+        assert render(name, tmp_path / "warm") == expected
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from steelrank import _cache, moments
 from steelrank import (
     ParameterError,
     TiePattern,
@@ -172,3 +173,51 @@ def test_correction_ratio_zero_without_ties():
 def test_size_mismatch():
     with pytest.raises(ParameterError):
         factor_decomposition((2, 2), TIE_213)  # sums to 4, N = 6
+
+
+MOMENT_ARRAYS = ("mu", "tau2", "cov", "sigma2", "correction_ratio")
+
+
+def _design_keys(kind):
+    return [key for key in _cache.DESIGNS._items if key[0] == kind]
+
+
+def test_moment_sets_are_read_only_and_kept_once_per_design():
+    ms = factor_decomposition((5, 5, 4), TiePattern.no_ties(14))
+    for sizes in ([5, 5, 4], np.array([5, 5, 4]), (np.int64(5), np.int32(5), np.uint8(4))):
+        assert factor_decomposition(sizes, TiePattern.no_ties(14)) is ms
+    assert len(_design_keys("moments")) == 1
+    for name in MOMENT_ARRAYS:
+        with pytest.raises(ValueError):
+            getattr(ms, name)[0] = 1.0
+
+
+def test_tie_patterns_with_equal_sums_share_one_moment_set():
+    # (3, 4, 7) and (1, 1, 6, 6) have equal N, sums of squares and sums of cubes
+    a, b = TiePattern((3, 4, 7)), TiePattern((1, 1, 6, 6))
+    assert (a.N, a.s2, a.s3, a.s3_plus) == (b.N, b.s2, b.s3, b.s3_plus)
+    ms = factor_decomposition((5, 5, 4), a)
+    assert factor_decomposition((5, 5, 4), b) is ms
+    assert len(_design_keys("moments")) == 1
+    fresh = moments._factor_decomposition((5, 5, 4), b)
+    for name in MOMENT_ARRAYS:
+        np.testing.assert_array_equal(getattr(ms, name), getattr(fresh, name))
+    assert (ms.sigma0_2, ms.warnings) == (fresh.sigma0_2, fresh.warnings)
+    assert factor_decomposition((5, 5, 4), TiePattern.no_ties(14)) is not ms
+
+
+def _design_nbytes():
+    return sum(_cache.held_bytes(v) for v in _cache.DESIGNS._items.values())
+
+
+def test_the_design_cache_holds_its_byte_bound_at_300_treatments():
+    # one moment set of 300 treatments holds a 300 x 300 covariance, about 0.7 MiB
+    keys = []
+    for n0 in (1, 2, 1):
+        sizes = (n0,) + (1,) * 300
+        ms = factor_decomposition(sizes, TiePattern.no_ties(sum(sizes)))
+        assert 2 * _cache.held_bytes(ms) > _cache.DESIGNS.limit
+        assert _design_nbytes() == _cache.DESIGNS._nbytes <= _cache.DESIGNS.limit
+        keys.append(list(_cache.DESIGNS._items))
+    assert len(keys[0]) == len(keys[1]) == 1 and keys[0] != keys[1]
+    assert keys[2] == keys[0]  # evicted by the second design, then computed again

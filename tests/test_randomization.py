@@ -663,7 +663,7 @@ def _cached_nbytes():
 def test_the_cache_holds_its_byte_cap_and_evicts_the_least_recently_used(monkeypatch, walk_calls):
     # distinct tie patterns of 4 + 4 + 4 values, with a cap of a few results
     cap = 64 * 2**10
-    monkeypatch.setattr(randomization, "_WALK_CACHE_BYTES", cap)
+    monkeypatch.setattr(randomization._WALKS, "limit", cap)
     rng = np.random.default_rng(21)
     ties = list(dict.fromkeys(random_tie_pattern(rng, 12) for _ in range(60)))
     assert len(ties) > 40
@@ -695,7 +695,7 @@ def test_results_over_the_cap_and_python_int_weights_are_not_cached(monkeypatch,
     assert len(walk_calls) == 2 and not randomization._WALKS._items
     # an int64 result larger than the cap
     tie, sizes, pairs = _UNTIED_333
-    monkeypatch.setattr(randomization, "_WALK_CACHE_BYTES", 64)
+    monkeypatch.setattr(randomization._WALKS, "limit", 64)
     for _ in range(2):
         w, wt = randomization._enumerate_w(tie, sizes, pairs)
         assert w.nbytes + wt.nbytes > 64
