@@ -23,6 +23,7 @@ LIKERT = ["--input", str(DATA / "likert_small.csv")]
 R1 = ["--input", str(DATA / "r1_10x50.csv")]
 UNTIED = ["--input", str(DATA / "untied_5x5x4.csv")]
 TWO = ["--input", str(DATA / "two_valued_3x20.csv")]
+TIED = ["--input", str(DATA / "fully_tied_2x3x2.csv")]
 MC = ["--nsim", "20000", "--seed", "3"]
 ASYM_CONF = ["--mode", "confidence", "--method", "asymptotic", "--round-eps", "0.5"]
 
@@ -57,6 +58,11 @@ CASES = {
     "pairwise_all_less": IQ + ["--mode", "pairwise", "--method", "all",
                                "--alternative", "less"] + MC,
     "harness_two_sided": IQ + ["--mode", "quality_harness", "--alternative", "two-sided"] + MC,
+    # which engines each mode runs per --method, and the degenerate-data warnings
+    "steel_all_fully_tied": TIED + ["--method", "all"],
+    "pairwise_all_fully_tied": TIED + ["--mode", "pairwise", "--method", "all", "--nsim", "2000",
+                                       "--seed", "3"],
+    "pairwise_asymptotic": IQ + ["--mode", "pairwise", "--method", "asymptotic"] + MC,
 }
 
 
