@@ -16,8 +16,7 @@ from .gauss import (
     solve_common_threshold,
     tail_prob,
 )
-from .moments import MomentSet, cov_w, factor_decomposition, mean_w, var_w
-from .pairwise import PairwiseMoments, PairwiseResult, pairwise_moment_matrix, pairwise_test
+from .moments import MomentSet, cov_w, mean_w, pair_moments, var_w
 from .randomization import (
     PValue,
     exact_p_value,
@@ -34,7 +33,7 @@ from .ranks import (
     extract_tie_pattern,
     rank_samples,
 )
-from .statistics import SteelObservation, mann_whitney_star, rank_sums, steel_statistics
+from .statistics import Observation, mann_whitney_star, observe, rank_sums
 
 __version__ = "0.1.0"
 
@@ -46,25 +45,22 @@ __all__ = [
     "IndexSelection",
     "MomentSet",
     "NumericError",
+    "Observation",
     "PValue",
-    "PairwiseMoments",
-    "PairwiseResult",
     "ParameterError",
     "RankedSamples",
-    "SteelObservation",
     "TiePattern",
     "check_asymptotic_conditions",
     "compute_midranks",
     "cov_w",
     "exact_p_value",
     "extract_tie_pattern",
-    "factor_decomposition",
     "joint_lower_box_prob",
     "kth_difference",
     "mann_whitney_star",
     "mean_w",
-    "pairwise_moment_matrix",
-    "pairwise_test",
+    "observe",
+    "pair_moments",
     "rank_samples",
     "rank_sums",
     "select_indices",
@@ -74,7 +70,6 @@ __all__ = [
     "simulated_tail_counts",
     "solve_common_threshold",
     "split_count",
-    "steel_statistics",
     "tail_prob",
     "var_w",
 ]

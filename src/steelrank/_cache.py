@@ -1,9 +1,9 @@
 """Byte-bounded LRU maps for results that depend on the design, not on the data.
 
 The package keeps two, one per process: ``randomization``'s cache of exact walks,
-and ``DESIGNS`` below, which holds the moment sets of
-``moments.factor_decomposition`` and the no-ties index selections of
-``confidence``.  Values are read-only, so every caller can share one object.
+and ``DESIGNS`` below, which holds the moment sets of ``moments.pair_moments``
+and the no-ties index selections of ``confidence``.  Values are read-only, so
+every caller can share one object.
 """
 from __future__ import annotations
 

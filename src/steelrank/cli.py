@@ -18,8 +18,8 @@ import numpy as np
 from .confidence import ConfidenceResult, simultaneous_bounds, simultaneous_intervals
 from .errors import BudgetError, NumericError, ParameterError
 from .gauss import DEFAULT_NODES, MAX_NODES, FactorModel, brent_root, tail_prob
-from .moments import MomentSet, factor_decomposition
-from .pairwise import pairwise_test
+from .moments import MomentSet, all_pairs, control_pairs, pair_moments
+from .pairwise import mvn_tail_counts
 from .randomization import (
     DEFAULT_BUDGET,
     PValue,
@@ -31,16 +31,35 @@ from .randomization import (
 from .ranks import Diagnostics, RankedSamples, TiePattern, check_asymptotic_conditions, rank_samples
 from .statistics import (
     ALTERNATIVE_TABLE,
-    SteelObservation,
+    Observation,
     normalize_alternative,
+    observe,
     rank_sums,
-    steel_statistics,
+    reduce_statistic,
 )
 
 SCHEMA_VERSION = 1
 MODES = ("steel", "pairwise", "confidence", "quality_harness")
 FORMATS = ("csv_long", "csv_wide", "whitespace")
 METHODS = ("asymptotic", "simulated", "exact", "all")
+# mode -> --method -> the engines that answer, in order.  Steel always reports its
+# quadrature; "exact_or_monte_carlo" is exact when the splits fit --exact-budget and
+# Monte Carlo otherwise.  All-pairs has no exact entry: pairwise --method exact is refused.
+_STEEL_ENGINES = {
+    "asymptotic": ("asymptotic",),
+    "simulated": ("asymptotic", "monte_carlo"),
+    "exact": ("asymptotic", "exact"),
+    "all": ("asymptotic", "exact_or_monte_carlo"),
+}
+ENGINES = {
+    "steel": _STEEL_ENGINES,
+    "confidence": _STEEL_ENGINES,
+    "pairwise": {
+        "asymptotic": ("mvn_sample",),
+        "simulated": ("monte_carlo",),
+        "all": ("monte_carlo", "mvn_sample"),
+    },
+}
 HARNESS_P_GRID = (0.20, 0.15, 0.10, 0.05, 0.025, 0.01)
 
 
@@ -244,15 +263,14 @@ def _moments_dict(ms: MomentSet) -> dict:
     }
 
 
-def _observation_dict(obs: SteelObservation, sizes: Sequence[int]) -> dict:
+def _observation_dict(obs: Observation, alternative: str, sizes: Sequence[int]) -> dict:
+    z = obs.standardized[None, :]
     return {
         "w_star": obs.w_star,
         "rank_sums": rank_sums(obs.w_star, list(sizes[1:])),
         "standardized": obs.standardized,
-        "s_max": obs.s_max,
-        "s_min": obs.s_min,
-        "s_abs": obs.s_abs,
-        "alternative": obs.alternative,
+        **{kind: reduce_statistic(kind, z)[0] for kind in ("s_max", "s_min", "s_abs")},
+        "alternative": alternative,
         "statistic": obs.statistic,
         "statistic_value": obs.statistic_value,
         "degenerate": list(obs.degenerate),
@@ -281,85 +299,78 @@ def _confidence_dict(cr: ConfidenceResult) -> dict:
 
 
 def _asymptotic_p(
-    model: FactorModel | None, obs: SteelObservation, continuity: bool, nodes: int
+    ms: MomentSet, obs: Observation, alternative: str, continuity: bool, nodes: int
 ) -> tuple[PValue, list[str]]:
-    if model is None:  # fully tied data: the statistics are constant
+    if len(obs.degenerate) == len(ms.pairs):  # fully tied data: the statistics are constant
         return PValue(estimate=1.0, method="asymptotic"), [
             "degenerate data: asymptotic p-value set to 1"
         ]
+    model = FactorModel.from_moments(ms)
     # move the observed statistic half a raw unit towards the body of its tail
     shift = 0.5 if continuity else 0.0
     st = obs.statistic_value * model.tau
-    lower = ALTERNATIVE_TABLE[obs.alternative][1] == "lower"
+    lower = ALTERNATIVE_TABLE[alternative][1] == "lower"
     u = (st + shift if lower else st - shift) / model.tau
-    if obs.alternative == "two_sided":
+    if alternative == "two_sided":
         u = np.maximum(u, 0.0)
-    p = tail_prob(model, u, obs.alternative, nodes)
+    p = tail_prob(model, u, alternative, nodes)
     return PValue(estimate=p, method="asymptotic"), []
 
 
-def _steel_section(cfg: RunConfig, samples: RankedSamples) -> dict:
-    ms = factor_decomposition(samples.sizes, samples.tie_pattern)
-    obs = steel_statistics(samples, ms, cfg.alternative)
+def _analysis_section(cfg: RunConfig, samples: RankedSamples) -> dict:
+    """Moments, observation and the p-values of the engines ENGINES names for the run:
+    the control pairs in steel and confidence mode, all pairs in pairwise mode."""
+    engines = ENGINES[cfg.mode].get(cfg.method)
+    if engines is None:
+        raise ParameterError("pairwise mode supports methods: asymptotic (mvn), simulated, all")
+    steel = cfg.mode != "pairwise"
+    pairs = (control_pairs if steel else all_pairs)(samples.n_groups)
+    ms = pair_moments(samples.sizes, samples.tie_pattern, pairs)
+    obs = observe(samples, ms, cfg.alternative)
     diag = check_asymptotic_conditions(samples, cfg.epsilon)
-    degenerate = len(obs.degenerate) == samples.n_groups - 1
-    model = None if degenerate else FactorModel.from_moments(ms)
     warnings = list(diag.warnings) + list(ms.warnings)
+    if obs.degenerate and not steel:
+        warnings.append("fully tied data: statistics are degenerate at 0")
 
     p_values: dict[str, dict] = {}
-    pv, extra = _asymptotic_p(model, obs, cfg.continuity, cfg.nodes)
-    warnings += extra
-    p_values["asymptotic"] = _pvalue_dict(pv)
+    for engine in engines:
+        if engine == "exact_or_monte_carlo":
+            fits = split_count(samples.sizes) <= cfg.exact_budget
+            engine = "exact" if fits else "monte_carlo"
+        if engine == "asymptotic":
+            pv, extra = _asymptotic_p(ms, obs, cfg.alternative, cfg.continuity, cfg.nodes)
+            warnings += extra
+        elif engine == "exact":
+            pv = exact_p_value(samples, ms, obs.statistic, obs.statistic_value, cfg.exact_budget)
+        else:
+            tail = (obs.statistic, [obs.statistic_value], cfg.nsim, cfg.seed)
+            if engine == "monte_carlo":
+                hits = simulated_tail_counts(samples, ms, *tail)
+            else:
+                hits = mvn_tail_counts(ms, *tail)
+            pv = sampled_p_value(int(hits[0]), cfg.nsim, cfg.seed, engine, cfg.conservative_mc)
+        p_values[engine] = _pvalue_dict(pv)
 
-    exact_fits = split_count(samples.sizes) <= cfg.exact_budget
-    if cfg.method == "exact" or (cfg.method == "all" and exact_fits):
-        pv = exact_p_value(samples, ms, obs.statistic, obs.statistic_value, cfg.exact_budget)
-        p_values["exact"] = _pvalue_dict(pv)
-    if cfg.method == "simulated" or (cfg.method == "all" and not exact_fits):
-        counts = simulated_tail_counts(
-            samples, ms, obs.statistic, [obs.statistic_value], cfg.nsim, cfg.seed
-        )
-        p_values["monte_carlo"] = _pvalue_dict(
-            sampled_p_value(int(counts[0]), cfg.nsim, cfg.seed, "monte_carlo", cfg.conservative_mc)
-        )
-
-    return {
+    section = {
         "diagnostics": _diagnostics_dict(diag),
-        "moments": _moments_dict(ms),
-        "observation": _observation_dict(obs, samples.sizes),
         "p_values": p_values,
         "warnings": warnings,
     }
-
-
-def _pairwise_section(cfg: RunConfig, samples: RankedSamples) -> dict:
-    if cfg.method == "exact":
-        raise ParameterError("pairwise mode supports methods: asymptotic (mvn), simulated, all")
-    methods = []
-    if cfg.method in ("simulated", "all"):
-        methods.append("monte_carlo")
-    if cfg.method in ("asymptotic", "all"):
-        methods.append("mvn_sample")
-    diag = check_asymptotic_conditions(samples, cfg.epsilon)
-    result = pairwise_test(
-        samples, cfg.alternative, methods, cfg.nsim, cfg.seed, cfg.conservative_mc
-    )
-    pm = result.moments
-    return {
-        "diagnostics": _diagnostics_dict(diag),
-        "pairwise": {
-            "pairs": list(result.labels),
-            "mu": pm.mu,
-            "tau2": pm.tau2,
-            "cov": pm.cov,
-            "w_star": result.w_star,
-            "standardized": result.standardized,
-            "statistic": result.statistic,
-            "statistic_value": result.statistic_value,
-        },
-        "p_values": {m: _pvalue_dict(pv) for m, pv in result.p_values.items()},
-        "warnings": list(diag.warnings) + list(result.warnings),
-    }
+    if steel:
+        section["moments"] = _moments_dict(ms)
+        section["observation"] = _observation_dict(obs, cfg.alternative, samples.sizes)
+    else:
+        section["pairwise"] = {
+            "pairs": [f"{a + 1}-{b + 1}" for a, b in ms.pairs],
+            "mu": ms.mu,
+            "tau2": ms.tau2,
+            "cov": ms.cov,
+            "w_star": obs.w_star,
+            "standardized": obs.standardized,
+            "statistic": obs.statistic,
+            "statistic_value": obs.statistic_value,
+        }
+    return section
 
 
 def quality_harness(
@@ -383,8 +394,9 @@ def quality_harness(
             raise ParameterError(f"p_grid entries must be in (0, 1), got {p}")
     alt = normalize_alternative(alternative)
     samples = rank_samples(groups)
-    ms_adj = factor_decomposition(samples.sizes, samples.tie_pattern)
-    ms_raw = factor_decomposition(samples.sizes, TiePattern.no_ties(samples.N))
+    pairs = control_pairs(samples.n_groups)
+    ms_adj = pair_moments(samples.sizes, samples.tie_pattern, pairs)
+    ms_raw = pair_moments(samples.sizes, TiePattern.no_ties(samples.N), pairs)
     model_adj = FactorModel.from_moments(ms_adj)
     model_raw = FactorModel.from_moments(ms_raw)
     kind, side = ALTERNATIVE_TABLE[alt]
@@ -454,13 +466,8 @@ def run(cfg: RunConfig) -> dict:
         report.update(_harness_section(cfg, arrays))
         return report
 
-    samples = rank_samples(arrays)
-    if cfg.mode == "steel":
-        report.update(_steel_section(cfg, samples))
-    elif cfg.mode == "pairwise":
-        report.update(_pairwise_section(cfg, samples))
-    else:  # confidence: steel analysis plus the interval construction
-        report.update(_steel_section(cfg, samples))
+    report.update(_analysis_section(cfg, rank_samples(arrays)))
+    if cfg.mode == "confidence":  # the steel analysis plus the interval construction
         direction = {"less": "upper", "greater": "lower"}.get(cfg.alternative)
         if direction is None:
             cr = simultaneous_intervals(arrays, cfg.conf_level, cfg.rounding_eps, cfg.nodes)

@@ -15,7 +15,7 @@ import numpy as np
 from ._cache import DESIGNS
 from .errors import NumericError, ParameterError
 from .gauss import DEFAULT_NODES, FactorModel, joint_lower_box_prob, solve_common_threshold
-from .moments import factor_decomposition
+from .moments import control_pairs, pair_moments
 from .ranks import TiePattern, _as_scores
 
 DIRECTIONS = ("upper", "lower")
@@ -203,7 +203,8 @@ def _selection(
         raise ParameterError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
     def solve() -> tuple[FactorModel, IndexSelection]:
-        model = FactorModel.from_moments(factor_decomposition(sizes, TiePattern.no_ties(sum(sizes))))
+        tie = TiePattern.no_ties(sum(sizes))
+        model = FactorModel.from_moments(pair_moments(sizes, tie, control_pairs(len(sizes))))
         return model, select_indices(model, gamma, "upper", nodes)
 
     model, sel = DESIGNS.get(("selection", sizes, gamma, nodes), solve)

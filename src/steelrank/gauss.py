@@ -215,6 +215,9 @@ class FactorModel:
 
     @classmethod
     def from_moments(cls, ms: MomentSet) -> "FactorModel":
+        """The model of a control-pair moment set; other pair sets have no one-factor split."""
+        if ms.sigma2 is None:
+            raise ParameterError("the one-factor model needs the treatment-vs-control pairs")
         return cls(
             n=ms.sizes[1:],
             sigma0=math.sqrt(ms.sigma0_2),

@@ -18,43 +18,57 @@ from .ranks import TiePattern
 _CLAMP_TOL = 1e-9
 
 
+def control_pairs(n_groups: int) -> tuple[tuple[int, int], ...]:
+    """The treatment-vs-control pairs (0, 1), ..., (0, n_groups - 1)."""
+    return tuple((0, i) for i in range(1, n_groups))
+
+
+def all_pairs(n_groups: int) -> tuple[tuple[int, int], ...]:
+    """Every pair (a, b) with a < b, in lexicographic order."""
+    return tuple((a, b) for a in range(n_groups) for b in range(a + 1, n_groups))
+
+
+def _check_pairs(n_groups: int, pairs) -> None:
+    # the Monte Carlo kernel tallies each first group's pairs in this order
+    if pairs not in (control_pairs(n_groups), all_pairs(n_groups)):
+        raise ParameterError(
+            f"pairs must be the control pairs or all pairs of {n_groups} groups, in order; "
+            f"got {pairs!r}"
+        )
+
+
 @dataclass(frozen=True)
 class MomentSet:
-    """Means, variances and covariances of the K control-vs-treatment statistics,
-    plus the one-factor split (common variance sigma0_2, idiosyncratic sigma2).
-    The arrays are read-only."""
+    """Null means, variances and covariances of the Mann-Whitney statistics of a pair
+    set: the treatment-vs-control pairs (0, i) or all pairs (a, b), a < b, in the
+    order of mu and tau.  The first group of a pair plays the control role.
+
+    For control pairs the set also holds the one-factor split (common variance
+    sigma0_2, idiosyncratic sigma2); for any other pair set both are None.  The
+    arrays are read-only.
+    """
 
     sizes: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
     mu: np.ndarray
     tau2: np.ndarray
     cov: np.ndarray
-    sigma0_2: float
-    sigma2: np.ndarray
     correction_ratio: np.ndarray
+    sigma0_2: float | None
+    sigma2: np.ndarray | None
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_pairs(len(self.sizes), self.pairs)
         for name in ("mu", "tau2", "cov", "sigma2", "correction_ratio"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n0(self) -> int:
-        return self.sizes[0]
-
-    @property
-    def K(self) -> int:
-        return len(self.sizes) - 1
+            if getattr(self, name) is not None:
+                arr = np.asarray(getattr(self, name), dtype=float)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def tau(self) -> np.ndarray:
         return np.sqrt(self.tau2)
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """(control, treatment) index pairs, in the order of mu and tau."""
-        return tuple((0, i) for i in range(1, len(self.sizes)))
 
 
 def _check_size(n: int, name: str) -> int:
@@ -125,66 +139,97 @@ def _sigma0_sq_exact(n0: int, tie: TiePattern) -> Fraction:
     return out
 
 
-def factor_decomposition(sizes, tie: TiePattern) -> MomentSet:
-    """Full moment set for control size sizes[0] and treatments sizes[1:].
+def pair_moments(sizes, tie: TiePattern, pairs) -> MomentSet:
+    """Moment set of the statistics of ``pairs``, the control pairs or all pairs of
+    len(sizes) groups, from the shared-sample identities.
 
-    The covariance of the K statistics matches that of n_i*V0 + V_i with
-    independent V's, which is what makes the one-dimensional quadrature work:
-    cov[i][j] = n_i*n_j*sigma0_2 off the diagonal and tau2[i] = n_i^2*sigma0_2
-    + sigma2[i] on it.
+    Pairs sharing their first or their second sample covary positively (three-sample
+    covariance with the shared size first); mixed sharing flips the sign because
+    reflecting a statistic (swapping its samples) negates it around the mean;
+    disjoint pairs are uncorrelated.  For control pairs the covariance matches that
+    of n_i*V0 + V_i with independent V's, which is what makes the one-dimensional
+    quadrature work: cov[i][j] = n_i*n_j*sigma0_2 off the diagonal and tau2[i] =
+    n_i^2*sigma0_2 + sigma2[i] on it.
 
     The formulas read the data only through N, s2, s3, s3_plus and whether all
     values are tied, so results are kept per process in ``_cache.DESIGNS`` under
-    the sizes and those sums: tie patterns with equal sums share one entry.
+    the sizes, the pairs and those sums: tie patterns with equal sums share one entry.
     """
     sizes = tuple(_check_size(n, "size") for n in sizes)
     if len(sizes) < 2:
         raise ParameterError("need a control size and at least one treatment size")
     if sum(sizes) != tie.N:
         raise ParameterError(f"sizes sum to {sum(sizes)} but tie pattern has N = {tie.N}")
-    key = ("moments", sizes, tie.s2, tie.s3, tie.s3_plus, tie.e == 1)  # N = sum(sizes)
-    return DESIGNS.get(key, lambda: _factor_decomposition(sizes, tie))
+    pairs = tuple((int(a), int(b)) for a, b in pairs)
+    _check_pairs(len(sizes), pairs)
+    key = ("moments", sizes, pairs, tie.s2, tie.s3, tie.s3_plus, tie.e == 1)  # N = sum(sizes)
+    return DESIGNS.get(key, lambda: _pair_moments(sizes, tie, pairs))
 
 
-def _factor_decomposition(sizes: tuple[int, ...], tie: TiePattern) -> MomentSet:
+def _pair_moments(
+    sizes: tuple[int, ...], tie: TiePattern, pairs: tuple[tuple[int, int], ...]
+) -> MomentSet:
+    exact: dict[tuple[int, ...], Fraction] = {}  # each distinct size tuple's moment, once
+
+    def moment(*ns: int) -> Fraction:
+        if ns not in exact:
+            exact[ns] = (_var_w_exact if len(ns) == 2 else _cov_w_exact)(*ns, tie)
+        return exact[ns]
+
+    n_pairs = len(pairs)
+    cov = np.zeros((n_pairs, n_pairs), dtype=float)
+    ratio = np.empty(n_pairs, dtype=float)
+    for p, (a, b) in enumerate(pairs):
+        var = moment(sizes[a], sizes[b])
+        cov[p, p] = float(var)
+        ratio[p] = float(1 - var / Fraction(sizes[a] * sizes[b] * (sizes[a] + sizes[b] + 1), 12))
+        for q in range(p + 1, n_pairs):
+            c, d = pairs[q]
+            shared = {a, b} & {c, d}
+            if not shared:
+                continue
+            s = shared.pop()
+            others = [v for v in (a, b, c, d) if v != s]
+            sign = 1.0 if (s == a) == (s == c) else -1.0
+            cov[p, q] = cov[q, p] = sign * float(moment(sizes[s], *(sizes[v] for v in others)))
+
+    sigma0_2, sigma2, warnings = None, None, ()
+    if all(a == 0 for a, _ in pairs):
+        sigma0_2, sigma2, warnings = _factor_split(sizes, tie, moment)
+    return MomentSet(
+        sizes=sizes,
+        pairs=pairs,
+        mu=np.array([sizes[a] * sizes[b] / 2 for a, b in pairs]),
+        tau2=np.diag(cov).copy(),
+        cov=cov,
+        correction_ratio=ratio,
+        sigma0_2=sigma0_2,
+        sigma2=sigma2,
+        warnings=warnings,
+    )
+
+
+def _factor_split(
+    sizes: tuple[int, ...], tie: TiePattern, moment
+) -> tuple[float, np.ndarray, tuple[str, ...]]:
+    """sigma0_2, sigma2 and the clamp warnings of the control pairs' one-factor split."""
     n0 = sizes[0]
     treat = sizes[1:]
-    k = len(treat)
     warnings: list[str] = []
-
     s0_sq = _sigma0_sq_exact(n0, tie)
-    var_exact = [_var_w_exact(n0, ni, tie) for ni in treat]
     sig_sq = []
     for i, ni in enumerate(treat):
-        v = var_exact[i] - ni * ni * s0_sq
+        v = moment(n0, ni) - ni * ni * s0_sq
         if v < 0:
             if float(v) < -_CLAMP_TOL:
-                raise NumericError(f"negative idiosyncratic variance {float(v)} for treatment {i + 1}")
+                raise NumericError(
+                    f"negative idiosyncratic variance {float(v)} for treatment {i + 1}"
+                )
             warnings.append(f"clamped tiny negative variance for treatment {i + 1}")
             v = Fraction(0)
         sig_sq.append(v)
-
-    cov = np.empty((k, k), dtype=float)
-    for i in range(k):
-        cov[i, i] = float(var_exact[i])
-        for j in range(i + 1, k):
-            cij = _cov_w_exact(n0, treat[i], treat[j], tie)
-            if cij != treat[i] * treat[j] * s0_sq:
+    for i in range(len(treat)):
+        for j in range(i + 1, len(treat)):
+            if moment(n0, treat[i], treat[j]) != treat[i] * treat[j] * s0_sq:
                 raise NumericError("factor decomposition is inconsistent with the covariance")
-            cov[i, j] = cov[j, i] = float(cij)
-
-    ratio = np.empty(k, dtype=float)
-    for i, ni in enumerate(treat):
-        lead = Fraction(n0 * ni * (n0 + ni + 1), 12)
-        ratio[i] = float(1 - var_exact[i] / lead)
-
-    return MomentSet(
-        sizes=sizes,
-        mu=np.array([n0 * ni / 2 for ni in treat]),
-        tau2=np.array([float(v) for v in var_exact]),
-        cov=cov,
-        sigma0_2=float(s0_sq),
-        sigma2=np.array([float(v) for v in sig_sq]),
-        correction_ratio=ratio,
-        warnings=tuple(warnings),
-    )
+    return float(s0_sq), np.array([float(v) for v in sig_sq]), tuple(warnings)

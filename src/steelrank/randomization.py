@@ -52,6 +52,7 @@ import numpy as np
 
 from ._cache import ByteLRU
 from .errors import BudgetError, ParameterError
+from .moments import MomentSet
 from .ranks import RankedSamples, TiePattern
 from .statistics import in_tail, reduce_statistic, standardize
 
@@ -104,6 +105,8 @@ def sample_chunks(
     ``draw`` gets each whole chunk in one call, for draws that read the generator
     in another order; their results do not depend on _SLICE_CELLS.
     """
+    if nsim < 1:
+        raise ParameterError("nsim must be >= 1")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     n_chunks = -(-nsim // CHUNK_SIZE)
@@ -167,10 +170,6 @@ def _compositions(total: int, caps: tuple[int, ...]) -> tuple[np.ndarray, np.nda
     comps.setflags(write=False)
     weights.setflags(write=False)
     return comps, weights
-
-
-def all_pairs(n_groups: int) -> tuple[tuple[int, int], ...]:
-    return tuple((a, b) for a in range(n_groups) for b in range(a + 1, n_groups))
 
 
 def _sum_by_key(key: np.ndarray, wt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,31 +322,43 @@ def _walk(
     return w, wt
 
 
-def _check_request(samples: RankedSamples, moments, statistic: str) -> None:
-    """The checks both tail entries make: a scalar statistic, and moments of this design."""
+def check_tail_request(statistic: str, thresholds: Sequence[float]) -> np.ndarray:
+    """The thresholds of a tail request as floats, after the checks every tail entry
+    makes: a scalar statistic and a non-empty ascending vector of thresholds
+    without NaN, which is in no tail and would read as a tail of 0."""
     if statistic not in ("s_max", "s_min", "s_abs"):
         raise ParameterError(f"statistic must be s_max, s_min or s_abs, got {statistic!r}")
+    thr = np.asarray(thresholds, dtype=float)
+    if thr.ndim != 1 or thr.size == 0:
+        raise ParameterError("thresholds must be a non-empty vector")
+    if np.isnan(thr).any():
+        raise ParameterError("thresholds must not be NaN")
+    if np.any(np.diff(thr) < 0):
+        raise ParameterError("thresholds must be sorted ascending")
+    return thr
+
+
+def _check_design(samples: RankedSamples, moments: MomentSet) -> None:
     if moments.sizes != samples.sizes:
         raise ParameterError("moments were computed for different group sizes")
 
 
 def exact_p_value(
     samples: RankedSamples,
-    moments,
+    moments: MomentSet,
     statistic: str,
     threshold: float,
     budget: int = DEFAULT_BUDGET,
 ) -> PValue:
     """Exact tail probability of a statistic at ``threshold``, ties included in the tail.
 
-    ``moments`` is a MomentSet (treatment-vs-control pairs) or a PairwiseMoments
-    (all pairs), as for simulated_tail_counts; the tail is s_min <= threshold for
+    ``moments`` is a MomentSet of control or all pairs, as for
+    simulated_tail_counts; the tail is s_min <= threshold for
     ``s_min``, statistic >= threshold for ``s_max`` and ``s_abs``.  The tail mass
     is the exact integer count of the splits in it.
     """
-    _check_request(samples, moments, statistic)
-    if math.isnan(threshold):
-        raise ParameterError("threshold must not be NaN")
+    check_tail_request(statistic, [threshold])
+    _check_design(samples, moments)
     w, wt = _enumerate_w(samples.tie_pattern, samples.sizes, moments.pairs, budget)
     stats = reduce_statistic(statistic, standardize(w, moments.mu, moments.tau))
     mass = int(wt[in_tail(statistic, stats, threshold)].sum())
@@ -387,9 +398,9 @@ def _mc_tail_counts(
     n_groups = len(sizes)
     sizes = np.asarray(sizes, dtype=np.int64)
     thr = np.asarray(thresholds, dtype=float)
+    # control pairs or all pairs, as MomentSet checks: each first group a is paired
+    # with a+1, ..., last, in order
     firsts = sorted({a for a, _ in pairs})
-    # MomentSet.pairs and all_pairs pair each first group a with a+1, ..., last, in order
-    assert list(pairs) == [(a, b) for a in firsts for b in range(a + 1, n_groups)], pairs
 
     def tail_counts(w2: np.ndarray) -> np.ndarray:
         stats = reduce_statistic(kind, standardize(w2 / 2, mu, tau))
@@ -469,7 +480,7 @@ def sampled_p_value(
 
 def simulated_tail_counts(
     samples: RankedSamples,
-    moments,
+    moments: MomentSet,
     statistic: str,
     thresholds: Sequence[float],
     nsim: int,
@@ -477,21 +488,13 @@ def simulated_tail_counts(
 ) -> np.ndarray:
     """Monte Carlo tail counts of a statistic at each threshold, from one shared run.
 
-    ``moments`` is a MomentSet (treatment-vs-control pairs) or a PairwiseMoments
-    (all pairs); its pairs are standardized with its mu and tau.  The tail is the
-    one the statistic's alternative tests: s_min <= t for ``s_min``, statistic >= t
-    for ``s_max`` and ``s_abs``.  Returns int64 counts out of nsim replicates.
+    ``moments`` is a MomentSet of control or all pairs; its pairs are standardized
+    with its mu and tau.  The tail is the one the statistic's alternative tests:
+    s_min <= t for ``s_min``, statistic >= t for ``s_max`` and ``s_abs``.  Returns
+    int64 counts out of nsim replicates.
     """
-    _check_request(samples, moments, statistic)
-    if nsim < 1:
-        raise ParameterError("nsim must be >= 1")
-    thr = np.asarray(thresholds, dtype=float)
-    if thr.ndim != 1 or thr.size == 0:
-        raise ParameterError("thresholds must be a non-empty vector")
-    if np.isnan(thr).any():
-        raise ParameterError("thresholds must not be NaN")
-    if np.any(np.diff(thr) < 0):
-        raise ParameterError("thresholds must be sorted ascending")
+    thr = check_tail_request(statistic, thresholds)
+    _check_design(samples, moments)
     pairs, mu, tau = moments.pairs, moments.mu, moments.tau
     return _mc_tail_counts(
         samples.tie_pattern, samples.sizes, pairs, mu, tau, statistic, thr, nsim, seed

@@ -1,4 +1,4 @@
-"""Mann-Whitney statistics against a shared control and their standardized extremes."""
+"""Mann-Whitney statistics of group pairs and their standardized extremes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -54,28 +54,19 @@ def in_tail(kind: str, values, threshold):
 
 
 @dataclass(frozen=True)
-class SteelObservation:
-    """Observed Mann-Whitney values, their standardizations, and the three extremes.
+class Observation:
+    """Observed Mann-Whitney values of a moment set's pairs, their standardizations,
+    and the extreme statistic an alternative tests with its observed value.
 
-    Treatments with zero null variance (fully tied data) get standardized value 0
-    and are listed in ``degenerate``.
+    Pairs with zero null variance (fully tied data) get standardized value 0 and
+    are listed in ``degenerate``.
     """
 
     w_star: np.ndarray
     standardized: np.ndarray
-    s_max: float
-    s_min: float
-    s_abs: float
-    alternative: str
-    degenerate: tuple[int, ...] = ()
-
-    @property
-    def statistic(self) -> str:
-        return ALTERNATIVE_TABLE[self.alternative][0]
-
-    @property
-    def statistic_value(self) -> float:
-        return getattr(self, self.statistic)
+    statistic: str
+    statistic_value: float
+    degenerate: tuple[int, ...]
 
 
 def mann_whitney_star(control: Sequence[float], treatment: Sequence[float]) -> float:
@@ -99,26 +90,24 @@ def rank_sums(w_star: Sequence[float], treatment_sizes: Sequence[int]) -> np.nda
     return w + n * (n + 1) / 2
 
 
-def steel_statistics(
-    samples: RankedSamples, moments: MomentSet, alternative: str = "two_sided"
-) -> SteelObservation:
-    """Standardize each treatment-vs-control statistic and take max/min/abs-max."""
-    alt = normalize_alternative(alternative)
+def observe(samples: RankedSamples, moments: MomentSet, alternative: str) -> Observation:
+    """Standardize the statistic of each of the moment set's pairs and reduce them to
+    the alternative's extreme (max, min or abs-max)."""
+    statistic = ALTERNATIVE_TABLE[normalize_alternative(alternative)][0]
     if moments.sizes != samples.sizes:
         raise ParameterError("moments were computed for different group sizes")
-    control = samples.group_midranks(0)
     w = np.array(
-        [mann_whitney_star(control, samples.group_midranks(i)) for i in range(1, samples.n_groups)]
+        [
+            mann_whitney_star(samples.group_midranks(a), samples.group_midranks(b))
+            for a, b in moments.pairs
+        ]
     )
     tau = moments.tau
-    degenerate = tuple(int(i) for i in np.flatnonzero(tau == 0))
     z = standardize(w, moments.mu, tau)
-    return SteelObservation(
+    return Observation(
         w_star=w,
         standardized=z,
-        s_max=float(z.max()),
-        s_min=float(z.min()),
-        s_abs=float(np.abs(z).max()),
-        alternative=alt,
-        degenerate=degenerate,
+        statistic=statistic,
+        statistic_value=float(reduce_statistic(statistic, z[None, :])[0]),
+        degenerate=tuple(int(i) for i in np.flatnonzero(tau == 0)),
     )

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from steelrank import factor_decomposition, split_count
-from steelrank.randomization import DEFAULT_BUDGET, _enumerate_w, _sum_by_key, all_pairs
+from steelrank import pair_moments, split_count
+from steelrank.moments import all_pairs, control_pairs
+from steelrank.randomization import DEFAULT_BUDGET, _enumerate_w, _sum_by_key
 from steelrank.statistics import reduce_statistic, standardize
 
 
@@ -24,19 +25,15 @@ class NullSample:
     total: int
 
 
-def _control_pairs(n_groups: int) -> tuple[tuple[int, int], ...]:
-    return tuple((0, i) for i in range(1, n_groups))
-
-
 def exact_null_distribution(samples, statistic: str, budget: int = DEFAULT_BUDGET) -> NullSample:
     """Full weighted null distribution of s_max, s_min, s_abs or the raw control
     pair values (``vector_w``), from the exact walk over the control pairs."""
-    pairs = _control_pairs(samples.n_groups)
+    pairs = control_pairs(samples.n_groups)
     w, wt = _enumerate_w(samples.tie_pattern, samples.sizes, pairs, budget)
     if statistic == "vector_w":
         vals, inv = np.unique(w, axis=0, return_inverse=True)
     else:
-        ms = factor_decomposition(samples.sizes, samples.tie_pattern)
+        ms = pair_moments(samples.sizes, samples.tie_pattern, pairs)
         stats = reduce_statistic(statistic, standardize(w, ms.mu, ms.tau))
         vals, inv = np.unique(stats, return_inverse=True)
     weights = _sum_by_key(inv.reshape(-1), wt)[1]
@@ -61,7 +58,7 @@ def exact_moments(sizes, tie, all_group_pairs: bool = False,
     """
     sizes = tuple(int(n) for n in sizes)
     n_groups = len(sizes)
-    pairs = all_pairs(n_groups) if all_group_pairs else _control_pairs(n_groups)
+    pairs = all_pairs(n_groups) if all_group_pairs else control_pairs(n_groups)
     w, wt = _enumerate_w(tie, sizes, pairs, budget)
     total = int(wt.sum())
     wt = wt.astype(float)

@@ -18,21 +18,21 @@ from steelrank import (
     FactorModel,
     TiePattern,
     cov_w,
-    factor_decomposition,
     joint_lower_box_prob,
     mean_w,
-    pairwise_moment_matrix,
+    observe,
+    pair_moments,
     rank_samples,
     sampled_p_value,
     select_indices,
     simulated_tail_counts,
     simultaneous_bounds,
     simultaneous_intervals,
-    steel_statistics,
     tail_prob,
     var_w,
 )
 from steelrank.cli import main, quality_harness
+from steelrank.moments import all_pairs, control_pairs
 
 from _exact import exact_moments, exact_null_distribution
 from _oracles import random_tie_pattern
@@ -78,7 +78,7 @@ def test_criterion_1_moment_oracle_suite():
                 for _ in range(20):
                     tie = TiePattern(random_tie_pattern(rng, n_total))
                     em = exact_moments(sizes, tie, all_group_pairs=True)
-                    pm = pairwise_moment_matrix(sizes, tie)
+                    pm = pair_moments(sizes, tie, all_pairs(len(sizes)))
                     assert em.pairs == pm.pairs
                     assert rel_close(em.mean, pm.mu)
                     assert rel_close(em.cov, pm.cov)
@@ -127,7 +127,7 @@ def test_criterion_2_closed_form_reductions():
 @criterion(3, "K=1 tails collapse to the closed normal forms within 1e-8")
 def test_criterion_3_k1_analytic_collapse():
     model = FactorModel.from_moments(
-        factor_decomposition((7, 5), TiePattern.no_ties(12))
+        pair_moments((7, 5), TiePattern.no_ties(12), control_pairs(2))
     )
     for u in np.linspace(-5.0, 5.0, 101):
         assert abs(tail_prob(model, u, "greater") - (1 - norm.cdf(u))) <= 1e-8
@@ -138,18 +138,20 @@ def test_criterion_3_k1_analytic_collapse():
 @criterion(4, "reference four-group fixture reproduces the published analysis")
 def test_criterion_4_reference_example(iq_groups):
     samples = rank_samples(iq_groups)
-    ms = factor_decomposition(samples.sizes, samples.tie_pattern)
-    obs = steel_statistics(samples, ms, "less")
+    ms = pair_moments(samples.sizes, samples.tie_pattern, control_pairs(samples.n_groups))
+    obs = observe(samples, ms, "less")
     assert obs.w_star.tolist() == [7, 17, 12.5]
     assert ms.mu.tolist() == [18, 18, 18]
     assert math.sqrt(ms.sigma0_2) == pytest.approx(0.7062328, abs=1e-6)
     assert np.sqrt(ms.sigma2) == pytest.approx([4.540007] * 3, abs=1e-6)
     assert np.sqrt(ms.tau2) == pytest.approx([6.210249] * 3, abs=1e-6)
-    assert obs.s_min == pytest.approx(-1.7713, abs=5e-5)
+    assert obs.statistic == "s_min"
+    assert obs.statistic_value == pytest.approx(-1.7713, abs=5e-5)
     model = FactorModel.from_moments(ms)
-    assert tail_prob(model, obs.s_min, "less") == pytest.approx(0.0946, abs=5e-4)
+    assert tail_prob(model, obs.statistic_value, "less") == pytest.approx(0.0946, abs=5e-4)
     nsim = 100_000
-    counts = simulated_tail_counts(samples, ms, obs.statistic, [obs.s_min], nsim, 20260809)
+    counts = simulated_tail_counts(samples, ms, obs.statistic, [obs.statistic_value], nsim,
+                                   20260809)
     pv = sampled_p_value(int(counts[0]), nsim, 20260809, "monte_carlo")
     band = 3 * math.sqrt(0.10474 * (1 - 0.10474) / nsim)
     assert abs(pv.estimate - 0.10474) <= band
@@ -171,7 +173,7 @@ def test_criterion_5_approximation_quality():
     for data in scenarios:
         groups = [data[:100].tolist(), data[100:200].tolist(), data[200:].tolist()]
         samples = rank_samples(groups)
-        ms = factor_decomposition(samples.sizes, samples.tie_pattern)
+        ms = pair_moments(samples.sizes, samples.tie_pattern, control_pairs(samples.n_groups))
         model = FactorModel.from_moments(ms)
         thresholds = _threshold_grid(model, (0.2, 0.1, 0.05, 0.02, 0.01))
         curve = simulated_tail_counts(samples, ms, "s_max", thresholds, 100_000, 99) / 100_000
@@ -206,7 +208,7 @@ def test_criterion_6_tie_adjustment_contrast():
 @criterion(7, "confidence inversion matches the exact two-sample null within 0.02")
 def test_criterion_7_confidence_inversion():
     model = FactorModel.from_moments(
-        factor_decomposition((6, 6), TiePattern.no_ties(12))
+        pair_moments((6, 6), TiePattern.no_ties(12), control_pairs(2))
     )
     sel = select_indices(model, 0.95, "upper")
     # exact lower CDF of the no-ties two-sample statistic over all 924 splits
@@ -246,7 +248,7 @@ def test_criterion_8_pairwise_identities():
     assert rel_close(em.cov[idx[(0, 1)], idx[(0, 2)]], 2 / 3)
     assert rel_close(em.cov[idx[(0, 1)], idx[(2, 3)]], 0.0)
     # cov with the reflected statistic W(3,1) = n3*n1 - W(1,3) flips the sign
-    pm = pairwise_moment_matrix(sizes, tie)
+    pm = pair_moments(sizes, tie, all_pairs(len(sizes)))
     assert rel_close(pm.cov[idx[(0, 1)], idx[(0, 2)]], 2 / 3)
     assert rel_close(-pm.cov[idx[(0, 1)], idx[(0, 2)]], -2 / 3)
     assert pm.cov[idx[(0, 1)], idx[(2, 3)]] == 0.0

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steelrank import ParameterError, factor_decomposition, rank_samples
+from steelrank import ParameterError, pair_moments, rank_samples
 from steelrank.cli import RunConfig, build_parser, main, quality_harness, render_json, run
 from steelrank.gauss import MAX_NODES
+from steelrank.moments import control_pairs
 
 from _oracles import two_valued_tail
 
@@ -112,7 +113,7 @@ def test_exact_past_2_pow_53_splits_is_exact_and_all_answers_exact(tmp_path, cap
         lines += [f"{g},{v}" for v in values]
     f.write_text("\n".join(lines) + "\n")
     samples = rank_samples(groups)
-    ms = factor_decomposition(samples.sizes, samples.tie_pattern)
+    ms = pair_moments(samples.sizes, samples.tie_pattern, control_pairs(samples.n_groups))
     budget = ["--input", str(f), "--exact-budget", str(10**30), "--nsim", "2000"]
     for alternative, statistic in (("greater", "s_max"), ("less", "s_min"), ("two-sided", "s_abs")):
         want = float(two_valued_tail(groups, ms.mu, ms.tau, statistic))
@@ -282,6 +283,15 @@ def test_pairwise_mode(capsys):
     assert set(report["p_values"]) == {"monte_carlo", "mvn_sample"}
     for pv in report["p_values"].values():
         assert 0 <= pv["estimate"] <= 1
+
+
+def test_pairwise_mode_refuses_the_exact_method(capsys):
+    code, out, err = run_main(capsys, ["--input", IQ, "--mode", "pairwise", "--method", "exact"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {
+        "type": "ParameterError",
+        "message": "pairwise mode supports methods: asymptotic (mvn), simulated, all",
+    }}
 
 
 def test_harness_without_ties_columns_coincide():

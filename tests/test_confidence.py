@@ -10,14 +10,15 @@ from steelrank import (
     FactorModel,
     ParameterError,
     TiePattern,
-    factor_decomposition,
     joint_lower_box_prob,
     kth_difference,
+    pair_moments,
     rank_samples,
     select_indices,
     simultaneous_bounds,
     simultaneous_intervals,
 )
+from steelrank.moments import control_pairs
 
 from _exact import exact_null_distribution
 from _oracles import pairwise_differences
@@ -25,7 +26,7 @@ from _oracles import pairwise_differences
 
 def no_ties_model(sizes) -> FactorModel:
     return FactorModel.from_moments(
-        factor_decomposition(sizes, TiePattern.no_ties(sum(sizes)))
+        pair_moments(sizes, TiePattern.no_ties(sum(sizes)), control_pairs(len(sizes)))
     )
 
 

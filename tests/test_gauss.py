@@ -17,21 +17,22 @@ from steelrank import (
     ParameterError,
     TiePattern,
     extract_tie_pattern,
-    factor_decomposition,
     joint_lower_box_prob,
+    pair_moments,
     solve_common_threshold,
     tail_prob,
 )
 from steelrank.cli import quality_harness
 import steelrank.gauss as gauss
 from steelrank.gauss import _box_mass, _log_ndtr, _ndtr, brent_root
+from steelrank.moments import control_pairs
 
 DATA = Path(__file__).parent / "data"
 
 
 def no_ties_model(sizes) -> FactorModel:
     return FactorModel.from_moments(
-        factor_decomposition(sizes, TiePattern.no_ties(sum(sizes)))
+        pair_moments(sizes, TiePattern.no_ties(sum(sizes)), control_pairs(len(sizes)))
     )
 
 
@@ -39,7 +40,7 @@ IQ_TIE = TiePattern((3, 2, 1, 1, 1, 1, 1, 1, 1, 1, 4, 2, 1, 1, 1, 1, 1))
 
 
 def iq_model() -> FactorModel:
-    model = FactorModel.from_moments(factor_decomposition((6, 6, 6, 6), IQ_TIE))
+    model = FactorModel.from_moments(pair_moments((6, 6, 6, 6), IQ_TIE, control_pairs(4)))
     assert model.sigma0 == pytest.approx(0.7062328, abs=1e-6)
     assert model.tau == pytest.approx([6.210249] * 3, abs=1e-6)
     return model
@@ -265,7 +266,7 @@ def test_monotonicity():
 
 def test_treatment_permutation_invariance():
     a = no_ties_model((5, 3, 7, 4))
-    ms = factor_decomposition((5, 4, 7, 3), TiePattern.no_ties(19))
+    ms = pair_moments((5, 4, 7, 3), TiePattern.no_ties(19), control_pairs(4))
     b = FactorModel.from_moments(ms)
     for u in (0.5, 1.5, 2.5):
         assert tail_prob(a, u, "greater") == pytest.approx(tail_prob(b, u, "greater"), abs=1e-12)
@@ -487,7 +488,7 @@ def test_brent_root_matches_scipy_on_harness_tail_solves(alternative):
     rng = np.random.default_rng(31)
     groups = [np.round(rng.normal(size=n), 1).tolist() for n in (12, 9, 10)]
     model = FactorModel.from_moments(
-        factor_decomposition((12, 9, 10), extract_tie_pattern(np.concatenate(groups)))
+        pair_moments((12, 9, 10), extract_tie_pattern(np.concatenate(groups)), control_pairs(3))
     )
     sgn = -1.0 if alternative == "less" else 1.0
     lo = 0.0 if alternative == "two_sided" else -14.0

@@ -15,20 +15,18 @@ PACKAGE = Path(steelrank.__file__).parent
 # the public surface: a name joins it with a user-facing caller, not for tests alone
 PUBLIC_NAMES = [
     "BudgetError", "ConfidenceResult", "Diagnostics", "FactorModel", "IndexSelection",
-    "MomentSet", "NumericError", "PValue", "PairwiseMoments", "PairwiseResult",
-    "ParameterError", "RankedSamples", "SteelObservation", "TiePattern",
-    "check_asymptotic_conditions", "compute_midranks", "cov_w", "exact_p_value",
-    "extract_tie_pattern", "factor_decomposition", "joint_lower_box_prob", "kth_difference",
-    "mann_whitney_star", "mean_w", "pairwise_moment_matrix", "pairwise_test", "rank_samples",
-    "rank_sums", "sampled_p_value", "select_indices", "simulated_tail_counts",
-    "simultaneous_bounds", "simultaneous_intervals", "solve_common_threshold", "split_count",
-    "steel_statistics", "tail_prob", "var_w",
+    "MomentSet", "NumericError", "Observation", "PValue", "ParameterError", "RankedSamples",
+    "TiePattern", "check_asymptotic_conditions", "compute_midranks", "cov_w",
+    "exact_p_value", "extract_tie_pattern", "joint_lower_box_prob", "kth_difference",
+    "mann_whitney_star", "mean_w", "observe", "pair_moments", "rank_samples", "rank_sums",
+    "sampled_p_value", "select_indices", "simulated_tail_counts", "simultaneous_bounds",
+    "simultaneous_intervals", "solve_common_threshold", "split_count", "tail_prob", "var_w",
 ]
 
 
 def test_public_names_are_pinned_and_resolve():
     assert sorted(steelrank.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 34
     for name in PUBLIC_NAMES:
         assert hasattr(steelrank, name), name
 

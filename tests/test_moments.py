@@ -1,19 +1,27 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steelrank import _cache, moments
 from steelrank import (
+    FactorModel,
     ParameterError,
     TiePattern,
     cov_w,
     extract_tie_pattern,
-    factor_decomposition,
     mean_w,
+    pair_moments,
     var_w,
 )
+from steelrank.moments import all_pairs, control_pairs
 
 from _oracles import random_tie_pattern, split_moments
 
@@ -75,7 +83,7 @@ def test_size_validation():
 
 
 def test_factor_decomposition_small_case():
-    ms = factor_decomposition((2, 2, 2), TIE_213)
+    ms = pair_moments((2, 2, 2), TIE_213, control_pairs(3))
     assert ms.sigma0_2 == pytest.approx(19 / 120, rel=1e-15)
     assert ms.sigma2 == pytest.approx([11 / 15, 11 / 15], rel=1e-15)
     assert ms.tau2 == pytest.approx([41 / 30, 41 / 30], rel=1e-15)
@@ -85,7 +93,7 @@ def test_factor_decomposition_small_case():
 
 def test_factor_decomposition_iq_pattern(iq_groups):
     tie = extract_tie_pattern(np.concatenate(iq_groups))
-    ms = factor_decomposition((6, 6, 6, 6), tie)
+    ms = pair_moments((6, 6, 6, 6), tie, control_pairs(4))
     assert math.sqrt(ms.sigma0_2) == pytest.approx(0.7062328, abs=1e-6)
     assert np.sqrt(ms.sigma2) == pytest.approx([4.540007] * 3, abs=1e-6)
     assert np.sqrt(ms.tau2) == pytest.approx([6.210249] * 3, abs=1e-6)
@@ -93,7 +101,7 @@ def test_factor_decomposition_iq_pattern(iq_groups):
 
 
 def test_factor_decomposition_no_ties_large():
-    ms = factor_decomposition((100, 100, 100), TiePattern.no_ties(300))
+    ms = pair_moments((100, 100, 100), TiePattern.no_ties(300), control_pairs(3))
     assert ms.sigma0_2 == pytest.approx(100 / 12, rel=1e-15)
     assert ms.tau2 == pytest.approx([100 * 100 * 201 / 12] * 2, rel=1e-15)
 
@@ -128,7 +136,7 @@ def test_factor_consistency():
         for sizes in compositions(n_total, 3):
             for _ in range(5):
                 tie = TiePattern(random_tie_pattern(rng, n_total))
-                ms = factor_decomposition(sizes, tie)
+                ms = pair_moments(sizes, tie, control_pairs(len(sizes)))
                 n1, n2 = sizes[1], sizes[2]
                 assert ms.cov[0, 1] == pytest.approx(n1 * n2 * ms.sigma0_2, rel=1e-12, abs=1e-15)
                 recomposed = np.asarray(sizes[1:]) ** 2 * ms.sigma0_2 + ms.sigma2
@@ -160,19 +168,19 @@ def test_enumeration_equivalence_small_grid():
 
 
 def test_degenerate_pattern_is_all_zero():
-    ms = factor_decomposition((3, 4), TiePattern((7,)))
+    ms = pair_moments((3, 4), TiePattern((7,)), control_pairs(2))
     assert ms.sigma0_2 == 0 and ms.tau2[0] == 0 and ms.sigma2[0] == 0
     assert ms.correction_ratio[0] == 1.0
 
 
 def test_correction_ratio_zero_without_ties():
-    ms = factor_decomposition((4, 4), TiePattern.no_ties(8))
+    ms = pair_moments((4, 4), TiePattern.no_ties(8), control_pairs(2))
     assert ms.correction_ratio[0] == 0.0
 
 
 def test_size_mismatch():
     with pytest.raises(ParameterError):
-        factor_decomposition((2, 2), TIE_213)  # sums to 4, N = 6
+        pair_moments((2, 2), TIE_213, control_pairs(2))  # sums to 4, N = 6
 
 
 MOMENT_ARRAYS = ("mu", "tau2", "cov", "sigma2", "correction_ratio")
@@ -183,27 +191,83 @@ def _design_keys(kind):
 
 
 def test_moment_sets_are_read_only_and_kept_once_per_design():
-    ms = factor_decomposition((5, 5, 4), TiePattern.no_ties(14))
-    for sizes in ([5, 5, 4], np.array([5, 5, 4]), (np.int64(5), np.int32(5), np.uint8(4))):
-        assert factor_decomposition(sizes, TiePattern.no_ties(14)) is ms
-    assert len(_design_keys("moments")) == 1
-    for name in MOMENT_ARRAYS:
-        with pytest.raises(ValueError):
-            getattr(ms, name)[0] = 1.0
+    for count, pair_set in enumerate((control_pairs, all_pairs), start=1):
+        ms = pair_moments((5, 5, 4), TiePattern.no_ties(14), pair_set(3))
+        for sizes in ([5, 5, 4], np.array([5, 5, 4]), (np.int64(5), np.int32(5), np.uint8(4))):
+            assert pair_moments(sizes, TiePattern.no_ties(14), pair_set(3)) is ms
+        assert len(_design_keys("moments")) == count
+        for name in MOMENT_ARRAYS:
+            if getattr(ms, name) is not None:  # all pairs have no one-factor split
+                with pytest.raises(ValueError):
+                    getattr(ms, name)[0] = 1.0
+    assert (ms.sigma0_2, ms.sigma2) == (None, None)
+
+
+def test_pairs_other_than_control_or_all_pairs_are_refused():
+    tie = TiePattern.no_ties(14)
+    for pairs in (((0, 2), (0, 1), (1, 2)), ((0, 2), (0, 1)), ((0, 1), (1, 2)), ()):
+        with pytest.raises(ParameterError, match="control pairs or all pairs"):
+            pair_moments((5, 5, 4), tie, pairs)
+    with pytest.raises(ParameterError, match="treatment-vs-control"):
+        FactorModel.from_moments(pair_moments((5, 5, 4), tie, all_pairs(3)))
+
+
+# A moment set with consistently permuted pairs: the Monte Carlo kernel would
+# tally its pairs in the wrong columns, so construction must refuse it even
+# under -O, which strips asserts.
+REORDERED_SCRIPT = """
+import sys
+import numpy as np
+from steelrank import MomentSet, ParameterError, TiePattern, pair_moments
+from steelrank.moments import all_pairs
+
+pm = pair_moments((5, 5, 4), TiePattern.no_ties(14), all_pairs(3))
+order = [1, 0, 2]  # pairs ((0, 2), (0, 1), (1, 2))
+try:
+    MomentSet(sizes=pm.sizes, pairs=tuple(pm.pairs[i] for i in order), mu=pm.mu[order],
+              tau2=pm.tau2[order], cov=pm.cov[np.ix_(order, order)],
+              correction_ratio=pm.correction_ratio[order], sigma0_2=None, sigma2=None)
+    print(sys.flags.optimize, "accepted")
+except ParameterError:
+    print(sys.flags.optimize, "refused")
+"""
+
+
+def test_a_reordered_pair_set_is_refused_under_python_O():
+    env = dict(os.environ)
+    src = str(Path(moments.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", REORDERED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["1", "refused"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=6), st.data())
+def test_control_block_of_all_pairs_is_the_control_pair_set(sizes, data):
+    sizes = tuple(sizes)
+    values = data.draw(st.lists(st.integers(0, 3), min_size=sum(sizes), max_size=sum(sizes)))
+    tie = extract_tie_pattern(values)
+    ctrl = pair_moments(sizes, tie, control_pairs(len(sizes)))
+    full = pair_moments(sizes, tie, all_pairs(len(sizes)))
+    block = [full.pairs.index(p) for p in ctrl.pairs]
+    for name in ("mu", "tau2", "correction_ratio"):
+        assert getattr(full, name)[block].tobytes() == getattr(ctrl, name).tobytes()
+    assert full.cov[np.ix_(block, block)].tobytes() == ctrl.cov.tobytes()
 
 
 def test_tie_patterns_with_equal_sums_share_one_moment_set():
     # (3, 4, 7) and (1, 1, 6, 6) have equal N, sums of squares and sums of cubes
     a, b = TiePattern((3, 4, 7)), TiePattern((1, 1, 6, 6))
     assert (a.N, a.s2, a.s3, a.s3_plus) == (b.N, b.s2, b.s3, b.s3_plus)
-    ms = factor_decomposition((5, 5, 4), a)
-    assert factor_decomposition((5, 5, 4), b) is ms
+    ms = pair_moments((5, 5, 4), a, control_pairs(3))
+    assert pair_moments((5, 5, 4), b, control_pairs(3)) is ms
     assert len(_design_keys("moments")) == 1
-    fresh = moments._factor_decomposition((5, 5, 4), b)
+    fresh = moments._pair_moments((5, 5, 4), b, control_pairs(3))
     for name in MOMENT_ARRAYS:
         np.testing.assert_array_equal(getattr(ms, name), getattr(fresh, name))
     assert (ms.sigma0_2, ms.warnings) == (fresh.sigma0_2, fresh.warnings)
-    assert factor_decomposition((5, 5, 4), TiePattern.no_ties(14)) is not ms
+    assert pair_moments((5, 5, 4), TiePattern.no_ties(14), control_pairs(3)) is not ms
 
 
 def _design_nbytes():
@@ -215,7 +279,7 @@ def test_the_design_cache_holds_its_byte_bound_at_300_treatments():
     keys = []
     for n0 in (1, 2, 1):
         sizes = (n0,) + (1,) * 300
-        ms = factor_decomposition(sizes, TiePattern.no_ties(sum(sizes)))
+        ms = pair_moments(sizes, TiePattern.no_ties(sum(sizes)), control_pairs(len(sizes)))
         assert 2 * _cache.held_bytes(ms) > _cache.DESIGNS.limit
         assert _design_nbytes() == _cache.DESIGNS._nbytes <= _cache.DESIGNS.limit
         keys.append(list(_cache.DESIGNS._items))

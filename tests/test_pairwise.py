@@ -1,20 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
 from steelrank import (
     ParameterError,
     TiePattern,
-    pairwise_moment_matrix,
-    pairwise_test,
+    observe,
+    pair_moments,
     rank_samples,
-    sampled_p_value,
     simulated_tail_counts,
-    steel_statistics,
     var_w,
 )
 from steelrank import randomization
-from steelrank.moments import factor_decomposition
-from steelrank.pairwise import _mvn_root, _mvn_tail_counts
+from steelrank.cli import main
+from steelrank.moments import all_pairs, control_pairs
+from steelrank.pairwise import _mvn_root, _mvn_tail_counts, mvn_tail_counts
 
 from _exact import exact_moments
 from _oracles import enumerate_pair_stats, random_tie_pattern
@@ -37,18 +38,18 @@ def test_k4_no_ties_against_split_enumeration():
     c = np.cov(rows[:, i12], reflected, bias=True)[0, 1]
     assert c == pytest.approx(-2 / 3, rel=1e-10)
 
-    pm = pairwise_moment_matrix(sizes, TiePattern.no_ties(8))
+    pm = pair_moments(sizes, TiePattern.no_ties(8), all_pairs(len(sizes)))
     assert pm.cov == pytest.approx(cov, rel=1e-10, abs=1e-12)
 
 
 def test_fully_tied_zero_matrix():
-    pm = pairwise_moment_matrix((2, 3, 2), TiePattern((7,)))
+    pm = pair_moments((2, 3, 2), TiePattern((7,)), all_pairs(3))
     assert np.all(pm.cov == 0)
 
 
 def test_k2_matches_two_sample_variance():
     tie = TiePattern((2, 1, 3))
-    pm = pairwise_moment_matrix((2, 4), tie)
+    pm = pair_moments((2, 4), tie, all_pairs(2))
     assert pm.cov.shape == (1, 1)
     assert pm.cov[0, 0] == var_w(2, 4, tie)
 
@@ -59,7 +60,7 @@ def test_identities_on_random_patterns():
         n_total = sum(sizes)
         for _ in range(4):
             tie = TiePattern(random_tie_pattern(rng, n_total))
-            pm = pairwise_moment_matrix(sizes, tie)
+            pm = pair_moments(sizes, tie, all_pairs(len(sizes)))
             em = exact_moments(sizes, tie, all_group_pairs=True)
             assert em.pairs == pm.pairs
             assert em.mean == pytest.approx(pm.mu, rel=1e-12)
@@ -73,7 +74,7 @@ def test_antisymmetry_and_disjoint_identities():
 
     tie = TiePattern((2, 2, 1, 2, 1))
     sizes = (2, 2, 2, 2)
-    pm = pairwise_moment_matrix(sizes, tie)
+    pm = pair_moments(sizes, tie, all_pairs(len(sizes)))
     pairs = list(pm.pairs)
     i12, i13 = pairs.index((0, 1)), pairs.index((0, 2))
     i23, i34 = pairs.index((1, 2)), pairs.index((2, 3))
@@ -95,7 +96,7 @@ def test_repeated_sizes_keep_each_entry_its_own_closed_form():
 
     sizes = (3, 5, 3, 5, 4)
     tie = TiePattern((2, 1, 3, 1, 1, 4, 2, 1, 1, 2, 1, 1))
-    pm = pairwise_moment_matrix(sizes, tie)
+    pm = pair_moments(sizes, tie, all_pairs(len(sizes)))
     for p, (a, b) in enumerate(pm.pairs):
         assert pm.cov[p, p] == var_w(sizes[a], sizes[b], tie)
         for q, (c, d) in enumerate(pm.pairs):
@@ -109,44 +110,55 @@ def test_repeated_sizes_keep_each_entry_its_own_closed_form():
             assert pm.cov[p, q] == sign * cov_w(sizes[s], n1, n2, tie)
 
 
-def test_pairwise_test_identical_constant_samples():
-    s = rank_samples([[3, 3], [3, 3], [3, 3]])
-    for method in ("monte_carlo", "mvn_sample"):
-        res = pairwise_test(s, "two_sided", method, nsim=2000, seed=1)
-        assert np.all(res.standardized == 0)
-        assert res.p_values[method].estimate == 1.0
-        assert any("degenerate" in w for w in res.warnings)
+def _report(tmp_path, groups, *args):
+    """JSON report of a CLI run on the groups, labelled g0, g1, ..."""
+    data = tmp_path / "d.csv"
+    rows = [f"g{g},{v}" for g, values in enumerate(groups) for v in values]
+    data.write_text("group,value\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "r.json"
+    assert main(["--input", str(data), "--out", str(out), *args]) == 0
+    return json.loads(out.read_text())
 
 
-def test_pairwise_k2_consistent_with_control_route():
+def test_pairwise_test_identical_constant_samples(tmp_path):
+    report = _report(tmp_path, [[3, 3], [3, 3], [3, 3]], "--mode", "pairwise", "--nsim", "2000",
+                     "--seed", "1")
+    assert report["pairwise"]["standardized"] == [0, 0, 0]
+    assert set(report["p_values"]) == {"monte_carlo", "mvn_sample"}
+    assert all(pv["estimate"] == 1.0 for pv in report["p_values"].values())
+    assert any("degenerate" in w for w in report["warnings"])
+
+
+def test_pairwise_k2_consistent_with_control_route(tmp_path):
+    # with two groups the only pair is the control pair: one moment set, one answer
     rng = np.random.default_rng(10)
-    g0 = rng.integers(0, 12, size=8).tolist()
-    g1 = rng.integers(0, 12, size=8).tolist()
-    s = rank_samples([g0, g1])
-    res = pairwise_test(s, "two_sided", "monte_carlo", nsim=40000, seed=3)
-    ms = factor_decomposition(s.sizes, s.tie_pattern)
-    obs = steel_statistics(s, ms, "two_sided")
-    counts = simulated_tail_counts(s, ms, obs.statistic, [obs.statistic_value], 40000, 3)
-    pv = sampled_p_value(int(counts[0]), 40000, 3, "monte_carlo")
-    assert res.statistic_value == pytest.approx(obs.s_abs, rel=1e-12)
-    se = max(pv.std_error, res.p_values["monte_carlo"].std_error)
-    assert abs(res.p_values["monte_carlo"].estimate - pv.estimate) <= 3 * se + 1e-12
+    groups = [rng.integers(0, 12, size=8).tolist() for _ in range(2)]
+    s = rank_samples(groups)
+    ms = pair_moments(s.sizes, s.tie_pattern, all_pairs(2))
+    assert pair_moments(s.sizes, s.tie_pattern, control_pairs(2)) is ms
+    args = ("--method", "simulated", "--nsim", "40000", "--seed", "3")
+    pairwise = _report(tmp_path, groups, "--mode", "pairwise", *args)
+    steel = _report(tmp_path, groups, *args)
+    assert pairwise["pairwise"]["statistic_value"] == steel["observation"]["s_abs"]
+    assert pairwise["p_values"]["monte_carlo"] == steel["p_values"]["monte_carlo"]
 
 
 def test_pairwise_reproducible_across_workers(monkeypatch):
     rng = np.random.default_rng(2)
     s = rank_samples([rng.integers(0, 6, size=7).tolist() for _ in range(3)])
+    pm = pair_moments(s.sizes, s.tie_pattern, all_pairs(s.n_groups))
     monkeypatch.setenv("STEELRANK_THREADS", "1")
-    a = pairwise_test(s, "greater", "mvn_sample", nsim=20000, seed=5)
+    a = mvn_tail_counts(pm, "s_max", [0.5, 1.5], 20000, 5)
     monkeypatch.setenv("STEELRANK_THREADS", "6")
-    b = pairwise_test(s, "greater", "mvn_sample", nsim=20000, seed=5)
-    assert a.p_values["mvn_sample"] == b.p_values["mvn_sample"]
+    b = mvn_tail_counts(pm, "s_max", [0.5, 1.5], 20000, 5)
+    assert a.dtype == np.int64
+    np.testing.assert_array_equal(a, b)
 
 
 def test_mvn_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch):
     rng = np.random.default_rng(8)
     s = rank_samples([rng.integers(0, 7, size=8).tolist() for _ in range(4)])
-    pm = pairwise_moment_matrix(s.sizes, s.tie_pattern)
+    pm = pair_moments(s.sizes, s.tie_pattern, all_pairs(s.n_groups))
     root = _mvn_root(pm)
     n_pairs = len(pm.pairs)
     for kind, threshold in (("s_max", 1.2), ("s_max", 2.3), ("s_min", -1.9), ("s_abs", 2.1)):
@@ -155,7 +167,8 @@ def test_mvn_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch):
             monkeypatch.setenv("STEELRANK_THREADS", threads)
             cells = 1 << 40 if rows is None else rows * n_pairs
             monkeypatch.setattr(randomization, "_SLICE_CELLS", cells)
-            counts[rows, threads] = _mvn_tail_counts(root, kind, threshold, 9000, 6)
+            counts[rows, threads] = int(_mvn_tail_counts(root, kind, np.array([threshold]), 9000,
+                                                         6)[0])
         assert 0 < counts[None, "1"] < 9000
         assert set(counts.values()) == {counts[None, "1"]}
 
@@ -166,58 +179,58 @@ def test_mc_and_mvn_agree_at_moderate_sizes():
     rng = np.random.default_rng(17)
     groups = [rng.normal(size=50).tolist() for _ in range(3)]
     s = rank_samples(groups)
-    pm_mc = pairwise_test(s, "greater", "monte_carlo", nsim=100_000, seed=11)
-    pm_mvn = pairwise_test(s, "greater", "mvn_sample", nsim=100_000, seed=11)
-    p1 = pm_mc.p_values["monte_carlo"].estimate
-    p2 = pm_mvn.p_values["mvn_sample"].estimate
+    pm = pair_moments(s.sizes, s.tie_pattern, all_pairs(s.n_groups))
+    obs = observe(s, pm, "greater")
+    tail = (obs.statistic, [obs.statistic_value], 100_000, 11)
+    p1 = simulated_tail_counts(s, pm, *tail)[0] / 100_000
+    p2 = mvn_tail_counts(pm, *tail)[0] / 100_000
     assert 0.01 <= p1 <= 0.2
     assert abs(p1 - p2) <= 0.015
 
 
-def test_several_methods_in_one_call_match_single_calls():
+def test_several_methods_in_one_call_match_single_calls(tmp_path):
+    # the engine table: pairwise --method all runs exactly the simulated and the
+    # asymptotic (MVN sampling) engines, each as it runs alone
     rng = np.random.default_rng(4)
-    s = rank_samples([rng.integers(0, 8, size=6).tolist() for _ in range(4)])
-    both = pairwise_test(s, "less", ("monte_carlo", "mvn_sample"), nsim=5000, seed=8)
-    assert list(both.p_values) == ["monte_carlo", "mvn_sample"]
-    for method in ("monte_carlo", "mvn_sample"):
-        single = pairwise_test(s, "less", method, nsim=5000, seed=8)
-        assert both.p_values[method] == single.p_values[method]
-    pm = pairwise_moment_matrix(s.sizes, s.tie_pattern)
-    assert both.moments.pairs == pm.pairs
-    assert np.array_equal(both.moments.cov, pm.cov)
+    groups = [rng.integers(0, 8, size=6).tolist() for _ in range(4)]
+    args = ("--mode", "pairwise", "--alternative", "less", "--nsim", "5000", "--seed", "8")
+    both = _report(tmp_path, groups, *args, "--method", "all")
+    assert sorted(both["p_values"]) == ["monte_carlo", "mvn_sample"]
+    for method, engine in (("simulated", "monte_carlo"), ("asymptotic", "mvn_sample")):
+        single = _report(tmp_path, groups, *args, "--method", method)
+        assert single["p_values"] == {engine: both["p_values"][engine]}
+        assert single["pairwise"] == both["pairwise"]
+    s = rank_samples(groups)
+    pm = pair_moments(s.sizes, s.tie_pattern, all_pairs(s.n_groups))
+    assert both["pairwise"]["pairs"] == [f"{a + 1}-{b + 1}" for a, b in pm.pairs]
 
 
 def test_pairwise_report_builds_the_moment_matrix_once(monkeypatch, tmp_path):
-    import steelrank.pairwise as pairwise_module
-    from steelrank.cli import main
+    import steelrank.cli as cli
 
     calls = []
-    original = pairwise_module.pairwise_moment_matrix
+    original = cli.pair_moments
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(pairwise_module, "pairwise_moment_matrix", counting)
-    data = tmp_path / "d.csv"
-    data.write_text("group,value\na,1\na,2\na,4\nb,3\nb,5\nc,6\nc,2\n")
-    out = tmp_path / "r.json"
-    argv = ["--input", str(data), "--mode", "pairwise", "--method", "all", "--nsim", "500"]
-    assert main(argv + ["--out", str(out)]) == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(cli, "pair_moments", counting)
+    _report(tmp_path, [[1, 2, 4], [3, 5], [6, 2]], "--mode", "pairwise", "--nsim", "500")
+    assert len(calls) == 1 and calls[0][2] == all_pairs(3)
 
 
 def test_parameter_validation():
-    s = rank_samples([[1, 2], [3, 4]])
+    pm = pair_moments((2, 2), TiePattern.no_ties(4), all_pairs(2))
     with pytest.raises(ParameterError):
-        pairwise_test(s, "greater", "exact", nsim=100, seed=0)
+        mvn_tail_counts(pm, "s_max", [0.0], 0, 0)
     with pytest.raises(ParameterError):
-        pairwise_test(s, "greater", ("monte_carlo", "exact"), nsim=100, seed=0)
+        mvn_tail_counts(pm, "max", [0.0], 100, 0)
     with pytest.raises(ParameterError):
-        pairwise_test(s, "greater", (), nsim=100, seed=0)
+        mvn_tail_counts(pm, "s_max", [1.0, 0.0], 100, 0)
     with pytest.raises(ParameterError):
-        pairwise_test(s, "greater", "monte_carlo", nsim=0, seed=0)
+        mvn_tail_counts(pm, "s_max", [np.nan], 100, 0)
     with pytest.raises(ParameterError):
-        pairwise_moment_matrix((5,), TiePattern((5,)))
+        pair_moments((5,), TiePattern((5,)), all_pairs(1))
     with pytest.raises(ParameterError):
-        pairwise_moment_matrix((2, 2), TiePattern((5,)))
+        pair_moments((2, 2), TiePattern((5,)), all_pairs(2))

@@ -14,16 +14,16 @@ from steelrank import (
     ParameterError,
     TiePattern,
     exact_p_value,
-    factor_decomposition,
-    pairwise_moment_matrix,
+    observe,
+    pair_moments,
     rank_samples,
     sampled_p_value,
     simulated_tail_counts,
     split_count,
-    steel_statistics,
 )
 from steelrank import randomization
-from steelrank.randomization import _mc_tail_counts, all_pairs, worker_count
+from steelrank.moments import all_pairs, control_pairs
+from steelrank.randomization import _mc_tail_counts, worker_count
 from steelrank.statistics import reduce_statistic
 
 from conftest import DATA_DIR, load_grouped_csv
@@ -41,19 +41,19 @@ from _oracles import (
 
 def _steel(groups, alternative):
     s = rank_samples(groups)
-    ms = factor_decomposition(s.sizes, s.tie_pattern)
-    return s, steel_statistics(s, ms, alternative)
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
+    return s, observe(s, ms, alternative)
 
 
 def _exact_p(s, obs, budget=randomization.DEFAULT_BUDGET):
     """Exact p-value of a steel observation, at its statistic and observed value."""
-    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
     return exact_p_value(s, ms, obs.statistic, obs.statistic_value, budget)
 
 
 def _mc_p(s, obs, nsim, seed, conservative=False):
     """Monte Carlo p-value of a steel observation: tail count, then sampled_p_value."""
-    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
     counts = simulated_tail_counts(s, ms, obs.statistic, [obs.statistic_value], nsim, seed)
     return sampled_p_value(int(counts[0]), nsim, seed, "monte_carlo", conservative)
 
@@ -74,7 +74,7 @@ def walk_calls(monkeypatch):
 
 def _curve(s, statistic, thresholds, nsim, seed):
     """Treatment-vs-control tail probabilities at each threshold from one shared run."""
-    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
     return simulated_tail_counts(s, ms, statistic, thresholds, nsim, seed) / nsim
 
 
@@ -134,7 +134,7 @@ def test_exact_moments_match_formulas_small_grid():
 
             tie = TiePattern(random_tie_pattern(rng, n_total))
             em = exact_moments(sizes, tie)
-            ms = factor_decomposition(sizes, tie)
+            ms = pair_moments(sizes, tie, control_pairs(len(sizes)))
             assert em.mean == pytest.approx(ms.mu, rel=1e-12)
             assert np.diag(em.cov) == pytest.approx(ms.tau2, rel=1e-10, abs=1e-12)
             for i in range(len(sizes) - 1):
@@ -228,7 +228,7 @@ def test_tail_curve_below_support_is_one():
 
 def test_tail_curve_single_threshold_consistency():
     s, obs = _steel([[1, 2, 3], [2, 3, 6]], "greater")
-    t = obs.s_max
+    t = obs.statistic_value
     curve = _curve(s, "s_max", [t], nsim=20000, seed=9)
     pv = _mc_p(s, obs, nsim=20000, seed=9)
     assert curve[0] == pv.estimate
@@ -242,9 +242,9 @@ def test_tail_curve_of_s_min_is_its_lower_tail():
     # P(s_min <= t): empty below the support, everything above it, rising between
     assert curve[0] == 0.0 and curve[-1] == 1.0
     assert all(a <= b for a, b in zip(curve, curve[1:]))
-    obs = steel_statistics(s, factor_decomposition(s.sizes, s.tie_pattern), "less")
+    obs = observe(s, pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups)), "less")
     pv = _mc_p(s, obs, nsim=5000, seed=6)
-    assert _curve(s, "s_min", [obs.s_min], nsim=5000, seed=6)[0] == pv.estimate
+    assert _curve(s, "s_min", [obs.statistic_value], nsim=5000, seed=6)[0] == pv.estimate
 
 
 def test_tail_curve_monotone_and_sorted_required():
@@ -266,21 +266,21 @@ def test_tail_curve_monotone_and_sorted_required():
 
 def test_tail_counts_reject_moments_of_another_design():
     s = rank_samples([[1, 2, 3], [4, 5], [6, 7]])
-    swapped = factor_decomposition((2, 3, 2), s.tie_pattern)
+    swapped = pair_moments((2, 3, 2), s.tie_pattern, control_pairs(3))
     with pytest.raises(ParameterError, match="different group sizes"):
         simulated_tail_counts(s, swapped, "s_max", [0.0], 100, 0)
     with pytest.raises(ParameterError, match="different group sizes"):
-        simulated_tail_counts(s, pairwise_moment_matrix((2, 2, 3), s.tie_pattern), "s_max",
+        simulated_tail_counts(s, pair_moments((2, 2, 3), s.tie_pattern, all_pairs(3)), "s_max",
                               [0.0], 100, 0)
     with pytest.raises(ParameterError, match="different group sizes"):
         exact_p_value(s, swapped, "s_max", 0.0)
     with pytest.raises(ParameterError, match="different group sizes"):
-        exact_p_value(s, pairwise_moment_matrix((2, 2, 3), s.tie_pattern), "s_max", 0.0)
+        exact_p_value(s, pair_moments((2, 2, 3), s.tie_pattern, all_pairs(3)), "s_max", 0.0)
 
 
 def test_exact_p_value_rejects_a_nan_threshold_and_vector_statistics():
     s = rank_samples([[1, 2, 3], [4, 5], [6, 7]])
-    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
     # a NaN threshold is in no tail, so it would read as p = 0
     with pytest.raises(ParameterError, match="NaN"):
         exact_p_value(s, ms, "s_max", math.nan)
@@ -300,10 +300,8 @@ def test_exact_p_value_equals_index_level_enumeration(all_group_pairs):
         values = rng.integers(0, 3, size=sum(sizes))
         cuts = np.cumsum(sizes)[:-1]
         s = rank_samples(np.split(values, cuts))
-        if all_group_pairs:
-            moments = pairwise_moment_matrix(s.sizes, s.tie_pattern)
-        else:
-            moments = factor_decomposition(s.sizes, s.tie_pattern)
+        pairs = (all_pairs if all_group_pairs else control_pairs)(s.n_groups)
+        moments = pair_moments(s.sizes, s.tie_pattern, pairs)
         w = enumerate_pair_stats(values, sizes, moments.pairs)
         ok = moments.tau > 0
         z = np.zeros_like(w)
@@ -322,10 +320,8 @@ def test_exact_p_value_equals_index_level_enumeration(all_group_pairs):
 @pytest.mark.parametrize("all_group_pairs", [False, True])
 def test_tail_counts_take_either_moments_type(all_group_pairs):
     s, pairs, mu, tau, _ = _tail_count_setup(True, all_group_pairs)
-    if all_group_pairs:
-        moments = pairwise_moment_matrix(s.sizes, s.tie_pattern)
-    else:
-        moments = factor_decomposition(s.sizes, s.tie_pattern)
+    pair_set = (all_pairs if all_group_pairs else control_pairs)(s.n_groups)
+    moments = pair_moments(s.sizes, s.tie_pattern, pair_set)
     assert moments.pairs == pairs
     thresholds = np.array([-0.5, 0.7, 1.8])
     for kind in ("s_max", "s_min", "s_abs"):
@@ -351,10 +347,8 @@ def _sliced(monkeypatch, rows, cells):
 
 
 def _pair_moments(s, all_group_pairs):
-    if all_group_pairs:
-        pm = pairwise_moment_matrix(s.sizes, s.tie_pattern)
-        return all_pairs(s.n_groups), pm.mu, pm.tau
-    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    pairs = (all_pairs if all_group_pairs else control_pairs)(s.n_groups)
+    ms = pair_moments(s.sizes, s.tie_pattern, pairs)
     return ms.pairs, ms.mu, ms.tau
 
 
@@ -459,7 +453,7 @@ def test_count_table_memory_does_not_grow_with_the_data(monkeypatch):
     # r1 3x2000 draws whole chunks of count tables: replicates x (groups + pairs) cells
     s = _r1((2000,) * 3, 3)
     assert randomization._draws_count_tables(s.tie_pattern, s.n_groups)
-    obs = steel_statistics(s, factor_decomposition(s.sizes, s.tie_pattern), "greater")
+    obs = observe(s, pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups)), "greater")
     _assert_monte_carlo_memory_is_bounded(monkeypatch, s, obs)
 
 
@@ -470,9 +464,9 @@ def test_exact_weights_stay_exact_past_2_pow_53_splits(n, weight_type):
     groups = [rng.integers(0, 2, size=n) for _ in range(3)]
     s = rank_samples(groups)
     assert split_count(s.sizes) > 2**53
-    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
     for alternative in ("greater", "less", "two-sided"):
-        obs = steel_statistics(s, ms, alternative)
+        obs = observe(s, ms, alternative)
         want = two_valued_tail(groups, ms.mu, ms.tau, obs.statistic)
         got = _exact_p(s, obs, budget=10**30).estimate
         assert got == pytest.approx(float(want), rel=0, abs=1e-12)
@@ -522,7 +516,7 @@ def test_all_pairs_moments_past_the_key_limit_match_the_formulas():
     tie = TiePattern((6, 5, 5))
     assert 3**7 * 9**28 > randomization._KEY_LIMIT
     em = exact_moments(sizes, tie, all_group_pairs=True, budget=10**12)
-    pm = pairwise_moment_matrix(sizes, tie)
+    pm = pair_moments(sizes, tie, all_pairs(len(sizes)))
     assert em.total == split_count(sizes)
     assert em.mean == pytest.approx(pm.mu, rel=1e-12)
     assert em.cov == pytest.approx(pm.cov, rel=1e-9, abs=1e-10)
@@ -555,9 +549,9 @@ def test_exact_candidate_memory_is_bounded_by_the_expansion_block(walk_calls):
     rng = np.random.default_rng(0)
     groups = [rng.integers(0, 2, size=12) for _ in range(4)]
     s = rank_samples(groups)
-    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
     for alternative in ("greater", "less", "two-sided"):
-        obs = steel_statistics(s, ms, alternative)
+        obs = observe(s, ms, alternative)
         tracemalloc.start()
         try:
             got = _exact_p(s, obs, budget=10**30).estimate
@@ -586,14 +580,14 @@ def test_one_control_against_many_tied_values_builds_only_fitting_moves(monkeypa
     for n in (9, 16_000):
         groups = [[0.0], rng.integers(0, 2, size=n).astype(float)]
         s = rank_samples(groups)
-        ms = factor_decomposition(s.sizes, s.tie_pattern)
+        ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
         assert s.tie_pattern.e == 2 and split_count(s.sizes) == n + 1
         recorded.clear()
         if n == 9:  # the index-level oracle runs on the small instance only
             w = enumerate_pair_stats(np.concatenate(groups), s.sizes, ms.pairs)
             z = (w[:, 0] - ms.mu[0]) / ms.tau[0]
         for alternative in ("greater", "less", "two-sided"):
-            obs = steel_statistics(s, ms, alternative)
+            obs = observe(s, ms, alternative)
             got = _exact_p(s, obs).estimate
             assert got == float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
             if n == 9:
@@ -847,9 +841,9 @@ def test_two_valued_monte_carlo_matches_the_hypergeometric_oracle(design):
     groups = _routed_groups(design)
     s = rank_samples(groups)
     assert randomization._draws_count_tables(s.tie_pattern, s.n_groups)
-    ms = factor_decomposition(s.sizes, s.tie_pattern)
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
     for alternative in ("greater", "less", "two-sided"):
-        obs = steel_statistics(s, ms, alternative)
+        obs = observe(s, ms, alternative)
         want = float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
         got = _mc_p(s, obs, nsim=20000, seed=3).estimate
         assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / 20000), (alternative, got, want)

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from steelrank import (
     ParameterError,
-    factor_decomposition,
     mann_whitney_star,
+    observe,
+    pair_moments,
     rank_samples,
     rank_sums,
-    steel_statistics,
 )
+from steelrank.moments import control_pairs
 
 from _oracles import brute_w_star, split_moments
 
@@ -53,22 +54,23 @@ def test_empty_sample_error():
 
 def _observe(groups, alternative):
     s = rank_samples(groups)
-    ms = factor_decomposition(s.sizes, s.tie_pattern)
-    return steel_statistics(s, ms, alternative)
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
+    return observe(s, ms, alternative)
 
 
 def test_steel_statistics_iq(iq_groups):
     obs = _observe(iq_groups, "less")
-    assert obs.s_min == pytest.approx(-1.7713, abs=5e-5)
     assert obs.statistic == "s_min"
-    assert obs.statistic_value == obs.s_min
+    assert obs.statistic_value == pytest.approx(-1.7713, abs=5e-5)
+    assert obs.statistic_value == obs.standardized.min()
 
 
 def test_steel_statistics_degenerate():
-    obs = _observe([[5, 5], [5], [5, 5, 5]], "greater")
-    assert obs.standardized.tolist() == [0, 0]
-    assert obs.s_max == obs.s_min == 0
-    assert obs.degenerate == (0, 1)
+    for alternative in ("greater", "less", "two_sided"):
+        obs = _observe([[5, 5], [5], [5, 5, 5]], alternative)
+        assert obs.standardized.tolist() == [0, 0]
+        assert obs.statistic_value == 0
+        assert obs.degenerate == (0, 1)
 
 
 def test_steel_statistics_derived_small_case():
@@ -77,16 +79,17 @@ def test_steel_statistics_derived_small_case():
     expected = 2 / math.sqrt(41 / 30)  # = 1.7107978...
     assert obs.w_star.tolist() == [4, 4]
     assert obs.standardized == pytest.approx([expected, expected], rel=1e-12)
-    assert obs.s_max == pytest.approx(expected, rel=1e-12)
+    assert (obs.statistic, obs.statistic_value) == ("s_max", pytest.approx(expected, rel=1e-12))
 
 
 def test_two_sided_is_max_of_both_tails():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        groups = [rng.integers(0, 6, size=rng.integers(2, 6)) for _ in range(3)]
-        obs = _observe([g.tolist() for g in groups], "two_sided")
-        assert obs.s_abs == max(obs.s_max, -obs.s_min)
-        assert obs.s_abs == np.abs(obs.standardized).max()
+        groups = [rng.integers(0, 6, size=rng.integers(2, 6)).tolist() for _ in range(3)]
+        s_max, s_min, s_abs = (_observe(groups, alt) for alt in ("greater", "less", "two_sided"))
+        assert s_abs.statistic_value == max(s_max.statistic_value, -s_min.statistic_value)
+        assert s_abs.statistic_value == np.abs(s_abs.standardized).max()
+        assert s_max.statistic_value == s_abs.standardized.max()
 
 
 def test_equal_sizes_argmax_matches_raw_statistic():
@@ -110,6 +113,7 @@ def test_rank_sums_accessor(iq_groups):
 
 def test_moment_mismatch_rejected():
     s = rank_samples([[1, 2], [3, 4]])
-    wrong = factor_decomposition((2, 2, 2), rank_samples([[1, 2], [3, 4], [5, 6]]).tie_pattern)
+    wrong = pair_moments((2, 2, 2), rank_samples([[1, 2], [3, 4], [5, 6]]).tie_pattern,
+                         control_pairs(3))
     with pytest.raises(ParameterError):
-        steel_statistics(s, wrong, "greater")
+        observe(s, wrong, "greater")
