@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .confidence import ConfidenceResult, simultaneous_bounds, simultaneous_intervals
+from .confidence import simultaneous_bounds, simultaneous_intervals
 from .errors import BudgetError, NumericError, ParameterError
 from .gauss import DEFAULT_NODES, MAX_NODES, FactorModel, brent_root, tail_prob
 from .moments import MomentSet, all_pairs, control_pairs, pair_moments
@@ -26,9 +26,8 @@ from .randomization import (
     exact_p_value,
     sampled_p_value,
     simulated_tail_counts,
-    split_count,
 )
-from .ranks import Diagnostics, RankedSamples, TiePattern, check_asymptotic_conditions, rank_samples
+from .ranks import RankedSamples, TiePattern, check_asymptotic_conditions, rank_samples
 from .statistics import (
     ALTERNATIVE_TABLE,
     Observation,
@@ -43,8 +42,9 @@ MODES = ("steel", "pairwise", "confidence", "quality_harness")
 FORMATS = ("csv_long", "csv_wide", "whitespace")
 METHODS = ("asymptotic", "simulated", "exact", "all")
 # mode -> --method -> the engines that answer, in order.  Steel always reports its
-# quadrature; "exact_or_monte_carlo" is exact when the splits fit --exact-budget and
-# Monte Carlo otherwise.  All-pairs has no exact entry: pairwise --method exact is refused.
+# quadrature; "exact_or_monte_carlo" is exact unless exact_p_value refuses the splits
+# as over --exact-budget, and Monte Carlo otherwise.  All-pairs has no exact entry:
+# pairwise --method exact is refused.
 _STEEL_ENGINES = {
     "asymptotic": ("asymptotic",),
     "simulated": ("asymptotic", "monte_carlo"),
@@ -217,9 +217,6 @@ def render_text(report: dict) -> str:
         if isinstance(obj, dict):
             for k in sorted(obj):
                 emit(f"{prefix}{k}.", obj[k])
-        elif isinstance(obj, list) and obj and isinstance(obj[0], dict):
-            for i, row in enumerate(obj):
-                emit(f"{prefix}{i}.", row)
         else:
             lines.append(f"{prefix[:-1]}: {obj}")
 
@@ -236,62 +233,10 @@ def render_text(report: dict) -> str:
     return out
 
 
-def _pvalue_dict(pv: PValue) -> dict:
-    out = {"estimate": pv.estimate, "method": pv.method}
-    if pv.nsim is not None:
-        out.update(nsim=pv.nsim, std_error=pv.std_error, seed=pv.seed)
-    return out
-
-
-def _diagnostics_dict(diag: Diagnostics) -> dict:
-    return {
-        "max_tie_fraction": diag.max_tie_fraction,
-        "min_group_fraction": diag.min_group_fraction,
-        "epsilon": diag.epsilon,
-        "small_sample_floor": diag.small_sample_floor,
-    }
-
-
-def _moments_dict(ms: MomentSet) -> dict:
-    return {
-        "mu": ms.mu,
-        "tau": ms.tau,
-        "tau2": ms.tau2,
-        "sigma0_2": ms.sigma0_2,
-        "sigma2": ms.sigma2,
-        "correction_ratio": ms.correction_ratio,
-    }
-
-
-def _observation_dict(obs: Observation, alternative: str, sizes: Sequence[int]) -> dict:
-    z = obs.standardized[None, :]
-    return {
-        "w_star": obs.w_star,
-        "rank_sums": rank_sums(obs.w_star, list(sizes[1:])),
-        "standardized": obs.standardized,
-        **{kind: reduce_statistic(kind, z)[0] for kind in ("s_max", "s_min", "s_abs")},
-        "alternative": alternative,
-        "statistic": obs.statistic,
-        "statistic_value": obs.statistic_value,
-        "degenerate": list(obs.degenerate),
-    }
-
-
-def _confidence_dict(cr: ConfidenceResult) -> dict:
-    return {
-        "direction": cr.direction,
-        "nominal_gamma": cr.nominal_gamma,
-        "one_sided_gamma": cr.one_sided_gamma,
-        "lower": list(cr.lower),
-        "upper": list(cr.upper),
-        "j_lower": list(cr.j_lower) if cr.j_lower else None,
-        "j_upper": list(cr.j_upper) if cr.j_upper else None,
-        "achieved_conservative": cr.achieved_conservative,
-        "achieved_closest": cr.achieved_closest,
-        "unreachable": cr.unreachable,
-        "widened_by": cr.widened_by,
-        "warnings": list(cr.warnings),
-    }
+def _fields(obj, *drop: str) -> dict:
+    """A dataclass's fields by name, leaving out ``drop``: each report block is the
+    fields of its result minus the names its call site lists."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in drop}
 
 
 # ---------------------------------------------------------------------------
@@ -328,47 +273,52 @@ def _analysis_section(cfg: RunConfig, samples: RankedSamples) -> dict:
     ms = pair_moments(samples.sizes, samples.tie_pattern, pairs)
     obs = observe(samples, ms, cfg.alternative)
     diag = check_asymptotic_conditions(samples, cfg.epsilon)
-    warnings = list(diag.warnings) + list(ms.warnings)
+    warnings = list(diag.warnings)
     if obs.degenerate and not steel:
         warnings.append("fully tied data: statistics are degenerate at 0")
 
     p_values: dict[str, dict] = {}
     for engine in engines:
-        if engine == "exact_or_monte_carlo":
-            fits = split_count(samples.sizes) <= cfg.exact_budget
-            engine = "exact" if fits else "monte_carlo"
+        if engine in ("exact", "exact_or_monte_carlo"):
+            try:
+                budget = cfg.exact_budget
+                pv = exact_p_value(samples, ms, obs.statistic, obs.statistic_value, budget)
+                engine = "exact"
+            except BudgetError:  # refused before any walk
+                if engine == "exact":
+                    raise
+                engine = "monte_carlo"
         if engine == "asymptotic":
             pv, extra = _asymptotic_p(ms, obs, cfg.alternative, cfg.continuity, cfg.nodes)
             warnings += extra
-        elif engine == "exact":
-            pv = exact_p_value(samples, ms, obs.statistic, obs.statistic_value, cfg.exact_budget)
-        else:
+        elif engine != "exact":
             tail = (obs.statistic, [obs.statistic_value], cfg.nsim, cfg.seed)
             if engine == "monte_carlo":
                 hits = simulated_tail_counts(samples, ms, *tail)
             else:
                 hits = mvn_tail_counts(ms, *tail)
             pv = sampled_p_value(int(hits[0]), cfg.nsim, cfg.seed, engine, cfg.conservative_mc)
-        p_values[engine] = _pvalue_dict(pv)
+        p_values[engine] = {k: v for k, v in _fields(pv).items() if v is not None}
 
     section = {
-        "diagnostics": _diagnostics_dict(diag),
+        "diagnostics": _fields(diag, "warnings"),
         "p_values": p_values,
         "warnings": warnings,
     }
     if steel:
-        section["moments"] = _moments_dict(ms)
-        section["observation"] = _observation_dict(obs, cfg.alternative, samples.sizes)
+        section["moments"] = {**_fields(ms, "sizes", "pairs", "cov"), "tau": ms.tau}
+        z = obs.standardized[None, :]
+        section["observation"] = {
+            **_fields(obs),
+            "rank_sums": rank_sums(obs.w_star, list(samples.sizes[1:])),
+            **{kind: reduce_statistic(kind, z)[0] for kind in ("s_max", "s_min", "s_abs")},
+            "alternative": cfg.alternative,
+        }
     else:
         section["pairwise"] = {
+            **_fields(ms, "sizes", "pairs", "correction_ratio", "sigma0_2", "sigma2"),
+            **_fields(obs, "degenerate"),
             "pairs": [f"{a + 1}-{b + 1}" for a, b in ms.pairs],
-            "mu": ms.mu,
-            "tau2": ms.tau2,
-            "cov": ms.cov,
-            "w_star": obs.w_star,
-            "standardized": obs.standardized,
-            "statistic": obs.statistic,
-            "statistic_value": obs.statistic_value,
         }
     return section
 
@@ -455,7 +405,7 @@ def run(cfg: RunConfig) -> dict:
 
     report: dict = {
         "schema_version": SCHEMA_VERSION,
-        "config": dataclasses.asdict(cfg),
+        "config": _fields(cfg),
         "groups": {
             "labels": labels,
             "sizes": [len(a) for a in arrays],
@@ -473,7 +423,7 @@ def run(cfg: RunConfig) -> dict:
             cr = simultaneous_intervals(arrays, cfg.conf_level, cfg.rounding_eps, cfg.nodes)
         else:
             cr = simultaneous_bounds(arrays, cfg.conf_level, direction, cfg.rounding_eps, cfg.nodes)
-        report["confidence"] = _confidence_dict(cr)
+        report["confidence"] = _fields(cr)
         report["warnings"] = report["warnings"] + list(cr.warnings)
     return report
 

@@ -249,18 +249,52 @@ def _reflect(model: FactorModel, j) -> tuple[int, ...]:
     return tuple(int(m) + 1 - int(v) for m, v in zip(np.rint(2 * model.mu), j))
 
 
-def _selected(arrays, j, offset: float) -> tuple[float, ...]:
-    """The j_i-th ordered difference of each treatment vs control, plus offset."""
-    return tuple(kth_difference(arrays[0], t, ji) + offset for t, ji in zip(arrays[1:], j))
+def _shift_bounds(
+    groups: Sequence[Sequence[float]],
+    nominal: float,
+    level: float,
+    sides: tuple[str, ...],
+    rounding_eps: float,
+    nodes: int,
+) -> ConfidenceResult:
+    """Bounds on ``sides`` ("upper", "lower" or both, an interval) at one-sided
+    level ``level``: the selected ordered differences, widened by rounding_eps.
 
-
-def _unreachable_warnings(sel: IndexSelection, gamma: float) -> list[str]:
-    if not sel.unreachable:
-        return []
-    return [
-        f"conservative target unreachable: best joint coverage "
-        f"{sel.achieved_conservative:.6g} < {gamma:.6g}"
-    ]
+    Both sides share one upper selection; the lower side takes its reflected
+    indices, which is what ``select_indices(..., "lower")`` returns, with the
+    same coverages.
+    """
+    arrays, warnings = _prepare(groups, rounding_eps)
+    model, sel = _selection(tuple(a.size for a in arrays), level, "upper", nodes)
+    js = {"upper": sel.j, "lower": _reflect(model, sel.j)}
+    none = (None,) * (len(arrays) - 1)
+    values = {"upper": none, "lower": none}
+    for side in sides:
+        offset = rounding_eps if side == "upper" else -rounding_eps
+        values[side] = tuple(
+            kth_difference(arrays[0], t, ji) + offset for t, ji in zip(arrays[1:], js[side])
+        )
+    if len(sides) == 2 and any(lo > up for lo, up in zip(values["lower"], values["upper"])):
+        raise NumericError("interval construction produced lower > upper")
+    if sel.unreachable:
+        warnings.append(
+            f"conservative target unreachable: best joint coverage "
+            f"{sel.achieved_conservative:.6g} < {level:.6g}"
+        )
+    return ConfidenceResult(
+        direction=sides[0] if len(sides) == 1 else "interval",
+        nominal_gamma=nominal,
+        one_sided_gamma=level,
+        lower=values["lower"],
+        upper=values["upper"],
+        j_lower=js["lower"] if "lower" in sides else None,
+        j_upper=js["upper"] if "upper" in sides else None,
+        achieved_conservative=sel.achieved_conservative,
+        achieved_closest=sel.achieved_closest,
+        unreachable=sel.unreachable,
+        widened_by=rounding_eps,
+        warnings=tuple(warnings),
+    )
 
 
 def simultaneous_bounds(
@@ -275,24 +309,9 @@ def simultaneous_bounds(
     Upper bounds are the selected ordered differences plus rounding_eps; lower
     bounds use the reflected indices minus rounding_eps.
     """
-    arrays, warnings = _prepare(groups, rounding_eps)
-    _, sel = _selection(tuple(a.size for a in arrays), gamma, direction, nodes)
-    values = _selected(arrays, sel.j, rounding_eps if direction == "upper" else -rounding_eps)
-    none = (None,) * (len(arrays) - 1)
-    return ConfidenceResult(
-        direction=direction,
-        nominal_gamma=gamma,
-        one_sided_gamma=gamma,
-        lower=values if direction == "lower" else none,
-        upper=values if direction == "upper" else none,
-        j_lower=sel.j if direction == "lower" else None,
-        j_upper=sel.j if direction == "upper" else None,
-        achieved_conservative=sel.achieved_conservative,
-        achieved_closest=sel.achieved_closest,
-        unreachable=sel.unreachable,
-        widened_by=rounding_eps,
-        warnings=tuple(warnings + _unreachable_warnings(sel, gamma)),
-    )
+    if direction not in DIRECTIONS:
+        raise ParameterError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    return _shift_bounds(groups, gamma, gamma, (direction,), rounding_eps, nodes)
 
 
 def simultaneous_intervals(
@@ -301,34 +320,7 @@ def simultaneous_intervals(
     rounding_eps: float = 0.0,
     nodes: int = DEFAULT_NODES,
 ) -> ConfidenceResult:
-    """Two-sided simultaneous intervals: one-sided bounds at level (1+gamma)/2 each.
-
-    Both sides share one index selection: the lower side takes the reflected
-    upper indices, which is what ``select_indices(..., "lower")`` returns, with
-    the same coverages.
-    """
+    """Two-sided simultaneous intervals: one-sided bounds at level (1+gamma)/2 each."""
     if not 0 < gamma < 1:
         raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
-    side = (1 + gamma) / 2
-    arrays, warnings = _prepare(groups, rounding_eps)
-    model, sel = _selection(tuple(a.size for a in arrays), side, "upper", nodes)
-    j_lower = _reflect(model, sel.j)
-    lower = _selected(arrays, j_lower, -rounding_eps)
-    upper = _selected(arrays, sel.j, rounding_eps)
-    for lo_v, up_v in zip(lower, upper):
-        if lo_v > up_v:
-            raise NumericError("interval construction produced lower > upper")
-    return ConfidenceResult(
-        direction="interval",
-        nominal_gamma=gamma,
-        one_sided_gamma=side,
-        lower=lower,
-        upper=upper,
-        j_lower=j_lower,
-        j_upper=sel.j,
-        achieved_conservative=sel.achieved_conservative,
-        achieved_closest=sel.achieved_closest,
-        unreachable=sel.unreachable,
-        widened_by=rounding_eps,
-        warnings=tuple(warnings + _unreachable_warnings(sel, side)),
-    )
+    return _shift_bounds(groups, gamma, (1 + gamma) / 2, DIRECTIONS, rounding_eps, nodes)

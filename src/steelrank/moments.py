@@ -14,9 +14,6 @@ from ._cache import DESIGNS
 from .errors import NumericError, ParameterError
 from .ranks import TiePattern
 
-# magnitude below which a negative variance is treated as degenerate-zero
-_CLAMP_TOL = 1e-9
-
 
 def control_pairs(n_groups: int) -> tuple[tuple[int, int], ...]:
     """The treatment-vs-control pairs (0, 1), ..., (0, n_groups - 1)."""
@@ -56,7 +53,6 @@ class MomentSet:
     correction_ratio: np.ndarray
     sigma0_2: float | None
     sigma2: np.ndarray | None
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         _check_pairs(len(self.sizes), self.pairs)
@@ -193,9 +189,9 @@ def _pair_moments(
             sign = 1.0 if (s == a) == (s == c) else -1.0
             cov[p, q] = cov[q, p] = sign * float(moment(sizes[s], *(sizes[v] for v in others)))
 
-    sigma0_2, sigma2, warnings = None, None, ()
+    sigma0_2, sigma2 = None, None
     if all(a == 0 for a, _ in pairs):
-        sigma0_2, sigma2, warnings = _factor_split(sizes, tie, moment)
+        sigma0_2, sigma2 = _factor_split(sizes, tie, moment)
     return MomentSet(
         sizes=sizes,
         pairs=pairs,
@@ -205,31 +201,30 @@ def _pair_moments(
         correction_ratio=ratio,
         sigma0_2=sigma0_2,
         sigma2=sigma2,
-        warnings=warnings,
     )
 
 
 def _factor_split(
     sizes: tuple[int, ...], tie: TiePattern, moment
-) -> tuple[float, np.ndarray, tuple[str, ...]]:
-    """sigma0_2, sigma2 and the clamp warnings of the control pairs' one-factor split."""
+) -> tuple[float, np.ndarray]:
+    """sigma0_2 and sigma2 of the control pairs' one-factor split.
+
+    In closed form, with N = tie.N, s2 = tie.s2 and s3 = tie.s3,
+        sigma2[i] = n0*n_i/12 * ((n0 + 1) - ((n0 - 2)*s3 + 3*(N - 2)*s2) / (N(N-1)(N-2))),
+    (the fraction is 0 when s2 = s3 = 0), which is positive unless all values tie
+    (then every moment is 0).
+    """
     n0 = sizes[0]
     treat = sizes[1:]
-    warnings: list[str] = []
     s0_sq = _sigma0_sq_exact(n0, tie)
     sig_sq = []
     for i, ni in enumerate(treat):
         v = moment(n0, ni) - ni * ni * s0_sq
         if v < 0:
-            if float(v) < -_CLAMP_TOL:
-                raise NumericError(
-                    f"negative idiosyncratic variance {float(v)} for treatment {i + 1}"
-                )
-            warnings.append(f"clamped tiny negative variance for treatment {i + 1}")
-            v = Fraction(0)
+            raise NumericError(f"negative idiosyncratic variance {float(v)} for treatment {i + 1}")
         sig_sq.append(v)
     for i in range(len(treat)):
         for j in range(i + 1, len(treat)):
             if moment(n0, treat[i], treat[j]) != treat[i] * treat[j] * s0_sq:
                 raise NumericError("factor decomposition is inconsistent with the covariance")
-    return float(s0_sq), np.array([float(v) for v in sig_sq]), tuple(warnings)
+    return float(s0_sq), np.array([float(v) for v in sig_sq])

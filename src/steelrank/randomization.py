@@ -264,8 +264,11 @@ def _enumerate_w(
     """
     total = split_count(sizes)
     if total > budget:
+        # str() of a large int is slow, and refused past 4300 digits
+        exp = int(math.log10(total))
+        shown = total if exp < 18 else f"about 1e{exp}"
         raise BudgetError(
-            f"exact enumeration needs {total} splits, over budget {budget}; "
+            f"exact enumeration needs {shown} splits, over budget {budget}; "
             "use the monte_carlo method instead"
         )
     key = (tie.d, tuple(int(n) for n in sizes), tuple((int(a), int(b)) for a, b in pairs))

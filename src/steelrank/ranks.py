@@ -124,10 +124,6 @@ class RankedSamples:
         return self.midranks.size
 
     @property
-    def n0(self) -> int:
-        return self.sizes[0]
-
-    @property
     def n_groups(self) -> int:
         return len(self.sizes)
 

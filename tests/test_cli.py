@@ -56,31 +56,44 @@ def test_json_round_trip_is_canonical(capsys):
 
 
 def test_csv_wide_and_whitespace_formats(tmp_path, capsys):
-    wide = tmp_path / "wide.csv"
-    wide.write_text("a,b,c\n1,4,7\n2,5,8\n3,6,\n,9,\n")
-    _, out, _ = run_main(
-        capsys, ["--input", str(wide), "--format", "csv_wide", "--method", "asymptotic"]
-    )
-    report = json.loads(out)
-    assert report["groups"]["sizes"] == [3, 4, 2]
-
-    ws = tmp_path / "data.txt"
-    ws.write_text("ctrl 1 2 3\nt1 4 5 6 7\nt1 8\n")
-    _, out, _ = run_main(
-        capsys, ["--input", str(ws), "--format", "whitespace", "--method", "asymptotic"]
-    )
-    report = json.loads(out)
-    assert report["groups"]["sizes"] == [3, 5]
+    # (format, text, sizes); blank and all-empty lines are skipped in every format
+    cases = [
+        ("csv_wide", "a,b,c\n1,4,7\n2,5,8\n3,6,\n,9,\n", [3, 4, 2]),
+        ("csv_wide", "a,b,c\n1,4,7\n\n2,5,8\n, ,\n3,6,\n,9,\n", [3, 4, 2]),
+        ("whitespace", "ctrl 1 2 3\nt1 4 5 6 7\nt1 8\n", [3, 5]),
+        ("whitespace", "ctrl 1 2 3\n\n   \nt1 4 5 6 7\nt1 8\n", [3, 5]),
+        ("csv_long", "group,value\na,1\n\n , \na,2\nb,3\nb,4\n", [2, 2]),
+    ]
+    for i, (fmt, text, sizes) in enumerate(cases):
+        f = tmp_path / f"data{i}.txt"
+        f.write_text(text)
+        _, out, _ = run_main(
+            capsys, ["--input", str(f), "--format", fmt, "--method", "asymptotic"]
+        )
+        report = json.loads(out)
+        assert report["groups"]["sizes"] == sizes
 
 
 def test_parse_error_reports_line_number(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("group,value\na,1\na,2\nb,oops\nb,4\n")
-    code, _, err = run_main(capsys, ["--input", str(bad)])
-    assert code == 2
-    payload = json.loads(err)
-    assert payload["error"]["type"] == "ParameterError"
-    assert "line 4" in payload["error"]["message"]
+    # (format, text, the message part naming where the input goes wrong)
+    cases = [
+        ("csv_long", "group,value\na,1\na,2\nb,oops\nb,4\n", "line 4"),
+        ("csv_long", "group,value\na,1\n\na,2,3\nb,4\n", "line 4: expected two columns"),
+        ("csv_wide", "", "line 1: empty input"),
+        ("csv_wide", "a, ,c\n1,2,3\n", "line 1: every column needs a group label"),
+        ("csv_wide", "a,b\n1,2\n3,4,5\n", "line 3: more cells than header columns"),
+        ("whitespace", "ctrl 1 2\nt1\n", "line 2: expected a label and at least one value"),
+        ("csv_long", "group,value\na,1\na,2\n", "need at least two non-empty groups"),
+        ("csv_wide", "a,b\n1,\n2,\n", "need at least two non-empty groups"),
+    ]
+    for i, (fmt, text, where) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.txt"
+        bad.write_text(text)
+        code, out, err = run_main(capsys, ["--input", str(bad), "--format", fmt])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "ParameterError"
+        assert where in payload["error"]["message"]
 
 
 def test_unknown_control_group(capsys):
@@ -349,6 +362,48 @@ def test_out_file(tmp_path):
 def test_run_config_direct():
     report = run(RunConfig(input=IQ, method="asymptotic", alternative="less"))
     assert report["observation"]["statistic"] == "s_min"
+
+
+def test_settings_outside_their_range_are_parameter_errors(capsys):
+    for flag, value, message in (("--nsim", "0", "nsim must be >= 1"),
+                                 ("--conf-level", "1.5", "conf-level must be in (0, 1)")):
+        code, out, err = run_main(capsys, ["--input", IQ, flag, value])
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"]["type"] == "ParameterError"
+        assert message in payload["error"]["message"]
+    # choices argparse enforces on the command line, checked again for a RunConfig
+    for field in ("mode", "format", "method", "output"):
+        with pytest.raises(ParameterError, match=f"{field} must be"):
+            run(RunConfig(input=IQ, **{field: "bogus"}))
+
+
+def test_all_falls_back_to_monte_carlo_exactly_past_the_exact_budget(capsys):
+    # 5, 5 and 4 untied values have 14! / (5! 5! 4!) = 252,252 splits
+    base = ["--input", str(DATA / "untied_5x5x4.csv"), "--nsim", "2000"]
+    for budget, engine in (("252252", "exact"), ("252251", "monte_carlo")):
+        code, out, _ = run_main(capsys, base + ["--method", "all", "--exact-budget", budget])
+        assert code == 0
+        assert sorted(json.loads(out)["p_values"]) == sorted(["asymptotic", engine])
+    code, out, err = run_main(capsys, base + ["--method", "exact", "--exact-budget", "252251"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "BudgetError"
+
+
+def test_split_counts_past_4300_digits_are_refused_as_over_budget(tmp_path, capsys):
+    # 3 x 4000 untied values have about 1e5721 splits; str() refuses ints that long
+    f = tmp_path / "large.csv"
+    rows = (f"g{g},{v + g / 3}\n" for g in range(3) for v in range(4000))
+    f.write_text("group,value\n" + "".join(rows))
+    base = ["--input", str(f), "--nsim", "200"]
+    code, out, _ = run_main(capsys, base + ["--method", "all"])
+    assert code == 0
+    assert sorted(json.loads(out)["p_values"]) == ["asymptotic", "monte_carlo"]
+    code, out, err = run_main(capsys, base + ["--method", "exact"])
+    assert code == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "BudgetError"
+    assert "needs about 1e5721 splits" in payload["message"]
 
 
 def test_bad_thread_count_is_a_parameter_error(capsys, monkeypatch):

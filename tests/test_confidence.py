@@ -407,3 +407,30 @@ def test_rounded_3x2000_intervals_select_the_sorted_differences():
         diffs = pairwise_differences(groups[0], t)
         assert res.lower[i] == diffs[res.j_lower[i] - 1] - 0.05
         assert res.upper[i] == diffs[res.j_upper[i] - 1] + 0.05
+
+
+def test_each_side_of_an_interval_is_the_one_sided_bound_at_its_level():
+    rng = np.random.default_rng(23)
+    groups = [rng.normal(size=n).tolist() for n in (7, 6, 8)]
+    iv = simultaneous_intervals(groups, 0.8, rounding_eps=0.05)  # one-sided 0.9
+    up = simultaneous_bounds(groups, 0.9, "upper", rounding_eps=0.05)
+    lo = simultaneous_bounds(groups, 0.9, "lower", rounding_eps=0.05)
+    assert (iv.direction, iv.nominal_gamma, iv.one_sided_gamma) == ("interval", 0.8, 0.9)
+    assert (iv.upper, iv.j_upper) == (up.upper, up.j_upper)
+    assert (iv.lower, iv.j_lower) == (lo.lower, lo.j_lower)
+    assert up.lower == lo.upper == (None, None) and up.j_lower is lo.j_upper is None
+    for res in (iv, up, lo):
+        assert res.achieved_conservative == iv.achieved_conservative
+    with pytest.raises(ParameterError, match="direction"):
+        simultaneous_bounds(groups, 0.9, "interval")
+
+
+def test_an_unreachable_target_warns_once_at_the_one_sided_level():
+    groups = [[0.1, 0.5, 0.9, 1.3, 2.2], [0.4, 1.1, 1.6, 2.0, 2.7]]
+    for res in (simultaneous_intervals(groups, 1 - 1e-6),
+                simultaneous_bounds(groups, 1 - 1e-6, "lower")):
+        assert res.unreachable
+        assert res.warnings == (
+            f"conservative target unreachable: best joint coverage "
+            f"{res.achieved_conservative:.6g} < {res.one_sided_gamma:.6g}",
+        )

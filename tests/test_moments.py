@@ -256,6 +256,27 @@ def test_control_block_of_all_pairs_is_the_control_pair_set(sizes, data):
     assert full.cov[np.ix_(block, block)].tobytes() == ctrl.cov.tobytes()
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=5), st.data())
+def test_idiosyncratic_variance_is_the_closed_form_and_positive(sizes, data):
+    # sizes[0] = n0 may be 1; every pattern but the all-tied one must give sigma2 > 0
+    sizes = tuple(sizes)
+    n = sum(sizes)
+    values = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    tie = extract_tie_pattern(values)
+    ms = pair_moments(sizes, tie, control_pairs(len(sizes)))
+    if tie.e == 1:
+        assert not ms.sigma2.any()
+        return
+    n0 = sizes[0]
+    num = (n0 - 2) * tie.s3 + 3 * (n - 2) * tie.s2
+    frac = Fraction(num, n * (n - 1) * (n - 2)) if num else 0
+    for ni, got in zip(sizes[1:], ms.sigma2):
+        want = Fraction(n0 * ni, 12) * (n0 + 1 - frac)
+        assert want > 0 and got > 0
+        assert got == float(want)
+
+
 def test_tie_patterns_with_equal_sums_share_one_moment_set():
     # (3, 4, 7) and (1, 1, 6, 6) have equal N, sums of squares and sums of cubes
     a, b = TiePattern((3, 4, 7)), TiePattern((1, 1, 6, 6))
@@ -266,7 +287,7 @@ def test_tie_patterns_with_equal_sums_share_one_moment_set():
     fresh = moments._pair_moments((5, 5, 4), b, control_pairs(3))
     for name in MOMENT_ARRAYS:
         np.testing.assert_array_equal(getattr(ms, name), getattr(fresh, name))
-    assert (ms.sigma0_2, ms.warnings) == (fresh.sigma0_2, fresh.warnings)
+    assert ms.sigma0_2 == fresh.sigma0_2
     assert pair_moments((5, 5, 4), TiePattern.no_ties(14), control_pairs(3)) is not ms
 
 
