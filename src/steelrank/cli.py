@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import sys
@@ -114,9 +115,49 @@ def _validate(cfg: RunConfig) -> RunConfig:
 
 def _parse_float(text: str, line_no: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParameterError(f"line {line_no}: cannot parse value {text!r}") from None
+    if math.isnan(value):
+        raise ParameterError(f"line {line_no}: NaN value {text!r} cannot be ranked")
+    return value
+
+
+def _is_header(row: list[str]) -> bool:
+    return [c.strip().lower() for c in row] == ["group", "value"]
+
+
+def _read_csv_long(rows: list[list[str]]) -> dict[str, list[float]]:
+    """Group,value rows (an optional group,value header on line 1) in bulk: the rows
+    are transposed, the values converted by one map(float) and the runs of equal
+    labels appended at once.  Any row the bulk pass cannot take (a blank row, a
+    wrong cell count, an unparsable or NaN value) sends the whole file through the
+    line-by-line loop, which names the line."""
+    body = rows[1:] if rows and _is_header(rows[0]) else rows
+    if set(map(len, body)) == {2}:
+        labels, cells = zip(*body)
+        try:
+            values = list(map(float, cells))
+        except ValueError:
+            values = None
+        if values is not None and not any(map(math.isnan, values)):
+            groups: dict[str, list[float]] = {}
+            start = 0
+            for label, run in itertools.groupby(map(str.strip, labels)):
+                stop = start + len(list(run))
+                groups.setdefault(label, []).extend(values[start:stop])
+                start = stop
+            return groups
+    groups = {}
+    for line_no, row in enumerate(rows, start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 2:
+            raise ParameterError(f"line {line_no}: expected two columns group,value")
+        if line_no == 1 and _is_header(row):
+            continue
+        groups.setdefault(row[0].strip(), []).append(_parse_float(row[1].strip(), line_no))
+    return groups
 
 
 def read_groups(path: str, fmt: str) -> dict[str, list[float]]:
@@ -125,16 +166,7 @@ def read_groups(path: str, fmt: str) -> dict[str, list[float]]:
         text = fh.read()
     groups: dict[str, list[float]] = {}
     if fmt == "csv_long":
-        rows = list(csv.reader(io.StringIO(text)))
-        for line_no, row in enumerate(rows, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise ParameterError(f"line {line_no}: expected two columns group,value")
-            label, value = row[0].strip(), row[1].strip()
-            if line_no == 1 and (label.lower(), value.lower()) == ("group", "value"):
-                continue
-            groups.setdefault(label, []).append(_parse_float(value, line_no))
+        groups = _read_csv_long(list(csv.reader(io.StringIO(text))))
     elif fmt == "csv_wide":
         rows = list(csv.reader(io.StringIO(text)))
         if not rows:
@@ -184,30 +216,66 @@ def _ordered_groups(
 # report serialization
 
 
-def _round_sig(x: float) -> float:
-    if x == 0 or not np.isfinite(x):
-        return float(x)
-    return float(f"{x:.10g}")
+_json_string = json.encoder.encode_basestring_ascii  # json.dumps's string and key encoder
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return _round_sig(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _float_json(x: float) -> str:
+    """x rounded to 10 significant digits, as json.dumps writes it: repr, or NaN,
+    Infinity or -Infinity."""
+    if math.isfinite(x):
+        x = float(f"{x:.10g}")  # which can round up to infinity
+    if math.isfinite(x):
+        return repr(x)
+    if x != x:
+        return "NaN"
+    return "Infinity" if x > 0 else "-Infinity"
+
+
+def _emit_json(obj, out: list[str], newline: str) -> None:
+    """Append the indent-2, sorted-keys JSON text of obj to ``out``; ``newline`` is
+    the line break plus the indent of the enclosing level.  numpy scalars and arrays
+    are written as their Python values, floats through _float_json, and keys as
+    str(key)."""
+    if isinstance(obj, str):
+        out.append(_json_string(obj))
+    elif obj is None or isinstance(obj, (bool, np.bool_)):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float_json(float(obj)))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, np.ndarray):
+        _emit_json(obj.tolist(), out, newline)
+    elif isinstance(obj, (list, tuple, dict)) and not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, (list, tuple)):
+        inner = newline + "  "
+        out.append("[")
+        for i, value in enumerate(obj):
+            out.append(inner if i == 0 else "," + inner)
+            _emit_json(value, out, inner)
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        inner = newline + "  "
+        items = obj if all(type(k) is str for k in obj) else {str(k): v for k, v in obj.items()}
+        out.append("{")
+        for i, key in enumerate(sorted(items)):
+            out.append(inner if i == 0 else "," + inner)
+            out.append(_json_string(key) + ": ")
+            _emit_json(items[key], out, inner)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    """The report as indent-2, sorted-keys JSON, in one walk: the bytes json.dumps
+    writes with sort_keys=True and indent=2 for the report with its numpy values
+    converted, floats rounded to 10 significant digits and keys made str."""
+    out: list[str] = []
+    _emit_json(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def render_text(report: dict) -> str:
@@ -220,7 +288,7 @@ def render_text(report: dict) -> str:
         else:
             lines.append(f"{prefix[:-1]}: {obj}")
 
-    report = _jsonable(report)
+    report = json.loads(render_json(report))  # the values the JSON report shows
     harness = report.pop("harness", None)
     emit("", report)
     out = "\n".join(lines) + "\n"
@@ -229,7 +297,7 @@ def render_text(report: dict) -> str:
         rows = harness["rows"]
         out += ",".join(cols) + "\n"
         for row in rows:
-            out += ",".join(repr(_round_sig(row[c])) for c in cols) + "\n"
+            out += ",".join(repr(row[c]) for c in cols) + "\n"
     return out
 
 

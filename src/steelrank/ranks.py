@@ -1,7 +1,7 @@
 """Midranks, tie patterns, and asymptotic-validity diagnostics for pooled samples."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -88,16 +88,20 @@ class TiePattern:
 
 @dataclass(frozen=True)
 class RankedSamples:
-    """Pooled midranks with group assignment.
+    """Pooled midranks with group assignment, and the (group, distinct value) count
+    table: ``counts[g, j]`` is how many values of group g equal the j-th smallest
+    distinct pooled value.  Rows sum to ``sizes`` and columns to the tie pattern.
 
     Group 0 plays the control role in many-to-one comparisons; for all-pairs
-    comparisons every group is a treatment.
+    comparisons every group is a treatment.  Without ``counts`` the table is
+    derived from the midranks, whose distinct values mark the distinct scores.
     """
 
     midranks: np.ndarray
     groups: np.ndarray
     sizes: tuple[int, ...]
     tie_pattern: TiePattern
+    counts: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mid = np.asarray(self.midranks, dtype=float)
@@ -113,11 +117,24 @@ class RankedSamples:
             raise ParameterError("group label counts do not match sizes")
         if abs(mid.sum() - n_total * (n_total + 1) / 2) > 1e-9:
             raise ParameterError("midranks do not sum to N(N+1)/2")
-        mid.setflags(write=False)
-        grp.setflags(write=False)
+        table = self.counts
+        if table is None:
+            _, value_class = np.unique(mid, return_inverse=True)
+            table = _count_table(grp, value_class, len(sizes), int(value_class.max()) + 1)
+        table = np.asarray(table, dtype=np.int64)
+        d = self.tie_pattern.d
+        if (
+            table.shape != (len(sizes), len(d))
+            or table.sum(axis=1).tolist() != list(sizes)
+            or table.sum(axis=0).tolist() != list(d)
+        ):
+            raise ParameterError("count table does not match sizes and tie pattern")
+        for arr in (mid, grp, table):
+            arr.setflags(write=False)
         object.__setattr__(self, "midranks", mid)
         object.__setattr__(self, "groups", grp)
         object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "counts", table)
 
     @property
     def N(self) -> int:
@@ -142,46 +159,63 @@ class Diagnostics:
     warnings: tuple[str, ...]
 
 
-def compute_midranks(values: Sequence[float]) -> np.ndarray:
-    """Midranks of the input: tied values share the average of the ranks they occupy.
+def _count_table(
+    labels: np.ndarray, value_class: np.ndarray, n_groups: int, n_values: int
+) -> np.ndarray:
+    """(group, distinct value) counts of values labelled by group and value class."""
+    key = labels * n_values + value_class
+    return np.bincount(key, minlength=n_groups * n_values).reshape(n_groups, n_values)
 
-    Output order matches input order.  Every midrank is an exact half-integer.
-    """
-    arr = _as_scores(values)
+
+def _value_blocks(arr: np.ndarray):
+    """One stable sort of a score array.  Returns the sort order, the midrank of each
+    sorted value, the multiplicities of the distinct values in ascending order (the
+    tie pattern) and the class of each sorted value (the index of its distinct
+    value).  Ties are ``==``: -0.0 ties 0.0, and each infinity ties itself."""
     n = arr.size
     order = np.argsort(arr, kind="stable")
     s = arr[order]
     new_block = np.empty(n, dtype=bool)
     new_block[0] = True
     new_block[1:] = s[1:] != s[:-1]
-    block_id = np.cumsum(new_block) - 1
+    value_class = np.cumsum(new_block) - 1
     starts = np.flatnonzero(new_block)
-    counts = np.diff(np.append(starts, n))
+    d = np.diff(np.append(starts, n))
     # block occupying ranks start+1 .. start+count averages to start + (count+1)/2
-    block_mid = starts + (counts + 1) / 2
-    out = np.empty(n, dtype=float)
-    out[order] = block_mid[block_id]
+    block_mid = starts + (d + 1) / 2
+    return order, block_mid[value_class], d, value_class
+
+
+def compute_midranks(values: Sequence[float]) -> np.ndarray:
+    """Midranks of the input: tied values share the average of the ranks they occupy.
+
+    Output order matches input order.  Every midrank is an exact half-integer.
+    """
+    arr = _as_scores(values)
+    order, sorted_mid, _, _ = _value_blocks(arr)
+    out = np.empty(arr.size, dtype=float)
+    out[order] = sorted_mid
     return out
 
 
 def extract_tie_pattern(values: Sequence[float]) -> TiePattern:
     """Multiplicity pattern of the distinct values, in ascending value order."""
-    arr = _as_scores(values)
-    _, counts = np.unique(arr, return_counts=True)
-    return TiePattern(tuple(int(c) for c in counts))
+    return TiePattern(tuple(_value_blocks(_as_scores(values))[2].tolist()))
 
 
 def rank_samples(groups: Sequence[Sequence[float]]) -> RankedSamples:
-    """Pool the groups (index 0 first; control for many-to-one use), midrank, and tag ties."""
+    """Pool the groups (index 0 first; control for many-to-one use), then take the
+    midranks, the tie pattern and the count table from one sort of the pool."""
     if len(groups) < 2:
         raise ParameterError("need at least two groups")
     arrays = [_as_scores(g) for g in groups]
     sizes = tuple(a.size for a in arrays)
-    pooled = np.concatenate(arrays)
-    midranks = compute_midranks(pooled)
-    tie = extract_tie_pattern(pooled)
+    order, sorted_mid, d, value_class = _value_blocks(np.concatenate(arrays))
+    midranks = np.empty(sorted_mid.size, dtype=float)
+    midranks[order] = sorted_mid
     labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    return RankedSamples(midranks, labels, sizes, tie)
+    counts = _count_table(labels[order], value_class, len(sizes), d.size)
+    return RankedSamples(midranks, labels, sizes, TiePattern(tuple(d.tolist())), counts)
 
 
 def check_asymptotic_conditions(

@@ -59,5 +59,6 @@ def test_traced_cli_runs_give_every_per_layer_metric(tracing, tmp_path):
     assert set(metrics) == {m["name"] for m in spec["per_layer"]} - worker_side
     for name in ("randomization.mc_s", "randomization.mc_rep_per_s", "randomization.exact_s",
                  "pairwise.mvn_rep_per_s", "gauss.box_calls_per_op", "gauss.nodes_per_op",
-                 "confidence.interval_s", "cli.parse_s", "cli.render_s"):
+                 "confidence.interval_s", "cli.parse_s", "cli.render_s", "ranks.rank_s",
+                 "statistics.steel_s"):
         assert metrics[name] > 0, name

@@ -85,6 +85,10 @@ def test_parse_error_reports_line_number(tmp_path, capsys):
         ("whitespace", "ctrl 1 2\nt1\n", "line 2: expected a label and at least one value"),
         ("csv_long", "group,value\na,1\na,2\n", "need at least two non-empty groups"),
         ("csv_wide", "a,b\n1,\n2,\n", "need at least two non-empty groups"),
+        # NaN cannot be ranked; the parser names its line in every format
+        ("csv_long", "g0,1\ng1,2\ng1,nan\n", "line 3: NaN value 'nan'"),
+        ("csv_wide", "a,b\n1,2\n3,NaN\n", "line 3: NaN value 'NaN'"),
+        ("whitespace", "a 1 2\nb 3 -nan 4\n", "line 2: NaN value '-nan'"),
     ]
     for i, (fmt, text, where) in enumerate(cases):
         bad = tmp_path / f"bad{i}.txt"

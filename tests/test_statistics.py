@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steelrank import (
     ParameterError,
+    RankedSamples,
+    compute_midranks,
+    extract_tie_pattern,
     mann_whitney_star,
     observe,
     pair_moments,
     rank_samples,
     rank_sums,
 )
-from steelrank.moments import control_pairs
+from steelrank.moments import all_pairs, control_pairs
 
 from _oracles import brute_w_star, split_moments
 
@@ -117,3 +120,42 @@ def test_moment_mismatch_rejected():
                          control_pairs(3))
     with pytest.raises(ParameterError):
         observe(s, wrong, "greater")
+
+
+# a small pool with exact ties, signed zeros and both infinities
+POOL = [-math.inf, -2.5, -1.0, -0.0, 0.0, 1.0, 1e-300, 2.5, 7.0, math.inf]
+
+
+@st.composite
+def designs(draw):
+    """2-5 groups of unequal sizes with random ties; one in ten is one value repeated."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=7), min_size=k, max_size=k))
+    pool = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=len(POOL), unique=True))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        pool = pool[:1]
+    return [draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)) for n in sizes]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(designs())
+def test_observed_w_from_the_count_table_equals_the_pair_counts(groups):
+    s = rank_samples(groups)
+    pooled = [v for g in groups for v in g]
+    assert s.midranks.tolist() == compute_midranks(pooled).tolist()
+    assert s.tie_pattern == extract_tie_pattern(pooled)
+    distinct = sorted(set(pooled))  # -0.0 and 0.0 are one value, as in the ranking
+    assert s.counts.tolist() == [[g.count(v) for v in distinct] for g in groups]
+    for pairs in (control_pairs(s.n_groups), all_pairs(s.n_groups)):
+        ms = pair_moments(s.sizes, s.tie_pattern, pairs)
+        w = observe(s, ms, "two_sided").w_star
+        assert w.tolist() == [mann_whitney_star(groups[a], groups[b]) for a, b in pairs]
+
+
+def test_ranked_samples_built_from_midranks_derive_the_same_count_table():
+    groups = [[3.0, 1.0, 1.0], [2.0, 3.0], [1.0, 5.0, 5.0, 3.0]]
+    s = rank_samples(groups)
+    rebuilt = RankedSamples(s.midranks, s.groups, s.sizes, s.tie_pattern)
+    assert rebuilt.counts.tolist() == s.counts.tolist() == [[2, 0, 1, 0], [0, 1, 1, 0], [1, 0, 1, 2]]
+    with pytest.raises(ParameterError, match="count table"):
+        RankedSamples(s.midranks, s.groups, s.sizes, s.tie_pattern, s.counts[:, ::-1])
