@@ -98,6 +98,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ParameterError("nsim must be >= 1")
     if cfg.seed < 0:
         raise ParameterError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.exact_budget < 0:  # 0 never enumerates
+        raise ParameterError(f"exact-budget must be >= 0, got {cfg.exact_budget}")
     if not 1 <= cfg.nodes <= MAX_NODES:
         raise ParameterError(f"nodes must be in [1, {MAX_NODES}], got {cfg.nodes}")
     if not 0 < cfg.conf_level < 1:

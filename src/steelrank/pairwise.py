@@ -1,5 +1,17 @@
 """All-pairs tails from the approximating joint normal: seeded sampling of the
-standardized pair statistics under their null correlation."""
+standardized pair statistics under their null correlation.
+
+Up to 64 pairs, each chunk is drawn in slices whose product ``z = normal draws @
+root.T`` costs at most 2^18 multiply-adds: rows x pairs^2 within the slice budget
+``randomization._SLICE_CELLS``.  OpenBLAS runs a GEMM that small on the calling
+thread (65536 x GEMM_MULTITHREAD_THRESHOLD); a larger one wakes its worker
+threads, which keep spinning for about 0.1 s after the call and so take a CPU from
+the chunk threads and from the next Monte Carlo run.  Past 64 pairs a slice would
+need fewer than 64 rows to stay that small, and such thin products ran slower than
+threaded ones, so slices there hold 2^18 output cells (rows x pairs).  Slicing does
+not change the draws, and at 3 to 55 pairs the sliced products were bit-identical
+to one product per chunk.
+"""
 from __future__ import annotations
 
 from typing import Sequence
@@ -10,6 +22,8 @@ from .errors import NumericError
 from .moments import MomentSet
 from .randomization import check_tail_request, sample_chunks
 from .statistics import in_tail, reduce_statistic
+
+_MAX_REPLICATE_WORK = 1 << 12  # pairs^2 up to which slices of >= 64 rows stay unthreaded
 
 
 def _mvn_root(moments: MomentSet) -> np.ndarray:
@@ -40,7 +54,10 @@ def _mvn_tail_counts(
         stats = reduce_statistic(kind, z)
         return in_tail(kind, stats[:, None], thresholds[None, :]).sum(axis=0)
 
-    return np.sum(sample_chunks(nsim, seed, draw, corr_root.shape[1]), axis=0)
+    work = corr_root.size  # multiply-adds of one replicate's product
+    if work > _MAX_REPLICATE_WORK:  # threaded at any slice worth drawing: slice by output cells
+        work = corr_root.shape[1]
+    return np.sum(sample_chunks(nsim, seed, draw, work), axis=0)
 
 
 def mvn_tail_counts(

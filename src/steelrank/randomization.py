@@ -101,9 +101,11 @@ def sample_chunks(
     ``cells_per_replicate`` each chunk is drawn from its generator in consecutive
     slices of ``max(1, _SLICE_CELLS // cells_per_replicate)`` replicates (the last
     one shorter); ``draw`` must then consume the generator row by row, so that the
-    slices draw exactly what one call for the whole chunk would.  With ``None``
-    ``draw`` gets each whole chunk in one call, for draws that read the generator
-    in another order; their results do not depend on _SLICE_CELLS.
+    slices draw exactly what one call for the whole chunk would.  The unit is the
+    caller's cost of one replicate: array cells for the permutation draw, and for
+    MVN sampling the multiply-adds of its product (pairs^2, up to 64 pairs).  With
+    ``None`` ``draw`` gets each whole chunk in one call, for draws that read the
+    generator in another order; their results do not depend on _SLICE_CELLS.
     """
     if nsim < 1:
         raise ParameterError("nsim must be >= 1")

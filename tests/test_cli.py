@@ -370,7 +370,8 @@ def test_run_config_direct():
 
 def test_settings_outside_their_range_are_parameter_errors(capsys):
     for flag, value, message in (("--nsim", "0", "nsim must be >= 1"),
-                                 ("--conf-level", "1.5", "conf-level must be in (0, 1)")):
+                                 ("--conf-level", "1.5", "conf-level must be in (0, 1)"),
+                                 ("--exact-budget", "-1", "exact-budget must be >= 0")):
         code, out, err = run_main(capsys, ["--input", IQ, flag, value])
         assert code == 2 and out == ""
         payload = json.loads(err)
@@ -385,7 +386,7 @@ def test_settings_outside_their_range_are_parameter_errors(capsys):
 def test_all_falls_back_to_monte_carlo_exactly_past_the_exact_budget(capsys):
     # 5, 5 and 4 untied values have 14! / (5! 5! 4!) = 252,252 splits
     base = ["--input", str(DATA / "untied_5x5x4.csv"), "--nsim", "2000"]
-    for budget, engine in (("252252", "exact"), ("252251", "monte_carlo")):
+    for budget, engine in (("252252", "exact"), ("252251", "monte_carlo"), ("0", "monte_carlo")):
         code, out, _ = run_main(capsys, base + ["--method", "all", "--exact-budget", budget])
         assert code == 0
         assert sorted(json.loads(out)["p_values"]) == sorted(["asymptotic", engine])

@@ -12,10 +12,11 @@ from steelrank import (
     simulated_tail_counts,
     var_w,
 )
-from steelrank import randomization
+from steelrank import pairwise, randomization
 from steelrank.cli import main
 from steelrank.moments import all_pairs, control_pairs
 from steelrank.pairwise import _mvn_root, _mvn_tail_counts, mvn_tail_counts
+from steelrank.statistics import reduce_statistic
 
 from _exact import exact_moments
 from _oracles import enumerate_pair_stats, random_tie_pattern
@@ -165,12 +166,38 @@ def test_mvn_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch):
         counts = {}
         for rows, threads in ((None, "1"), (1, "1"), (7, "1"), (7, "2")):
             monkeypatch.setenv("STEELRANK_THREADS", threads)
-            cells = 1 << 40 if rows is None else rows * n_pairs
+            cells = 1 << 40 if rows is None else rows * n_pairs**2
             monkeypatch.setattr(randomization, "_SLICE_CELLS", cells)
             counts[rows, threads] = int(_mvn_tail_counts(root, kind, np.array([threshold]), 9000,
                                                          6)[0])
         assert 0 < counts[None, "1"] < 9000
         assert set(counts.values()) == {counts[None, "1"]}
+
+
+def test_mvn_slices_stay_single_threaded_and_draw_the_whole_chunk_product(monkeypatch,
+                                                                          iq_groups):
+    # up to 64 pairs each slice's product is at most 2^18 multiply-adds, the size
+    # OpenBLAS runs on the calling thread, and the sliced z equal one product over
+    # the whole chunk, bit for bit
+    rng = np.random.default_rng(12)
+    for groups in (iq_groups[:3], iq_groups, [rng.normal(size=9) for _ in range(10)],
+                   [rng.integers(0, 5, size=7) for _ in range(11)]):
+        s = rank_samples(groups)
+        root = _mvn_root(pair_moments(s.sizes, s.tie_pattern, all_pairs(s.n_groups)))
+        n_pairs = root.shape[0]
+        slices = []
+
+        def record(kind, z):
+            slices.append(z)
+            return reduce_statistic(kind, z)
+
+        monkeypatch.setattr(pairwise, "reduce_statistic", record)
+        _mvn_tail_counts(root, "s_max", np.array([1.0]), randomization.CHUNK_SIZE, 3)
+        chunk_rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+        whole = chunk_rng.standard_normal((randomization.CHUNK_SIZE, n_pairs)) @ root.T
+        assert n_pairs in (3, 6, 45, 55)
+        assert all(len(z) * n_pairs**2 <= 1 << 18 for z in slices)
+        assert np.array_equal(np.concatenate(slices), whole)
 
 
 def test_mc_and_mvn_agree_at_moderate_sizes():
