@@ -2,15 +2,17 @@
 standardized pair statistics under their null correlation.
 
 Up to 64 pairs, each chunk is drawn in slices whose product ``z = normal draws @
-root.T`` costs at most 2^18 multiply-adds: rows x pairs^2 within the slice budget
-``randomization._SLICE_CELLS``.  OpenBLAS runs a GEMM that small on the calling
-thread (65536 x GEMM_MULTITHREAD_THRESHOLD); a larger one wakes its worker
-threads, which keep spinning for about 0.1 s after the call and so take a CPU from
-the chunk threads and from the next Monte Carlo run.  Past 64 pairs a slice would
-need fewer than 64 rows to stay that small, and such thin products ran slower than
-threaded ones, so slices there hold 2^18 output cells (rows x pairs).  Slicing does
-not change the draws, and at 3 to 55 pairs the sliced products were bit-identical
-to one product per chunk.
+root.T`` costs at most the slice budget ``randomization._SLICE_CELLS`` = 2^18
+multiply-adds (rows x pairs^2).  OpenBLAS runs a GEMM that small on the calling
+thread (65536 x GEMM_MULTITHREAD_THRESHOLD, ``_SINGLE_THREAD_GEMM``); a larger
+one wakes its worker threads, which keep spinning for about 0.1 s after the call
+and so take a CPU from the chunk threads and from the next Monte Carlo run.  Past 64 pairs a slice would
+need fewer than 64 rows to stay that small, and thin products ran slower than
+threaded ones (64-row slices made 528 pairs about a quarter slower), so slices
+there hold 2^18 output cells (rows x pairs).  Slicing does not change the draws;
+for every all-pairs design of 3 to 11 groups (3 to 55 pairs) the sliced products
+are bit-identical to one product per chunk, and past that z can differ in the last
+bit.
 """
 from __future__ import annotations
 
@@ -23,7 +25,9 @@ from .moments import MomentSet
 from .randomization import check_tail_request, sample_chunks
 from .statistics import in_tail, reduce_statistic
 
-_MAX_REPLICATE_WORK = 1 << 12  # pairs^2 up to which slices of >= 64 rows stay unthreaded
+# multiply-adds OpenBLAS runs on the calling thread; randomization._SLICE_CELLS must equal it
+_SINGLE_THREAD_GEMM = 1 << 18
+_MAX_REPLICATE_WORK = _SINGLE_THREAD_GEMM // 64  # pairs^2 up to which slices keep >= 64 rows
 
 
 def _mvn_root(moments: MomentSet) -> np.ndarray:

@@ -177,11 +177,15 @@ def test_mvn_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch):
 def test_mvn_slices_stay_single_threaded_and_draw_the_whole_chunk_product(monkeypatch,
                                                                           iq_groups):
     # up to 64 pairs each slice's product is at most 2^18 multiply-adds, the size
-    # OpenBLAS runs on the calling thread, and the sliced z equal one product over
-    # the whole chunk, bit for bit
+    # OpenBLAS runs on the calling thread, and for 3 to 11 groups the sliced z equal
+    # one product over the whole chunk, bit for bit; past 64 pairs slices hold
+    # 2^18 output cells
+    assert randomization._SLICE_CELLS == pairwise._SINGLE_THREAD_GEMM
     rng = np.random.default_rng(12)
-    for groups in (iq_groups[:3], iq_groups, [rng.normal(size=9) for _ in range(10)],
-                   [rng.integers(0, 5, size=7) for _ in range(11)]):
+    designs = [iq_groups[:3], iq_groups] + [
+        [rng.integers(0, 5, size=7) if k % 2 else rng.normal(size=9) for _ in range(k)]
+        for k in range(5, 13)]
+    for groups in designs:
         s = rank_samples(groups)
         root = _mvn_root(pair_moments(s.sizes, s.tie_pattern, all_pairs(s.n_groups)))
         n_pairs = root.shape[0]
@@ -195,9 +199,12 @@ def test_mvn_slices_stay_single_threaded_and_draw_the_whole_chunk_product(monkey
         _mvn_tail_counts(root, "s_max", np.array([1.0]), randomization.CHUNK_SIZE, 3)
         chunk_rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
         whole = chunk_rng.standard_normal((randomization.CHUNK_SIZE, n_pairs)) @ root.T
-        assert n_pairs in (3, 6, 45, 55)
-        assert all(len(z) * n_pairs**2 <= 1 << 18 for z in slices)
-        assert np.array_equal(np.concatenate(slices), whole)
+        if s.n_groups <= 11:
+            assert all(len(z) * n_pairs**2 <= pairwise._SINGLE_THREAD_GEMM for z in slices)
+            assert np.array_equal(np.concatenate(slices), whole)
+        else:
+            assert n_pairs == 66 and [len(z) for z in slices] == [3971, 125]
+            np.testing.assert_allclose(np.concatenate(slices), whole, rtol=0, atol=1e-12)
 
 
 def test_mc_and_mvn_agree_at_moderate_sizes():
