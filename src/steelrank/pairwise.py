@@ -1,12 +1,15 @@
 """All-pairs tails from the approximating joint normal: seeded sampling of the
 standardized pair statistics under their null correlation.
 
-Up to 64 pairs, each chunk is drawn in slices whose product ``z = normal draws @
-root.T`` costs at most the slice budget ``randomization._SLICE_CELLS`` = 2^18
-multiply-adds (rows x pairs^2).  OpenBLAS runs a GEMM that small on the calling
-thread (65536 x GEMM_MULTITHREAD_THRESHOLD, ``_SINGLE_THREAD_GEMM``); a larger
-one wakes its worker threads, which keep spinning for about 0.1 s after the call
-and so take a CPU from the chunk threads and from the next Monte Carlo run.  Past 64 pairs a slice would
+Sampling runs on ``randomization.sample_chunks``: a slice's draw is its standard
+normals, taken while the thread holds the chunk's generator; the product ``z =
+normals @ root.T`` and the tail counts are its tally, after the generator is
+released.  Up to 64 pairs, each slice's product costs at most the slice budget
+``randomization._SLICE_CELLS`` = 2^18 multiply-adds (rows x pairs^2).  OpenBLAS
+runs a GEMM that small on the calling thread (65536 x GEMM_MULTITHREAD_THRESHOLD,
+``_SINGLE_THREAD_GEMM``); a larger one wakes its worker threads, which keep
+spinning for about 0.1 s after the call and so take a CPU from the sampling
+threads and from the next Monte Carlo run.  Past 64 pairs a slice would
 need fewer than 64 rows to stay that small, and thin products ran slower than
 threaded ones (64-row slices made 528 pairs about a quarter slower), so slices
 there hold 2^18 output cells (rows x pairs).  Slicing does not change the draws;
@@ -50,18 +53,20 @@ def _mvn_root(moments: MomentSet) -> np.ndarray:
 def _mvn_tail_counts(
     corr_root: np.ndarray, kind: str, thresholds: np.ndarray, nsim: int, seed: int
 ) -> np.ndarray:
-    """Tail counts per threshold from sampling the standardized joint normal,
-    chunked like the Monte Carlo engine."""
+    """Tail counts per threshold (int64) from sampling the standardized joint
+    normal, chunked like the Monte Carlo engine."""
 
     def draw(rng: np.random.Generator, b: int) -> np.ndarray:
-        z = rng.standard_normal((b, corr_root.shape[1])) @ corr_root.T
-        stats = reduce_statistic(kind, z)
+        return rng.standard_normal((b, corr_root.shape[1]))
+
+    def tally(normal: np.ndarray) -> np.ndarray:
+        stats = reduce_statistic(kind, normal @ corr_root.T)
         return in_tail(kind, stats[:, None], thresholds[None, :]).sum(axis=0)
 
     work = corr_root.size  # multiply-adds of one replicate's product
     if work > _MAX_REPLICATE_WORK:  # threaded at any slice worth drawing: slice by output cells
         work = corr_root.shape[1]
-    return np.sum(sample_chunks(nsim, seed, draw, work), axis=0)
+    return sample_chunks(nsim, seed, draw, tally, work)
 
 
 def mvn_tail_counts(
@@ -78,4 +83,4 @@ def mvn_tail_counts(
     counts out of nsim draws.
     """
     thr = check_tail_request(statistic, thresholds)
-    return _mvn_tail_counts(_mvn_root(moments), statistic, thr, nsim, seed).astype(np.int64)
+    return _mvn_tail_counts(_mvn_root(moments), statistic, thr, nsim, seed)

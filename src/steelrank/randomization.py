@@ -14,26 +14,31 @@ keeps the results of its recent walks, read-only, in an LRU cache of at most
 _WALK_CACHE_BYTES of arrays.
 
 Monte Carlo mode splits the replicates into fixed-size chunks; chunk i draws from an
-independent RNG substream derived from (seed, i).  Results are therefore identical
-for any worker count (the STEELRANK_THREADS environment variable only caps speed).
-A replicate depends on the data only through its (group, distinct value) count
-table, which is drawn one of two ways, chosen by a cost rule on the design:
+independent RNG substream derived from (seed, i), always in the same slices and the
+same order.  Threads (at most the STEELRANK_THREADS cap) take single slices, not
+whole chunks, from whichever free chunk has the most replicates left, and hold a
+chunk's generator only while drawing; the tallies are exact integer sums.  Results
+are therefore identical for any thread count, and the threads stay busy until the
+last slices of a run.  A replicate depends on the data only through its (group,
+distinct value) count table, which is drawn one of two ways, chosen by a cost rule
+on the design:
 
 * Count tables, when N >= _TABLE_DRAW_RATIO * V * (G - 1) for N values, V distinct
   values and G groups (heavily tied data): block by block in ascending value
   order, G - 1 vectorized hypergeometric draws per block over a whole chunk.  A
-  worker holds about CHUNK_SIZE x (groups + pairs) int64 cells, independent of
-  N and V.  The draws depend on the chunk size, so each chunk is drawn in one
-  piece and the slice budget below does not apply.
+  thread holds about CHUNK_SIZE x (groups + pairs) int64 cells, independent of
+  N and V.  The draws depend on the chunk size, so each chunk is one slice, the
+  whole chain, and the slice budget below does not apply.
 * Permutations otherwise: the group labels of the N pooled values are permuted
-  row by row.  Each worker draws its chunk in consecutive slices of at most
+  row by row.  Each chunk is drawn in consecutive slices of at most
   ``_SLICE_CELLS`` array cells (replicates times cells per replicate; one
-  replicate where a single one is larger), so the memory a worker holds is bounded
+  replicate where a single one is larger), so the memory a thread holds is bounded
   by the slice budget, about 3 MiB, and depends neither on nsim nor on N x groups
   x distinct values.  The budget is sized so that a slice's arrays fit a core's L2
   cache and the allocator reuses their freed memory from slice to slice instead of
   faulting fresh pages in.  Slicing does not change the draws, so reports are the
-  same as drawing each chunk at once.
+  same as drawing each chunk at once.  The draw is the tiling and permuting of the
+  labels; the bincount and the tally run after the chunk's generator is released.
 
 Both draws sample the same conditional distribution, but from different random
 streams: only designs the rule routes to count tables report other Monte Carlo
@@ -41,9 +46,10 @@ estimates than a permutation draw would.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
@@ -66,7 +72,7 @@ _TABLE_DRAW_RATIO = 12  # N / (V (G-1)) from which count-table draws beat permut
 
 
 def worker_count() -> int:
-    """Worker cap for Monte Carlo chunks; STEELRANK_THREADS overrides the default."""
+    """Thread cap for Monte Carlo sampling; STEELRANK_THREADS overrides the default."""
     env = os.environ.get("STEELRANK_THREADS", "").strip()
     if env:
         try:
@@ -92,41 +98,102 @@ def sample_chunks(
     nsim: int,
     seed: int,
     draw: Callable[[np.random.Generator, int], object],
+    tally: Callable[[object], np.ndarray],
     cells_per_replicate: int | None,
-) -> list:
-    """Results of ``draw(rng, size)`` per slice of the CHUNK_SIZE-replicate chunks, in order.
+) -> np.ndarray:
+    """Sum of ``tally(draw(rng, size))`` over the slices of the CHUNK_SIZE-replicate
+    chunks, as int64.
 
-    Chunk i draws from the i-th substream spawned from ``seed``, so the results do
-    not depend on how many worker threads run the chunks.  With an int
-    ``cells_per_replicate`` each chunk is drawn from its generator in consecutive
-    slices of ``max(1, _SLICE_CELLS // cells_per_replicate)`` replicates (the last
-    one shorter); ``draw`` must then consume the generator row by row, so that the
-    slices draw exactly what one call for the whole chunk would.  The unit is the
-    caller's cost of one replicate: array cells for the permutation draw, and for
-    MVN sampling the multiply-adds of its product (pairs^2, up to 64 pairs).  With
-    ``None`` ``draw`` gets each whole chunk in one call, for draws that read the
-    generator in another order; their results do not depend on _SLICE_CELLS.
+    Chunk i draws from substream (seed, i), the i-th child ``SeedSequence(seed).spawn``
+    would give, made when the chunk's first slice is handed out.  With an int
+    ``cells_per_replicate`` each chunk is drawn in consecutive slices of
+    ``max(1, _SLICE_CELLS // cells_per_replicate)`` replicates (the last one shorter);
+    ``draw`` must then consume the generator row by row, so that the slices draw
+    exactly what one call for the whole chunk would.  The unit is the caller's cost
+    of one replicate: array cells for the permutation draw, and for MVN sampling the
+    multiply-adds of its product (pairs^2, up to 64 pairs).  With ``None`` each
+    chunk is one slice, for draws that read the generator in another order.
+
+    The calling thread and up to min(worker_count(), chunks) - 1 helper threads
+    repeat one step: take the next slice of the free chunk with the most replicates
+    left, draw it holding that chunk's generator, release the generator and tally
+    the draw without it.  A chunk's slices are thus drawn in order and never two at
+    once, and the tallies are exact integer sums, so the result does not depend on
+    the thread count.  At most threads + 1 chunks are open (started, with slices
+    left) at a time, which bounds the live generators; taking the fullest one keeps
+    the open chunks draining together, so no thread idles before the last slices.
+    An exception from ``draw`` or ``tally`` stops every thread and is raised once
+    they have all ended.
     """
     if nsim < 1:
         raise ParameterError("nsim must be >= 1")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     n_chunks = -(-nsim // CHUNK_SIZE)
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     rows = CHUNK_SIZE if cells_per_replicate is None else _slice_rows(cells_per_replicate)
+    threads = min(worker_count(), n_chunks)
+    free = []  # heap of (-replicates left, chunk, generator) of the open chunks no thread holds
+    opened = 0  # chunks started so far, in index order
+    held = 0  # open chunks a thread is drawing a slice of
+    errors: list[BaseException] = []
+    totals: list[np.ndarray] = []
+    state = threading.Condition()
 
-    def one_chunk(ci: int) -> list:
-        rng = np.random.default_rng(seeds[ci])
-        size = min(CHUNK_SIZE, nsim - ci * CHUNK_SIZE)
-        return [draw(rng, min(rows, size - start)) for start in range(0, size, rows)]
+    def take() -> tuple | None:
+        """(-replicates left, chunk, generator or None) of the chunk of the next slice."""
+        nonlocal opened, held
+        with state:
+            while not errors:
+                new = min(CHUNK_SIZE, nsim - opened * CHUNK_SIZE)  # the next chunk to open
+                if new > 0 and len(free) + held <= threads and (not free or -free[0][0] <= new):
+                    opened += 1
+                    chunk = (-new, opened - 1, None)
+                elif free:
+                    chunk = heapq.heappop(free)
+                elif held:  # every chunk with slices left is being drawn
+                    state.wait()
+                    continue
+                else:
+                    return None
+                if -chunk[0] > rows:  # it comes back after this slice
+                    held += 1
+                return chunk
+        return None
 
-    threads = worker_count()
-    if threads == 1 or n_chunks == 1:
-        chunks = [one_chunk(ci) for ci in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_chunk, range(n_chunks)))
-    return [result for chunk in chunks for result in chunk]
+    def step(neg_left: int, ci: int, rng: np.random.Generator | None) -> np.ndarray:
+        """Draw the chunk's next slice, hand the chunk back, then tally the slice."""
+        nonlocal held
+        if rng is None:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
+        drawn = draw(rng, min(rows, -neg_left))
+        if -neg_left > rows:
+            with state:
+                heapq.heappush(free, (neg_left + rows, ci, rng))
+                held -= 1
+                state.notify_all()
+        return tally(drawn)
+
+    def work() -> None:
+        total = np.int64(0)  # this thread's running sum of tallies
+        try:
+            while (chunk := take()) is not None:
+                total = total + step(*chunk)
+        except BaseException as exc:
+            with state:
+                errors.append(exc)
+                state.notify_all()
+        else:
+            totals.append(total)
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return sum(totals)
 
 
 def split_count(sizes: Sequence[int]) -> int:
@@ -437,9 +504,9 @@ def _mc_tail_counts(
                     h += k[:, a : a + 1]
                     w2[:, lo:hi] += k[:, a + 1 :] * h
                 free -= k
-            return tail_counts(w2)
+            return w2
 
-        return np.sum(sample_chunks(nsim, seed, draw_tables, None), axis=0)
+        return sample_chunks(nsim, seed, draw_tables, tail_counts, None)
 
     value_class = np.repeat(np.arange(n_values, dtype=np.int64), d)
     # group labels pre-scaled by n_values: permuting them draws what permuting 0..G-1 would
@@ -452,6 +519,10 @@ def _mc_tail_counts(
     def draw_labels(rng: np.random.Generator, reps: int) -> np.ndarray:
         key = np.tile(label_template, (reps, 1))
         rng.permuted(key, axis=1, out=key)
+        return key
+
+    def tally_labels(key: np.ndarray) -> np.ndarray:
+        reps = len(key)
         key += offsets[:reps]
         counts = np.bincount(key.ravel(), minlength=reps * n_groups * n_values)
         counts = counts.reshape(reps, n_groups, n_values)
@@ -463,7 +534,7 @@ def _mc_tail_counts(
             w2.append(np.einsum("ikj,ij->ik", counts[:, a + 1 :, :], c2))
         return tail_counts(np.hstack(w2))
 
-    return np.sum(sample_chunks(nsim, seed, draw_labels, cells), axis=0)
+    return sample_chunks(nsim, seed, draw_labels, tally_labels, cells)
 
 
 def sampled_p_value(

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -418,9 +419,144 @@ def test_tail_counts_equal_the_replayed_draws(monkeypatch, tied, all_group_pairs
 def test_negative_seed_is_a_parameter_error():
     s, obs = _steel([[1, 2], [3, 4]], "greater")
     with pytest.raises(ParameterError, match="seed"):
-        randomization.sample_chunks(10, -1, lambda rng, b: b, 1)
+        randomization.sample_chunks(10, -1, lambda rng, b: b, len, 1)
     with pytest.raises(ParameterError, match="seed"):
         _mc_p(s, obs, nsim=10, seed=-1)
+
+
+def _replayed_slices(nsim, seed, rows):
+    """Per chunk, the slices of integers a serial run draws from the chunk's spawned substream."""
+    chunk = randomization.CHUNK_SIZE
+    slices = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(-(-nsim // chunk))):
+        rng = np.random.default_rng(child)
+        size = min(chunk, nsim - i * chunk)
+        slices.append([rng.integers(0, 1000, min(rows, size - lo)) for lo in range(0, size, rows)])
+    return slices
+
+
+def _bounded(call, timeout=120):
+    """``call()`` run on its own thread at a short switch interval, within ``timeout``
+    seconds: its result, or the exception it raised."""
+    out = []
+
+    def target():
+        try:
+            out.append((True, call()))
+        except BaseException as exc:
+            out.append((False, exc))
+
+    runner = threading.Thread(target=target)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runner.start()
+        runner.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
+
+def _runner_nsim(n_chunks):
+    chunk = randomization.CHUNK_SIZE
+    return {1: 100, 3: 2 * chunk + 1808, 25: 24 * chunk + 5}[n_chunks]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 64])
+@pytest.mark.parametrize("n_chunks", [1, 3, 25])
+@pytest.mark.parametrize("rows", [1024, None])
+def test_sampling_runner_draws_each_chunk_in_order_one_slice_at_a_time(
+    monkeypatch, threads, n_chunks, rows
+):
+    # whichever threads draw, each chunk's slices are those of a serial replay from
+    # spawn, drawn in order and never two at once, and the tallies sum exactly
+    monkeypatch.setenv("STEELRANK_THREADS", str(threads))
+    nsim = _runner_nsim(n_chunks)
+    cells = None if rows is None else randomization._SLICE_CELLS // rows
+    lock = threading.Lock()
+    drawing = set()  # generators a thread is drawing from
+    overlaps = []
+    log = []  # (generator, drawing thread, slice), each generator's slices in order
+
+    def draw(rng, size):
+        with lock:
+            if rng in drawing:
+                overlaps.append(rng)
+            drawing.add(rng)
+        time.sleep(1e-4)  # let the other threads take slices meanwhile
+        out = rng.integers(0, 1000, size)
+        with lock:
+            drawing.discard(rng)
+            log.append((rng, threading.get_ident(), out))
+        return out
+
+    total = _bounded(lambda: randomization.sample_chunks(
+        nsim, 11, draw, lambda out: np.array([out.sum(), out.size, 1]), cells
+    ))
+    assert not overlaps
+    by_chunk = {}
+    for rng, _, out in log:
+        by_chunk.setdefault(rng, []).append(out.tolist())
+    want = _replayed_slices(nsim, 11, rows or randomization.CHUNK_SIZE)
+    assert sorted(by_chunk.values()) == sorted([out.tolist() for out in chunk] for chunk in want)
+    serial = [sum(int(out.sum()) for chunk in want for out in chunk), nsim,
+              sum(map(len, want))]
+    assert total.dtype == np.int64 and total.tolist() == serial
+    assert len({thread for _, thread, _ in log}) <= min(threads, n_chunks)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 64])
+@pytest.mark.parametrize("where", ["draw", "tally"])
+def test_sampling_runner_raises_a_failed_step_after_its_threads_end(monkeypatch, threads, where):
+    monkeypatch.setenv("STEELRANK_THREADS", str(threads))
+    before = threading.active_count()
+    steps = itertools.count()
+
+    def step(where_now):
+        if where_now == where and next(steps) == 30:
+            raise ValueError(f"{where} failed")
+        time.sleep(1e-4)
+
+    def draw(rng, size):
+        step("draw")
+        return rng.integers(0, 1000, size)
+
+    def tally(out):
+        step("tally")
+        return np.array([out.size])
+
+    with pytest.raises(ValueError, match=f"{where} failed"):
+        _bounded(lambda: randomization.sample_chunks(
+            _runner_nsim(25), 3, draw, tally, randomization._SLICE_CELLS // 512
+        ))
+    assert threading.active_count() == before
+
+
+def test_chunk_generators_are_the_spawned_substreams_made_on_first_use(monkeypatch):
+    for i in range(5):
+        spawned = np.random.SeedSequence(9).spawn(5)[i]
+        keyed = np.random.SeedSequence(9, spawn_key=(i,))
+        assert np.array_equal(keyed.generate_state(8), spawned.generate_state(8))
+    # a run stopped at its first draw made one generator, whatever nsim is
+    made = []
+    seed_sequence = np.random.SeedSequence
+
+    def recorded(*args, **kwargs):
+        made.append(kwargs.get("spawn_key"))
+        return seed_sequence(*args, **kwargs)
+
+    def draw(rng, size):
+        raise ValueError("stop")
+
+    monkeypatch.setenv("STEELRANK_THREADS", "1")
+    monkeypatch.setattr(np.random, "SeedSequence", recorded)
+    with pytest.raises(ValueError, match="stop"):
+        randomization.sample_chunks(10**9, 9, draw, len, 1)
+    assert made == [(0,)]
 
 
 def _assert_monte_carlo_memory_is_bounded(monkeypatch, s, obs):
