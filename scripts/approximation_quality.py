@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from steelrank.cli import quality_harness
+from steelrank.analysis import quality_harness
 
 P_GRID = (0.20, 0.15, 0.10, 0.05, 0.025, 0.01)
 

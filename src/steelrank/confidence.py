@@ -2,7 +2,8 @@
 
 The shift model takes continuous distributions; the selection therefore always uses
 the no-ties moment formulas.  Tied (rounded) data should widen the result through
-``rounding_eps``, which only ever enlarges the confidence set.
+``rounding_eps``, which only ever enlarges the confidence set.  The groups, control
+first, are checked once: by ``rank_samples``, or already in a ``RankedSamples``.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from ._cache import DESIGNS
 from .errors import NumericError, ParameterError
 from .gauss import DEFAULT_NODES, FactorModel, joint_lower_box_prob, solve_common_threshold
 from .moments import control_pairs, pair_moments
-from .ranks import TiePattern, _as_scores
+from .ranks import RankedSamples, TiePattern, rank_samples
 
 DIRECTIONS = ("upper", "lower")
 # kth_difference: a table of at most _SORT_CELLS differences is partitioned whole;
@@ -99,11 +100,14 @@ def kth_difference(control: Sequence[float], treatment: Sequence[float], k: int)
     the path: inputs holding -0.0 can give -0.0.  ``simultaneous_bounds`` adds
     0.0 to its inputs, so no difference it selects is -0.0.
     """
-    x = _as_scores(control)
-    y = _as_scores(treatment)
+    x, y = rank_samples([control, treatment]).scores
     if int(k) != k or not 1 <= k <= x.size * y.size:
         raise ParameterError(f"k must be an integer in [1, {x.size * y.size}], got {k!r}")
-    k = int(k)
+    return _kth_difference(x, y, int(k))
+
+
+def _kth_difference(x: np.ndarray, y: np.ndarray, k: int) -> float:
+    """``kth_difference`` of checked float arrays and an index k in range."""
     if x.size * y.size <= _SORT_CELLS:
         return float(np.partition(np.subtract.outer(y, x).ravel(), k - 1)[k - 1])
     ys, cy = np.unique(y, return_counts=True)
@@ -191,34 +195,30 @@ def _reflected(model: FactorModel, sel: IndexSelection) -> IndexSelection:
 
 
 def _selection(
-    sizes: tuple[int, ...], gamma: float, direction: str, nodes: int
+    sizes: tuple[int, ...], gamma: float, nodes: int
 ) -> tuple[FactorModel, IndexSelection]:
-    """The no-ties model of a design and its selection at one-sided level gamma.
+    """The no-ties model of a design and its upper selection at one-sided level gamma.
 
-    Neither depends on the data, so the model and the upper selection are kept per
-    process in ``_cache.DESIGNS``; a lower selection reflects the upper one, as
-    ``select_indices`` does.
+    Neither depends on the data, so both are kept per process in ``_cache.DESIGNS``.
     """
-    if direction not in DIRECTIONS:
-        raise ParameterError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
     def solve() -> tuple[FactorModel, IndexSelection]:
         tie = TiePattern.no_ties(sum(sizes))
         model = FactorModel.from_moments(pair_moments(sizes, tie, control_pairs(len(sizes))))
         return model, select_indices(model, gamma, "upper", nodes)
 
-    model, sel = DESIGNS.get(("selection", sizes, gamma, nodes), solve)
-    return model, _reflected(model, sel) if direction == "lower" else sel
+    return DESIGNS.get(("selection", sizes, gamma, nodes), solve)
 
 
-def _prepare(groups: Sequence[Sequence[float]], rounding_eps: float):
+def _prepare(groups: Sequence[Sequence[float]] | RankedSamples, rounding_eps: float):
     if not 0 <= rounding_eps < math.inf:  # NaN fails both comparisons
         raise ParameterError(f"rounding_eps must be finite and >= 0, got {rounding_eps}")
-    if len(groups) < 2:
-        raise ParameterError("need a control group and at least one treatment group")
+    samples = groups if isinstance(groups, RankedSamples) else rank_samples(groups)
+    if samples.scores is None:
+        raise ParameterError("shift bounds need the scores that rank_samples keeps")
     # + 0.0 turns -0.0 into 0.0, so no selected difference is -0.0 (np.sort orders
     # the two zeros arbitrarily, and rounded data such as round(-0.04, 1) holds -0.0)
-    arrays = [_as_scores(g) + 0.0 for g in groups]
+    arrays = [np.add(a, 0.0) for a in samples.scores]
     for g, a in enumerate(arrays):
         bad = np.flatnonzero(~np.isfinite(a))
         if bad.size:  # shifts of infinite values are undefined (inf - inf)
@@ -234,13 +234,11 @@ def _prepare(groups: Sequence[Sequence[float]], rounding_eps: float):
                 f"group {g} minus group 0 overflows"
             )
     warnings = []
-    if rounding_eps == 0:
-        pooled = np.sort(np.concatenate(arrays))
-        if (pooled[1:] == pooled[:-1]).any():
-            warnings.append(
-                "ties present in the data; the shift model assumes continuity - "
-                "consider a rounding_eps matching the recording grid"
-            )
+    if rounding_eps == 0 and samples.tie_pattern.e < samples.N:
+        warnings.append(
+            "ties present in the data; the shift model assumes continuity - "
+            "consider a rounding_eps matching the recording grid"
+        )
     return arrays, warnings
 
 
@@ -250,7 +248,7 @@ def _reflect(model: FactorModel, j) -> tuple[int, ...]:
 
 
 def _shift_bounds(
-    groups: Sequence[Sequence[float]],
+    groups: Sequence[Sequence[float]] | RankedSamples,
     nominal: float,
     level: float,
     sides: tuple[str, ...],
@@ -265,14 +263,14 @@ def _shift_bounds(
     same coverages.
     """
     arrays, warnings = _prepare(groups, rounding_eps)
-    model, sel = _selection(tuple(a.size for a in arrays), level, "upper", nodes)
+    model, sel = _selection(tuple(a.size for a in arrays), level, nodes)
     js = {"upper": sel.j, "lower": _reflect(model, sel.j)}
     none = (None,) * (len(arrays) - 1)
     values = {"upper": none, "lower": none}
     for side in sides:
         offset = rounding_eps if side == "upper" else -rounding_eps
         values[side] = tuple(
-            kth_difference(arrays[0], t, ji) + offset for t, ji in zip(arrays[1:], js[side])
+            _kth_difference(arrays[0], t, ji) + offset for t, ji in zip(arrays[1:], js[side])
         )
     if len(sides) == 2 and any(lo > up for lo, up in zip(values["lower"], values["upper"])):
         raise NumericError("interval construction produced lower > upper")
@@ -298,7 +296,7 @@ def _shift_bounds(
 
 
 def simultaneous_bounds(
-    groups: Sequence[Sequence[float]],
+    groups: Sequence[Sequence[float]] | RankedSamples,
     gamma: float,
     direction: str,
     rounding_eps: float = 0.0,
@@ -315,7 +313,7 @@ def simultaneous_bounds(
 
 
 def simultaneous_intervals(
-    groups: Sequence[Sequence[float]],
+    groups: Sequence[Sequence[float]] | RankedSamples,
     gamma: float,
     rounding_eps: float = 0.0,
     nodes: int = DEFAULT_NODES,

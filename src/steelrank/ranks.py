@@ -95,6 +95,8 @@ class RankedSamples:
     Group 0 plays the control role in many-to-one comparisons; for all-pairs
     comparisons every group is a treatment.  Without ``counts`` the table is
     derived from the midranks, whose distinct values mark the distinct scores.
+    ``scores`` holds each group's checked float scores, as ``rank_samples`` keeps
+    them, so that no later step converts or checks the groups again.
     """
 
     midranks: np.ndarray
@@ -102,6 +104,7 @@ class RankedSamples:
     sizes: tuple[int, ...]
     tie_pattern: TiePattern
     counts: np.ndarray | None = field(default=None, repr=False, compare=False)
+    scores: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mid = np.asarray(self.midranks, dtype=float)
@@ -129,6 +132,8 @@ class RankedSamples:
             or table.sum(axis=0).tolist() != list(d)
         ):
             raise ParameterError("count table does not match sizes and tie pattern")
+        if self.scores is not None and tuple(map(np.size, self.scores)) != sizes:
+            raise ParameterError("scores do not match sizes")
         for arr in (mid, grp, table):
             arr.setflags(write=False)
         object.__setattr__(self, "midranks", mid)
@@ -169,8 +174,8 @@ def _count_table(
 
 def _value_blocks(arr: np.ndarray):
     """One stable sort of a score array.  Returns the sort order, the midrank of each
-    sorted value, the multiplicities of the distinct values in ascending order (the
-    tie pattern) and the class of each sorted value (the index of its distinct
+    value in input order, the multiplicities of the distinct values in ascending order
+    (the tie pattern) and the class of each sorted value (the index of its distinct
     value).  Ties are ``==``: -0.0 ties 0.0, and each infinity ties itself."""
     n = arr.size
     order = np.argsort(arr, kind="stable")
@@ -183,7 +188,9 @@ def _value_blocks(arr: np.ndarray):
     d = np.diff(np.append(starts, n))
     # block occupying ranks start+1 .. start+count averages to start + (count+1)/2
     block_mid = starts + (d + 1) / 2
-    return order, block_mid[value_class], d, value_class
+    midranks = np.empty(n, dtype=float)
+    midranks[order] = block_mid[value_class]
+    return order, midranks, d, value_class
 
 
 def compute_midranks(values: Sequence[float]) -> np.ndarray:
@@ -191,11 +198,7 @@ def compute_midranks(values: Sequence[float]) -> np.ndarray:
 
     Output order matches input order.  Every midrank is an exact half-integer.
     """
-    arr = _as_scores(values)
-    order, sorted_mid, _, _ = _value_blocks(arr)
-    out = np.empty(arr.size, dtype=float)
-    out[order] = sorted_mid
-    return out
+    return _value_blocks(_as_scores(values))[1]
 
 
 def extract_tie_pattern(values: Sequence[float]) -> TiePattern:
@@ -210,12 +213,13 @@ def rank_samples(groups: Sequence[Sequence[float]]) -> RankedSamples:
         raise ParameterError("need at least two groups")
     arrays = [_as_scores(g) for g in groups]
     sizes = tuple(a.size for a in arrays)
-    order, sorted_mid, d, value_class = _value_blocks(np.concatenate(arrays))
-    midranks = np.empty(sorted_mid.size, dtype=float)
-    midranks[order] = sorted_mid
+    pool = np.concatenate(arrays)
+    pool.setflags(write=False)  # and so the group views of it that the samples keep
+    order, midranks, d, value_class = _value_blocks(pool)
     labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     counts = _count_table(labels[order], value_class, len(sizes), d.size)
-    return RankedSamples(midranks, labels, sizes, TiePattern(tuple(d.tolist())), counts)
+    scores = tuple(np.split(pool, np.cumsum(sizes)[:-1]))
+    return RankedSamples(midranks, labels, sizes, TiePattern(tuple(d.tolist())), counts, scores)
 
 
 def check_asymptotic_conditions(

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .moments import MomentSet
-from .ranks import RankedSamples, _as_scores
+from .ranks import RankedSamples, rank_samples
 
 # alternative -> (extreme statistic, tail side): the one place this mapping lives
 ALTERNATIVE_TABLE = {
@@ -73,12 +73,9 @@ def mann_whitney_star(control: Sequence[float], treatment: Sequence[float]) -> f
     """Count of (control, treatment) pairs with control < treatment, plus half the ties.
 
     A half-integer in [0, n0*ni]; adding the value with samples swapped gives n0*ni.
+    It is read off the count table of the two samples, as ``observe`` reads it.
     """
-    x = np.sort(_as_scores(control))
-    y = _as_scores(treatment)
-    lo = np.searchsorted(x, y, side="left")
-    hi = np.searchsorted(x, y, side="right")
-    return float(lo.sum() + 0.5 * (hi - lo).sum())
+    return float(_twice_w(rank_samples([control, treatment]).counts)[1, 0] / 2)
 
 
 def rank_sums(w_star: Sequence[float], treatment_sizes: Sequence[int]) -> np.ndarray:
@@ -90,21 +87,24 @@ def rank_sums(w_star: Sequence[float], treatment_sizes: Sequence[int]) -> np.nda
     return w + n * (n + 1) / 2
 
 
+def _twice_w(t: np.ndarray) -> np.ndarray:
+    """Twice the Mann-Whitney values from the count table t: entry [b, a] is the exact
+    integer sum_j t_b[j] * (2 cum_a[j] - t_a[j]), with cum_a the running sum of t_a,
+    as each value of b beats the values of a below it and ties those equal."""
+    return t @ (2 * np.cumsum(t, axis=1) - t).T
+
+
 def observe(samples: RankedSamples, moments: MomentSet, alternative: str) -> Observation:
     """Standardize the statistic of each of the moment set's pairs and reduce them to
     the alternative's extreme (max, min or abs-max).
 
-    Twice the Mann-Whitney value of pair (a, b) is read off the count table t as the
-    exact integer sum_j t_b[j] * (2 cum_a[j] - t_a[j]), with cum_a the running sum
-    of t_a: each value of b beats the values of a below it and ties those equal.
+    Twice the Mann-Whitney value of pair (a, b) is read off the count table.
     """
     statistic = ALTERNATIVE_TABLE[normalize_alternative(alternative)][0]
     if moments.sizes != samples.sizes:
         raise ParameterError("moments were computed for different group sizes")
-    t = samples.counts
-    c2 = 2 * np.cumsum(t, axis=1) - t
     a, b = np.array(moments.pairs, dtype=np.int64).reshape(-1, 2).T
-    w = (t @ c2.T)[b, a] / 2
+    w = _twice_w(samples.counts)[b, a] / 2
     tau = moments.tau
     z = standardize(w, moments.mu, tau)
     return Observation(

@@ -31,7 +31,8 @@ from steelrank import (
     tail_prob,
     var_w,
 )
-from steelrank.cli import main, quality_harness
+from steelrank.analysis import quality_harness
+from steelrank.cli import main
 from steelrank.moments import all_pairs, control_pairs
 
 from _exact import exact_moments, exact_null_distribution

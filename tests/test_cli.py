@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from steelrank import ParameterError, pair_moments, rank_samples
-from steelrank.cli import RunConfig, build_parser, main, quality_harness, render_json, run
+from steelrank.analysis import quality_harness
+from steelrank.cli import RunConfig, build_parser, main, render_json, run
 from steelrank.gauss import MAX_NODES
 from steelrank.moments import control_pairs
 
@@ -81,6 +82,9 @@ def test_parse_error_reports_line_number(tmp_path, capsys):
         ("csv_long", "group,value\na,1\n\na,2,3\nb,4\n", "line 4: expected two columns"),
         ("csv_wide", "", "line 1: empty input"),
         ("csv_wide", "a, ,c\n1,2,3\n", "line 1: every column needs a group label"),
+        ("csv_wide", "A,B,A\n1,2,3\n4,5,6\n", "line 1: duplicate group label 'A'"),
+        ("csv_long", "group,value\na,1\n,2\nb,3\n", "line 3: empty group label"),
+        ("csv_long", "a,1\n ,2\nb,oops\n", "line 2: empty group label"),
         ("csv_wide", "a,b\n1,2\n3,4,5\n", "line 3: more cells than header columns"),
         ("whitespace", "ctrl 1 2\nt1\n", "line 2: expected a label and at least one value"),
         ("csv_long", "group,value\na,1\na,2\n", "need at least two non-empty groups"),
@@ -98,6 +102,28 @@ def test_parse_error_reports_line_number(tmp_path, capsys):
         payload = json.loads(err)
         assert payload["error"]["type"] == "ParameterError"
         assert where in payload["error"]["message"]
+
+
+def test_each_group_is_converted_once_and_the_pool_sorted_once(monkeypatch, capsys):
+    import steelrank.ranks as ranks
+
+    converted, sorts = [], []
+    as_scores = ranks._as_scores
+    monkeypatch.setattr(ranks, "_as_scores", lambda v: converted.append(v) or as_scores(v))
+    for name in ("sort", "argsort", "unique"):
+        original = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _f=original, **k: sorts.append(1) or _f(*a, **k))
+    runs = [["--mode", "confidence", "--alternative", alt, *eps]
+            for alt in ("two-sided", "less") for eps in ([], ["--round-eps", "0.5"])]
+    runs += [["--mode", "pairwise", "--nsim", "500"], ["--nsim", "500", "--method", "simulated"],
+             ["--mode", "quality_harness", "--nsim", "500", "--alternative", "greater"]]
+    for extra in runs:
+        converted.clear()
+        sorts.clear()
+        code, _, _ = run_main(capsys, ["--input", IQ, "--method", "asymptotic", *extra])
+        assert code == 0 and len(converted) == 4, extra
+        if "quality_harness" not in extra:  # the harness also orders its thresholds
+            assert len(sorts) == 1, extra
 
 
 def test_unknown_control_group(capsys):

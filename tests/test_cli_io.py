@@ -136,7 +136,7 @@ def test_render_text_shows_the_values_of_the_converted_tree():
 
 
 def oracle_csv_long(path: str) -> dict[str, list[float]]:
-    """The line-by-line csv_long loop, with NaN refused at its line like every format."""
+    """The line-by-line csv_long loop, with NaN and an empty label refused at their line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(io.StringIO(fh.read())))
     groups: dict[str, list[float]] = {}
@@ -148,6 +148,8 @@ def oracle_csv_long(path: str) -> dict[str, list[float]]:
         label, value = row[0].strip(), row[1].strip()
         if line_no == 1 and (label.lower(), value.lower()) == ("group", "value"):
             continue
+        if not label:
+            raise ParameterError(f"line {line_no}: empty group label")
         try:
             v = float(value)
         except ValueError:
@@ -176,7 +178,7 @@ values = st.one_of(
 )
 good_rows = st.tuples(labels, values).map(",".join)
 odd_rows = st.sampled_from(["", "   ", ",", " , ", "g0", "g0,1,2", "group,value", " Group , VALUE ",
-                            "g0,1,", '"g0",3'])
+                            "g0,1,", '"g0",3', ",4", " ,5"])
 clean_rows = st.tuples(labels, st.floats(allow_nan=False).map(repr)).map(",".join)
 files = st.tuples(
     # half the files take the bulk pass whole; the rest mix in rows it hands back

@@ -9,6 +9,7 @@ from steelrank import _cache, confidence
 from steelrank import (
     FactorModel,
     ParameterError,
+    RankedSamples,
     TiePattern,
     joint_lower_box_prob,
     kth_difference,
@@ -243,6 +244,18 @@ def test_data_whose_differences_overflow_is_rejected_with_the_group():
     assert all(np.isfinite(res.lower + res.upper))
 
 
+def test_bounds_read_the_scores_rank_samples_keeps():
+    groups = [[0.1, 0.5, 0.5, 1.3], [0.4, 1.1, 1.6, 2.0, 2.7], [-0.0, 0.3, 0.9]]
+    samples = rank_samples(groups)
+    assert [a.tolist() for a in samples.scores] == groups
+    for call in (lambda g: simultaneous_intervals(g, 0.9),
+                 lambda g: simultaneous_bounds(g, 0.9, "lower", rounding_eps=0.05)):
+        assert call(samples) == call(groups)
+    bare = RankedSamples(samples.midranks, samples.groups, samples.sizes, samples.tie_pattern)
+    with pytest.raises(ParameterError, match="scores"):
+        simultaneous_bounds(bare, 0.9, "upper")
+
+
 def _selection_keys():
     return [key for key in _cache.DESIGNS._items if key[0] == "selection"]
 
@@ -278,9 +291,9 @@ def test_bounds_equal_those_computed_with_the_caches_cleared():
             _cache.DESIGNS.clear()
             assert call(groups) == want
     model = no_ties_model(sizes)
-    for direction in confidence.DIRECTIONS:
-        _, sel = confidence._selection(sizes, 0.9, direction, confidence.DEFAULT_NODES)
-        assert sel == select_indices(model, 0.9, direction)
+    _, sel = confidence._selection(sizes, 0.9, confidence.DEFAULT_NODES)
+    assert sel == select_indices(model, 0.9, "upper")
+    assert confidence._reflected(model, sel) == select_indices(model, 0.9, "lower")
 
 
 def test_failed_selections_are_not_cached():

@@ -22,7 +22,7 @@ from steelrank import (
     solve_common_threshold,
     tail_prob,
 )
-from steelrank.cli import quality_harness
+from steelrank.analysis import quality_harness
 import steelrank.gauss as gauss
 from steelrank.gauss import _box_mass, _log_ndtr, _ndtr, brent_root
 from steelrank.moments import control_pairs

@@ -31,12 +31,9 @@ def test_public_names_are_pinned_and_resolve():
         assert hasattr(steelrank, name), name
 
 
-# (importing module, source module, private name) edges that are allowed to stay;
-# cli has none: it parses input and renders reports through public names only
-ALLOWED = {
-    ("confidence", "ranks", "_as_scores"),
-    ("statistics", "ranks", "_as_scores"),
-}
+# (importing module, source module, private name) edges that are allowed to stay:
+# none, every module reaches the others through public names only
+ALLOWED = set()
 
 
 def private_import_edges() -> set[tuple[str, str, str]]:
@@ -54,6 +51,35 @@ def private_import_edges() -> set[tuple[str, str, str]]:
 
 def test_private_cross_module_imports_match_allowlist():
     assert private_import_edges() == ALLOWED
+
+
+ENGINE_ENTRIES = {"simulated_tail_counts", "exact_p_value", "mvn_tail_counts", "tail_prob",
+                  "simultaneous_bounds", "simultaneous_intervals"}
+
+
+def called_names(path: Path) -> set[str]:
+    """The name of every function a module calls, by bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return names
+
+
+def test_cli_only_parses_and_renders():
+    # the engines run in steelrank.analysis; the CLI reads input and writes reports
+    assert called_names(PACKAGE / "cli.py") & ENGINE_ENTRIES == set()
+    assert called_names(PACKAGE / "analysis.py") >= ENGINE_ENTRIES
+
+
+def test_scripts_take_the_harness_from_the_library():
+    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+    assert scripts
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "steelrank.cli":
+                assert "quality_harness" not in {alias.name for alias in node.names}, path
 
 
 def scipy_imports() -> set[tuple[str, int]]:

@@ -240,16 +240,16 @@ def test_several_methods_in_one_call_match_single_calls(tmp_path):
 
 
 def test_pairwise_report_builds_the_moment_matrix_once(monkeypatch, tmp_path):
-    import steelrank.cli as cli
+    import steelrank.analysis as analysis
 
     calls = []
-    original = cli.pair_moments
+    original = analysis.pair_moments
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(cli, "pair_moments", counting)
+    monkeypatch.setattr(analysis, "pair_moments", counting)
     _report(tmp_path, [[1, 2, 4], [3, 5], [6, 2]], "--mode", "pairwise", "--nsim", "500")
     assert len(calls) == 1 and calls[0][2] == all_pairs(3)
 
