@@ -61,9 +61,10 @@ HARNESS_P_GRID = (0.20, 0.15, 0.10, 0.05, 0.025, 0.01)
 @dataclass(frozen=True)
 class RunConfig:
     """Every option of a run, checked when the config is made; the alternative is
-    stored as ``two_sided``, ``greater`` or ``less``."""
+    stored as ``two_sided``, ``greater`` or ``less``.  ``input`` names the file the
+    CLI reads the groups from; ``analyze`` only echoes it."""
 
-    input: str
+    input: str | None = None
     format: str = "csv_long"
     control: str | None = None
     alternative: str = "two_sided"

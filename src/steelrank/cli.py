@@ -37,29 +37,51 @@ def _is_header(row: list[str]) -> bool:
     return [c.strip().lower() for c in row] == ["group", "value"]
 
 
-def _read_csv_long(rows: list[list[str]]) -> dict[str, list[float]]:
-    """Group,value rows (an optional group,value header on line 1) in bulk: the rows
-    are transposed, the values converted by one map(float) and the runs of equal
-    labels appended at once.  Any row the bulk pass cannot take (a blank row, a
-    wrong cell count, an empty label, an unparsable or NaN value) sends the whole
-    file through the line-by-line loop, which names the line."""
-    body = rows[1:] if rows and _is_header(rows[0]) else rows
-    if set(map(len, body)) == {2}:
-        labels, cells = zip(*body)
-        labels = list(map(str.strip, labels))
-        try:
-            values = list(map(float, cells))
-        except ValueError:
-            values = None
-        if values is not None and all(labels) and not any(map(math.isnan, values)):
-            groups: dict[str, list[float]] = {}
-            start = 0
-            for label, run in itertools.groupby(labels):
-                stop = start + len(list(run))
-                groups.setdefault(label, []).extend(values[start:stop])
-                start = stop
-            return groups
+# the bytes dropped from a csv_long file before its layout is checked: all but the
+# comma, newline, quote, carriage return and NUL.  A file whose kept bytes read
+# ",\n,\n...," splits into its csv rows at them
+_NOT_LAYOUT = bytes(b for b in range(256) if b not in b',\n"\r\x00')
+
+
+def _bulk_csv_long(text: str) -> dict[str, list[float]] | None:
+    """Group,value rows (an optional group,value header on line 1) in one pass over
+    the text, or None when the pass does not apply.  It applies when the text holds
+    no quote, carriage return or NUL and each line exactly one comma: csv.reader
+    then splits each line at its comma, so the text is split once, the values
+    converted by one map(float) and the runs of equal labels appended at once.
+    A blank row, an empty label, or a value that does not parse or is NaN also
+    returns None."""
+    body = text[:-1] if text.endswith("\n") else text
+    if body.encode().translate(None, _NOT_LAYOUT) != b",\n" * body.count("\n") + b",":
+        return None
+    cells = body.replace("\n", ",").split(",")
+    labels = list(map(str.strip, cells[0::2]))
+    cells = cells[1::2]
+    if _is_header([labels[0], cells[0]]):
+        labels, cells = labels[1:], cells[1:]
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        return None
+    if not all(labels) or any(map(math.isnan, values)):
+        return None
+    groups: dict[str, list[float]] = {}
+    start = 0
+    for label, run in itertools.groupby(labels):
+        stop = start + len(list(run))
+        groups.setdefault(label, []).extend(values[start:stop])
+        start = stop
+    return groups
+
+
+def _read_csv_long(text: str) -> dict[str, list[float]]:
+    """The bulk pass's groups, or the line-by-line loop over the csv rows, which
+    names the line of the first bad row."""
+    groups = _bulk_csv_long(text)
+    if groups is not None:
+        return groups
     groups = {}
+    rows = list(csv.reader(io.StringIO(text)))  # a csv error anywhere is raised first
     for line_no, row in enumerate(rows, start=1):
         if not row or all(not c.strip() for c in row):
             continue
@@ -74,12 +96,13 @@ def _read_csv_long(rows: list[list[str]]) -> dict[str, list[float]]:
 
 
 def read_groups(path: str, fmt: str) -> dict[str, list[float]]:
-    """Ordered mapping of group label to values; raises with line numbers on bad input."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Ordered mapping of group label to values; raises with line numbers on bad input.
+    Files are read as UTF-8, with or without a leading byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         text = fh.read()
     groups: dict[str, list[float]] = {}
     if fmt == "csv_long":
-        groups = _read_csv_long(list(csv.reader(io.StringIO(text))))
+        groups = _read_csv_long(text)
     elif fmt == "csv_wide":
         rows = list(csv.reader(io.StringIO(text)))
         if not rows:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -165,20 +166,24 @@ def pair_moments(sizes, tie: TiePattern, pairs) -> MomentSet:
 def _pair_moments(
     sizes: tuple[int, ...], tie: TiePattern, pairs: tuple[tuple[int, int], ...]
 ) -> MomentSet:
-    exact: dict[tuple[int, ...], Fraction] = {}  # each distinct size tuple's moment, once
+    @cache
+    def moment(*ns: int) -> Fraction:  # each distinct size tuple's exact moment, once
+        return (_var_w_exact if len(ns) == 2 else _cov_w_exact)(*ns, tie)
 
-    def moment(*ns: int) -> Fraction:
-        if ns not in exact:
-            exact[ns] = (_var_w_exact if len(ns) == 2 else _cov_w_exact)(*ns, tie)
-        return exact[ns]
+    @cache
+    def value(*ns: int) -> float:  # and its float, once
+        return float(moment(*ns))
+
+    @cache
+    def correction(na: int, nb: int) -> float:
+        return float(1 - moment(na, nb) / Fraction(na * nb * (na + nb + 1), 12))
 
     n_pairs = len(pairs)
-    cov = np.zeros((n_pairs, n_pairs), dtype=float)
-    ratio = np.empty(n_pairs, dtype=float)
+    cov = [[0.0] * n_pairs for _ in range(n_pairs)]
+    ratio = []
     for p, (a, b) in enumerate(pairs):
-        var = moment(sizes[a], sizes[b])
-        cov[p, p] = float(var)
-        ratio[p] = float(1 - var / Fraction(sizes[a] * sizes[b] * (sizes[a] + sizes[b] + 1), 12))
+        cov[p][p] = value(sizes[a], sizes[b])
+        ratio.append(correction(sizes[a], sizes[b]))
         for q in range(p + 1, n_pairs):
             c, d = pairs[q]
             shared = {a, b} & {c, d}
@@ -187,11 +192,12 @@ def _pair_moments(
             s = shared.pop()
             others = [v for v in (a, b, c, d) if v != s]
             sign = 1.0 if (s == a) == (s == c) else -1.0
-            cov[p, q] = cov[q, p] = sign * float(moment(sizes[s], *(sizes[v] for v in others)))
+            cov[p][q] = cov[q][p] = sign * value(sizes[s], *(sizes[v] for v in others))
 
     sigma0_2, sigma2 = None, None
     if all(a == 0 for a, _ in pairs):
         sigma0_2, sigma2 = _factor_split(sizes, tie, moment)
+    cov = np.array(cov)
     return MomentSet(
         sizes=sizes,
         pairs=pairs,
@@ -212,19 +218,27 @@ def _factor_split(
     In closed form, with N = tie.N, s2 = tie.s2 and s3 = tie.s3,
         sigma2[i] = n0*n_i/12 * ((n0 + 1) - ((n0 - 2)*s3 + 3*(N - 2)*s2) / (N(N-1)(N-2))),
     (the fraction is 0 when s2 = s3 = 0), which is positive unless all values tie
-    (then every moment is 0).
+    (then every moment is 0).  Each is computed, checked and converted once per
+    distinct treatment size, and the covariance identity is checked once per
+    distinct pair of treatment sizes.
     """
     n0 = sizes[0]
     treat = sizes[1:]
     s0_sq = _sigma0_sq_exact(n0, tie)
-    sig_sq = []
+    sig_sq: dict[int, float] = {}
     for i, ni in enumerate(treat):
-        v = moment(n0, ni) - ni * ni * s0_sq
-        if v < 0:
-            raise NumericError(f"negative idiosyncratic variance {float(v)} for treatment {i + 1}")
-        sig_sq.append(v)
+        if ni not in sig_sq:
+            v = moment(n0, ni) - ni * ni * s0_sq
+            if v < 0:
+                raise NumericError(
+                    f"negative idiosyncratic variance {float(v)} for treatment {i + 1}"
+                )
+            sig_sq[ni] = float(v)
+    checked = set()
     for i in range(len(treat)):
         for j in range(i + 1, len(treat)):
-            if moment(n0, treat[i], treat[j]) != treat[i] * treat[j] * s0_sq:
-                raise NumericError("factor decomposition is inconsistent with the covariance")
-    return float(s0_sq), np.array([float(v) for v in sig_sq])
+            if (treat[i], treat[j]) not in checked:
+                checked.add((treat[i], treat[j]))
+                if moment(n0, treat[i], treat[j]) != treat[i] * treat[j] * s0_sq:
+                    raise NumericError("factor decomposition is inconsistent with the covariance")
+    return float(s0_sq), np.array([sig_sq[ni] for ni in treat])

@@ -44,6 +44,8 @@ class TiePattern:
     def __post_init__(self) -> None:
         if len(self.d) == 0:
             raise ParameterError("empty sample")
+        if type(self.d) is tuple and set(map(type, self.d)) == {int} and min(self.d) >= 1:
+            return  # already clean, as rank_samples builds it
         clean = []
         for m in self.d:
             if int(m) != m or m < 1:
@@ -173,12 +175,14 @@ def _count_table(
 
 
 def _value_blocks(arr: np.ndarray):
-    """One stable sort of a score array.  Returns the sort order, the midrank of each
-    value in input order, the multiplicities of the distinct values in ascending order
+    """One sort of a score array.  Returns the sort order, the midrank of each value
+    in input order, the multiplicities of the distinct values in ascending order
     (the tie pattern) and the class of each sorted value (the index of its distinct
-    value).  Ties are ``==``: -0.0 ties 0.0, and each infinity ties itself."""
+    value).  Ties are ``==``: -0.0 ties 0.0, and each infinity ties itself.  The
+    midranks, the tie pattern and the classes do not depend on the order within
+    ties, so the sort need not be stable."""
     n = arr.size
-    order = np.argsort(arr, kind="stable")
+    order = np.argsort(arr)
     s = arr[order]
     new_block = np.empty(n, dtype=bool)
     new_block[0] = True

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steelrank import ParameterError
-from steelrank.cli import RunConfig, read_groups, render_json, render_text, run
+from steelrank.cli import (
+    RunConfig, _bulk_csv_long, main, read_groups, render_json, render_text, run,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -137,7 +139,7 @@ def test_render_text_shows_the_values_of_the_converted_tree():
 
 def oracle_csv_long(path: str) -> dict[str, list[float]]:
     """The line-by-line csv_long loop, with NaN and an empty label refused at their line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(io.StringIO(fh.read())))
     groups: dict[str, list[float]] = {}
     for line_no, row in enumerate(rows, start=1):
@@ -166,11 +168,14 @@ def oracle_csv_long(path: str) -> dict[str, list[float]]:
 def outcome(parse, path):
     try:
         return list(parse(path).items())
-    except ParameterError as exc:
-        return f"ParameterError: {exc}"
+    except (ParameterError, csv.Error) as exc:  # csv.reader refuses a lone \r (and NUL before 3.11)
+        return f"{type(exc).__name__}: {exc}"
 
 
-labels = st.sampled_from(["g0", "g1", " g1 ", "t2", '"a,b"', '"q ""x"""', "é"])
+# str.splitlines breaks lines at \x0b, \x0c, \x1c, \x85 and \u2028; csv.reader does not
+plain_labels = st.sampled_from(["g0", "g1", " g1 ", "t2", "é", "g\x0b1", "g\x0c1", "\x1cg1",
+                                "g\x851", "g\u20281", "\u2028t2", "\ufeffg0"])
+labels = st.one_of(plain_labels, st.sampled_from(['"a,b"', '"q ""x"""', "g\x000"]))
 values = st.one_of(
     st.floats(allow_nan=False).map(repr),
     st.sampled_from(["1", " 2.5 ", "1_0", "inf", "-Infinity", "-0.0", "1e-320", "0x1", "x1", "",
@@ -178,23 +183,27 @@ values = st.one_of(
 )
 good_rows = st.tuples(labels, values).map(",".join)
 odd_rows = st.sampled_from(["", "   ", ",", " , ", "g0", "g0,1,2", "group,value", " Group , VALUE ",
-                            "g0,1,", '"g0",3', ",4", " ,5"])
-clean_rows = st.tuples(labels, st.floats(allow_nan=False).map(repr)).map(",".join)
+                            "g0,1,", '"g0",3', ",4", " ,5", "g0,1\x00", "g0,1\rg1,2", "g1,\r",
+                            "g0\ng1,1,2", "g0\n1,g1,2", "g0,1,g1\n2"])
+clean_rows = st.tuples(plain_labels, st.floats(allow_nan=False).map(repr)).map(",".join)
 files = st.tuples(
-    # half the files take the bulk pass whole; the rest mix in rows it hands back
+    # half the files hold clean rows only, which the text pass takes whole when the
+    # lines end in \n; the rest mix in rows it hands back
     st.one_of(st.lists(clean_rows, max_size=12),
               st.lists(st.one_of(good_rows, good_rows, good_rows, odd_rows), max_size=12)),
-    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from(["\n", "\n", "\r\n", "\r"]),
     st.booleans(),  # header on line 1
     st.booleans(),  # line ending after the last row
+    st.booleans(),  # a leading byte-order mark
 )
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(files)
 def test_bulk_csv_long_parse_matches_the_line_by_line_loop(tmp_path_factory, file):
-    rows, eol, header, final_eol = file
+    rows, eol, header, final_eol, bom = file
     text = eol.join((["group,value"] if header else []) + rows) + (eol if final_eol else "")
+    text = "\ufeff" * bom + text
     path = tmp_path_factory.getbasetemp() / "bulk_parse_case.csv"
     path.write_bytes(text.encode("utf-8"))
     assert outcome(lambda p: read_groups(p, "csv_long"), str(path)) == outcome(oracle_csv_long, str(path))
@@ -205,3 +214,35 @@ def test_bulk_csv_long_parse_keeps_label_order_and_joins_split_runs(tmp_path):
     path.write_text('group,value\nb,1\na,2\n"b",3\n a ,1_0\nb,inf\n')
     assert read_groups(str(path), "csv_long") == {"b": [1.0, 3.0, math.inf], "a": [2.0, 10.0]}
     assert list(read_groups(str(path), "csv_long")) == ["b", "a"]
+
+
+def test_the_text_pass_takes_plain_files_and_hands_back_the_rest():
+    for name in ("iq_birth_condition.csv", "likert_small.csv", "r1_10x50.csv"):
+        text = (DATA / name).read_text(encoding="utf-8")
+        assert _bulk_csv_long(text) is not None, name
+    assert _bulk_csv_long("group,value\na,1\nb,2") == {"a": [1.0], "b": [2.0]}
+    handed_back = ['a,1\n"b",2\n', "a,1\r\nb,2\r\n", "a,1\nb,2\x00\n", "a,1\rb,2\n",
+                   "a\n1,b,2\n", "a,1,b\n2\n", "a,1\nb,2\n\n", "", "\n", "a,1\n,2\n", "a,x\nb,2\n",
+                   "a,nan\nb,2\n"]
+    for text in handed_back:
+        assert _bulk_csv_long(text) is None, text
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("csv_long", "group,value\nctl,1\nctl,2\nt,3\nt,4\n"),
+    ("csv_long", "ctl,1\nctl,2\nt,3\nt,4\n"),
+    ("csv_wide", "ctl,t\n1,3\n2,4\n"),
+    ("whitespace", "ctl 1 2\nt 3 4\n"),
+])
+def test_a_leading_byte_order_mark_is_not_part_of_the_first_line(tmp_path, capsys, fmt, text):
+    # Excel's "CSV UTF-8" starts the file with one
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert read_groups(str(marked), fmt) == read_groups(str(plain), fmt) == {
+        "ctl": [1.0, 2.0], "t": [3.0, 4.0]}
+    argv = ["--format", fmt, "--control", "ctl", "--method", "asymptotic"]
+    assert main(["--input", str(marked), *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["groups"]["labels"] == ["ctl", "t"]

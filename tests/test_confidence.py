@@ -226,6 +226,11 @@ def test_non_finite_data_is_rejected_with_group_and_index():
         simultaneous_bounds([control, treatment], 0.9, "upper")
     with pytest.raises(ParameterError, match="group 0 index 1"):
         simultaneous_intervals([[1, float("inf"), 3, 4], [2, 4, 5, 6]], 0.9)
+    # the index counts within its group, and the first non-finite value is named
+    groups = [[1.0, 2.0, 3.0], [4.0, 5.0], [6.0, float("inf"), float("-inf")]]
+    with pytest.raises(ParameterError) as err:
+        simultaneous_bounds(groups, 0.9, "lower")
+    assert str(err.value) == "shift bounds need finite data: group 2 index 1 is inf"
 
 
 def test_data_whose_differences_overflow_is_rejected_with_the_group():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from steelrank import _cache, moments
 from steelrank import (
     FactorModel,
+    NumericError,
     ParameterError,
     TiePattern,
     cov_w,
@@ -306,3 +307,91 @@ def test_the_design_cache_holds_its_byte_bound_at_300_treatments():
         keys.append(list(_cache.DESIGNS._items))
     assert len(keys[0]) == len(keys[1]) == 1 and keys[0] != keys[1]
     assert keys[2] == keys[0]  # evicted by the second design, then computed again
+
+
+# ---------------------------------------------------------------------------
+# the moment loop as it was before each exact moment was converted once: the
+# oracle for the cached conversions
+
+
+def oracle_pair_moments(sizes, tie, pairs):
+    """Covariance, correction ratios and one-factor split, converting every moment
+    at each use and checking the factor identity for every treatment pair."""
+    exact = {}
+
+    def moment(*ns):
+        if ns not in exact:
+            exact[ns] = (moments._var_w_exact if len(ns) == 2 else moments._cov_w_exact)(*ns, tie)
+        return exact[ns]
+
+    n_pairs = len(pairs)
+    cov = np.zeros((n_pairs, n_pairs), dtype=float)
+    ratio = np.empty(n_pairs, dtype=float)
+    for p, (a, b) in enumerate(pairs):
+        var = moment(sizes[a], sizes[b])
+        cov[p, p] = float(var)
+        ratio[p] = float(1 - var / Fraction(sizes[a] * sizes[b] * (sizes[a] + sizes[b] + 1), 12))
+        for q in range(p + 1, n_pairs):
+            c, d = pairs[q]
+            shared = {a, b} & {c, d}
+            if not shared:
+                continue
+            s = shared.pop()
+            others = [v for v in (a, b, c, d) if v != s]
+            sign = 1.0 if (s == a) == (s == c) else -1.0
+            cov[p, q] = cov[q, p] = sign * float(moment(sizes[s], *(sizes[v] for v in others)))
+    sigma0_2, sigma2 = None, None
+    if all(a == 0 for a, _ in pairs):
+        n0, treat = sizes[0], sizes[1:]
+        s0_sq = moments._sigma0_sq_exact(n0, tie)
+        sig_sq = []
+        for i, ni in enumerate(treat):
+            v = moment(n0, ni) - ni * ni * s0_sq
+            if v < 0:
+                raise NumericError(
+                    f"negative idiosyncratic variance {float(v)} for treatment {i + 1}"
+                )
+            sig_sq.append(v)
+        for i in range(len(treat)):
+            for j in range(i + 1, len(treat)):
+                if moment(n0, treat[i], treat[j]) != treat[i] * treat[j] * s0_sq:
+                    raise NumericError("factor decomposition is inconsistent with the covariance")
+        sigma0_2, sigma2 = float(s0_sq), np.array([float(v) for v in sig_sq])
+    return {"tau2": np.diag(cov).copy(), "cov": cov, "correction_ratio": ratio,
+            "sigma2": sigma2, "sigma0_2": sigma0_2}
+
+
+def moment_outcome(compute):
+    try:
+        out = compute()
+    except (ParameterError, NumericError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(out, moments.MomentSet):
+        out = {name: getattr(out, name) for name in
+               ("tau2", "cov", "correction_ratio", "sigma2", "sigma0_2")}
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in out.items()}
+
+
+designs = st.one_of(
+    st.lists(st.integers(1, 3), min_size=2, max_size=12),  # unequal sizes
+    st.tuples(st.integers(1, 3), st.integers(2, 12)).map(lambda nk: [nk[0]] * nk[1]),  # equal
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(designs, st.sampled_from(["ties", "untied", "fully_tied", "short"]),
+       st.booleans(), st.data())
+def test_pair_moments_equal_the_loop_that_converts_every_use(sizes, kind, every_pair, data):
+    sizes = tuple(sizes)
+    n = sum(sizes)
+    if kind == "ties":
+        tie = extract_tie_pattern(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    elif kind == "untied":
+        tie = TiePattern.no_ties(n)
+    elif kind == "fully_tied":
+        tie = TiePattern((n,))
+    else:  # a pattern over fewer values than the design holds: the moments refuse it
+        tie = extract_tie_pattern(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=3)))
+    pairs = (all_pairs if every_pair else control_pairs)(len(sizes))
+    want = moment_outcome(lambda: oracle_pair_moments(sizes, tie, pairs))
+    assert moment_outcome(lambda: moments._pair_moments(sizes, tie, pairs)) == want

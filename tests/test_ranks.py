@@ -138,3 +138,33 @@ def test_rank_samples_structure():
     assert s.tie_pattern == TiePattern((2, 1, 3))
     assert s.midranks.sum() == 21
     assert s.group_midranks(0).tolist() == [1.5, 1.5]
+
+
+def _checked_one_by_one(d):
+    """TiePattern's rule, entry by entry: an integral value >= 1 is kept as an int,
+    anything else is refused with its repr."""
+    clean = []
+    for m in d:
+        if int(m) != m or m < 1:
+            raise ParameterError(f"multiplicities must be integers >= 1, got {m!r}")
+        clean.append(int(m))
+    return tuple(clean)
+
+
+@pytest.mark.parametrize("d", [
+    (1, 2, 3), [2, 1], (2.0, 1), (1, 2.5), (0.0,), (3, 0), (1, -2), (True, 2), (False,),
+    (np.int64(2), 1), (np.int64(0),), (np.uint8(4),), (np.float64(3.0),), (np.float32(1.5),),
+    (np.bool_(True),), (10**30, 1), (1,) * 500 + (0,),
+])
+def test_tie_pattern_accepts_and_refuses_multiplicities_as_one_by_one(d):
+    try:
+        want = _checked_one_by_one(d)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as got:
+            TiePattern(d)
+        assert str(got.value) == str(exc)
+        return
+    tie = TiePattern(d)
+    assert tie.d == want and type(tie.d) is tuple
+    assert all(type(m) is int for m in tie.d)
+    assert hash(tie) == hash(TiePattern(want)) and tie == TiePattern(want)
