@@ -33,6 +33,15 @@ def _parse_float(text: str, line_no: int) -> float:
     return value
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    """csv.reader's rows; a lone \\r inside a line (or NUL before Python 3.11) is refused."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return list(reader)
+    except csv.Error as exc:  # less its hint on opening the file, which does not apply
+        raise ParameterError(f"line {reader.line_num}: {str(exc).partition(' - ')[0]}") from None
+
+
 def _is_header(row: list[str]) -> bool:
     return [c.strip().lower() for c in row] == ["group", "value"]
 
@@ -81,7 +90,7 @@ def _read_csv_long(text: str) -> dict[str, list[float]]:
     if groups is not None:
         return groups
     groups = {}
-    rows = list(csv.reader(io.StringIO(text)))  # a csv error anywhere is raised first
+    rows = _csv_rows(text)  # a csv error anywhere is raised first
     for line_no, row in enumerate(rows, start=1):
         if not row or all(not c.strip() for c in row):
             continue
@@ -98,13 +107,18 @@ def _read_csv_long(text: str) -> dict[str, list[float]]:
 def read_groups(path: str, fmt: str) -> dict[str, list[float]]:
     """Ordered mapping of group label to values; raises with line numbers on bad input.
     Files are read as UTF-8, with or without a leading byte-order mark."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the data less any byte-order mark
+        line_no, byte = exc.object.count(b"\n", 0, exc.start) + 1, exc.object[exc.start]
+        raise ParameterError(f"line {line_no}: byte {byte:#04x} is not UTF-8") from None
     groups: dict[str, list[float]] = {}
     if fmt == "csv_long":
         groups = _read_csv_long(text)
     elif fmt == "csv_wide":
-        rows = list(csv.reader(io.StringIO(text)))
+        rows = _csv_rows(text)
         if not rows:
             raise ParameterError("line 1: empty input")
         header = [c.strip() for c in rows[0]]

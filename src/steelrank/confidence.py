@@ -227,8 +227,6 @@ def _prepare(groups: Sequence[Sequence[float]] | RankedSamples, rounding_eps: fl
     if not 0 <= rounding_eps < math.inf:  # NaN fails both comparisons
         raise ParameterError(f"rounding_eps must be finite and >= 0, got {rounding_eps}")
     samples = groups if isinstance(groups, RankedSamples) else rank_samples(groups)
-    if samples.scores is None:
-        raise ParameterError("shift bounds need the scores that rank_samples keeps")
     # + 0.0 turns -0.0 into 0.0, so no selected difference is -0.0 (np.sort orders
     # the two zeros arbitrarily, and rounded data such as round(-0.04, 1) holds -0.0);
     # the pool is checked and shifted once, then split back into its groups

@@ -1,6 +1,7 @@
 """Midranks, tie patterns, and asymptotic-validity diagnostics for pooled samples."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -62,20 +63,22 @@ class TiePattern:
     def N(self) -> int:
         return sum(self.d)
 
+    _tally = cached_property(lambda self: Counter(self.d))  # multiplicity -> how many values
+
     @cached_property
     def s2(self) -> int:
-        """Sum of d*(d-1) over the multiplicities."""
-        return sum(m * (m - 1) for m in self.d)
+        """Sum of d*(d-1); the sums run over the distinct multiplicities, in exact ints."""
+        return sum(c * m * (m - 1) for m, c in self._tally.items())
 
     @cached_property
     def s3(self) -> int:
-        """Sum of d*(d-1)*(d-2)."""
-        return sum(m * (m - 1) * (m - 2) for m in self.d)
+        """Sum of d*(d-1)*(d-2), which is d*(d-1)*(d+1) less 3*d*(d-1)."""
+        return self.s3_plus - 3 * self.s2
 
     @cached_property
     def s3_plus(self) -> int:
         """Sum of d*(d-1)*(d+1), the classical d^3 - d tie sum."""
-        return sum(m * (m - 1) * (m + 1) for m in self.d)
+        return sum(c * (m**3 - m) for m, c in self._tally.items())
 
     @property
     def max_fraction(self) -> float:
@@ -83,76 +86,44 @@ class TiePattern:
 
     @classmethod
     def no_ties(cls, n: int) -> "TiePattern":
-        if n < 1:
-            raise ParameterError("empty sample")
-        return cls((1,) * n)
+        return cls((1,) * n)  # empty for n < 1, and so refused
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedSamples:
-    """Pooled midranks with group assignment, and the (group, distinct value) count
-    table: ``counts[g, j]`` is how many values of group g equal the j-th smallest
-    distinct pooled value.  Rows sum to ``sizes`` and columns to the tie pattern.
+    """The pooled groups as the engines read them, built by ``rank_samples``: group
+    sizes, tie pattern, the count table (``counts[g, j]`` values of group g equal the
+    j-th smallest distinct pooled value) and each group's checked float scores, which
+    no later step converts or checks again.  Group 0 is the control in many-to-one
+    comparisons.  Records compare by identity."""
 
-    Group 0 plays the control role in many-to-one comparisons; for all-pairs
-    comparisons every group is a treatment.  Without ``counts`` the table is
-    derived from the midranks, whose distinct values mark the distinct scores.
-    ``scores`` holds each group's checked float scores, as ``rank_samples`` keeps
-    them, so that no later step converts or checks the groups again.
-    """
-
-    midranks: np.ndarray
-    groups: np.ndarray
     sizes: tuple[int, ...]
     tie_pattern: TiePattern
-    counts: np.ndarray | None = field(default=None, repr=False, compare=False)
-    scores: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
+    counts: np.ndarray = field(repr=False)
+    scores: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        mid = np.asarray(self.midranks, dtype=float)
-        grp = np.asarray(self.groups, dtype=np.int64)
         sizes = tuple(int(n) for n in self.sizes)
         if any(n < 1 for n in sizes):
             raise ParameterError("every group needs at least one observation")
-        n_total = mid.size
-        if grp.size != n_total or sum(sizes) != n_total or n_total != self.tie_pattern.N:
-            raise ParameterError("sizes, groups and midranks are inconsistent")
-        counts = np.bincount(grp, minlength=len(sizes))
-        if counts.size != len(sizes) or not np.array_equal(counts, np.asarray(sizes)):
-            raise ParameterError("group label counts do not match sizes")
-        if abs(mid.sum() - n_total * (n_total + 1) / 2) > 1e-9:
-            raise ParameterError("midranks do not sum to N(N+1)/2")
-        table = self.counts
-        if table is None:
-            _, value_class = np.unique(mid, return_inverse=True)
-            table = _count_table(grp, value_class, len(sizes), int(value_class.max()) + 1)
-        table = np.asarray(table, dtype=np.int64)
-        d = self.tie_pattern.d
-        if (
-            table.shape != (len(sizes), len(d))
-            or table.sum(axis=1).tolist() != list(sizes)
-            or table.sum(axis=0).tolist() != list(d)
-        ):
+        table = np.asarray(self.counts, dtype=np.int64)
+        # rows sum to the sizes and columns to the tie pattern, so the shape is right too
+        margins = (table.sum(1).tolist(), table.sum(0).tolist()) if table.ndim == 2 else ()
+        if margins != (list(sizes), list(self.tie_pattern.d)):
             raise ParameterError("count table does not match sizes and tie pattern")
-        if self.scores is not None and tuple(map(np.size, self.scores)) != sizes:
+        if tuple(map(np.size, self.scores)) != sizes:
             raise ParameterError("scores do not match sizes")
-        for arr in (mid, grp, table):
-            arr.setflags(write=False)
-        object.__setattr__(self, "midranks", mid)
-        object.__setattr__(self, "groups", grp)
+        table.setflags(write=False)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "counts", table)
 
     @property
     def N(self) -> int:
-        return self.midranks.size
+        return self.tie_pattern.N
 
     @property
     def n_groups(self) -> int:
         return len(self.sizes)
-
-    def group_midranks(self, g: int) -> np.ndarray:
-        return self.midranks[self.groups == g]
 
 
 @dataclass(frozen=True)
@@ -166,35 +137,17 @@ class Diagnostics:
     warnings: tuple[str, ...]
 
 
-def _count_table(
-    labels: np.ndarray, value_class: np.ndarray, n_groups: int, n_values: int
-) -> np.ndarray:
-    """(group, distinct value) counts of values labelled by group and value class."""
-    key = labels * n_values + value_class
-    return np.bincount(key, minlength=n_groups * n_values).reshape(n_groups, n_values)
-
-
 def _value_blocks(arr: np.ndarray):
-    """One sort of a score array.  Returns the sort order, the midrank of each value
-    in input order, the multiplicities of the distinct values in ascending order
-    (the tie pattern) and the class of each sorted value (the index of its distinct
-    value).  Ties are ``==``: -0.0 ties 0.0, and each infinity ties itself.  The
-    midranks, the tie pattern and the classes do not depend on the order within
+    """One sort of a score array: the sort order, the multiplicities of the distinct
+    values in ascending order and the index of each sorted value's distinct value.
+    Ties are ``==`` (-0.0 ties 0.0).  The last two do not depend on the order within
     ties, so the sort need not be stable."""
-    n = arr.size
     order = np.argsort(arr)
     s = arr[order]
-    new_block = np.empty(n, dtype=bool)
-    new_block[0] = True
-    new_block[1:] = s[1:] != s[:-1]
+    new_block = np.concatenate(([True], s[1:] != s[:-1]))
     value_class = np.cumsum(new_block) - 1
-    starts = np.flatnonzero(new_block)
-    d = np.diff(np.append(starts, n))
-    # block occupying ranks start+1 .. start+count averages to start + (count+1)/2
-    block_mid = starts + (d + 1) / 2
-    midranks = np.empty(n, dtype=float)
-    midranks[order] = block_mid[value_class]
-    return order, midranks, d, value_class
+    d = np.diff(np.append(np.flatnonzero(new_block), arr.size))
+    return order, d, value_class
 
 
 def compute_midranks(values: Sequence[float]) -> np.ndarray:
@@ -202,28 +155,33 @@ def compute_midranks(values: Sequence[float]) -> np.ndarray:
 
     Output order matches input order.  Every midrank is an exact half-integer.
     """
-    return _value_blocks(_as_scores(values))[1]
+    order, d, value_class = _value_blocks(_as_scores(values))
+    # a block ending at rank r with d values occupies ranks r-d+1 .. r, averaging r - (d-1)/2
+    block_mid = np.cumsum(d) - (d - 1) / 2
+    midranks = np.empty(order.size, dtype=float)
+    midranks[order] = block_mid[value_class]
+    return midranks
 
 
 def extract_tie_pattern(values: Sequence[float]) -> TiePattern:
     """Multiplicity pattern of the distinct values, in ascending value order."""
-    return TiePattern(tuple(_value_blocks(_as_scores(values))[2].tolist()))
+    return TiePattern(tuple(_value_blocks(_as_scores(values))[1].tolist()))
 
 
 def rank_samples(groups: Sequence[Sequence[float]]) -> RankedSamples:
     """Pool the groups (index 0 first; control for many-to-one use), then take the
-    midranks, the tie pattern and the count table from one sort of the pool."""
+    tie pattern and the count table from one sort of the pool."""
     if len(groups) < 2:
         raise ParameterError("need at least two groups")
     arrays = [_as_scores(g) for g in groups]
     sizes = tuple(a.size for a in arrays)
     pool = np.concatenate(arrays)
     pool.setflags(write=False)  # and so the group views of it that the samples keep
-    order, midranks, d, value_class = _value_blocks(pool)
-    labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    counts = _count_table(labels[order], value_class, len(sizes), d.size)
+    order, d, value_class = _value_blocks(pool)
+    key = np.repeat(np.arange(len(sizes), dtype=np.int64) * d.size, sizes)[order] + value_class
+    counts = np.bincount(key, minlength=len(sizes) * d.size).reshape(len(sizes), d.size)
     scores = tuple(np.split(pool, np.cumsum(sizes)[:-1]))
-    return RankedSamples(midranks, labels, sizes, TiePattern(tuple(d.tolist())), counts, scores)
+    return RankedSamples(sizes, TiePattern(tuple(d.tolist())), counts, scores)
 
 
 def check_asymptotic_conditions(

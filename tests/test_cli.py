@@ -1,3 +1,4 @@
+import codecs
 import json
 from pathlib import Path
 
@@ -93,10 +94,20 @@ def test_parse_error_reports_line_number(tmp_path, capsys):
         ("csv_long", "g0,1\ng1,2\ng1,nan\n", "line 3: NaN value 'nan'"),
         ("csv_wide", "a,b\n1,2\n3,NaN\n", "line 3: NaN value 'NaN'"),
         ("whitespace", "a 1 2\nb 3 -nan 4\n", "line 2: NaN value '-nan'"),
+        # csv.reader refuses a lone carriage return inside a line
+        ("csv_long", "group,value\na,1\rb,2\nb,3\na,4\n",
+         "line 2: new-line character seen in unquoted field"),
+        ("csv_wide", "a,b\n1,2\n3,4\r5\n", "line 3: new-line character seen in unquoted field"),
+        # a Latin-1 export is not UTF-8 in any format
+        ("csv_long", "group,value\na,1\nb,caf\xe9\n".encode("latin-1"),
+         "line 3: byte 0xe9 is not UTF-8"),
+        ("csv_wide", codecs.BOM_UTF8 + "a,b\n1,2\n3,\xb14\n".encode("latin-1"),
+         "line 3: byte 0xb1 is not UTF-8"),
+        ("whitespace", "a 1 2\r\nb\xe9 3 4\r\n".encode("latin-1"), "line 2: byte 0xe9 is not UTF-8"),
     ]
     for i, (fmt, text, where) in enumerate(cases):
         bad = tmp_path / f"bad{i}.txt"
-        bad.write_text(text)
+        bad.write_bytes(text.encode() if isinstance(text, str) else text)
         code, out, err = run_main(capsys, ["--input", str(bad), "--format", fmt])
         assert code == 2 and out == ""
         payload = json.loads(err)

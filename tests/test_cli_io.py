@@ -138,9 +138,14 @@ def test_render_text_shows_the_values_of_the_converted_tree():
 
 
 def oracle_csv_long(path: str) -> dict[str, list[float]]:
-    """The line-by-line csv_long loop, with NaN and an empty label refused at their line."""
+    """The line-by-line csv_long loop, with NaN, an empty label and a row csv.reader
+    cannot read refused at their line."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(io.StringIO(fh.read())))
+        reader = csv.reader(io.StringIO(fh.read()))
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # a lone \r inside a line (and NUL before 3.11)
+            raise ParameterError(f"line {reader.line_num}: {str(exc).partition(' - ')[0]}") from None
     groups: dict[str, list[float]] = {}
     for line_no, row in enumerate(rows, start=1):
         if not row or all(not c.strip() for c in row):
@@ -168,7 +173,7 @@ def oracle_csv_long(path: str) -> dict[str, list[float]]:
 def outcome(parse, path):
     try:
         return list(parse(path).items())
-    except (ParameterError, csv.Error) as exc:  # csv.reader refuses a lone \r (and NUL before 3.11)
+    except ParameterError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 

@@ -256,9 +256,10 @@ def test_bounds_read_the_scores_rank_samples_keeps():
     for call in (lambda g: simultaneous_intervals(g, 0.9),
                  lambda g: simultaneous_bounds(g, 0.9, "lower", rounding_eps=0.05)):
         assert call(samples) == call(groups)
-    bare = RankedSamples(samples.midranks, samples.groups, samples.sizes, samples.tie_pattern)
+    with pytest.raises(TypeError, match="scores"):  # no record reaches the bounds without them
+        RankedSamples(samples.sizes, samples.tie_pattern, samples.counts)
     with pytest.raises(ParameterError, match="scores"):
-        simultaneous_bounds(bare, 0.9, "upper")
+        RankedSamples(samples.sizes, samples.tie_pattern, samples.counts, samples.scores[::-1])
 
 
 def _selection_keys():

@@ -14,6 +14,7 @@ from steelrank import (
     BudgetError,
     ParameterError,
     TiePattern,
+    compute_midranks,
     exact_p_value,
     observe,
     pair_moments,
@@ -398,7 +399,7 @@ def test_sliced_chunks_agree_across_worker_counts(monkeypatch):
 def test_tail_counts_equal_the_replayed_draws(monkeypatch, tied, all_group_pairs):
     s, pairs, mu, tau, cells = _tail_count_setup(tied, all_group_pairs)
     nsim, seed = randomization.CHUNK_SIZE + 1500, 29  # two chunks
-    replay = (s.midranks, s.sizes, pairs, mu, tau)
+    replay = (compute_midranks(np.concatenate(s.scores)), s.sizes, pairs, mu, tau)
     for kind in ("s_max", "s_min", "s_abs"):
         # the first replicates' values are attained, so replicates tie at the tail boundary
         head = replayed_statistics(*replay, kind, 40, seed, randomization.CHUNK_SIZE)

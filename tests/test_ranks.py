@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from steelrank import (
     ParameterError,
+    RankedSamples,
     TiePattern,
     check_asymptotic_conditions,
     compute_midranks,
@@ -84,6 +87,30 @@ def test_tie_pattern_sums():
     assert none.s2 == none.s3 == none.s3_plus == 0
 
 
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=40))
+def test_tie_sums_equal_the_per_entry_sums(d):
+    _check_tie_sums(TiePattern(tuple(d)))
+
+
+def test_tie_sums_stay_exact_past_the_int64_range():
+    big = 2**21 + 3  # big**3 passes 2**63
+    for d in [(big,), (big, 1, big, 5, 1), (2**40, 2, 2**40 + 1)]:
+        _check_tie_sums(TiePattern(d))
+
+
+def _check_tie_sums(tie):
+    assert tie.s2 == sum(m * (m - 1) for m in tie.d)
+    assert tie.s3 == sum(m * (m - 1) * (m - 2) for m in tie.d)
+    assert tie.s3_plus == sum(m * (m - 1) * (m + 1) for m in tie.d)
+    assert all(type(x) is int for x in (tie.s2, tie.s3, tie.s3_plus))
+
+
+def test_an_empty_tie_pattern_is_refused():
+    for make in (lambda: TiePattern(()), lambda: TiePattern.no_ties(0)):
+        with pytest.raises(ParameterError, match="empty sample"):
+            make()
+
+
 def test_empty_sample_errors():
     with pytest.raises(ParameterError, match="empty sample"):
         compute_midranks([])
@@ -94,6 +121,18 @@ def test_empty_sample_errors():
 def test_nan_reports_index():
     with pytest.raises(ParameterError, match="non-orderable value at index 2"):
         compute_midranks([1.0, 2.0, float("nan"), 4.0])
+
+
+@pytest.mark.parametrize("groups, message", [
+    (["ab", [1.0, 2.0]], "non-orderable value at index 0"),
+    ([[1.0, None], [2.0, 3.0]], "non-orderable value at index 1"),
+    ([[1.0, [2.0, 3.0]], [2.0, 3.0]], "non-orderable value at index 1"),
+    ([[[1.0, 2.0], [3.0, 4.0]], [1.0]], "expected a one-dimensional sample"),
+    ([(v for v in [1.0, 2.0]), [3.0]], "sample is not a flat sequence of scores"),
+])
+def test_rank_samples_refuses_groups_that_are_not_flat_score_sequences(groups, message):
+    with pytest.raises(ParameterError, match=message):
+        rank_samples(groups)
 
 
 def test_diagnostics_fully_tied_warns():
@@ -136,8 +175,12 @@ def test_rank_samples_structure():
     s = rank_samples([[1, 1], [2, 3], [3, 3]])
     assert s.sizes == (2, 2, 2)
     assert s.tie_pattern == TiePattern((2, 1, 3))
-    assert s.midranks.sum() == 21
-    assert s.group_midranks(0).tolist() == [1.5, 1.5]
+    assert (s.N, s.n_groups) == (6, 3)
+    assert s.counts.tolist() == [[2, 0, 0], [0, 1, 1], [0, 0, 2]]
+    assert [a.tolist() for a in s.scores] == [[1, 1], [2, 3], [3, 3]]
+    midranks = compute_midranks(np.concatenate(s.scores))
+    assert midranks.sum() == 21
+    assert midranks[:2].tolist() == [1.5, 1.5]
 
 
 def _checked_one_by_one(d):
@@ -168,3 +211,32 @@ def test_tie_pattern_accepts_and_refuses_multiplicities_as_one_by_one(d):
     assert tie.d == want and type(tie.d) is tuple
     assert all(type(m) is int for m in tie.d)
     assert hash(tie) == hash(TiePattern(want)) and tie == TiePattern(want)
+
+
+def test_ranked_samples_hold_four_required_fields_and_compare_by_identity():
+    fields = dataclasses.fields(RankedSamples)
+    assert [f.name for f in fields] == ["sizes", "tie_pattern", "counts", "scores"]
+    assert all(f.default is f.default_factory is dataclasses.MISSING for f in fields)
+    s = rank_samples([[1, 1], [2, 3]])
+    assert s == s and s != rank_samples([[1, 1], [2, 3]])
+    assert hash(s) == hash(s)
+
+
+def test_ranked_samples_refuse_fields_that_disagree():
+    s = rank_samples([[1, 1, 2], [2, 3]])  # tie pattern (2, 2, 1)
+    fields = dict(sizes=s.sizes, tie_pattern=s.tie_pattern, counts=s.counts, scores=s.scores)
+    refusals = [
+        (dict(sizes=(3, 0)), "every group needs at least one observation"),
+        (dict(sizes=(2, 3)), "count table does not match"),  # row sums
+        (dict(counts=s.counts[:, :2]), "count table does not match"),  # shape
+        (dict(counts=s.counts.ravel()), "count table does not match"),  # not a table
+        (dict(counts=[[2, 0, 1], [1, 1, 0]]), "count table does not match"),  # column sums
+        (dict(tie_pattern=TiePattern((2, 1, 2))), "count table does not match"),
+        (dict(scores=s.scores[::-1]), "scores do not match sizes"),
+    ]
+    for change, message in refusals:
+        with pytest.raises(ParameterError, match=message):
+            RankedSamples(**{**fields, **change})
+    rebuilt = RankedSamples(**{**fields, "sizes": [np.int64(3), 2.0]})
+    assert rebuilt.sizes == (3, 2) and all(type(n) is int for n in rebuilt.sizes)
+    assert not rebuilt.counts.flags.writeable

@@ -142,7 +142,9 @@ def designs(draw):
 def test_observed_w_from_the_count_table_equals_the_pair_counts(groups):
     s = rank_samples(groups)
     pooled = [v for g in groups for v in g]
-    assert s.midranks.tolist() == compute_midranks(pooled).tolist()
+    pool = np.concatenate(s.scores)
+    assert pool.tobytes() == np.asarray(pooled, dtype=float).tobytes()  # -0.0 kept
+    assert compute_midranks(pool).tolist() == compute_midranks(pooled).tolist()
     assert s.tie_pattern == extract_tie_pattern(pooled)
     distinct = sorted(set(pooled))  # -0.0 and 0.0 are one value, as in the ranking
     assert s.counts.tolist() == [[g.count(v) for v in distinct] for g in groups]
@@ -155,7 +157,13 @@ def test_observed_w_from_the_count_table_equals_the_pair_counts(groups):
 def test_ranked_samples_built_from_midranks_derive_the_same_count_table():
     groups = [[3.0, 1.0, 1.0], [2.0, 3.0], [1.0, 5.0, 5.0, 3.0]]
     s = rank_samples(groups)
-    rebuilt = RankedSamples(s.midranks, s.groups, s.sizes, s.tie_pattern)
-    assert rebuilt.counts.tolist() == s.counts.tolist() == [[2, 0, 1, 0], [0, 1, 1, 0], [1, 0, 1, 2]]
+    # the table as the pooled midranks give it: their distinct values mark the distinct scores
+    _, value_class = np.unique(compute_midranks(np.concatenate(s.scores)), return_inverse=True)
+    labels = np.repeat(np.arange(s.n_groups), s.sizes)
+    derived = np.zeros_like(s.counts)
+    np.add.at(derived, (labels, value_class), 1)
+    assert derived.tolist() == s.counts.tolist() == [[2, 0, 1, 0], [0, 1, 1, 0], [1, 0, 1, 2]]
+    rebuilt = RankedSamples(s.sizes, s.tie_pattern, derived, s.scores)
+    assert rebuilt.counts.tolist() == s.counts.tolist()
     with pytest.raises(ParameterError, match="count table"):
-        RankedSamples(s.midranks, s.groups, s.sizes, s.tie_pattern, s.counts[:, ::-1])
+        RankedSamples(s.sizes, s.tie_pattern, s.counts[:, ::-1], s.scores)
