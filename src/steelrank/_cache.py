@@ -1,9 +1,9 @@
 """Byte-bounded LRU maps for results that depend on the design, not on the data.
 
-The package keeps two, one per process: ``randomization``'s cache of exact walks,
-and ``DESIGNS`` below, which holds the moment sets of ``moments.pair_moments``
-and the no-ties index selections of ``confidence``.  Values are read-only, so
-every caller can share one object.
+The package keeps three, one per process: ``randomization``'s caches of exact
+walks and of their tail tables, and ``DESIGNS`` below, which holds the moment sets
+of ``moments.pair_moments`` and the no-ties index selections of ``confidence``.
+Values are read-only, so every caller can share one object.
 """
 from __future__ import annotations
 
@@ -37,15 +37,17 @@ def held_bytes(value) -> int | None:
 class ByteLRU:
     """LRU map from hashable keys to read-only values, holding at most ``limit`` bytes.
 
-    A value is sized by ``held_bytes``; one that is larger than the limit, or
-    that it refuses, is returned but not kept.  One lock guards the bookkeeping;
-    two threads that miss on one key both compute, and the first value stored
-    stays.
+    A value is sized by ``held_bytes`` once, when it is stored, and the size is
+    kept beside it for its eviction; one that is larger than the limit, or that
+    ``held_bytes`` refuses, is returned but not kept.  One lock guards the
+    bookkeeping; two threads that miss on one key both compute, and the first
+    value stored stays.
     """
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
         self._items: OrderedDict = OrderedDict()
+        self._sizes: dict = {}  # key -> the held_bytes of its value, taken at insert
         self._nbytes = 0
         self._lock = threading.Lock()
 
@@ -64,15 +66,17 @@ class ByteLRU:
             if key in self._items:
                 return value
             self._items[key] = value
+            self._sizes[key] = nbytes
             self._nbytes += nbytes
             while self._nbytes > self.limit:
-                _, old = self._items.popitem(last=False)
-                self._nbytes -= held_bytes(old)
+                old, _ = self._items.popitem(last=False)
+                self._nbytes -= self._sizes.pop(old)
         return value
 
     def clear(self) -> None:
         with self._lock:
             self._items.clear()
+            self._sizes.clear()
             self._nbytes = 0
 
 

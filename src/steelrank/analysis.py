@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -56,6 +57,8 @@ ENGINES = {
     },
 }
 HARNESS_P_GRID = (0.20, 0.15, 0.10, 0.05, 0.025, 0.01)
+# the design a moment set names, which its report blocks leave out
+_DESIGN_FIELDS = ("sizes", "pairs", "s2", "s3", "s3_plus", "fully_tied")
 
 
 @dataclass(frozen=True)
@@ -104,10 +107,16 @@ class RunConfig:
         object.__setattr__(self, "alternative", normalize_alternative(self.alternative))
 
 
+@cache
+def _field_names(cls: type, drop: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name not in drop)
+
+
 def _fields(obj, *drop: str) -> dict:
     """A dataclass's fields by name, leaving out ``drop``: each report block is the
-    fields of its result minus the names its call site lists."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in drop}
+    fields of its result minus the names its call site lists.  The names are
+    listed once per dataclass and ``drop``."""
+    return {name: getattr(obj, name) for name in _field_names(type(obj), drop)}
 
 
 def _asymptotic_p(
@@ -255,12 +264,12 @@ def analyze(cfg: RunConfig, groups: Mapping[str, Sequence[float]]) -> dict:
 
     if not steel:
         report["pairwise"] = {
-            **_fields(ms, "sizes", "pairs", "correction_ratio", "sigma0_2", "sigma2"),
+            **_fields(ms, *_DESIGN_FIELDS, "correction_ratio", "sigma0_2", "sigma2"),
             **_fields(obs, "degenerate"),
             "pairs": [f"{a + 1}-{b + 1}" for a, b in ms.pairs],
         }
         return report
-    report["moments"] = {**_fields(ms, "sizes", "pairs", "cov"), "tau": ms.tau}
+    report["moments"] = {**_fields(ms, *_DESIGN_FIELDS, "cov"), "tau": ms.tau}
     z = obs.standardized[None, :]
     report["observation"] = {
         **_fields(obs),

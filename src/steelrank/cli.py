@@ -175,37 +175,65 @@ def _emit_json(obj, out: list[str], newline: str) -> None:
     """Append the indent-2, sorted-keys JSON text of obj to ``out``; ``newline`` is
     the line break plus the indent of the enclosing level.  numpy scalars and arrays
     are written as their Python values, floats through _float_json, and keys as
-    str(key)."""
-    if isinstance(obj, str):
-        out.append(_json_string(obj))
-    elif obj is None or isinstance(obj, (bool, np.bool_)):
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_float_json(float(obj)))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(int.__repr__(int(obj)))
-    elif isinstance(obj, np.ndarray):
-        _emit_json(obj.tolist(), out, newline)
-    elif isinstance(obj, (list, tuple, dict)) and not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-    elif isinstance(obj, (list, tuple)):
-        inner = newline + "  "
-        out.append("[")
-        for i, value in enumerate(obj):
-            out.append(inner if i == 0 else "," + inner)
-            _emit_json(value, out, inner)
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        inner = newline + "  "
-        items = obj if all(type(k) is str for k in obj) else {str(k): v for k, v in obj.items()}
-        out.append("{")
-        for i, key in enumerate(sorted(items)):
-            out.append(inner if i == 0 else "," + inner)
-            out.append(_json_string(key) + ": ")
-            _emit_json(items[key], out, inner)
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    str(key).  One dict lookup on type(obj) finds the emitter of the exact types
+    that reports hold; any other type goes through _emitter.  Lists and dicts look
+    up their items' emitters themselves."""
+    (_EMITTERS.get(type(obj)) or _emitter(obj))(obj, out, newline)
+
+
+def _emit_sequence(obj, out: list[str], newline: str) -> None:
+    if not obj:
+        out.append("[]")
+        return
+    inner = newline + "  "
+    sep = "[" + inner
+    for value in obj:
+        out.append(sep)
+        (_EMITTERS.get(type(value)) or _emitter(value))(value, out, inner)
+        sep = "," + inner
+    out.append(newline + "]")
+
+
+def _emit_dict(obj, out: list[str], newline: str) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    inner = newline + "  "
+    items = obj if all(type(k) is str for k in obj) else {str(k): v for k, v in obj.items()}
+    sep = "{" + inner
+    for key in sorted(items):
+        out.append(sep + _json_string(key) + ": ")
+        value = items[key]
+        (_EMITTERS.get(type(value)) or _emitter(value))(value, out, inner)
+        sep = "," + inner
+    out.append(newline + "}")
+
+
+# emitter (obj, out, newline) of each exact type that reports hold
+_EMITTERS = {
+    str: lambda obj, out, newline: out.append(_json_string(obj)),
+    type(None): lambda obj, out, newline: out.append("null"),
+    bool: lambda obj, out, newline: out.append("true" if obj else "false"),
+    float: lambda obj, out, newline: out.append(_float_json(float(obj))),
+    int: lambda obj, out, newline: out.append(int.__repr__(int(obj))),
+    np.ndarray: lambda obj, out, newline: _emit_json(obj.tolist(), out, newline),
+    list: _emit_sequence,
+    dict: _emit_dict,
+}
+_EMITTERS.update({np.bool_: _EMITTERS[bool], np.float64: _EMITTERS[float],
+                  np.int64: _EMITTERS[int], tuple: _emit_sequence})
+# any other value is written as the first of these it is an instance of
+_INSTANCE_OF = (
+    (str, str), ((bool, np.bool_), bool), ((float, np.floating), float),
+    ((int, np.integer), int), (np.ndarray, np.ndarray), ((list, tuple), list), (dict, dict),
+)
+
+
+def _emitter(obj):
+    for classes, kind in _INSTANCE_OF:
+        if isinstance(obj, classes):
+            return _EMITTERS[kind]
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_json(report: dict) -> str:

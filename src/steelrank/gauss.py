@@ -215,16 +215,21 @@ class FactorModel:
 
     @classmethod
     def from_moments(cls, ms: MomentSet) -> "FactorModel":
-        """The model of a control-pair moment set; other pair sets have no one-factor split."""
+        """The model of a control-pair moment set, built and checked once per set and
+        kept with it; other pair sets have no one-factor split."""
         if ms.sigma2 is None:
             raise ParameterError("the one-factor model needs the treatment-vs-control pairs")
-        return cls(
-            n=ms.sizes[1:],
-            sigma0=math.sqrt(ms.sigma0_2),
-            sigma=np.sqrt(ms.sigma2),
-            tau=np.sqrt(ms.tau2),
-            mu=np.asarray(ms.mu, dtype=float),
-        )
+        return ms.derived(_factor_model)
+
+
+def _factor_model(ms: MomentSet) -> FactorModel:
+    return FactorModel(
+        n=ms.sizes[1:],
+        sigma0=math.sqrt(ms.sigma0_2),
+        sigma=np.sqrt(ms.sigma2),
+        tau=np.sqrt(ms.tau2),
+        mu=np.asarray(ms.mu, dtype=float),
+    )
 
 
 def _smooth_args(model: FactorModel, u: np.ndarray, z: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -7,13 +7,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from ._cache import DESIGNS
 from .errors import NumericError, ParameterError
-from .ranks import TiePattern
+from .ranks import RankedSamples, TiePattern
+
+V = TypeVar("V")
 
 
 def control_pairs(n_groups: int) -> tuple[tuple[int, int], ...]:
@@ -35,6 +37,11 @@ def _check_pairs(n_groups: int, pairs) -> None:
         )
 
 
+def tie_sums(tie: TiePattern) -> tuple[int, int, int, bool]:
+    """(s2, s3, s3_plus, fully tied): what the moments read of a tie pattern besides N."""
+    return tie.s2, tie.s3, tie.s3_plus, tie.e == 1
+
+
 @dataclass(frozen=True)
 class MomentSet:
     """Null means, variances and covariances of the Mann-Whitney statistics of a pair
@@ -43,7 +50,8 @@ class MomentSet:
 
     For control pairs the set also holds the one-factor split (common variance
     sigma0_2, idiosyncratic sigma2); for any other pair set both are None.  The
-    arrays are read-only.
+    set names the design it was computed for: the group sizes and the tie sums
+    s2, s3, s3_plus and whether all values are tied.  The arrays are read-only.
     """
 
     sizes: tuple[int, ...]
@@ -54,6 +62,10 @@ class MomentSet:
     correction_ratio: np.ndarray
     sigma0_2: float | None
     sigma2: np.ndarray | None
+    s2: int
+    s3: int
+    s3_plus: int
+    fully_tied: bool
 
     def __post_init__(self) -> None:
         _check_pairs(len(self.sizes), self.pairs)
@@ -62,10 +74,27 @@ class MomentSet:
                 arr = np.asarray(getattr(self, name), dtype=float)
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_derived", {})  # not a field: see derived()
 
     @property
     def tau(self) -> np.ndarray:
         return np.sqrt(self.tau2)
+
+    def check_samples(self, samples: RankedSamples) -> None:
+        """Refuse samples of other group sizes or tie sums than the set was computed for."""
+        if self.sizes != samples.sizes:
+            raise ParameterError("moments were computed for different group sizes")
+        if (self.s2, self.s3, self.s3_plus, self.fully_tied) != tie_sums(samples.tie_pattern):
+            raise ParameterError("moments were computed for a different tie pattern")
+
+    def derived(self, build: Callable[["MomentSet"], V]) -> V:
+        """build(self), built on first use and kept with this set.  A set is
+        read-only, so what is derived from it stays valid, and a set built by hand
+        never reads what another set derived."""
+        value = self._derived.get(build)
+        if value is None:
+            value = self._derived.setdefault(build, build(self))
+        return value
 
 
 def _check_size(n: int, name: str) -> int:
@@ -159,31 +188,36 @@ def pair_moments(sizes, tie: TiePattern, pairs) -> MomentSet:
         raise ParameterError(f"sizes sum to {sum(sizes)} but tie pattern has N = {tie.N}")
     pairs = tuple((int(a), int(b)) for a, b in pairs)
     _check_pairs(len(sizes), pairs)
-    key = ("moments", sizes, pairs, tie.s2, tie.s3, tie.s3_plus, tie.e == 1)  # N = sum(sizes)
+    key = ("moments", sizes, pairs, *tie_sums(tie))  # N = sum(sizes)
     return DESIGNS.get(key, lambda: _pair_moments(sizes, tie, pairs))
 
 
 def _pair_moments(
     sizes: tuple[int, ...], tie: TiePattern, pairs: tuple[tuple[int, int], ...]
 ) -> MomentSet:
-    @cache
-    def moment(*ns: int) -> Fraction:  # each distinct size tuple's exact moment, once
-        return (_var_w_exact if len(ns) == 2 else _cov_w_exact)(*ns, tie)
+    exact: dict[tuple[int, ...], Fraction] = {}  # each distinct size tuple's exact moment
+    floats: dict[tuple[int, ...], float] = {}  # and its float, each made once
+    ratios: dict[tuple[int, int], float] = {}
 
-    @cache
-    def value(*ns: int) -> float:  # and its float, once
-        return float(moment(*ns))
+    def moment(*ns: int) -> Fraction:
+        if ns not in exact:
+            exact[ns] = (_var_w_exact if len(ns) == 2 else _cov_w_exact)(*ns, tie)
+        return exact[ns]
 
-    @cache
-    def correction(na: int, nb: int) -> float:
-        return float(1 - moment(na, nb) / Fraction(na * nb * (na + nb + 1), 12))
+    def value(*ns: int) -> float:
+        if ns not in floats:
+            floats[ns] = float(moment(*ns))
+        return floats[ns]
 
     n_pairs = len(pairs)
     cov = [[0.0] * n_pairs for _ in range(n_pairs)]
     ratio = []
     for p, (a, b) in enumerate(pairs):
-        cov[p][p] = value(sizes[a], sizes[b])
-        ratio.append(correction(sizes[a], sizes[b]))
+        na, nb = sizes[a], sizes[b]
+        cov[p][p] = value(na, nb)
+        if (na, nb) not in ratios:
+            ratios[na, nb] = float(1 - moment(na, nb) / Fraction(na * nb * (na + nb + 1), 12))
+        ratio.append(ratios[na, nb])
         for q in range(p + 1, n_pairs):
             c, d = pairs[q]
             shared = {a, b} & {c, d}
@@ -198,6 +232,7 @@ def _pair_moments(
     if all(a == 0 for a, _ in pairs):
         sigma0_2, sigma2 = _factor_split(sizes, tie, moment)
     cov = np.array(cov)
+    s2, s3, s3_plus, fully_tied = tie_sums(tie)
     return MomentSet(
         sizes=sizes,
         pairs=pairs,
@@ -207,6 +242,10 @@ def _pair_moments(
         correction_ratio=ratio,
         sigma0_2=sigma0_2,
         sigma2=sigma2,
+        s2=s2,
+        s3=s3,
+        s3_plus=s3_plus,
+        fully_tied=fully_tied,
     )
 
 

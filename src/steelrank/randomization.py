@@ -11,7 +11,11 @@ int64, and expanded in batches of about _EXPAND_BLOCK rows, so candidates that d
 not fit cost time but no memory beyond a block.  Given the tie pattern, the sizes
 and the pairs, the walk's result does not depend on the data, so each process
 keeps the results of its recent walks, read-only, in an LRU cache of at most
-_WALK_CACHE_BYTES of arrays.
+_WALK_CACHE_BYTES of arrays.  Given also the statistic and the moments, so does
+the walk's standardized statistic: exact_p_value keeps it sorted with cumulative
+int64 weights, a tail table, in a second LRU cache of at most _TAIL_CACHE_BYTES,
+and reads each p-value off it by one binary search.  Walks past 2**63 splits
+carry Python-int weights and are kept in neither cache.
 
 Monte Carlo mode splits the replicates into fixed-size chunks; chunk i draws from an
 independent RNG substream derived from (seed, i), always in the same slices and the
@@ -60,7 +64,7 @@ from ._cache import ByteLRU
 from .errors import BudgetError, ParameterError
 from .moments import MomentSet
 from .ranks import RankedSamples, TiePattern
-from .statistics import in_tail, reduce_statistic, standardize
+from .statistics import in_tail, reduce_statistic, sorted_tail_mass, standardize
 
 DEFAULT_BUDGET = 10_000_000
 CHUNK_SIZE = 4096
@@ -68,6 +72,7 @@ _SLICE_CELLS = 1 << 18  # cells of one drawn slice: 2 MiB of int64, fits L2, reu
 _EXPAND_BLOCK = 1 << 18  # (state, composition) expansions per exact-enumeration batch
 _KEY_LIMIT = 1 << 62  # largest radix product of one packed state key
 _WALK_CACHE_BYTES = 1 << 20  # array bytes the per-process exact walk cache holds at most
+_TAIL_CACHE_BYTES = 1 << 20  # array bytes the per-process tail-table cache holds at most
 _TABLE_DRAW_RATIO = 12  # N / (V (G-1)) from which count-table draws beat permutations
 
 
@@ -315,7 +320,9 @@ def _expansion_batches(
         lo = hi
 
 
-# (tie blocks, sizes, pairs) -> read-only (w, weights); Python-int weights are not kept
+# (tie blocks, sizes, pairs) -> read-only (w, weights); Python-int weights are not kept.
+# The walk reads every tie block, so its key holds all of tie.d, where a moment set,
+# whose formulas read only the tie sums, is keyed by those sums
 _WALKS = ByteLRU(_WALK_CACHE_BYTES)
 
 
@@ -410,9 +417,22 @@ def check_tail_request(statistic: str, thresholds: Sequence[float]) -> np.ndarra
     return thr
 
 
-def _check_design(samples: RankedSamples, moments: MomentSet) -> None:
-    if moments.sizes != samples.sizes:
-        raise ParameterError("moments were computed for different group sizes")
+# (walk key, statistic, mu and tau2 bytes) -> read-only tail table of an int64 walk
+_TAILS = ByteLRU(_TAIL_CACHE_BYTES)
+
+
+def _tail_table(
+    w: np.ndarray, wt: np.ndarray, mu: np.ndarray, tau: np.ndarray, statistic: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """A walk's reduced statistic sorted ascending, and at index i the int64 weight
+    of its first i sorted rows (0 first, the split count last); both read-only."""
+    stats = reduce_statistic(statistic, standardize(w, mu, tau))
+    order = np.argsort(stats)
+    values = stats[order]
+    cum = np.concatenate(([0], np.cumsum(wt[order])))
+    values.setflags(write=False)
+    cum.setflags(write=False)
+    return values, cum
 
 
 def exact_p_value(
@@ -428,13 +448,26 @@ def exact_p_value(
     simulated_tail_counts; the tail is s_min <= threshold for
     ``s_min``, statistic >= threshold for ``s_max`` and ``s_abs``.  The tail mass
     is the exact integer count of the splits in it.
+
+    Only the threshold depends on the data, so the walk's standardized statistic
+    is kept sorted, with cumulative weights, in a tail table per walk, statistic,
+    mu and tau2, and the mass is read off it by one binary search.  Walks with
+    Python-int weights (2**63 splits or more) keep no table: their mass is summed
+    over the walk's rows.
     """
     check_tail_request(statistic, [threshold])
-    _check_design(samples, moments)
-    w, wt = _enumerate_w(samples.tie_pattern, samples.sizes, moments.pairs, budget)
-    stats = reduce_statistic(statistic, standardize(w, moments.mu, moments.tau))
-    mass = int(wt[in_tail(statistic, stats, threshold)].sum())
-    return PValue(estimate=mass / split_count(samples.sizes), method="exact")
+    moments.check_samples(samples)
+    tie, sizes, pairs = samples.tie_pattern, samples.sizes, moments.pairs
+    w, wt = _enumerate_w(tie, sizes, pairs, budget)
+    mu = moments.mu
+    if wt.dtype == object:
+        stats = reduce_statistic(statistic, standardize(w, mu, moments.tau))
+        mass = int(wt[in_tail(statistic, stats, threshold)].sum())
+    else:
+        key = (tie.d, sizes, pairs, statistic, mu.tobytes(), moments.tau2.tobytes())
+        values, cum = _TAILS.get(key, lambda: _tail_table(w, wt, mu, moments.tau, statistic))
+        mass = sorted_tail_mass(statistic, values, cum, threshold)
+    return PValue(estimate=mass / split_count(sizes), method="exact")
 
 
 def _draws_count_tables(tie: TiePattern, n_groups: int) -> bool:
@@ -570,7 +603,7 @@ def simulated_tail_counts(
     int64 counts out of nsim replicates.
     """
     thr = check_tail_request(statistic, thresholds)
-    _check_design(samples, moments)
+    moments.check_samples(samples)
     pairs, mu, tau = moments.pairs, moments.mu, moments.tau
     return _mc_tail_counts(
         samples.tie_pattern, samples.sizes, pairs, mu, tau, statistic, thr, nsim, seed

@@ -95,7 +95,11 @@ class RankedSamples:
     sizes, tie pattern, the count table (``counts[g, j]`` values of group g equal the
     j-th smallest distinct pooled value) and each group's checked float scores, which
     no later step converts or checks again.  Group 0 is the control in many-to-one
-    comparisons.  Records compare by identity."""
+    comparisons.  Records compare by identity.
+
+    The record's count table is read-only.  A writable table, which ``rank_samples``
+    never passes, is copied, so the caller's array stays writable and writing to it
+    does not change the record's."""
 
     sizes: tuple[int, ...]
     tie_pattern: TiePattern
@@ -107,6 +111,8 @@ class RankedSamples:
         if any(n < 1 for n in sizes):
             raise ParameterError("every group needs at least one observation")
         table = np.asarray(self.counts, dtype=np.int64)
+        if table.flags.writeable:
+            table = table.copy()
         # rows sum to the sizes and columns to the tie pattern, so the shape is right too
         margins = (table.sum(1).tolist(), table.sum(0).tolist()) if table.ndim == 2 else ()
         if margins != (list(sizes), list(self.tie_pattern.d)):
@@ -180,6 +186,7 @@ def rank_samples(groups: Sequence[Sequence[float]]) -> RankedSamples:
     order, d, value_class = _value_blocks(pool)
     key = np.repeat(np.arange(len(sizes), dtype=np.int64) * d.size, sizes)[order] + value_class
     counts = np.bincount(key, minlength=len(sizes) * d.size).reshape(len(sizes), d.size)
+    counts.setflags(write=False)  # so the record keeps it without a copy
     scores = tuple(np.split(pool, np.cumsum(sizes)[:-1]))
     return RankedSamples(sizes, TiePattern(tuple(d.tolist())), counts, scores)
 

@@ -53,6 +53,15 @@ def in_tail(kind: str, values, threshold):
     return values >= threshold
 
 
+def sorted_tail_mass(kind: str, values: np.ndarray, cum: np.ndarray, threshold: float) -> int:
+    """The weight in the tail at ``threshold`` of statistic values sorted ascending,
+    where cum[i] is the weight of the first i values: the sum of the weights that
+    ``in_tail`` selects, found by one binary search."""
+    if _TAIL_SIDE[kind] == "lower":
+        return int(cum[np.searchsorted(values, threshold, side="right")])
+    return int(cum[-1] - cum[np.searchsorted(values, threshold, side="left")])
+
+
 @dataclass(frozen=True)
 class Observation:
     """Observed Mann-Whitney values of a moment set's pairs, their standardizations,
@@ -94,6 +103,14 @@ def _twice_w(t: np.ndarray) -> np.ndarray:
     return t @ (2 * np.cumsum(t, axis=1) - t).T
 
 
+def _pair_index(moments: MomentSet) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second group of each pair, as two read-only index arrays."""
+    a, b = np.array(moments.pairs, dtype=np.int64).reshape(-1, 2).T
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
+
+
 def observe(samples: RankedSamples, moments: MomentSet, alternative: str) -> Observation:
     """Standardize the statistic of each of the moment set's pairs and reduce them to
     the alternative's extreme (max, min or abs-max).
@@ -101,9 +118,8 @@ def observe(samples: RankedSamples, moments: MomentSet, alternative: str) -> Obs
     Twice the Mann-Whitney value of pair (a, b) is read off the count table.
     """
     statistic = ALTERNATIVE_TABLE[normalize_alternative(alternative)][0]
-    if moments.sizes != samples.sizes:
-        raise ParameterError("moments were computed for different group sizes")
-    a, b = np.array(moments.pairs, dtype=np.int64).reshape(-1, 2).T
+    moments.check_samples(samples)
+    a, b = moments.derived(_pair_index)
     w = _twice_w(samples.counts)[b, a] / 2
     tau = moments.tau
     z = standardize(w, moments.mu, tau)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from steelrank import _cache, cli, gauss, randomization
+from steelrank import _cache, analysis, cli, gauss, randomization
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -27,9 +27,12 @@ def iq_groups():
 @pytest.fixture(autouse=True)
 def _cold_caches():
     """Each test starts with every per-process cache empty, so its first call computes:
-    exact walks and compositions, moment sets and index selections, quadrature nodes
+    exact walks, their tail tables and compositions, moment sets (with what is
+    derived from them) and index selections, quadrature nodes, report field names
     and the CLI parser."""
     randomization._WALKS.clear()
+    randomization._TAILS.clear()
+    analysis._field_names.cache_clear()
     randomization._compositions.cache_clear()
     _cache.DESIGNS.clear()
     gauss._nodes.cache_clear()

@@ -2,6 +2,7 @@
 the straightforward code it replaced, kept here as the oracle: the line-by-line
 csv_long loop, and json.dumps over the converted report tree."""
 import csv
+import enum
 import io
 import json
 import math
@@ -109,6 +110,14 @@ def test_render_json_writes_the_bytes_of_json_dumps_over_the_converted_tree(tree
     assert render_json(tree) == oracle_json(tree)
 
 
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Row(list):
+    pass
+
+
 def test_render_json_edge_cases():
     report = {
         "empty": [{}, [], (), np.array([])],
@@ -116,6 +125,8 @@ def test_render_json_edge_cases():
         "flags": np.array([True, False]),
         2: "non-str key", None: "None key", "2": "collides with the key 2",
         "big": [1.7976931348623157e308, -1.79769313485e308, 5e-324, -0.0, math.nan],
+        # types outside the emitter's exact-type table, written through its isinstance fallback
+        "other": [np.int32(-7), np.uint8(255), np.float16(0.1), _Level.HIGH, _Row([1.5, _Row()])],
     }
     assert render_json(report) == oracle_json(report)
     assert "Infinity" in render_json({"x": 1.7976931348623157e308})

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -227,7 +228,8 @@ order = [1, 0, 2]  # pairs ((0, 2), (0, 1), (1, 2))
 try:
     MomentSet(sizes=pm.sizes, pairs=tuple(pm.pairs[i] for i in order), mu=pm.mu[order],
               tau2=pm.tau2[order], cov=pm.cov[np.ix_(order, order)],
-              correction_ratio=pm.correction_ratio[order], sigma0_2=None, sigma2=None)
+              correction_ratio=pm.correction_ratio[order], sigma0_2=None, sigma2=None,
+              s2=0, s3=0, s3_plus=0, fully_tied=False)
     print(sys.flags.optimize, "accepted")
 except ParameterError:
     print(sys.flags.optimize, "refused")
@@ -395,3 +397,58 @@ def test_pair_moments_equal_the_loop_that_converts_every_use(sizes, kind, every_
     pairs = (all_pairs if every_pair else control_pairs)(len(sizes))
     want = moment_outcome(lambda: oracle_pair_moments(sizes, tie, pairs))
     assert moment_outcome(lambda: moments._pair_moments(sizes, tie, pairs)) == want
+
+
+# ---------------------------------------------------------------------------
+# what a moment set carries besides its moments
+
+
+def test_a_moment_set_names_the_tie_sums_of_its_design():
+    tie = TiePattern((3, 4, 7))
+    ms = pair_moments((5, 5, 4), tie, control_pairs(3))
+    assert (ms.s2, ms.s3, ms.s3_plus, ms.fully_tied) == (tie.s2, tie.s3, tie.s3_plus, False)
+    assert (ms.s2, ms.s3_plus) == (60, 420)
+    assert pair_moments((5, 5, 4), TiePattern((1, 1, 6, 6)), control_pairs(3)) is ms
+    untied = pair_moments((5, 5, 4), TiePattern.no_ties(14), control_pairs(3))
+    assert (untied.s2, untied.s3, untied.s3_plus, untied.fully_tied) == (0, 0, 0, False)
+    tied = pair_moments((5, 5, 4), TiePattern((14,)), control_pairs(3))
+    assert tied.fully_tied and tied.s2 == 14 * 13
+
+
+def test_the_factor_model_is_built_once_per_moment_set():
+    ms = pair_moments((5, 5, 4), TiePattern((3, 4, 7)), control_pairs(3))
+    model = FactorModel.from_moments(ms)
+    assert FactorModel.from_moments(ms) is model
+    assert FactorModel.from_moments(pair_moments((5, 5, 4), TiePattern((3, 4, 7)),
+                                                 control_pairs(3))) is model
+    for arr in (model.sigma, model.tau, model.mu):
+        assert not arr.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.sigma0 = 1.0
+    # a set built by hand with another mu gets a model of its own
+    shifted = dataclasses.replace(ms, mu=ms.mu + 1.0)
+    other = FactorModel.from_moments(shifted)
+    assert other is not model and FactorModel.from_moments(shifted) is other
+    np.testing.assert_array_equal(other.mu, ms.mu + 1.0)
+    np.testing.assert_array_equal(model.mu, ms.mu)
+    with pytest.raises(ParameterError, match="treatment-vs-control"):
+        FactorModel.from_moments(pair_moments((5, 5, 4), TiePattern((3, 4, 7)), all_pairs(3)))
+
+
+def test_a_byte_lru_sizes_each_value_once_when_it_is_stored(monkeypatch):
+    sized = []
+    held_bytes = _cache.held_bytes
+    monkeypatch.setattr(_cache, "held_bytes", lambda v: sized.append(v) or held_bytes(v))
+    lru = _cache.ByteLRU(3 * 80)
+    values = []
+    for i in range(6):
+        value = np.full(10, float(i))
+        value.setflags(write=False)
+        values.append(value)
+        assert lru.get(i, lambda: value) is value
+    assert len(sized) == 6  # once per insert, never at an eviction
+    assert list(lru._items) == [3, 4, 5] and lru._nbytes == 3 * 80
+    assert lru._sizes == {3: 80, 4: 80, 5: 80}
+    assert lru.get(4, lambda: None) is values[4] and len(sized) == 6
+    lru.clear()
+    assert not lru._items and not lru._sizes and lru._nbytes == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -23,10 +24,11 @@ from steelrank import (
     simulated_tail_counts,
     split_count,
 )
-from steelrank import randomization
+from steelrank import randomization, statistics
+from steelrank.analysis import RunConfig, analyze
 from steelrank.moments import all_pairs, control_pairs
 from steelrank.randomization import _mc_tail_counts, worker_count
-from steelrank.statistics import reduce_statistic
+from steelrank.statistics import in_tail, reduce_statistic, standardize
 
 from conftest import DATA_DIR, load_grouped_csv
 
@@ -278,6 +280,27 @@ def test_tail_counts_reject_moments_of_another_design():
         exact_p_value(s, swapped, "s_max", 0.0)
     with pytest.raises(ParameterError, match="different group sizes"):
         exact_p_value(s, pair_moments((2, 2, 3), s.tie_pattern, all_pairs(3)), "s_max", 0.0)
+
+
+def test_moments_of_another_tie_pattern_of_the_same_sizes_are_refused():
+    s = rank_samples([[1, 1, 1, 2, 2], [1, 2, 2, 2, 3], [2, 3, 3, 3, 3]])
+    untied = pair_moments(s.sizes, TiePattern.no_ties(15), control_pairs(3))
+    for call in (lambda: observe(s, untied, "greater"),
+                 lambda: exact_p_value(s, untied, "s_max", 2.0),
+                 lambda: simulated_tail_counts(s, untied, "s_max", [2.0], 100, 0)):
+        with pytest.raises(ParameterError, match="different tie pattern"):
+            call()
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(3))
+    assert round(observe(s, ms, "greater").statistic_value, 3) == 2.583
+    assert round(exact_p_value(s, ms, "s_max", 2.0).estimate, 4) == 0.0409
+    # another pattern with the same tie sums has the same moments, and is accepted
+    same_sums = rank_samples([[1, 1, 1, 2, 2], [2, 2, 3, 3, 3], [3, 3, 3, 3]])
+    other = rank_samples([[0, 1, 2, 2, 2], [2, 2, 2, 3, 3], [3, 3, 3, 3]])
+    assert (same_sums.tie_pattern.d, other.tie_pattern.d) == ((3, 4, 7), (1, 1, 6, 6))
+    ms = pair_moments(same_sums.sizes, same_sums.tie_pattern, control_pairs(3))
+    assert pair_moments(other.sizes, other.tie_pattern, control_pairs(3)) is ms
+    observe(other, ms, "greater")
+    exact_p_value(other, ms, "s_max", 0.0)
 
 
 def test_exact_p_value_rejects_a_nan_threshold_and_vector_statistics():
@@ -984,3 +1007,92 @@ def test_two_valued_monte_carlo_matches_the_hypergeometric_oracle(design):
         want = float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
         got = _mc_p(s, obs, nsim=20000, seed=3).estimate
         assert abs(got - want) <= 4 * math.sqrt(want * (1 - want) / 20000), (alternative, got, want)
+
+
+# ---------------------------------------------------------------------------
+# tail tables: the exact mass summed over the walk's rows is their oracle
+
+
+def _masked_mass(s, ms, statistic, threshold):
+    """The tail mass as the sum of the int weights of the walk rows in the tail."""
+    w, wt = randomization._enumerate_w(s.tie_pattern, s.sizes, ms.pairs)
+    stats = reduce_statistic(statistic, standardize(w, ms.mu, ms.tau))
+    return int(wt[in_tail(statistic, stats, threshold)].sum())
+
+
+@pytest.mark.parametrize("all_group_pairs", [False, True])
+@pytest.mark.parametrize("tied", [False, True])
+def test_tail_tables_give_the_masked_sum_at_every_attained_value(tied, all_group_pairs):
+    rng = np.random.default_rng(61 + 2 * tied + all_group_pairs)
+    for sizes in ((4, 4, 4), (2, 3, 2, 2), (6, 5)):
+        groups = [rng.integers(0, 4, size=n) if tied else rng.normal(size=n) for n in sizes]
+        s = rank_samples(groups)
+        pairs = (all_pairs if all_group_pairs else control_pairs)(s.n_groups)
+        ms = pair_moments(s.sizes, s.tie_pattern, pairs)
+        total = split_count(s.sizes)
+        w, _ = randomization._enumerate_w(s.tie_pattern, s.sizes, pairs)
+        for statistic in ("s_max", "s_min", "s_abs"):
+            values = np.unique(reduce_statistic(statistic, standardize(w, ms.mu, ms.tau)))
+            # every attained value, where splits tie with the threshold, and its neighbours
+            thresholds = np.concatenate([values, np.nextafter(values, -np.inf),
+                                         np.nextafter(values, np.inf), [-np.inf, np.inf]])
+            for t in thresholds.tolist():
+                got = exact_p_value(s, ms, statistic, t).estimate
+                assert got == _masked_mass(s, ms, statistic, t) / total, (sizes, statistic, t)
+        keys = [key for key in randomization._TAILS._items if key[:3] == (s.tie_pattern.d, s.sizes, pairs)]
+        assert sorted(key[3] for key in keys) == ["s_abs", "s_max", "s_min"]
+
+
+def test_tail_tables_are_read_only_and_end_at_the_split_count():
+    s = rank_samples([[0.3, 1.2, 2.5, 0.1], [1.1, 2.2, 3.3, 4.4], [0.5, 0.6, 0.7, 5.0]])
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(3))
+    exact_p_value(s, ms, "s_abs", 1.0)
+    ((key, (values, cum)),) = randomization._TAILS._items.items()
+    assert key[3] == "s_abs" and not values.flags.writeable and not cum.flags.writeable
+    assert cum.dtype == np.int64 and cum[0] == 0 and cum[-1] == split_count(s.sizes)
+    assert len(cum) == len(values) + 1 and (np.diff(values) >= 0).all()
+
+
+def test_a_hand_built_moment_set_reads_no_other_sets_tail_table():
+    s = rank_samples([[0.3, 1.2, 2.5, 0.1], [1.1, 2.2, 3.3, 4.4], [0.5, 0.6, 0.7, 5.0]])
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(3))
+    total = split_count(s.sizes)
+    shifted = dataclasses.replace(ms, mu=ms.mu + 1.0)
+    for threshold in (-0.5, 0.0, 0.7):
+        p = exact_p_value(s, ms, "s_max", threshold).estimate
+        q = exact_p_value(s, shifted, "s_max", threshold).estimate
+        assert p == _masked_mass(s, ms, "s_max", threshold) / total
+        assert q == _masked_mass(s, shifted, "s_max", threshold) / total
+        assert q < p
+    assert len(randomization._TAILS._items) == 2
+
+
+def test_python_int_weight_walks_keep_no_tail_table(walk_calls):
+    # two-valued 4x12: 2.3e26 splits, so the walk's weights are Python ints
+    rng = np.random.default_rng(0)
+    groups = [rng.integers(0, 2, size=12) for _ in range(4)]
+    s, obs = _steel(groups, "greater")
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
+    for _ in range(2):
+        got = _exact_p(s, obs, budget=10**30).estimate
+        assert got == float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
+    assert len(walk_calls) == 2
+    assert not randomization._WALKS._items and not randomization._TAILS._items
+
+
+def test_a_repeated_exact_analysis_of_one_design_standardizes_no_support(monkeypatch):
+    rows = []  # rows of every standardize call, from either module
+
+    def spy(w, mu, tau):
+        rows.append(len(w) if w.ndim == 2 else 1)
+        return standardize(w, mu, tau)
+
+    monkeypatch.setattr(statistics, "standardize", spy)
+    monkeypatch.setattr(randomization, "standardize", spy)
+    cfg = RunConfig(method="exact", alternative="greater")
+    rng = np.random.default_rng(5)
+    for attempt in range(3):
+        rows.clear()
+        report = analyze(cfg, {g: rng.normal(size=n).tolist() for g, n in zip("abc", (4, 4, 4))})
+        assert report["p_values"]["exact"]["method"] == "exact"
+        assert max(rows) > 1 if attempt == 0 else rows == [1]  # observe's one row

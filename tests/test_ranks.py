@@ -240,3 +240,13 @@ def test_ranked_samples_refuse_fields_that_disagree():
     rebuilt = RankedSamples(**{**fields, "sizes": [np.int64(3), 2.0]})
     assert rebuilt.sizes == (3, 2) and all(type(n) is int for n in rebuilt.sizes)
     assert not rebuilt.counts.flags.writeable
+
+
+def test_a_callers_count_table_stays_writable_and_apart_from_the_record():
+    s = rank_samples([[1, 1, 2], [2, 3, 3, 3], [1, 3]])
+    assert not s.counts.flags.writeable
+    mine = np.array(s.counts, dtype=np.int64)
+    record = RankedSamples(s.sizes, s.tie_pattern, mine, s.scores)
+    assert mine.flags.writeable and not record.counts.flags.writeable
+    mine[0, 0] += 1  # the caller's array is its own: the record does not change
+    np.testing.assert_array_equal(record.counts, s.counts)
