@@ -1,9 +1,9 @@
-"""Byte-bounded LRU maps for results that depend on the design, not on the data.
+"""A byte-bounded LRU map for results that depend on the design, not on the data.
 
-The package keeps three, one per process: ``randomization``'s caches of exact
-walks and of their tail tables, and ``DESIGNS`` below, which holds the moment sets
-of ``moments.pair_moments`` and the no-ties index selections of ``confidence``.
-Values are read-only, so every caller can share one object.
+The package keeps one per process, ``DESIGNS`` below: the moment sets of
+``moments.pair_moments``, the no-ties index selections of ``confidence`` and the
+exact tail tables of ``randomization``.  Values are read-only, so every caller
+can share one object.
 """
 from __future__ import annotations
 
@@ -14,7 +14,10 @@ from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
-DESIGN_CACHE_BYTES = 1 << 20  # bytes the per-process design cache holds at most
+DESIGN_CACHE_BYTES = 3 << 20  # bytes the per-process design cache holds at most
+# bytes charged per entry beside its arrays: key, containers, object headers and what
+# is derived from a moment set after it is stored (a small set and its factor model)
+ENTRY_BYTES = 2 << 10
 
 V = TypeVar("V")
 
@@ -37,17 +40,17 @@ def held_bytes(value) -> int | None:
 class ByteLRU:
     """LRU map from hashable keys to read-only values, holding at most ``limit`` bytes.
 
-    A value is sized by ``held_bytes`` once, when it is stored, and the size is
-    kept beside it for its eviction; one that is larger than the limit, or that
-    ``held_bytes`` refuses, is returned but not kept.  One lock guards the
-    bookkeeping; two threads that miss on one key both compute, and the first
-    value stored stays.
+    A value is charged its ``held_bytes`` plus ENTRY_BYTES once, when it is
+    stored, and the charge is kept beside it for its eviction; one whose charge is
+    over the limit, or that ``held_bytes`` refuses, is returned but not kept.  One
+    lock guards the bookkeeping; two threads that miss on one key both compute,
+    and the first value stored stays.
     """
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
         self._items: OrderedDict = OrderedDict()
-        self._sizes: dict = {}  # key -> the held_bytes of its value, taken at insert
+        self._sizes: dict = {}  # key -> the bytes charged for its value at insert
         self._nbytes = 0
         self._lock = threading.Lock()
 
@@ -60,8 +63,9 @@ class ByteLRU:
                 return hit
         value = compute()
         nbytes = held_bytes(value)
-        if nbytes is None or nbytes > self.limit:
+        if nbytes is None or nbytes + ENTRY_BYTES > self.limit:
             return value
+        nbytes += ENTRY_BYTES
         with self._lock:
             if key in self._items:
                 return value

@@ -8,14 +8,12 @@ memory scale with the live merged states and their fitting expansions, not with
 the splits.  The candidate expansions (distinct count rows times block
 compositions) are tested for fit in blocks of about _EXPAND_BLOCK cells, 2 MiB of
 int64, and expanded in batches of about _EXPAND_BLOCK rows, so candidates that do
-not fit cost time but no memory beyond a block.  Given the tie pattern, the sizes
-and the pairs, the walk's result does not depend on the data, so each process
-keeps the results of its recent walks, read-only, in an LRU cache of at most
-_WALK_CACHE_BYTES of arrays.  Given also the statistic and the moments, so does
-the walk's standardized statistic: exact_p_value keeps it sorted with cumulative
-int64 weights, a tail table, in a second LRU cache of at most _TAIL_CACHE_BYTES,
-and reads each p-value off it by one binary search.  Walks past 2**63 splits
-carry Python-int weights and are kept in neither cache.
+not fit cost time but no memory beyond a block.  Given the tie pattern, the sizes,
+the pairs, the statistic and the moments, the walk's standardized statistic does
+not depend on the data: exact_p_value keeps it sorted with cumulative weights, a
+tail table, in the process's design cache (``_cache.DESIGNS``), and reads each
+p-value off it by one binary search.  Tables past 2**63 splits carry Python-int
+weights and are not kept.
 
 Monte Carlo mode splits the replicates into fixed-size chunks; chunk i draws from an
 independent RNG substream derived from (seed, i), always in the same slices and the
@@ -60,7 +58,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._cache import ByteLRU
+from ._cache import DESIGNS
 from .errors import BudgetError, ParameterError
 from .moments import MomentSet
 from .ranks import RankedSamples, TiePattern
@@ -71,8 +69,6 @@ CHUNK_SIZE = 4096
 _SLICE_CELLS = 1 << 18  # cells of one drawn slice: 2 MiB of int64, fits L2, reused unfaulted
 _EXPAND_BLOCK = 1 << 18  # (state, composition) expansions per exact-enumeration batch
 _KEY_LIMIT = 1 << 62  # largest radix product of one packed state key
-_WALK_CACHE_BYTES = 1 << 20  # array bytes the per-process exact walk cache holds at most
-_TAIL_CACHE_BYTES = 1 << 20  # array bytes the per-process tail-table cache holds at most
 _TABLE_DRAW_RATIO = 12  # N / (V (G-1)) from which count-table draws beat permutations
 
 
@@ -320,10 +316,18 @@ def _expansion_batches(
         lo = hi
 
 
-# (tie blocks, sizes, pairs) -> read-only (w, weights); Python-int weights are not kept.
-# The walk reads every tie block, so its key holds all of tie.d, where a moment set,
-# whose formulas read only the tie sums, is keyed by those sums
-_WALKS = ByteLRU(_WALK_CACHE_BYTES)
+def _check_budget(sizes: Sequence[int], budget: int) -> int:
+    """The split count of the sizes, refused when it is over the budget."""
+    total = split_count(sizes)
+    if total > budget:
+        # str() of a large int is slow, and refused past 4300 digits
+        exp = int(math.log10(total))
+        shown = total if exp < 18 else f"about 1e{exp}"
+        raise BudgetError(
+            f"exact enumeration needs {shown} splits, over budget {budget}; "
+            "use the monte_carlo method instead"
+        )
+    return total
 
 
 def _enumerate_w(
@@ -334,38 +338,16 @@ def _enumerate_w(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mann-Whitney values of the requested pairs with the number of splits giving each.
 
-    Returns (w, weights) as from _walk, read-only.  The budget is checked on every
-    call; a walk of the same tie pattern, sizes and pairs is taken from the
-    process's walk cache.
-    """
-    total = split_count(sizes)
-    if total > budget:
-        # str() of a large int is slow, and refused past 4300 digits
-        exp = int(math.log10(total))
-        shown = total if exp < 18 else f"about 1e{exp}"
-        raise BudgetError(
-            f"exact enumeration needs {shown} splits, over budget {budget}; "
-            "use the monte_carlo method instead"
-        )
-    key = (tie.d, tuple(int(n) for n in sizes), tuple((int(a), int(b)) for a, b in pairs))
-    return _WALKS.get(key, lambda: _walk(tie, key[1], key[2]))
-
-
-def _walk(
-    tie: TiePattern, sizes: Sequence[int], pairs: Sequence[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mann-Whitney values of the requested pairs with the number of splits giving each.
-
     Returns (w, weights): one row per distinct w vector, and exact integer weights
     counting the labeled splits that give it (summing to split_count(sizes)).  The
     weights are int64 below 2**63 splits and Python ints in an object array above.
-    Both arrays are read-only.
+    Both arrays are read-only.  The budget is checked before walking.
 
     A network walk over the tie blocks: a state is the cumulative group counts
     and twice the Mann-Whitney values, all integers, and the allocations of the
     blocks so far that reach the same state are merged after each block.
     """
-    total = split_count(sizes)
+    total = _check_budget(sizes, budget)
     k = len(sizes)
     sizes_arr = np.asarray(sizes, dtype=np.int64)
     a_idx = [a for a, _ in pairs]
@@ -412,24 +394,21 @@ def check_tail_request(statistic: str, thresholds: Sequence[float]) -> np.ndarra
         raise ParameterError("thresholds must be a non-empty vector")
     if np.isnan(thr).any():
         raise ParameterError("thresholds must not be NaN")
-    if np.any(np.diff(thr) < 0):
+    if (thr[1:] < thr[:-1]).any():
         raise ParameterError("thresholds must be sorted ascending")
     return thr
-
-
-# (walk key, statistic, mu and tau2 bytes) -> read-only tail table of an int64 walk
-_TAILS = ByteLRU(_TAIL_CACHE_BYTES)
 
 
 def _tail_table(
     w: np.ndarray, wt: np.ndarray, mu: np.ndarray, tau: np.ndarray, statistic: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A walk's reduced statistic sorted ascending, and at index i the int64 weight
-    of its first i sorted rows (0 first, the split count last); both read-only."""
+    """A walk's reduced statistic sorted ascending, and at index i the weight of its
+    first i sorted rows (0 first, the split count last), in the weights' dtype;
+    both read-only."""
     stats = reduce_statistic(statistic, standardize(w, mu, tau))
     order = np.argsort(stats)
     values = stats[order]
-    cum = np.concatenate(([0], np.cumsum(wt[order])))
+    cum = np.concatenate((np.zeros(1, dtype=wt.dtype), np.cumsum(wt[order])))
     values.setflags(write=False)
     cum.setflags(write=False)
     return values, cum
@@ -449,25 +428,24 @@ def exact_p_value(
     ``s_min``, statistic >= threshold for ``s_max`` and ``s_abs``.  The tail mass
     is the exact integer count of the splits in it.
 
-    Only the threshold depends on the data, so the walk's standardized statistic
-    is kept sorted, with cumulative weights, in a tail table per walk, statistic,
-    mu and tau2, and the mass is read off it by one binary search.  Walks with
-    Python-int weights (2**63 splits or more) keep no table: their mass is summed
-    over the walk's rows.
+    Only the threshold depends on the data, so the tail table of the walk is kept
+    in the design cache per tie pattern, sizes, pairs, statistic, mu and tau2, and
+    the mass is read off it by one binary search.  The budget is checked on every
+    call, before the cache.
     """
     check_tail_request(statistic, [threshold])
     moments.check_samples(samples)
     tie, sizes, pairs = samples.tie_pattern, samples.sizes, moments.pairs
-    w, wt = _enumerate_w(tie, sizes, pairs, budget)
+    total = _check_budget(sizes, budget)
     mu = moments.mu
-    if wt.dtype == object:
-        stats = reduce_statistic(statistic, standardize(w, mu, moments.tau))
-        mass = int(wt[in_tail(statistic, stats, threshold)].sum())
-    else:
-        key = (tie.d, sizes, pairs, statistic, mu.tobytes(), moments.tau2.tobytes())
-        values, cum = _TAILS.get(key, lambda: _tail_table(w, wt, mu, moments.tau, statistic))
-        mass = sorted_tail_mass(statistic, values, cum, threshold)
-    return PValue(estimate=mass / split_count(sizes), method="exact")
+
+    def table() -> tuple[np.ndarray, np.ndarray]:
+        return _tail_table(*_enumerate_w(tie, sizes, pairs, budget), mu, moments.tau, statistic)
+
+    key = ("exact", tie.d, sizes, pairs, statistic, mu.tobytes(), moments.tau2.tobytes())
+    values, cum = DESIGNS.get(key, table)
+    mass = sorted_tail_mass(statistic, values, cum, threshold)
+    return PValue(estimate=mass / total, method="exact")
 
 
 def _draws_count_tables(tie: TiePattern, n_groups: int) -> bool:

@@ -27,11 +27,9 @@ def iq_groups():
 @pytest.fixture(autouse=True)
 def _cold_caches():
     """Each test starts with every per-process cache empty, so its first call computes:
-    exact walks, their tail tables and compositions, moment sets (with what is
-    derived from them) and index selections, quadrature nodes, report field names
-    and the CLI parser."""
-    randomization._WALKS.clear()
-    randomization._TAILS.clear()
+    the design cache's moment sets (with what is derived from them), index
+    selections and exact tail tables, compositions, quadrature nodes, report field
+    names and the CLI parser."""
     analysis._field_names.cache_clear()
     randomization._compositions.cache_clear()
     _cache.DESIGNS.clear()

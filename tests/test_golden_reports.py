@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from steelrank import _cache
+from steelrank import _cache, randomization
 from steelrank.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -82,6 +82,21 @@ def test_report_matches_golden(name, tmp_path):
     if name.startswith(("steel", "confidence")):
         assert _cache.DESIGNS._items
         assert render(name, tmp_path / "warm") == expected
+
+
+def test_exact_reports_of_one_design_walk_once_per_statistic(monkeypatch, tmp_path):
+    """The three exact Likert cases test s_max, s_min and s_abs on one design: the
+    first pass walks once for each statistic's tail table, the second reads them."""
+    walks = []
+    walk = randomization._enumerate_w
+    monkeypatch.setattr(randomization, "_enumerate_w", lambda *a: walks.append(a) or walk(*a))
+    names = ("steel_exact_likert", "steel_exact_likert_less", "steel_exact_likert_two_sided_text")
+    for rendered in (3, 0):
+        walks.clear()
+        for name in names:
+            expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+            assert render(name, tmp_path / name) == expected
+        assert len(walks) == rendered
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 import dataclasses
+import gc
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -295,20 +298,43 @@ def test_tie_patterns_with_equal_sums_share_one_moment_set():
 
 
 def _design_nbytes():
-    return sum(_cache.held_bytes(v) for v in _cache.DESIGNS._items.values())
+    return sum(_cache.held_bytes(v) + _cache.ENTRY_BYTES for v in _cache.DESIGNS._items.values())
 
 
-def test_the_design_cache_holds_its_byte_bound_at_300_treatments():
-    # one moment set of 300 treatments holds a 300 x 300 covariance, about 0.7 MiB
+def test_the_design_cache_holds_its_byte_bound_at_500_treatments():
+    # one moment set of 500 treatments holds a 500 x 500 covariance, about 1.9 MiB
     keys = []
     for n0 in (1, 2, 1):
-        sizes = (n0,) + (1,) * 300
+        sizes = (n0,) + (1,) * 500
         ms = pair_moments(sizes, TiePattern.no_ties(sum(sizes)), control_pairs(len(sizes)))
         assert 2 * _cache.held_bytes(ms) > _cache.DESIGNS.limit
         assert _design_nbytes() == _cache.DESIGNS._nbytes <= _cache.DESIGNS.limit
         keys.append(list(_cache.DESIGNS._items))
     assert len(keys[0]) == len(keys[1]) == 1 and keys[0] != keys[1]
     assert keys[2] == keys[0]  # evicted by the second design, then computed again
+
+
+def test_the_design_cache_bounds_the_memory_its_small_entries_hold(monkeypatch):
+    # distinct small moment sets, each with the factor model derived after it is
+    # stored: about 2 KiB each, where their arrays and fields count under 200 bytes
+    limit = 256 * 2**10
+    monkeypatch.setattr(_cache.DESIGNS, "limit", limit)
+    tracemalloc.start()
+    try:
+        for sizes in itertools.product(range(1, 16), range(1, 11), range(1, 11)):
+            ms = pair_moments(sizes, TiePattern.no_ties(sum(sizes)), control_pairs(3))
+            FactorModel.from_moments(ms)
+        del ms
+        gc.collect()
+        full = tracemalloc.get_traced_memory()[0]
+        kept = len(_cache.DESIGNS._items)
+        _cache.DESIGNS.clear()
+        gc.collect()
+        held = full - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 50 < kept < 1500  # full, and evicting
+    assert held <= 1.25 * limit
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +465,8 @@ def test_a_byte_lru_sizes_each_value_once_when_it_is_stored(monkeypatch):
     sized = []
     held_bytes = _cache.held_bytes
     monkeypatch.setattr(_cache, "held_bytes", lambda v: sized.append(v) or held_bytes(v))
-    lru = _cache.ByteLRU(3 * 80)
+    entry = 80 + _cache.ENTRY_BYTES  # ten float64 and the per-entry charge
+    lru = _cache.ByteLRU(3 * entry)
     values = []
     for i in range(6):
         value = np.full(10, float(i))
@@ -447,8 +474,8 @@ def test_a_byte_lru_sizes_each_value_once_when_it_is_stored(monkeypatch):
         values.append(value)
         assert lru.get(i, lambda: value) is value
     assert len(sized) == 6  # once per insert, never at an eviction
-    assert list(lru._items) == [3, 4, 5] and lru._nbytes == 3 * 80
-    assert lru._sizes == {3: 80, 4: 80, 5: 80}
+    assert list(lru._items) == [3, 4, 5] and lru._nbytes == 3 * entry
+    assert lru._sizes == {3: entry, 4: entry, 5: entry}
     assert lru.get(4, lambda: None) is values[4] and len(sized) == 6
     lru.clear()
     assert not lru._items and not lru._sizes and lru._nbytes == 0

@@ -24,7 +24,7 @@ from steelrank import (
     simulated_tail_counts,
     split_count,
 )
-from steelrank import randomization, statistics
+from steelrank import _cache, randomization, statistics
 from steelrank.analysis import RunConfig, analyze
 from steelrank.moments import all_pairs, control_pairs
 from steelrank.randomization import _mc_tail_counts, worker_count
@@ -64,15 +64,15 @@ def _mc_p(s, obs, nsim, seed, conservative=False):
 
 @pytest.fixture
 def walk_calls(monkeypatch):
-    """The argument tuples of every call of the uncached exact walk, in order."""
+    """The argument tuples of every exact walk, in order."""
     calls = []
-    walk = randomization._walk
+    walk = randomization._enumerate_w
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return walk(*args)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(randomization, "_walk", counted)
+    monkeypatch.setattr(randomization, "_enumerate_w", counted)
     return calls
 
 
@@ -658,12 +658,11 @@ def test_merged_states_match_index_level_enumeration(monkeypatch, walk_calls, ti
             want = Counter(map(tuple, enumerate_pair_stats(values, sizes, pairs).tolist()))
             # _KEY_LIMIT 1 renumbers the partial key densely before every column;
             # _EXPAND_BLOCK 3 cuts most steps into several batches
-            # (the uncached walk: a cached result would not run the patched code)
             for name, value in ((None, None), ("_KEY_LIMIT", 1), ("_EXPAND_BLOCK", 3)):
                 with monkeypatch.context() as patched:
                     if name:
                         patched.setattr(randomization, name, value)
-                    w, wt = randomization._walk(tie, sizes, pairs)
+                    w, wt = randomization._enumerate_w(tie, sizes, pairs)
                 configurations += 1
                 assert len(walk_calls) == configurations
                 assert len(set(map(tuple, w.tolist()))) == len(w)
@@ -692,7 +691,6 @@ def test_exact_work_and_memory_follow_the_merged_states(walk_calls):
     assert wt.dtype == np.int64 and int(wt.sum()) == split_count(sizes)
     rng = np.random.default_rng(8)
     s, obs = _steel([rng.normal(size=n) for n in sizes], "two_sided")
-    randomization._WALKS.clear()  # the bound is on the walk, not on a cache hit
     tracemalloc.start()
     try:
         _exact_p(s, obs, budget=10**8)
@@ -756,7 +754,8 @@ def test_one_control_against_many_tied_values_builds_only_fitting_moves(monkeypa
                 hits = (stats <= t) if obs.statistic == "s_min" else (stats >= t)
                 assert got == hits.sum() / len(z)
         moves = [(total, comps) for total, comps in recorded if comps.shape[1] == 2]
-        assert sorted(total for total, _ in moves) == sorted(s.tie_pattern.d)
+        # one walk per alternative: each builds its statistic's tail table
+        assert sorted(total for total, _ in moves) == sorted(s.tie_pattern.d * 3)
         for total, comps in moves:
             assert (comps <= np.asarray(s.sizes)).all() and (comps.sum(axis=1) == total).all()
             assert comps[:, 0].tolist() == [0, 1]
@@ -772,104 +771,119 @@ def test_compositions_are_the_fitting_ones_in_order():
         assert not comps.flags.writeable and not weights.flags.writeable
 
 
-_UNTIED_333 = (TiePattern((1,) * 9), (3, 3, 3), ((0, 1), (0, 2)))
+_UNTIED_333 = rank_samples([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
 
 
-def test_a_repeated_walk_comes_from_the_cache(walk_calls):
-    tie, sizes, pairs = _UNTIED_333
-    w, wt = randomization._enumerate_w(tie, sizes, pairs)
-    again = randomization._enumerate_w(tie, np.array(sizes), [list(p) for p in pairs])
+def _samples_with_ties(d, sizes):
+    """Samples of the given sizes whose pooled values have the tie pattern d."""
+    values = np.repeat(np.arange(len(d)), d)
+    return rank_samples(np.split(values, np.cumsum(sizes)[:-1]))
+
+
+def _control_moments(s):
+    return pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
+
+
+def _exact_tables():
+    """The design cache's exact tail tables by key, least recently used first."""
+    return {key: table for key, table in _cache.DESIGNS._items.items() if key[0] == "exact"}
+
+
+def _charged_bytes():
+    return sum(_cache.held_bytes(v) + _cache.ENTRY_BYTES for v in _cache.DESIGNS._items.values())
+
+
+def test_a_repeated_exact_p_value_walks_once(walk_calls):
+    s = _UNTIED_333
+    ms = _control_moments(s)
+    p = exact_p_value(s, ms, "s_max", 1.0)
+    assert exact_p_value(s, ms, "s_max", 1.0) == p
+    exact_p_value(s, ms, "s_max", -0.5)  # another threshold reads the same table
     assert len(walk_calls) == 1
-    assert again[0] is w and again[1] is wt
-    randomization._enumerate_w(tie, sizes, all_pairs(3))
-    randomization._enumerate_w(TiePattern((2,) + (1,) * 7), sizes, pairs)
-    assert len(walk_calls) == 3
+    exact_p_value(s, ms, "s_min", 1.0)
+    exact_p_value(s, pair_moments(s.sizes, s.tie_pattern, all_pairs(3)), "s_max", 1.0)
+    tied = _samples_with_ties((2,) + (1,) * 7, s.sizes)
+    exact_p_value(tied, _control_moments(tied), "s_max", 1.0)
+    assert len(walk_calls) == 4 and len(_exact_tables()) == 4
 
 
-def test_a_cache_hit_still_checks_the_budget(walk_calls):
-    tie, sizes, pairs = _UNTIED_333
-    assert split_count(sizes) == 1680
-    randomization._enumerate_w(tie, sizes, pairs, budget=1680)
+def test_the_budget_is_checked_before_the_cache(walk_calls):
+    s = _UNTIED_333
+    ms = _control_moments(s)
+    assert split_count(s.sizes) == 1680
+    exact_p_value(s, ms, "s_max", 1.0, budget=1680)
+    for statistic in ("s_max", "s_min"):  # a kept table, then none
+        with pytest.raises(BudgetError, match="1680 splits"):
+            exact_p_value(s, ms, statistic, 1.0, budget=1679)
+    assert len(walk_calls) == 1 and len(_exact_tables()) == 1
     with pytest.raises(BudgetError, match="1680 splits"):
-        randomization._enumerate_w(tie, sizes, pairs, budget=1679)
-    s, obs = _steel([[1, 2, 3], [4, 5, 6], [7, 8, 9]], "greater")
-    with pytest.raises(BudgetError):
-        _exact_p(s, obs, budget=1000)
-    assert len(walk_calls) == 1
+        randomization._enumerate_w(s.tie_pattern, s.sizes, ms.pairs, budget=1679)
 
 
-def test_walk_results_are_read_only(walk_calls):
-    tie, sizes, pairs = _UNTIED_333
-    for _ in range(2):  # the walk, then the cache hit
-        w, wt = randomization._enumerate_w(tie, sizes, pairs)
-        assert not w.flags.writeable and not wt.flags.writeable
-        with pytest.raises(ValueError):
-            w[0, 0] = 99.0
-        with pytest.raises(ValueError):
-            wt[0] = 99
-    assert len(walk_calls) == 1
+def test_walk_results_are_read_only():
+    s = _UNTIED_333
+    w, wt = randomization._enumerate_w(s.tie_pattern, s.sizes, ((0, 1), (0, 2)))
+    assert not w.flags.writeable and not wt.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        wt[0] = 99
 
 
-def _cached_nbytes():
-    return sum(a.nbytes for result in randomization._WALKS._items.values() for a in result)
-
-
-def test_the_cache_holds_its_byte_cap_and_evicts_the_least_recently_used(monkeypatch, walk_calls):
-    # distinct tie patterns of 4 + 4 + 4 values, with a cap of a few results
+def test_the_design_cache_holds_its_byte_cap_and_evicts_the_least_recently_used(
+    monkeypatch, walk_calls
+):
+    # distinct tie patterns of 4 + 4 + 4 values, with a cap of a few designs
     cap = 64 * 2**10
-    monkeypatch.setattr(randomization._WALKS, "limit", cap)
+    monkeypatch.setattr(_cache.DESIGNS, "limit", cap)
     rng = np.random.default_rng(21)
     ties = list(dict.fromkeys(random_tie_pattern(rng, 12) for _ in range(60)))
     assert len(ties) > 40
-    sizes, pairs = (4, 4, 4), ((0, 1), (0, 2))
-    w, wt = randomization._enumerate_w(TiePattern(ties[0]), sizes, pairs)
+
+    def p_value(d):
+        s = _samples_with_ties(d, (4, 4, 4))
+        return exact_p_value(s, _control_moments(s), "s_max", 0.5)
+
+    first = p_value(ties[0])
     for d in ties[1:]:
-        randomization._enumerate_w(TiePattern(ties[0]), sizes, pairs)  # keeps the first recent
-        randomization._enumerate_w(TiePattern(d), sizes, pairs)
-        assert _cached_nbytes() == randomization._WALKS._nbytes <= cap
+        p_value(ties[0])  # keeps the first recent
+        p_value(d)
+        assert _charged_bytes() == _cache.DESIGNS._nbytes <= cap
     assert len(walk_calls) == len(ties)
-    cached = [key[0] for key in randomization._WALKS._items]
-    assert 1 < len(cached) < len(ties)
-    assert cached[-2:] == [ties[0], ties[-1]]  # the touched first, then the newest
-    assert ties[1] not in cached
-    again = randomization._enumerate_w(TiePattern(ties[0]), sizes, pairs)
-    assert again[0] is w and len(walk_calls) == len(ties)
-    randomization._enumerate_w(TiePattern(ties[1]), sizes, pairs)
+    kept = [key[1] for key in _exact_tables()]
+    assert 1 < len(kept) < len(ties)
+    assert kept[-2:] == [ties[0], ties[-1]]  # the touched first, then the newest
+    assert ties[1] not in kept
+    assert p_value(ties[0]) == first and len(walk_calls) == len(ties)
+    p_value(ties[1])
     assert len(walk_calls) == len(ties) + 1
 
 
-def test_results_over_the_cap_and_python_int_weights_are_not_cached(monkeypatch, walk_calls):
-    # two-valued 3x20: 5.8e26 splits, so the weights are Python ints
-    rng = np.random.default_rng(0)
-    s = rank_samples([rng.integers(0, 2, size=20) for _ in range(3)])
-    pairs = ((0, 1), (0, 2))
-    for _ in range(2):
-        w, wt = randomization._enumerate_w(s.tie_pattern, s.sizes, pairs, budget=10**30)
-        assert wt.dtype == object and not wt.flags.writeable
-    assert len(walk_calls) == 2 and not randomization._WALKS._items
-    # an int64 result larger than the cap
-    tie, sizes, pairs = _UNTIED_333
-    monkeypatch.setattr(randomization._WALKS, "limit", 64)
-    for _ in range(2):
-        w, wt = randomization._enumerate_w(tie, sizes, pairs)
-        assert w.nbytes + wt.nbytes > 64
-    assert len(walk_calls) == 4 and randomization._WALKS._nbytes == 0
+def test_a_table_over_the_cap_is_returned_but_not_kept(monkeypatch, walk_calls):
+    monkeypatch.setattr(_cache.DESIGNS, "limit", 64)
+    s = _UNTIED_333
+    ms = _control_moments(s)
+    p = [exact_p_value(s, ms, "s_max", 1.0) for _ in range(2)]
+    assert p[0] == p[1]
+    assert len(walk_calls) == 2 and _cache.DESIGNS._nbytes == 0 and not _cache.DESIGNS._items
 
 
-def test_two_threads_walking_at_once_get_identical_results():
+def test_two_threads_asking_at_once_get_identical_results():
     rng = np.random.default_rng(23)
-    keys = list(dict.fromkeys(random_tie_pattern(rng, 12) for _ in range(30)))
-    sizes, pairs = (4, 4, 4), ((0, 1), (0, 2))  # all results fit the 1 MiB cap at once
-    want = [randomization._walk(TiePattern(d), sizes, pairs) for d in keys]
-    results = [[None] * len(keys) for _ in range(2)]
+    ties = list(dict.fromkeys(random_tie_pattern(rng, 12) for _ in range(30)))
+    designs = [(s, _control_moments(s)) for s in (_samples_with_ties(d, (4, 4, 4)) for d in ties)]
+    thresholds = (-1.0, 0.5, 2.0)
+    total = split_count((4, 4, 4))
+    want = [[_masked_mass(s, ms, "s_abs", t) / total for t in thresholds] for s, ms in designs]
+    results = [[None] * len(designs) for _ in range(2)]
     errors = []
     start = threading.Barrier(2, timeout=30)
 
     def worker(slot):
         try:
-            for i, d in enumerate(keys):
-                start.wait()  # both threads ask for the same key at once
-                results[slot][i] = randomization._enumerate_w(TiePattern(d), sizes, pairs)
+            for i, (s, ms) in enumerate(designs):
+                start.wait()  # both threads ask for the same table at once
+                results[slot][i] = [exact_p_value(s, ms, "s_abs", t).estimate for t in thresholds]
         except Exception as exc:  # reported below: an assertion in a thread is lost
             errors.append(exc)
 
@@ -884,13 +898,10 @@ def test_two_threads_walking_at_once_get_identical_results():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not errors
-    for i, (w, wt) in enumerate(want):
-        for slot in range(2):
-            got_w, got_wt = results[slot][i]
-            np.testing.assert_array_equal(got_w, w)
-            np.testing.assert_array_equal(got_wt, wt)
-    assert _cached_nbytes() == randomization._WALKS._nbytes <= randomization._WALK_CACHE_BYTES
-    assert len(randomization._WALKS._items) == len(keys)
+    assert results[0] == results[1] == want
+    # every table and moment set fits the cache at once
+    assert _charged_bytes() == _cache.DESIGNS._nbytes <= _cache.DESIGNS.limit
+    assert len(_exact_tables()) == len(ties)
 
 
 def test_worker_count_honours_cpu_affinity(monkeypatch):
@@ -1039,16 +1050,16 @@ def test_tail_tables_give_the_masked_sum_at_every_attained_value(tied, all_group
             for t in thresholds.tolist():
                 got = exact_p_value(s, ms, statistic, t).estimate
                 assert got == _masked_mass(s, ms, statistic, t) / total, (sizes, statistic, t)
-        keys = [key for key in randomization._TAILS._items if key[:3] == (s.tie_pattern.d, s.sizes, pairs)]
-        assert sorted(key[3] for key in keys) == ["s_abs", "s_max", "s_min"]
+        keys = [key for key in _exact_tables() if key[1:4] == (s.tie_pattern.d, s.sizes, pairs)]
+        assert sorted(key[4] for key in keys) == ["s_abs", "s_max", "s_min"]
 
 
 def test_tail_tables_are_read_only_and_end_at_the_split_count():
     s = rank_samples([[0.3, 1.2, 2.5, 0.1], [1.1, 2.2, 3.3, 4.4], [0.5, 0.6, 0.7, 5.0]])
     ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(3))
     exact_p_value(s, ms, "s_abs", 1.0)
-    ((key, (values, cum)),) = randomization._TAILS._items.items()
-    assert key[3] == "s_abs" and not values.flags.writeable and not cum.flags.writeable
+    ((key, (values, cum)),) = _exact_tables().items()
+    assert key[4] == "s_abs" and not values.flags.writeable and not cum.flags.writeable
     assert cum.dtype == np.int64 and cum[0] == 0 and cum[-1] == split_count(s.sizes)
     assert len(cum) == len(values) + 1 and (np.diff(values) >= 0).all()
 
@@ -1064,7 +1075,7 @@ def test_a_hand_built_moment_set_reads_no_other_sets_tail_table():
         assert p == _masked_mass(s, ms, "s_max", threshold) / total
         assert q == _masked_mass(s, shifted, "s_max", threshold) / total
         assert q < p
-    assert len(randomization._TAILS._items) == 2
+    assert len(_exact_tables()) == 2
 
 
 def test_python_int_weight_walks_keep_no_tail_table(walk_calls):
@@ -1076,8 +1087,13 @@ def test_python_int_weight_walks_keep_no_tail_table(walk_calls):
     for _ in range(2):
         got = _exact_p(s, obs, budget=10**30).estimate
         assert got == float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
-    assert len(walk_calls) == 2
-    assert not randomization._WALKS._items and not randomization._TAILS._items
+    assert len(walk_calls) == 2 and not _exact_tables()
+    # the one table path gives Python-int cumulative weights, which the cache refuses
+    w, wt = randomization._enumerate_w(s.tie_pattern, s.sizes, ms.pairs, budget=10**30)
+    values, cum = randomization._tail_table(w, wt, ms.mu, ms.tau, "s_max")
+    assert wt.dtype == cum.dtype == object and not cum.flags.writeable
+    assert cum[0] == 0 and cum[-1] == split_count(s.sizes) and type(cum[-1]) is int
+    assert _cache.held_bytes((values, cum)) is None
 
 
 def test_a_repeated_exact_analysis_of_one_design_standardizes_no_support(monkeypatch):
