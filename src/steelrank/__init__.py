@@ -10,12 +10,7 @@ from .confidence import (
     simultaneous_intervals,
 )
 from .errors import BudgetError, NumericError, ParameterError
-from .gauss import (
-    FactorModel,
-    joint_lower_box_prob,
-    solve_common_threshold,
-    tail_prob,
-)
+from .gauss import joint_lower_box_prob, solve_common_threshold, tail_prob
 from .moments import MomentSet, cov_w, mean_w, pair_moments, var_w
 from .randomization import (
     PValue,
@@ -41,7 +36,6 @@ __all__ = [
     "BudgetError",
     "ConfidenceResult",
     "Diagnostics",
-    "FactorModel",
     "IndexSelection",
     "MomentSet",
     "NumericError",

@@ -16,7 +16,7 @@ import numpy as np
 
 DESIGN_CACHE_BYTES = 3 << 20  # bytes the per-process design cache holds at most
 # bytes charged per entry beside its arrays: key, containers, object headers and what
-# is derived from a moment set after it is stored (a small set and its factor model)
+# is derived from a moment set after it is stored (a small set and its one-factor split)
 ENTRY_BYTES = 2 << 10
 
 V = TypeVar("V")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .confidence import simultaneous_bounds, simultaneous_intervals
 from .errors import BudgetError, ParameterError
-from .gauss import DEFAULT_NODES, MAX_NODES, FactorModel, brent_root, tail_prob
+from .gauss import DEFAULT_NODES, MAX_NODES, brent_root, tail_prob
 from .moments import MomentSet, all_pairs, control_pairs, pair_moments
 from .pairwise import mvn_tail_counts
 from .randomization import (
@@ -126,15 +126,15 @@ def _asymptotic_p(
         return PValue(estimate=1.0, method="asymptotic"), [
             "degenerate data: asymptotic p-value set to 1"
         ]
-    model = FactorModel.from_moments(ms)
     # move the observed statistic half a raw unit towards the body of its tail
     shift = 0.5 if continuity else 0.0
-    st = obs.statistic_value * model.tau
+    tau = ms.tau
+    st = obs.statistic_value * tau
     lower = ALTERNATIVE_TABLE[alternative][1] == "lower"
-    u = (st + shift if lower else st - shift) / model.tau
+    u = (st + shift if lower else st - shift) / tau
     if alternative == "two_sided":
         u = np.maximum(u, 0.0)
-    p = tail_prob(model, u, alternative, nodes)
+    p = tail_prob(ms, u, alternative, nodes)
     return PValue(estimate=p, method="asymptotic"), []
 
 
@@ -162,19 +162,17 @@ def quality_harness(
     pairs = control_pairs(samples.n_groups)
     ms_adj = pair_moments(samples.sizes, samples.tie_pattern, pairs)
     ms_raw = pair_moments(samples.sizes, TiePattern.no_ties(samples.N), pairs)
-    model_adj = FactorModel.from_moments(ms_adj)
-    model_raw = FactorModel.from_moments(ms_raw)
     kind, side = ALTERNATIVE_TABLE[alt]
 
-    def asym(model: FactorModel, t: float, ratio: np.ndarray) -> float:
-        return tail_prob(model, t * ratio, alt, nodes)
+    def asym(ms: MomentSet, t: float, ratio: np.ndarray) -> float:
+        return tail_prob(ms, t * ratio, alt, nodes)
 
-    ones = np.ones(model_adj.K)
+    ones = np.ones(len(pairs))
     # parameterize by v with threshold t = sgn*v so the solved map decreases in v
     sgn = -1.0 if side == "lower" else 1.0
     lo = 0.0 if alt == "two_sided" else -14.0
     thresholds = np.array([
-        sgn * brent_root(lambda v: asym(model_adj, sgn * v, ones) - p, lo, 14.0, xtol=1e-12)
+        sgn * brent_root(lambda v: asym(ms_adj, sgn * v, ones) - p, lo, 14.0, xtol=1e-12)
         for p in p_grid
     ])
     order = np.argsort(thresholds)  # the shared run takes ascending thresholds
@@ -186,8 +184,8 @@ def quality_harness(
         {
             "threshold": float(t),
             "p_sim": float(p),
-            "p_asym_adj": asym(model_adj, t, ones),
-            "p_asym_unadj": asym(model_raw, t, ratio),
+            "p_asym_adj": asym(ms_adj, t, ones),
+            "p_asym_unadj": asym(ms_raw, t, ratio),
         }
         for t, p in zip(thresholds, p_sim)
     ]

@@ -15,8 +15,8 @@ import numpy as np
 
 from ._cache import DESIGNS
 from .errors import NumericError, ParameterError
-from .gauss import DEFAULT_NODES, FactorModel, joint_lower_box_prob, solve_common_threshold
-from .moments import control_pairs, pair_moments
+from .gauss import DEFAULT_NODES, joint_lower_box_prob, solve_common_threshold
+from .moments import MomentSet, control_pairs, pair_moments
 from .ranks import RankedSamples, TiePattern, rank_samples
 
 DIRECTIONS = ("upper", "lower")
@@ -154,14 +154,14 @@ def _narrowed_kth_difference(x: np.ndarray, y: np.ndarray, k: int) -> float:
 
 
 def select_indices(
-    model: FactorModel, gamma: float, direction: str, nodes: int = DEFAULT_NODES
+    ms: MomentSet, gamma: float, direction: str, nodes: int = DEFAULT_NODES
 ) -> IndexSelection:
     """Pick difference indices whose joint coverage approximates gamma.
 
     The common standardized threshold solving the box probability at gamma is
     rounded three ways (up, down, nearest) into candidate index vectors; each
     candidate's coverage comes from the joint box probability at c = j - 1.
-    The model must use no-ties variances (continuous shift model).
+    ``ms`` is a control-pair moment set of no-ties variances (continuous shift model).
 
     For ``direction="lower"`` the indices are reflected (j -> n0*n_i + 1 - j);
     the reported coverages are unchanged because the lower-bound coverage
@@ -171,16 +171,16 @@ def select_indices(
         raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
     if direction not in DIRECTIONS:
         raise ParameterError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    limits = np.rint(2 * model.mu).astype(np.int64)  # n0 * n_i
-    u = solve_common_threshold(model, gamma, nodes=nodes)
-    x = model.mu + u * model.tau + 1
+    limits = np.rint(2 * ms.mu).astype(np.int64)  # n0 * n_i
+    u = solve_common_threshold(ms, gamma, nodes=nodes)
+    x = ms.mu + u * ms.tau + 1
     candidates = {
         tuple(np.clip(r(x).astype(np.int64), 1, limits))
         for r in (np.ceil, np.floor, lambda v: np.floor(v + 0.5))
     }
 
     def coverage(j: tuple[int, ...]) -> float:
-        return joint_lower_box_prob(model, np.asarray(j, dtype=float) - 1.0, nodes)
+        return joint_lower_box_prob(ms, np.asarray(j, dtype=float) - 1.0, nodes)
 
     scored = sorted((coverage(j), j) for j in candidates)
     conservative = [(c, j) for c, j in scored if c >= gamma]
@@ -199,26 +199,26 @@ def select_indices(
         achieved_closest=closest_cov,
         unreachable=unreachable,
     )
-    return _reflected(model, sel) if direction == "lower" else sel
+    return _reflected(ms, sel) if direction == "lower" else sel
 
 
-def _reflected(model: FactorModel, sel: IndexSelection) -> IndexSelection:
+def _reflected(ms: MomentSet, sel: IndexSelection) -> IndexSelection:
     """An upper-bound selection as the matching lower-bound one."""
-    return replace(sel, j=_reflect(model, sel.j), j_closest=_reflect(model, sel.j_closest))
+    return replace(sel, j=_reflect(ms, sel.j), j_closest=_reflect(ms, sel.j_closest))
 
 
 def _selection(
     sizes: tuple[int, ...], gamma: float, nodes: int
-) -> tuple[FactorModel, IndexSelection]:
-    """The no-ties model of a design and its upper selection at one-sided level gamma.
+) -> tuple[MomentSet, IndexSelection]:
+    """The no-ties control-pair moments of a design and its upper selection at
+    one-sided level gamma.
 
     Neither depends on the data, so both are kept per process in ``_cache.DESIGNS``.
     """
 
-    def solve() -> tuple[FactorModel, IndexSelection]:
-        tie = TiePattern.no_ties(sum(sizes))
-        model = FactorModel.from_moments(pair_moments(sizes, tie, control_pairs(len(sizes))))
-        return model, select_indices(model, gamma, "upper", nodes)
+    def solve() -> tuple[MomentSet, IndexSelection]:
+        ms = pair_moments(sizes, TiePattern.no_ties(sum(sizes)), control_pairs(len(sizes)))
+        return ms, select_indices(ms, gamma, "upper", nodes)
 
     return DESIGNS.get(("selection", sizes, gamma, nodes), solve)
 
@@ -258,9 +258,9 @@ def _prepare(groups: Sequence[Sequence[float]] | RankedSamples, rounding_eps: fl
     return arrays, warnings
 
 
-def _reflect(model: FactorModel, j) -> tuple[int, ...]:
+def _reflect(ms: MomentSet, j) -> tuple[int, ...]:
     """Upper-bound indices as the matching lower-bound ones: j -> n0*n_i + 1 - j."""
-    return tuple(int(m) + 1 - int(v) for m, v in zip(np.rint(2 * model.mu), j))
+    return tuple(int(m) + 1 - int(v) for m, v in zip(np.rint(2 * ms.mu), j))
 
 
 def _shift_bounds(
@@ -279,8 +279,8 @@ def _shift_bounds(
     same coverages.
     """
     arrays, warnings = _prepare(groups, rounding_eps)
-    model, sel = _selection(tuple(a.size for a in arrays), level, nodes)
-    js = {"upper": sel.j, "lower": _reflect(model, sel.j)}
+    ms, sel = _selection(tuple(a.size for a in arrays), level, nodes)
+    js = {"upper": sel.j, "lower": _reflect(ms, sel.j)}
     none = (None,) * (len(arrays) - 1)
     values = {"upper": none, "lower": none}
     # per treatment, the selected differences of every side, from one table

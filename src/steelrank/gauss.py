@@ -1,7 +1,7 @@
 """Normal-approximation kernels: joint tails of the one-factor model via one quadrature.
 
-The K statistics share the covariance of n_i*V0 + V_i with independent normal V's,
-so every joint box probability is a single integral over the common factor:
+The K control-pair statistics share the covariance of n_i*V0 + V_i with independent
+normal V's, so every joint box probability is a single integral over the common factor:
 
     P(all coordinates standardized <= u_i) = integral of
         prod_i Phi((u_i*tau_i - n_i*sigma0*z) / sigma_i) * phi(z) dz.
@@ -15,6 +15,11 @@ relative error <= 1e-8 against the K=1 collapse 1 - Phi(u) for |u| <= 6.  Beyond
 error 5.7e-6 at u = 8 on the (7, 5) design) until the window follows the
 integrand's mass.
 
+The entry points take the control-pair ``MomentSet`` of ``pair_moments``, whose
+sigma0_2 and sigma2 are this split.  Every built set with tau > 0 has sigma0 > 0
+and sigma_i > 0 (only fully tied data give zeros, and then tau = 0 as well), so
+each factor is a smooth Phi; a set that breaks this is refused.
+
 Import rule: no run imports scipy.  The normal CDF and its log are Cephes' ndtr
 evaluated in numpy (``_ndtr``, ``_log_ndtr``), and thresholds are solved by
 ``brent_root``, a step-for-step port of scipy's ``brentq``, so every mode runs on
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
 from typing import Callable
@@ -42,11 +46,11 @@ _PANELS = 8
 
 
 @lru_cache(maxsize=64)
-def _nodes(num_nodes: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre abscissas and phi-weighted weights on [lo, hi]."""
+def _nodes(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre abscissas and phi-weighted weights on the window."""
     per_panel = max(2, -(-num_nodes // _PANELS))
     x, w = np.polynomial.legendre.leggauss(per_panel)
-    edges = np.linspace(lo, hi, _PANELS + 1)
+    edges = np.linspace(-INTEGRATION_LIMIT, INTEGRATION_LIMIT, _PANELS + 1)
     zs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         half = (b - a) / 2
@@ -175,143 +179,76 @@ def _log_ndtr(a) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-@dataclass(frozen=True)
-class FactorModel:
-    """One-factor representation of the joint statistic distribution.
-
-    ``n`` are the treatment sizes, ``mu`` the null means; tau_i^2 must equal
-    n_i^2*sigma0^2 + sigma_i^2.  sigma_i == 0 is allowed (the corresponding
-    integrand factor becomes a step function).
-    """
-
-    n: tuple[int, ...]
-    sigma0: float
-    sigma: np.ndarray
-    tau: np.ndarray
-    mu: np.ndarray
-
-    def __post_init__(self) -> None:
-        sigma = np.asarray(self.sigma, dtype=float)
-        tau = np.asarray(self.tau, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        n = tuple(int(v) for v in self.n)
-        if not (len(n) == sigma.size == tau.size == mu.size) or len(n) == 0:
-            raise ParameterError("model component lengths disagree")
-        if self.sigma0 < 0 or (sigma < 0).any():
-            raise ParameterError("standard deviations must be nonnegative")
-        if (tau <= 0).any():
-            raise ParameterError("tau must be strictly positive (degenerate data carry no test)")
-        recon = np.asarray(n, dtype=float) ** 2 * self.sigma0**2 + sigma**2
-        if np.any(np.abs(recon - tau**2) > 1e-10 * tau**2):
-            raise ParameterError("tau^2 != n^2*sigma0^2 + sigma^2; inconsistent model")
-        for name, arr in (("sigma", sigma), ("tau", tau), ("mu", mu)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n", n)
-
-    @property
-    def K(self) -> int:
-        return len(self.n)
-
-    @classmethod
-    def from_moments(cls, ms: MomentSet) -> "FactorModel":
-        """The model of a control-pair moment set, built and checked once per set and
-        kept with it; other pair sets have no one-factor split."""
-        if ms.sigma2 is None:
-            raise ParameterError("the one-factor model needs the treatment-vs-control pairs")
-        return ms.derived(_factor_model)
+def _split(ms: MomentSet) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """(n, sigma0, sigma, tau) of a control-pair moment set: the treatment sizes and
+    the one-factor split tau_i^2 = n_i^2*sigma0^2 + sigma_i^2, built and checked once
+    per set and kept with it.  Other pair sets have no split."""
+    if ms.sigma2 is None:
+        raise ParameterError("the one-factor model needs the treatment-vs-control pairs")
+    return ms.derived(_checked_split)
 
 
-def _factor_model(ms: MomentSet) -> FactorModel:
-    return FactorModel(
-        n=ms.sizes[1:],
-        sigma0=math.sqrt(ms.sigma0_2),
-        sigma=np.sqrt(ms.sigma2),
-        tau=np.sqrt(ms.tau2),
-        mu=np.asarray(ms.mu, dtype=float),
-    )
+def _checked_split(ms: MomentSet) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    n = np.asarray(ms.sizes[1:], dtype=float)
+    if not n.size == ms.sigma2.size == ms.tau2.size == ms.mu.size:
+        raise ParameterError("moment set component lengths disagree")
+    if (ms.tau2 <= 0).any():
+        raise ParameterError("tau must be strictly positive (degenerate data carry no test)")
+    # a NaN or infinite variance is refused here, not carried into the product
+    squares = np.concatenate(([ms.sigma0_2], ms.sigma2, ms.tau2))
+    if not (np.isfinite(squares) & (squares > 0)).all():
+        raise ParameterError("sigma0, sigma and tau must be finite and positive")
+    if np.any(np.abs(n * n * ms.sigma0_2 + ms.sigma2 - ms.tau2) > 1e-10 * ms.tau2):
+        raise ParameterError("tau^2 != n^2*sigma0^2 + sigma^2; inconsistent model")
+    sigma, tau = np.sqrt(ms.sigma2), np.sqrt(ms.tau2)
+    for arr in (n, sigma, tau):
+        arr.setflags(write=False)
+    return n, math.sqrt(ms.sigma0_2), sigma, tau
 
 
-def _smooth_args(model: FactorModel, u: np.ndarray, z: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Phi arguments of the sigma_i > 0 factors: one row per factor, one column per node."""
-    scale = np.asarray(model.n, dtype=float)[keep] * model.sigma0
-    numer = (u[keep] * model.tau[keep])[:, None] - np.outer(scale, z)
-    return numer / model.sigma[keep][:, None]
-
-
-def _degenerate_caps(model: FactorModel, u: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """z thresholds where the sigma_i == 0 indicator factors switch.
-
-    A degenerate factor has tau_i = n_i*sigma0 > 0, so its argument sign flips at
-    z = u_i*tau_i / (n_i*sigma0) = u_i exactly.
-    """
-    return u[deg] * model.tau[deg] / (np.asarray(model.n, dtype=float)[deg] * model.sigma0)
-
-
-def _box_mass(
-    model: FactorModel, u: np.ndarray, nodes: int, alternative: str
-) -> tuple[float, float]:
+def _box_mass(ms: MomentSet, u: np.ndarray, nodes: int, alternative: str) -> tuple[float, float]:
     """(box, tail): an alternative's box probability and its complement, by one quadrature.
 
     greater: box is all coordinates <= u_i; less: all >= u_i; two_sided: all |.| <= u_i.
     Each node's log box integrand s = sum_i log P(factor i in its box | z) gives both the
     box integrand exp(s) and the tail integrand -expm1(s).  The smaller side is integrated
     directly and the other is 1 minus it, so a small side keeps its relative accuracy and
-    both sides reach exactly 0 and 1.  Degenerate (sigma_i == 0) factors are indicators
-    that clip the z window: the normal mass beyond their switch point is all tail, so it
-    is taken exactly from ndtr and only the window inside it is integrated.
+    both sides reach exactly 0 and 1.
     """
     if not 1 <= nodes <= MAX_NODES:
         raise ParameterError(f"nodes must be in [1, {MAX_NODES}], got {nodes}")
-    lo, hi = -INTEGRATION_LIMIT, INTEGRATION_LIMIT
-    beyond = 0.0  # tail mass outside the degenerate indicators' switch points
-    deg = model.sigma == 0
-    if deg.any():
-        caps = _degenerate_caps(model, u, deg)
-        if alternative == "less":  # survival indicators are 1 only above their switch points
-            edge = float(caps.max())
-            lo = max(lo, edge)
-            beyond = float(_ndtr(edge))
-        else:  # indicators are 1 only below; two-sided ones also only above -u_i
-            edge = float(caps.min())
-            hi = min(hi, edge)
-            beyond = float(_ndtr(-edge))
-            if alternative == "two_sided":
-                lo = max(lo, -edge)
-                beyond *= 2
-    if hi <= lo:
-        return 0.0, 1.0
-    z, weight = _nodes(nodes, lo, hi)
-    keep = model.sigma > 0
-    if keep.any():
-        a = _smooth_args(model, u, z, keep)
-        if alternative == "greater":
-            logs = _log_ndtr(a)
-        elif alternative == "less":
-            logs = _log_ndtr(-a)
-        else:
-            b = _smooth_args(model, -u, z, keep)
-            # miss = 1 - factor: log1p keeps a factor near 1 exact, the difference a small one
-            below, upper_miss, inside = _ndtr(np.stack((b, -a, a)))
-            miss = upper_miss + below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.where(miss < 0.5, np.log1p(-miss), np.log(inside - below))
-        s = logs.sum(axis=0)
+    n, sigma0, sigma, tau = _split(ms)
+    z, weight = _nodes(nodes)
+    common = np.outer(n * sigma0, z)
+    # Phi arguments, one row per factor and one column per node
+    a = ((u * tau)[:, None] - common) / sigma[:, None]
+    if alternative == "greater":
+        logs = _log_ndtr(a)
+    elif alternative == "less":
+        logs = _log_ndtr(-a)
     else:
-        s = np.zeros_like(z)
+        b = ((-u * tau)[:, None] - common) / sigma[:, None]
+        # miss = 1 - factor: log1p keeps a factor near 1 exact, the difference a small one
+        below, upper_miss, inside = _ndtr(np.stack((b, -a, a)))
+        miss = upper_miss + below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(miss < 0.5, np.log1p(-miss), np.log(inside - below))
+    s = logs.sum(axis=0)
     box = float(weight @ np.exp(s))
     if box <= 0.5:
         return box, 1.0 - box
-    tail = beyond - float(weight @ np.expm1(s))
+    tail = 0.0 - float(weight @ np.expm1(s))  # 0.0 - : a zero tail is 0.0, not -0.0
     return 1.0 - tail, tail
 
 
-def tail_prob(model: FactorModel, u, alternative: str, nodes: int = DEFAULT_NODES) -> float:
-    """P(the alternative's extreme statistic is in its tail at u) under the factor model.
+def tail_prob(ms: MomentSet, u, alternative: str, nodes: int = DEFAULT_NODES) -> float:
+    """P(the alternative's extreme statistic is in its tail at u) under the normal
+    approximation of the control-pair moment set ``ms``.
 
     greater: P(any coordinate i >= u_i); less: P(any <= u_i); two_sided:
     P(any |coordinate i| >= u_i), u_i >= 0.  ``u`` is a scalar or one threshold
-    per coordinate.
+    per coordinate.  A set of other pairs, one with tau_i = 0 (fully tied data) or
+    one whose variances are not finite and positive is a ParameterError.
 
     Numeric contract: the tail and the box are complements, and whichever is smaller
     is integrated directly, so a small tail keeps its relative accuracy and a tail
@@ -324,23 +261,25 @@ def tail_prob(model: FactorModel, u, alternative: str, nodes: int = DEFAULT_NODE
     ParameterError.
     """
     alt = normalize_alternative(alternative)
+    k = len(_split(ms)[0])
     u = np.asarray(u, dtype=float)
     if u.ndim == 0:
-        u = np.full(model.K, float(u))
-    if u.shape != (model.K,):
+        u = np.full(k, float(u))
+    if u.shape != (k,):
         raise ParameterError("u must be a scalar or a length-K vector")
     if alt == "two_sided" and (u < 0).any():
         raise ParameterError("two-sided thresholds must be >= 0")
-    return _box_mass(model, u, nodes, alt)[1]
+    return _box_mass(ms, u, nodes, alt)[1]
 
 
-def joint_lower_box_prob(model: FactorModel, c, nodes: int = DEFAULT_NODES) -> float:
+def joint_lower_box_prob(ms: MomentSet, c, nodes: int = DEFAULT_NODES) -> float:
     """P(W_i <= c_i for all i) with thresholds c on the raw statistic scale."""
+    tau = _split(ms)[3]
     c = np.asarray(c, dtype=float)
-    if c.shape != (model.K,):
+    if c.shape != tau.shape:
         raise ParameterError("c must be a length-K vector of raw-scale thresholds")
-    u = (c - model.mu) / model.tau
-    return _box_mass(model, u, nodes, "greater")[0]
+    u = (c - ms.mu) / tau
+    return _box_mass(ms, u, nodes, "greater")[0]
 
 
 _RTOL = 4 * sys.float_info.epsilon
@@ -415,9 +354,7 @@ def brent_root(
     raise NumericError(f"root solve did not converge in {maxiter} steps, last x={xcur}")
 
 
-def solve_common_threshold(
-    model: FactorModel, gamma: float, nodes: int = DEFAULT_NODES
-) -> float:
+def solve_common_threshold(ms: MomentSet, gamma: float, nodes: int = DEFAULT_NODES) -> float:
     """u with P(all W_i <= mu_i + u*tau_i) == gamma, by ``brent_root``.
 
     The standardized coordinates are standard normals with nonnegative correlations,
@@ -431,16 +368,17 @@ def solve_common_threshold(
     """
     if not 0 < gamma < 1:
         raise ParameterError(f"gamma must be in (0, 1), got {gamma}")
+    k = len(_split(ms)[0])
     known: dict[float, float] = {}
 
     def f(u: float) -> float:
         if u not in known:
-            known[u] = _box_mass(model, np.full(model.K, u), nodes, "greater")[0] - gamma
+            known[u] = _box_mass(ms, np.full(k, u), nodes, "greater")[0] - gamma
         return known[u]
 
     lo, hi = -45.0, 45.0
-    upper = gamma ** (1.0 / model.K)
-    if model.K > 1 and upper < 1.0:
+    upper = gamma ** (1.0 / k)
+    if k > 1 and upper < 1.0:
         a, b = NormalDist().inv_cdf(gamma), NormalDist().inv_cdf(upper)
         if f(a) < 0 < f(b):
             lo, hi = a, b

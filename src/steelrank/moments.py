@@ -88,9 +88,11 @@ class MomentSet:
             raise ParameterError("moments were computed for a different tie pattern")
 
     def derived(self, build: Callable[["MomentSet"], V]) -> V:
-        """build(self), built on first use and kept with this set.  A set is
-        read-only, so what is derived from it stays valid, and a set built by hand
-        never reads what another set derived."""
+        """build(self), built on first use and kept with this set: the quadrature
+        keeps a control-pair set's checked one-factor split here, and ``observe``
+        its pair index arrays.  A set is read-only, so what is derived
+        from it stays valid, and a set built by hand (``dataclasses.replace``
+        included) never reads what another set derived."""
         value = self._derived.get(build)
         if value is None:
             value = self._derived.setdefault(build, build(self))

@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 from scipy.stats import norm
 
 from steelrank import (
-    FactorModel,
     TiePattern,
     cov_w,
     joint_lower_box_prob,
@@ -127,13 +126,11 @@ def test_criterion_2_closed_form_reductions():
 
 @criterion(3, "K=1 tails collapse to the closed normal forms within 1e-8")
 def test_criterion_3_k1_analytic_collapse():
-    model = FactorModel.from_moments(
-        pair_moments((7, 5), TiePattern.no_ties(12), control_pairs(2))
-    )
+    ms = pair_moments((7, 5), TiePattern.no_ties(12), control_pairs(2))
     for u in np.linspace(-5.0, 5.0, 101):
-        assert abs(tail_prob(model, u, "greater") - (1 - norm.cdf(u))) <= 1e-8
-        assert abs(tail_prob(model, u, "less") - norm.cdf(u)) <= 1e-8
-        assert abs(tail_prob(model, abs(u), "two_sided") - 2 * (1 - norm.cdf(abs(u)))) <= 1e-8
+        assert abs(tail_prob(ms, u, "greater") - (1 - norm.cdf(u))) <= 1e-8
+        assert abs(tail_prob(ms, u, "less") - norm.cdf(u)) <= 1e-8
+        assert abs(tail_prob(ms, abs(u), "two_sided") - 2 * (1 - norm.cdf(abs(u)))) <= 1e-8
 
 
 @criterion(4, "reference four-group fixture reproduces the published analysis")
@@ -148,8 +145,7 @@ def test_criterion_4_reference_example(iq_groups):
     assert np.sqrt(ms.tau2) == pytest.approx([6.210249] * 3, abs=1e-6)
     assert obs.statistic == "s_min"
     assert obs.statistic_value == pytest.approx(-1.7713, abs=5e-5)
-    model = FactorModel.from_moments(ms)
-    assert tail_prob(model, obs.statistic_value, "less") == pytest.approx(0.0946, abs=5e-4)
+    assert tail_prob(ms, obs.statistic_value, "less") == pytest.approx(0.0946, abs=5e-4)
     nsim = 100_000
     counts = simulated_tail_counts(samples, ms, obs.statistic, [obs.statistic_value], nsim,
                                    20260809)
@@ -158,9 +154,9 @@ def test_criterion_4_reference_example(iq_groups):
     assert abs(pv.estimate - 0.10474) <= band
 
 
-def _threshold_grid(model, p_grid):
+def _threshold_grid(ms, p_grid):
     return sorted(
-        brentq(lambda u: tail_prob(model, u, "greater") - p, -10.0, 12.0, xtol=1e-12)
+        brentq(lambda u: tail_prob(ms, u, "greater") - p, -10.0, 12.0, xtol=1e-12)
         for p in p_grid
     )
 
@@ -175,11 +171,10 @@ def test_criterion_5_approximation_quality():
         groups = [data[:100].tolist(), data[100:200].tolist(), data[200:].tolist()]
         samples = rank_samples(groups)
         ms = pair_moments(samples.sizes, samples.tie_pattern, control_pairs(samples.n_groups))
-        model = FactorModel.from_moments(ms)
-        thresholds = _threshold_grid(model, (0.2, 0.1, 0.05, 0.02, 0.01))
+        thresholds = _threshold_grid(ms, (0.2, 0.1, 0.05, 0.02, 0.01))
         curve = simulated_tail_counts(samples, ms, "s_max", thresholds, 100_000, 99) / 100_000
         for t, p_mc in zip(thresholds, curve):
-            p_asym = tail_prob(model, t, "greater")
+            p_asym = tail_prob(ms, t, "greater")
             assert 0.009 <= p_asym <= 0.21
             assert abs(p_asym - p_mc) <= 0.01
     elapsed = time.perf_counter() - start
@@ -208,10 +203,8 @@ def test_criterion_6_tie_adjustment_contrast():
 
 @criterion(7, "confidence inversion matches the exact two-sample null within 0.02")
 def test_criterion_7_confidence_inversion():
-    model = FactorModel.from_moments(
-        pair_moments((6, 6), TiePattern.no_ties(12), control_pairs(2))
-    )
-    sel = select_indices(model, 0.95, "upper")
+    ms = pair_moments((6, 6), TiePattern.no_ties(12), control_pairs(2))
+    sel = select_indices(ms, 0.95, "upper")
     # exact lower CDF of the no-ties two-sample statistic over all 924 splits
     dist = exact_null_distribution(
         rank_samples([list(range(6)), list(range(6, 12))]), "vector_w"
@@ -225,10 +218,10 @@ def test_criterion_7_confidence_inversion():
     assert abs(sel.achieved_closest - cdf[sel.j_closest[0] - 1]) <= 0.02
     # reported coverages are exactly the joint box evaluations (self-consistency)
     assert sel.achieved_conservative == joint_lower_box_prob(
-        model, np.array([sel.j[0] - 1.0])
+        ms, np.array([sel.j[0] - 1.0])
     )
     assert sel.achieved_closest == joint_lower_box_prob(
-        model, np.array([sel.j_closest[0] - 1.0])
+        ms, np.array([sel.j_closest[0] - 1.0])
     )
     # interval at 0.90 is the two one-sided constructions at 0.95
     rng = np.random.default_rng(71)

@@ -382,6 +382,19 @@ def test_harness_mode_text_output_is_csv(tmp_path, capsys):
     assert "threshold,p_sim,p_asym_adj,p_asym_unadj" in out
 
 
+def test_harness_mode_refuses_fully_tied_data(tmp_path, capsys):
+    f = tmp_path / "tied.csv"
+    f.write_text("group,value\na,1\na,1\nb,1\nb,1\nc,1\n")
+    code, out, err = run_main(
+        capsys, ["--input", str(f), "--mode", "quality_harness", "--nsim", "200"]
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {
+        "type": "ParameterError",
+        "message": "tau must be strictly positive (degenerate data carry no test)",
+    }}
+
+
 def test_pre_round_flag(tmp_path, capsys):
     f = tmp_path / "r.csv"
     f.write_text("group,value\na,1.04\na,1.06\nb,2.11\nb,2.12\n")

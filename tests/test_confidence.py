@@ -7,7 +7,7 @@ import pytest
 
 from steelrank import _cache, confidence
 from steelrank import (
-    FactorModel,
+    MomentSet,
     ParameterError,
     RankedSamples,
     TiePattern,
@@ -25,10 +25,8 @@ from _exact import exact_null_distribution
 from _oracles import pairwise_differences
 
 
-def no_ties_model(sizes) -> FactorModel:
-    return FactorModel.from_moments(
-        pair_moments(sizes, TiePattern.no_ties(sum(sizes)), control_pairs(len(sizes)))
-    )
+def no_ties_moments(sizes) -> MomentSet:
+    return pair_moments(sizes, TiePattern.no_ties(sum(sizes)), control_pairs(len(sizes)))
 
 
 def exact_mw_lower_cdf(n0: int, n1: int) -> dict[float, Fraction]:
@@ -51,8 +49,8 @@ def test_pairwise_differences_examples():
 
 
 def test_select_indices_k1_against_exact_wilcoxon():
-    model = no_ties_model((6, 6))
-    sel = select_indices(model, 0.95, "upper")
+    ms = no_ties_moments((6, 6))
+    sel = select_indices(ms, 0.95, "upper")
     cdf = exact_mw_lower_cdf(6, 6)
     exact_at = {j: float(cdf[j - 1]) for j in range(1, 37)}
     assert sel.achieved_conservative >= 0.95
@@ -60,7 +58,7 @@ def test_select_indices_k1_against_exact_wilcoxon():
     assert abs(sel.achieved_closest - exact_at[sel.j_closest[0]]) <= 0.02
     # reported coverages are exactly the box-probability evaluations
     assert sel.achieved_conservative == joint_lower_box_prob(
-        model, np.array([sel.j[0] - 1.0])
+        ms, np.array([sel.j[0] - 1.0])
     )
 
 
@@ -70,10 +68,10 @@ def _joint_coverage_deviation(sizes):
         groups.append(list(range(k, k + s)))
         k += s
     dist = exact_null_distribution(rank_samples(groups), "vector_w")
-    model = no_ties_model(sizes)
+    ms = no_ties_moments(sizes)
     worst = 0.0
     for gamma in (0.8, 0.9, 0.95):
-        sel = select_indices(model, gamma, "upper")
+        sel = select_indices(ms, gamma, "upper")
         for j, cov in ((sel.j, sel.achieved_conservative), (sel.j_closest, sel.achieved_closest)):
             inside = np.all(dist.values <= np.asarray(j) - 1.0, axis=1)
             exact = float(dist.weights[inside].sum() / dist.total)
@@ -90,25 +88,25 @@ def test_select_indices_k2_joint_coverage_against_enumeration():
 
 
 def test_select_indices_reflection_symmetry():
-    model = no_ties_model((6, 6, 6))
-    up = select_indices(model, 0.9, "upper")
-    lo = select_indices(model, 0.9, "lower")
+    ms = no_ties_moments((6, 6, 6))
+    up = select_indices(ms, 0.9, "upper")
+    lo = select_indices(ms, 0.9, "lower")
     assert lo.j == tuple(36 + 1 - j for j in up.j)
     assert lo.achieved_conservative == up.achieved_conservative
     assert lo.achieved_closest == up.achieved_closest
 
 
 def test_select_indices_unreachable_gamma():
-    model = no_ties_model((4, 4))
-    sel = select_indices(model, 1 - 1e-12, "upper")
+    ms = no_ties_moments((4, 4))
+    sel = select_indices(ms, 1 - 1e-12, "upper")
     assert sel.unreachable
     assert sel.j == (16,)
 
 
 def test_select_indices_monotone_coverage():
-    model = no_ties_model((5, 5, 5))
+    ms = no_ties_moments((5, 5, 5))
     covers = [
-        joint_lower_box_prob(model, np.array([c, c]) - 1.0)
+        joint_lower_box_prob(ms, np.array([c, c]) - 1.0)
         for c in (10.0, 14.0, 18.0, 22.0)
     ]
     assert all(a < b for a, b in zip(covers, covers[1:]))
@@ -296,10 +294,10 @@ def test_bounds_equal_those_computed_with_the_caches_cleared():
         for call, want in zip(calls, warm):
             _cache.DESIGNS.clear()
             assert call(groups) == want
-    model = no_ties_model(sizes)
+    ms = no_ties_moments(sizes)
     _, sel = confidence._selection(sizes, 0.9, confidence.DEFAULT_NODES)
-    assert sel == select_indices(model, 0.9, "upper")
-    assert confidence._reflected(model, sel) == select_indices(model, 0.9, "lower")
+    assert sel == select_indices(ms, 0.9, "upper")
+    assert confidence._reflected(ms, sel) == select_indices(ms, 0.9, "lower")
 
 
 def test_failed_selections_are_not_cached():

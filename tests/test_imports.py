@@ -14,7 +14,7 @@ PACKAGE = Path(steelrank.__file__).parent
 
 # the public surface: a name joins it with a user-facing caller, not for tests alone
 PUBLIC_NAMES = [
-    "BudgetError", "ConfidenceResult", "Diagnostics", "FactorModel", "IndexSelection",
+    "BudgetError", "ConfidenceResult", "Diagnostics", "IndexSelection",
     "MomentSet", "NumericError", "Observation", "PValue", "ParameterError", "RankedSamples",
     "TiePattern", "check_asymptotic_conditions", "compute_midranks", "cov_w",
     "exact_p_value", "extract_tie_pattern", "joint_lower_box_prob", "kth_difference",
@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned_and_resolve():
     assert sorted(steelrank.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 33
     for name in PUBLIC_NAMES:
         assert hasattr(steelrank, name), name
 

@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steelrank import _cache, moments
+from steelrank import _cache, gauss, moments
 from steelrank import (
-    FactorModel,
     NumericError,
     ParameterError,
     TiePattern,
@@ -24,6 +23,7 @@ from steelrank import (
     extract_tie_pattern,
     mean_w,
     pair_moments,
+    tail_prob,
     var_w,
 )
 from steelrank.moments import all_pairs, control_pairs
@@ -214,7 +214,7 @@ def test_pairs_other_than_control_or_all_pairs_are_refused():
         with pytest.raises(ParameterError, match="control pairs or all pairs"):
             pair_moments((5, 5, 4), tie, pairs)
     with pytest.raises(ParameterError, match="treatment-vs-control"):
-        FactorModel.from_moments(pair_moments((5, 5, 4), tie, all_pairs(3)))
+        tail_prob(pair_moments((5, 5, 4), tie, all_pairs(3)), 1.0, "greater")
 
 
 # A moment set with consistently permuted pairs: the Monte Carlo kernel would
@@ -315,7 +315,7 @@ def test_the_design_cache_holds_its_byte_bound_at_500_treatments():
 
 
 def test_the_design_cache_bounds_the_memory_its_small_entries_hold(monkeypatch):
-    # distinct small moment sets, each with the factor model derived after it is
+    # distinct small moment sets, each with the one-factor split derived after it is
     # stored: about 2 KiB each, where their arrays and fields count under 200 bytes
     limit = 256 * 2**10
     monkeypatch.setattr(_cache.DESIGNS, "limit", limit)
@@ -323,7 +323,7 @@ def test_the_design_cache_bounds_the_memory_its_small_entries_hold(monkeypatch):
     try:
         for sizes in itertools.product(range(1, 16), range(1, 11), range(1, 11)):
             ms = pair_moments(sizes, TiePattern.no_ties(sum(sizes)), control_pairs(3))
-            FactorModel.from_moments(ms)
+            gauss._split(ms)
         del ms
         gc.collect()
         full = tracemalloc.get_traced_memory()[0]
@@ -441,24 +441,26 @@ def test_a_moment_set_names_the_tie_sums_of_its_design():
     assert tied.fully_tied and tied.s2 == 14 * 13
 
 
-def test_the_factor_model_is_built_once_per_moment_set():
+def test_the_one_factor_split_is_built_once_per_moment_set():
     ms = pair_moments((5, 5, 4), TiePattern((3, 4, 7)), control_pairs(3))
-    model = FactorModel.from_moments(ms)
-    assert FactorModel.from_moments(ms) is model
-    assert FactorModel.from_moments(pair_moments((5, 5, 4), TiePattern((3, 4, 7)),
-                                                 control_pairs(3))) is model
-    for arr in (model.sigma, model.tau, model.mu):
+    split = gauss._split(ms)
+    assert gauss._split(ms) is split
+    assert gauss._split(pair_moments((5, 5, 4), TiePattern((3, 4, 7)),
+                                     control_pairs(3))) is split
+    n, sigma0, sigma, tau = split
+    assert n.tolist() == [5.0, 4.0] and sigma0 == math.sqrt(ms.sigma0_2)
+    for arr, square in ((sigma, ms.sigma2), (tau, ms.tau2)):
         assert not arr.flags.writeable
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        model.sigma0 = 1.0
-    # a set built by hand with another mu gets a model of its own
-    shifted = dataclasses.replace(ms, mu=ms.mu + 1.0)
-    other = FactorModel.from_moments(shifted)
-    assert other is not model and FactorModel.from_moments(shifted) is other
-    np.testing.assert_array_equal(other.mu, ms.mu + 1.0)
-    np.testing.assert_array_equal(model.mu, ms.mu)
+        assert arr.tobytes() == np.sqrt(square).tobytes()
+    assert not n.flags.writeable
+    # a set built by hand with other variances gets a split of its own
+    scaled = dataclasses.replace(ms, sigma0_2=4 * ms.sigma0_2, sigma2=4 * ms.sigma2,
+                                 tau2=4 * ms.tau2)
+    other = gauss._split(scaled)
+    assert other is not split and gauss._split(scaled) is other
+    assert other[1] == 2 * sigma0
     with pytest.raises(ParameterError, match="treatment-vs-control"):
-        FactorModel.from_moments(pair_moments((5, 5, 4), TiePattern((3, 4, 7)), all_pairs(3)))
+        gauss._split(pair_moments((5, 5, 4), TiePattern((3, 4, 7)), all_pairs(3)))
 
 
 def test_a_byte_lru_sizes_each_value_once_when_it_is_stored(monkeypatch):

@@ -2,6 +2,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -34,3 +36,21 @@ def test_approximation_quality_writes_one_csv_per_scenario(monkeypatch, tmp_path
             assert len(line.split(",")) == 4
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.csv" for n in names)
     assert capsys.readouterr().out.count("wrote") == 4
+
+
+def test_readme_library_example_gives_the_values_its_comments_give(capsys):
+    ns = _load("readme_example").main()
+    out = capsys.readouterr().out
+    assert out.count("(README: ") == 4 and 'obs.statistic == "s_min": True' in out
+    # the full values behind the rounded comments
+    assert ns["p_asym"] == 0.09459608006223368
+    assert (ns["p_mc"], ns["p_all"], ns["p_exact"]) == (0.10374, 0.32304, 0.31666666666666665)
+
+
+def test_readme_example_refuses_a_comment_its_value_does_not_give(monkeypatch, tmp_path):
+    module = _load("readme_example")
+    readme = module.README.read_text(encoding="utf-8").replace("# 0.0946", "# 0.0947")
+    monkeypatch.setattr(module, "README", tmp_path / "README.md")
+    module.README.write_text(readme, encoding="utf-8")
+    with pytest.raises(SystemExit, match="0.0947"):
+        module.main()
