@@ -247,7 +247,7 @@ def tail_prob(ms: MomentSet, u, alternative: str, nodes: int = DEFAULT_NODES) ->
 
     greater: P(any coordinate i >= u_i); less: P(any <= u_i); two_sided:
     P(any |coordinate i| >= u_i), u_i >= 0.  ``u`` is a scalar or one threshold
-    per coordinate.  A set of other pairs, one with tau_i = 0 (fully tied data) or
+    per coordinate, none of them NaN.  A set of other pairs, one with tau_i = 0 (fully tied data) or
     one whose variances are not finite and positive is a ParameterError.
 
     Numeric contract: the tail and the box are complements, and whichever is smaller
@@ -267,17 +267,22 @@ def tail_prob(ms: MomentSet, u, alternative: str, nodes: int = DEFAULT_NODES) ->
         u = np.full(k, float(u))
     if u.shape != (k,):
         raise ParameterError("u must be a scalar or a length-K vector")
+    if np.isnan(u).any():
+        raise ParameterError("thresholds must not be NaN")
     if alt == "two_sided" and (u < 0).any():
         raise ParameterError("two-sided thresholds must be >= 0")
     return _box_mass(ms, u, nodes, alt)[1]
 
 
 def joint_lower_box_prob(ms: MomentSet, c, nodes: int = DEFAULT_NODES) -> float:
-    """P(W_i <= c_i for all i) with thresholds c on the raw statistic scale."""
+    """P(W_i <= c_i for all i) with thresholds c on the raw statistic scale; a NaN
+    threshold is a ParameterError."""
     tau = _split(ms)[3]
     c = np.asarray(c, dtype=float)
     if c.shape != tau.shape:
         raise ParameterError("c must be a length-K vector of raw-scale thresholds")
+    if np.isnan(c).any():
+        raise ParameterError("thresholds must not be NaN")
     u = (c - ms.mu) / tau
     return _box_mass(ms, u, nodes, "greater")[0]
 

@@ -198,6 +198,17 @@ def test_tail_prob_rejects_bad_thresholds():
         tail_prob(ms, 1.0, "sideways")
 
 
+@pytest.mark.parametrize("alternative", ["greater", "less", "two_sided"])
+def test_nan_thresholds_are_refused_not_carried_into_the_quadrature(alternative):
+    # a NaN threshold once gave a NaN probability on every alternative
+    ms = no_ties_moments((5, 5, 4))
+    for u in (np.nan, [np.nan, 1.0], [1.0, np.nan]):
+        with pytest.raises(ParameterError, match="NaN"):
+            tail_prob(ms, u, alternative)
+    with pytest.raises(ParameterError, match="NaN"):
+        joint_lower_box_prob(ms, [np.nan, 3.0])
+
+
 def test_extreme_thresholds():
     ms = no_ties_moments((5, 5, 5))
     assert tail_prob(ms, -10.0, "greater") == pytest.approx(1.0, abs=1e-10)
