@@ -31,16 +31,26 @@ on the design:
   thread holds about CHUNK_SIZE x (groups + pairs) int64 cells, independent of
   N and V.  The draws depend on the chunk size, so each chunk is one slice, the
   whole chain, and the slice budget below does not apply.
-* Permutations otherwise: the group labels of the N pooled values are permuted
-  row by row.  Each chunk is drawn in consecutive slices of at most
+* Permutations otherwise: the group labels of the N pooled values are shuffled
+  by sorting random keys (Knuth, TAOCP Vol. 2, 3.4.2).  A replicate reads N raw
+  64-bit outputs of its chunk's PCG64 stream, one key per pooled value, replaces
+  the low b = max(1, bit_length(G - 1)) bits of each key by that value's group
+  label, and sorts the row; the labels in key order label the pooled values in
+  ascending order.  A replicate is a uniformly random labeling unless two of its
+  keys share their top 64 - b bits, where the label bits order them; that has
+  probability at most C(N, 2) 2**(b - 64), about 1e-14 at N = 300 and 4e-12 at
+  N = 6000, and is not redrawn.  The bytes are portable: a sorted array is
+  unique, so they depend neither on the sort algorithm nor on the SIMD level
+  numpy dispatches to, and the raw PCG64 stream is one numpy keeps stable.
+  Each chunk is drawn in consecutive slices of at most
   ``_SLICE_CELLS`` array cells (replicates times cells per replicate; one
   replicate where a single one is larger), so the memory a thread holds is bounded
   by the slice budget, about 3 MiB, and depends neither on nsim nor on N x groups
   x distinct values.  The budget is sized so that a slice's arrays fit a core's L2
   cache and the allocator reuses their freed memory from slice to slice instead of
   faulting fresh pages in.  Slicing does not change the draws, so reports are the
-  same as drawing each chunk at once.  The draw is the tiling and permuting of the
-  labels; the bincount and the tally run after the chunk's generator is released.
+  same as drawing each chunk at once.  The draw is the keys, their labels and the
+  row sort; the bincount and the tally run after the chunk's generator is released.
 
 Both draws sample the same conditional distribution, but from different random
 streams: only designs the rule routes to count tables report other Monte Carlo
@@ -471,8 +481,8 @@ def _mc_tail_counts(
     """Tail counts per threshold over nsim random splits (chunked, reproducible).
 
     A replicate is its (group, distinct value) count table, drawn one of two ways
-    (see _draws_count_tables): by permuting the group labels of the N pooled values
-    and taking one bincount per slice, or block by block as a chain of
+    (see _draws_count_tables): by shuffling the group labels of the N pooled values,
+    a row sort of random keys that carry them, and taking one bincount per slice, or block by block as a chain of
     hypergeometric draws.  Twice the Mann-Whitney value of pair (a, b) is the exact
     integer sum_j counts_b[j] * (2 cum_a[j] - counts_a[j]), so w = 2W / 2 is exact.
     """
@@ -520,20 +530,28 @@ def _mc_tail_counts(
         return sample_chunks(nsim, seed, draw_tables, tail_counts, None)
 
     value_class = np.repeat(np.arange(n_values, dtype=np.int64), d)
-    # group labels pre-scaled by n_values: permuting them draws what permuting 0..G-1 would
-    label_template = np.repeat(np.arange(n_groups, dtype=np.int64) * n_values, sizes)
+    label_template = np.repeat(np.arange(n_groups, dtype=np.uint64), sizes)
+    label_mask = np.uint64((1 << max(1, (n_groups - 1).bit_length())) - 1)
     cells = n_groups * n_values + value_class.size
-    # bincount key of a cell: its scaled label plus its row's table start plus its value class
+    # bincount key of a cell: its label times n_values plus its row's table start plus
+    # its value class
     row_start = np.arange(min(_slice_rows(cells), nsim), dtype=np.int64) * (n_groups * n_values)
     offsets = row_start[:, None] + value_class
 
     def draw_labels(rng: np.random.Generator, reps: int) -> np.ndarray:
-        key = np.tile(label_template, (reps, 1))
-        rng.permuted(key, axis=1, out=key)
-        return key
+        # a random key per pooled value with its group label in the low bits; sorting
+        # a row's keys orders its labels at random, and the label of the i-th sorted
+        # key goes to the i-th smallest value
+        key = rng.bit_generator.random_raw((reps, tie.N))
+        key &= ~label_mask
+        key |= label_template
+        key.sort(axis=1)
+        key &= label_mask
+        return key.view(np.int64)
 
     def tally_labels(key: np.ndarray) -> np.ndarray:
         reps = len(key)
+        key *= n_values
         key += offsets[:reps]
         counts = np.bincount(key.ravel(), minlength=reps * n_groups * n_values)
         counts = counts.reshape(reps, n_groups, n_values)

@@ -129,19 +129,26 @@ def replayed_statistics(values, sizes, pairs, mu, tau, kind, nsim, seed, chunk_s
     """Per-replicate statistic from replaying the Monte Carlo runner's draws.
 
     Chunk i of ``chunk_size`` replicates draws from the i-th child of
-    ``SeedSequence(seed)``: one ``permuted`` call over the rows of the tiled group
-    labels, each row labeling the pooled values in ascending order.  Every
-    replicate's W* is recomputed by pair counting and standardized (0 where
-    tau is 0).
+    ``SeedSequence(seed)``: N raw 64-bit outputs of its bit generator per replicate,
+    one key per pooled value in the order of the group labels.  Each key's low
+    max(1, bit_length(G - 1)) bits are replaced by its label, the keys are sorted
+    as Python ints, and the labels in key order label the pooled values in
+    ascending order.  Every replicate's W* is recomputed by pair counting and
+    standardized (0 where tau is 0).
     """
     pooled = sorted(values)
-    template = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(pooled)
+    template = [g for g, size in enumerate(sizes) for _ in range(size)]
+    bits = max(1, (len(sizes) - 1).bit_length())
+    low = (1 << bits) - 1
     stats = []
     n_chunks = -(-nsim // chunk_size)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
         size = min(chunk_size, nsim - i * chunk_size)
-        rng = np.random.default_rng(child)
-        for labels in rng.permuted(np.tile(template, (size, 1)), axis=1):
+        raw = np.random.default_rng(child).bit_generator.random_raw(size * n).tolist()
+        for r in range(size):
+            keys = sorted(k & ~low | g for k, g in zip(raw[r * n : (r + 1) * n], template))
+            labels = [k & low for k in keys]
             groups = [[v for v, g in zip(pooled, labels) if g == k] for k in range(len(sizes))]
             w = np.array([brute_w_star(groups[a], groups[b]) for a, b in pairs])
             z = np.zeros(len(pairs))
