@@ -1,12 +1,16 @@
 import dataclasses
 import itertools
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -983,6 +987,75 @@ def test_count_table_draw_matches_exact_enumeration(design, all_group_pairs):
                               nsim, 17) / nsim
         se = np.sqrt(exact * (1 - exact) / nsim)
         assert np.all(np.abs(got - exact) <= 4 * se), (kind, got, exact)
+
+
+MC_EXACT_DESIGNS = [
+    ((5, 7), False), ((5, 7), True), ((3, 4, 5), False), ((4, 4, 4), True),
+    ((2, 3, 6), False), ((3, 5, 3), True), ((2, 3, 3, 3), False), ((2, 3, 3, 4), True),
+]
+
+
+@pytest.mark.parametrize("sizes, tied", MC_EXACT_DESIGNS)
+def test_both_draws_match_exact_enumeration_on_small_designs(monkeypatch, sizes, tied):
+    """Every statistic and pair set through each draw, forced by the routing rule,
+    lies within 5 standard errors of the exact tail at two attained thresholds."""
+    rng = np.random.default_rng(sum(sizes) * 10 + tied)
+    s = rank_samples([rng.integers(0, 4, n) if tied else rng.normal(size=n) for n in sizes])
+    nsim = 50_000
+    for all_group_pairs in (False, True):
+        ms = pair_moments(s.sizes, s.tie_pattern, (all_pairs if all_group_pairs
+                                                   else control_pairs)(s.n_groups))
+        for kind in ("s_max", "s_min", "s_abs"):
+            values, cum = randomization._tail_table(
+                *randomization._enumerate_w(s.tie_pattern, s.sizes, ms.pairs),
+                ms.mu, ms.tau, kind)
+            # the attained values whose exact tails lie nearest 0.2 and 0.6
+            tail = 1 - cum[:-1] / cum[-1] if kind != "s_min" else cum[1:] / cum[-1]
+            picks = sorted({values[np.argmin(np.abs(tail - p))] for p in (0.2, 0.6)})
+            exact = np.array([exact_p_value(s, ms, kind, t).estimate for t in picks])
+            for tables in (False, True):
+                monkeypatch.setattr(randomization, "_draws_count_tables", lambda *a: tables)
+                got = simulated_tail_counts(s, ms, kind, picks, nsim, 11) / nsim
+                se = np.sqrt(exact * (1 - exact) / nsim)
+                assert np.all(np.abs(got - exact) <= 5 * se), (kind, tables, got, exact)
+
+
+SIMD_SCRIPT = """
+import json
+import numpy as np
+from steelrank import pair_moments, rank_samples, randomization, simulated_tail_counts
+from steelrank.moments import all_pairs
+
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+rng = np.random.default_rng(8)
+s = rank_samples([np.round(rng.normal(size=100), 1) for _ in range(3)])  # r1 3x100
+assert not randomization._draws_count_tables(s.tie_pattern, s.n_groups)
+ms = pair_moments(s.sizes, s.tie_pattern, all_pairs(3))
+counts = simulated_tail_counts(s, ms, "s_abs", [0.5, 1.5, 2.5], 10_000, 6)
+enabled = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+"""
+
+
+def test_permutation_draws_do_not_depend_on_the_simd_level():
+    """numpy sorts with the widest SIMD it dispatches to; a run with every dispatched
+    feature disabled must draw the same replicates as this process."""
+    here = {}
+    exec(SIMD_SCRIPT, here)
+    if not here["enabled"]:
+        pytest.skip("numpy dispatches to no SIMD feature on this machine")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(here["enabled"]))
+    src = str(Path(randomization.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = SIMD_SCRIPT + 'print(json.dumps({"counts": counts.tolist(), "enabled": enabled}))'
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    there = json.loads(done.stdout)
+    assert there["enabled"] == []
+    assert there["counts"] == here["counts"].tolist()
+    assert 0 < sum(there["counts"]) < 3 * 10_000
 
 
 def test_count_table_draws_agree_across_worker_counts_and_slices(monkeypatch):
