@@ -247,8 +247,9 @@ def tail_prob(ms: MomentSet, u, alternative: str, nodes: int = DEFAULT_NODES) ->
 
     greater: P(any coordinate i >= u_i); less: P(any <= u_i); two_sided:
     P(any |coordinate i| >= u_i), u_i >= 0.  ``u`` is a scalar or one threshold
-    per coordinate, none of them NaN.  A set of other pairs, one with tau_i = 0 (fully tied data) or
-    one whose variances are not finite and positive is a ParameterError.
+    per coordinate, none of them NaN.  A set of other pairs, one with tau_i = 0
+    (fully tied data) or one whose variances are not finite and positive is a
+    ParameterError.
 
     Numeric contract: the tail and the box are complements, and whichever is smaller
     is integrated directly, so a small tail keeps its relative accuracy and a tail

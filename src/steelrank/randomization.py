@@ -482,8 +482,8 @@ def _mc_tail_counts(
 
     A replicate is its (group, distinct value) count table, drawn one of two ways
     (see _draws_count_tables): by shuffling the group labels of the N pooled values,
-    a row sort of random keys that carry them, and taking one bincount per slice, or block by block as a chain of
-    hypergeometric draws.  Twice the Mann-Whitney value of pair (a, b) is the exact
+    a row sort of random keys that carry them, and taking one bincount per slice,
+    or block by block as a chain of hypergeometric draws.  Twice the Mann-Whitney value of pair (a, b) is the exact
     integer sum_j counts_b[j] * (2 cum_a[j] - counts_a[j]), so w = 2W / 2 is exact.
     """
     d = np.asarray(tie.d, dtype=np.int64)

@@ -147,7 +147,7 @@ def replayed_statistics(values, sizes, pairs, mu, tau, kind, nsim, seed, chunk_s
         size = min(chunk_size, nsim - i * chunk_size)
         raw = np.random.default_rng(child).bit_generator.random_raw(size * n).tolist()
         for r in range(size):
-            keys = sorted(k & ~low | g for k, g in zip(raw[r * n : (r + 1) * n], template))
+            keys = sorted((k & ~low) | g for k, g in zip(raw[r * n : (r + 1) * n], template))
             labels = [k & low for k in keys]
             groups = [[v for v, g in zip(pooled, labels) if g == k] for k in range(len(sizes))]
             w = np.array([brute_w_star(groups[a], groups[b]) for a, b in pairs])
