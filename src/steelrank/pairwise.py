@@ -1,21 +1,15 @@
 """All-pairs tails from the approximating joint normal: seeded sampling of the
-standardized pair statistics under their null correlation.
+standardized pair statistics under their null covariance.
 
-Sampling runs on ``randomization.sample_chunks``: a slice's draw is its standard
-normals, taken while the thread holds the chunk's generator; the product ``z =
-normals @ root.T`` and the tail counts are its tally, after the generator is
-released.  Up to 64 pairs, each slice's product costs at most the slice budget
-``randomization._SLICE_CELLS`` = 2^18 multiply-adds (rows x pairs^2).  OpenBLAS
-runs a GEMM that small on the calling thread (65536 x GEMM_MULTITHREAD_THRESHOLD,
-``_SINGLE_THREAD_GEMM``); a larger one wakes its worker threads, which keep
-spinning for about 0.1 s after the call and so take a CPU from the sampling
-threads and from the next Monte Carlo run.  Past 64 pairs a slice would
-need fewer than 64 rows to stay that small, and thin products ran slower than
-threaded ones (64-row slices made 528 pairs about a quarter slower), so slices
-there hold 2^18 output cells (rows x pairs).  Slicing does not change the draws;
-for every all-pairs design of 3 to 11 groups (3 to 55 pairs) the sliced products
-are bit-identical to one product per chunk, and past that z can differ in the last
-bit.
+The covariance has one factor per group: with s = cov(W_01, W_02) / (n_0 n_1 n_2),
+W_ab covaries as n_a n_b sqrt(s) (xi_b / sqrt(n_b) - xi_a / sqrt(n_a)) + sqrt(D_ab)
+eps_ab, with independent standard normals xi_g per group and eps_ab per pair and
+D_ab = tau2_ab - n_a n_b (n_a + n_b) s >= 0: Hoeffding's linear projection and its
+degenerate remainder (0 on some tied designs; for control pairs, the one-factor
+split of ``pair_moments``).  A replicate is K + P normals (K groups, P pairs) drawn
+on ``randomization.sample_chunks``, and the pair values are elementwise products
+and sums of them, so the draws depend neither on the BLAS kernel or thread count
+nor on the slicing.
 """
 from __future__ import annotations
 
@@ -28,45 +22,50 @@ from .moments import MomentSet
 from .randomization import check_tail_request, sample_chunks
 from .statistics import in_tail, reduce_statistic
 
-# multiply-adds OpenBLAS runs on the calling thread; randomization._SLICE_CELLS must equal it
-_SINGLE_THREAD_GEMM = 1 << 18
-_MAX_REPLICATE_WORK = _SINGLE_THREAD_GEMM // 64  # pairs^2 up to which slices keep >= 64 rows
 
-
-def _mvn_root(moments: MomentSet) -> np.ndarray:
-    """Square root of the pair correlation matrix; degenerate pairs get zero rows."""
-    tau = moments.tau
-    scale = np.where(tau > 0, tau, 1.0)
-    corr = moments.cov / np.outer(scale, scale)
-    corr[tau == 0, :] = 0.0
-    corr[:, tau == 0] = 0.0
-    eigvals, eigvecs = np.linalg.eigh(corr)
-    tol = 1e-9 * max(1.0, float(np.abs(eigvals).max(initial=1.0)))
-    if eigvals.min() < -tol:
-        raise NumericError(
-            f"pairwise covariance is not positive semidefinite: min eigenvalue "
-            f"{eigvals.min():.3e} (tolerance {-tol:.3e})"
-        )
-    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+def _group_factors(ms: MomentSet) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, coef): each pair's rows of its group-a factor, group-b factor and own
+    remainder among a replicate's K + P normals, and its standardized value's
+    coefficients on them, as (3, P) and (3, P, 1) arrays; 0 where tau = 0.  A negative
+    s, a remainder D below -1e-9 tau^2 or a covariance off the factor form by more
+    than 1e-9 tau_p tau_q is a NumericError; a smaller negative D is clipped to 0."""
+    n = np.array(ms.sizes, dtype=float)
+    a, b = np.array(ms.pairs, dtype=np.intp).T
+    s = float(ms.cov[0, 1] / (n[0] * n[1] * n[2])) if len(a) > 1 else 0.0
+    remainder = ms.tau2 - n[a] * n[b] * (n[a] + n[b]) * s
+    if not (s >= 0 and np.all(remainder >= -1e-9 * ms.tau2)):
+        raise NumericError(f"pairwise covariance has a negative group or pair variance: "
+                           f"s = {s:.3e}, min D = {remainder.min():.3e}")
+    on_a, on_b = -n[b] * np.sqrt(n[a] * s), n[a] * np.sqrt(n[b] * s)
+    own = np.sqrt(np.clip(remainder, 0.0, None))
+    loading = np.zeros((len(n), len(a)))
+    loading[a, np.arange(len(a))], loading[b, np.arange(len(a))] = on_a, on_b
+    implied = sum(np.outer(row, row) for row in loading) + np.diag(own**2)
+    tau = ms.tau
+    if not np.all(np.abs(implied - ms.cov) <= 1e-9 * np.outer(tau, tau)):
+        raise NumericError("pairwise covariance is not in the group-factor form")
+    coef = np.stack((on_a, on_b, own)) / np.where(tau > 0, tau, np.inf)
+    return np.stack((a, b, len(n) + np.arange(len(a)))), coef[..., None]
 
 
 def _mvn_tail_counts(
-    corr_root: np.ndarray, kind: str, thresholds: np.ndarray, nsim: int, seed: int
+    factors: tuple[np.ndarray, np.ndarray], kind: str, thresholds: np.ndarray, nsim: int, seed: int
 ) -> np.ndarray:
     """Tail counts per threshold (int64) from sampling the standardized joint
-    normal, chunked like the Monte Carlo engine."""
+    normal in its group-factor form, chunked like the Monte Carlo engine."""
+    rows, coef = factors
+    cells = int(rows[2, -1]) + 1  # K group factors, then one remainder per pair
 
-    def draw(rng: np.random.Generator, b: int) -> np.ndarray:
-        return rng.standard_normal((b, corr_root.shape[1]))
+    def draw(rng: np.random.Generator, replicates: int) -> np.ndarray:
+        return rng.standard_normal((replicates, cells))
 
     def tally(normal: np.ndarray) -> np.ndarray:
-        stats = reduce_statistic(kind, normal @ corr_root.T)
+        terms = np.ascontiguousarray(normal.T)[rows]  # (3, P, replicates)
+        terms *= coef
+        stats = reduce_statistic(kind, (terms[0] + terms[1] + terms[2]).T)
         return in_tail(kind, stats[:, None], thresholds[None, :]).sum(axis=0)
 
-    work = corr_root.size  # multiply-adds of one replicate's product
-    if work > _MAX_REPLICATE_WORK:  # threaded at any slice worth drawing: slice by output cells
-        work = corr_root.shape[1]
-    return sample_chunks(nsim, seed, draw, tally, work)
+    return sample_chunks(nsim, seed, draw, tally, cells)
 
 
 def mvn_tail_counts(
@@ -77,10 +76,11 @@ def mvn_tail_counts(
     seed: int,
 ) -> np.ndarray:
     """Tail counts of a statistic at each threshold over nsim draws of the joint
-    normal with the pair correlation of ``moments``, from one shared run.
+    normal with the pair covariance of ``moments``, from one shared run.
 
     The tail and the checks are those of ``simulated_tail_counts``; returns int64
-    counts out of nsim draws.
+    counts out of nsim draws.  A set whose covariance is not in the group-factor
+    form of the module docstring is a NumericError.
     """
     thr = check_tail_request(statistic, thresholds)
-    return _mvn_tail_counts(_mvn_root(moments), statistic, thr, nsim, seed)
+    return _mvn_tail_counts(moments.derived(_group_factors), statistic, thr, nsim, seed)

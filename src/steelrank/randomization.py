@@ -120,9 +120,8 @@ def sample_chunks(
     ``cells_per_replicate`` each chunk is drawn in consecutive slices of
     ``max(1, _SLICE_CELLS // cells_per_replicate)`` replicates (the last one shorter);
     ``draw`` must then consume the generator row by row, so that the slices draw
-    exactly what one call for the whole chunk would.  The unit is the caller's cost
-    of one replicate: array cells for the permutation draw, and for MVN sampling the
-    multiply-adds of its product (pairs^2, up to 64 pairs).  With ``None`` each
+    exactly what one call for the whole chunk would.  The unit is the array cells
+    of one replicate's draw.  With ``None`` each
     chunk is one slice, for draws that read the generator in another order.
 
     The calling thread and up to min(worker_count(), chunks) - 1 helper threads
