@@ -234,10 +234,10 @@ def _box_mass(ms: MomentSet, u: np.ndarray, nodes: int, alternative: str) -> tup
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(miss < 0.5, np.log1p(-miss), np.log(inside - below))
     s = logs.sum(axis=0)
-    box = float(weight @ np.exp(s))
+    box = float((weight * np.exp(s)).sum())
     if box <= 0.5:
         return box, 1.0 - box
-    tail = 0.0 - float(weight @ np.expm1(s))  # 0.0 - : a zero tail is 0.0, not -0.0
+    tail = 0.0 - float((weight * np.expm1(s)).sum())  # 0.0 - : a zero tail is 0.0, not -0.0
     return 1.0 - tail, tail
 
 
