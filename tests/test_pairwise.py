@@ -1,9 +1,15 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from steelrank import (
+    NumericError,
     ParameterError,
     TiePattern,
     observe,
@@ -15,7 +21,7 @@ from steelrank import (
 from steelrank import pairwise, randomization
 from steelrank.cli import main
 from steelrank.moments import all_pairs, control_pairs
-from steelrank.pairwise import _mvn_root, _mvn_tail_counts, mvn_tail_counts
+from steelrank.pairwise import _group_factors, _mvn_tail_counts, mvn_tail_counts
 from steelrank.statistics import reduce_statistic
 
 from _exact import exact_moments
@@ -156,55 +162,103 @@ def test_pairwise_reproducible_across_workers(monkeypatch):
     np.testing.assert_array_equal(a, b)
 
 
-def test_mvn_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch):
+def test_mvn_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch, iq_groups):
+    default_cells = randomization._SLICE_CELLS
     rng = np.random.default_rng(8)
     s = rank_samples([rng.integers(0, 7, size=8).tolist() for _ in range(4)])
     pm = pair_moments(s.sizes, s.tie_pattern, all_pairs(s.n_groups))
-    root = _mvn_root(pm)
-    n_pairs = len(pm.pairs)
+    factors = _group_factors(pm)
+    cells = s.n_groups + len(pm.pairs)  # normals per replicate
     for kind, threshold in (("s_max", 1.2), ("s_max", 2.3), ("s_min", -1.9), ("s_abs", 2.1)):
         counts = {}
         for rows, threads in ((None, "1"), (1, "1"), (7, "1"), (7, "2")):
             monkeypatch.setenv("STEELRANK_THREADS", threads)
-            cells = 1 << 40 if rows is None else rows * n_pairs**2
-            monkeypatch.setattr(randomization, "_SLICE_CELLS", cells)
-            counts[rows, threads] = int(_mvn_tail_counts(root, kind, np.array([threshold]), 9000,
+            slice_cells = 1 << 40 if rows is None else rows * cells
+            monkeypatch.setattr(randomization, "_SLICE_CELLS", slice_cells)
+            counts[rows, threads] = int(_mvn_tail_counts(factors, kind, np.array([threshold]), 9000,
                                                          6)[0])
         assert 0 < counts[None, "1"] < 9000
         assert set(counts.values()) == {counts[None, "1"]}
-
-
-def test_mvn_slices_stay_single_threaded_and_draw_the_whole_chunk_product(monkeypatch,
-                                                                          iq_groups):
-    # up to 64 pairs each slice's product is at most 2^18 multiply-adds, the size
-    # OpenBLAS runs on the calling thread, and for 3 to 11 groups the sliced z equal
-    # one product over the whole chunk, bit for bit; past 64 pairs slices hold
-    # 2^18 output cells
-    assert randomization._SLICE_CELLS == pairwise._SINGLE_THREAD_GEMM
+    # a chunk's K + P normals per replicate, read row by row, give each pair value
+    # by elementwise products and sums, so any slicing gives the same bits
+    monkeypatch.setenv("STEELRANK_THREADS", "1")  # the slices are recorded in order
     rng = np.random.default_rng(12)
     designs = [iq_groups[:3], iq_groups] + [
         [rng.integers(0, 5, size=7) if k % 2 else rng.normal(size=9) for _ in range(k)]
-        for k in range(5, 13)]
+        for k in range(3, 13)]
     for groups in designs:
         s = rank_samples(groups)
-        root = _mvn_root(pair_moments(s.sizes, s.tie_pattern, all_pairs(s.n_groups)))
-        n_pairs = root.shape[0]
-        slices = []
-
-        def record(kind, z):
-            slices.append(z)
-            return reduce_statistic(kind, z)
-
-        monkeypatch.setattr(pairwise, "reduce_statistic", record)
-        _mvn_tail_counts(root, "s_max", np.array([1.0]), randomization.CHUNK_SIZE, 3)
+        pm = pair_moments(s.sizes, s.tie_pattern, all_pairs(s.n_groups))
+        factors = _group_factors(pm)
+        on_a, on_b, own = factors[1][:, :, 0]
+        k, (a, b) = s.n_groups, np.array(pm.pairs).T
         chunk_rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
-        whole = chunk_rng.standard_normal((randomization.CHUNK_SIZE, n_pairs)) @ root.T
-        if s.n_groups <= 11:
-            assert all(len(z) * n_pairs**2 <= pairwise._SINGLE_THREAD_GEMM for z in slices)
+        normal = chunk_rng.standard_normal((randomization.CHUNK_SIZE, k + len(a)))
+        whole = normal[:, a] * on_a + normal[:, b] * on_b + normal[:, k:] * own
+        for cells in (1 << 40, default_cells, 7 * (k + len(a))):
+            monkeypatch.setattr(randomization, "_SLICE_CELLS", cells)
+            rows = min(randomization.CHUNK_SIZE, cells // (k + len(a)))
+            slices = []
+
+            def record(kind, z):
+                slices.append(np.array(z))
+                return reduce_statistic(kind, z)
+
+            monkeypatch.setattr(pairwise, "reduce_statistic", record)
+            _mvn_tail_counts(factors, "s_max", np.array([1.0]), randomization.CHUNK_SIZE, 3)
+            assert [len(z) for z in slices[:-1]] == [rows] * (len(slices) - 1)
             assert np.array_equal(np.concatenate(slices), whole)
-        else:
-            assert n_pairs == 66 and [len(z) for z in slices] == [3971, 125]
-            np.testing.assert_allclose(np.concatenate(slices), whole, rtol=0, atol=1e-12)
+
+
+def _factor_cov(pm):
+    """The covariance that the group-factor coefficients of a moment set give."""
+    rows, coef = _group_factors(pm)
+    loading = np.zeros((len(pm.pairs), len(pm.sizes) + len(pm.pairs)))
+    for term in range(3):
+        loading[np.arange(len(pm.pairs)), rows[term]] = coef[term, :, 0]
+    assert rows[:2].T.tolist() == [list(pair) for pair in pm.pairs]
+    return loading @ loading.T * np.outer(pm.tau, pm.tau)
+
+
+def test_group_factors_reproduce_the_covariance():
+    rng = np.random.default_rng(21)
+    designs = [((2, 2, 2), TiePattern((3, 3))), ((2, 2, 2), TiePattern((1, 5))),
+               ((2, 3, 2), TiePattern((7,))), ((3, 4), TiePattern((2, 1, 3, 1)))]
+    for _ in range(12):
+        sizes = tuple(int(n) for n in rng.integers(1, 9, size=rng.integers(3, 9)))
+        designs.append((sizes, TiePattern(random_tie_pattern(rng, sum(sizes)))))
+    for sizes, tie in designs:
+        for pairs in (control_pairs(len(sizes)), all_pairs(len(sizes))):
+            pm = pair_moments(sizes, tie, pairs)
+            scale = np.outer(pm.tau, pm.tau)
+            assert np.all(np.abs(_factor_cov(pm) - pm.cov) <= 1e-12 * scale)
+            if tie.e == 1:  # fully tied: every coefficient is 0
+                assert not np.any(_group_factors(pm)[1])
+    # two-valued (2, 2, 2) leaves no remainder: the pair correlation is singular
+    for tie in (TiePattern((3, 3)), TiePattern((1, 5))):
+        own = _group_factors(pair_moments((2, 2, 2), tie, all_pairs(3)))[1][2]
+        assert np.all(own <= 1e-7)
+
+
+def test_sets_not_in_group_factor_form_are_refused():
+    s = rank_samples([[1, 4, 6, 9], [2, 3, 8], [5, 7, 10, 12], [11, 13, 14]])
+    pm = pair_moments(s.sizes, s.tie_pattern, all_pairs(4))
+    p, q = pm.pairs.index((0, 1)), pm.pairs.index((2, 3))  # disjoint pairs: cov 0
+    off = pm.cov.copy()
+    off[p, q] = off[q, p] = 1e-6 * pm.tau[p] * pm.tau[q]
+    negative = pm.cov.copy()
+    negative[0, 1] = negative[1, 0] = -pm.cov[0, 1]  # a negative group variance
+    n = np.array(pm.sizes)
+    a, b = np.array(pm.pairs).T
+    shrunk = pm.tau2.copy()
+    shrunk[p] = 0.99 * n[a[p]] * n[b[p]] * (n[a[p]] + n[b[p]]) * pm.cov[0, 1] / (n[0] * n[1] * n[2])
+    shrunk_cov = pm.cov.copy()
+    shrunk_cov[p, p] = shrunk[p]
+    for bad in (dataclasses.replace(pm, cov=off), dataclasses.replace(pm, cov=negative),
+                dataclasses.replace(pm, tau2=shrunk, cov=shrunk_cov)):
+        with pytest.raises(NumericError):
+            mvn_tail_counts(bad, "s_max", [1.0], 100, 0)
+    assert mvn_tail_counts(dataclasses.replace(pm), "s_max", [1.0], 100, 0)[0] > 0
 
 
 def test_mc_and_mvn_agree_at_moderate_sizes():
@@ -268,3 +322,42 @@ def test_parameter_validation():
         pair_moments((5,), TiePattern((5,)), all_pairs(1))
     with pytest.raises(ParameterError):
         pair_moments((2, 2), TiePattern((5,)), all_pairs(2))
+
+
+BLAS_SCRIPT = """
+import json
+import numpy as np
+from steelrank import pair_moments, rank_samples, tail_prob
+from steelrank.moments import all_pairs, control_pairs
+from steelrank.pairwise import mvn_tail_counts
+
+counts = []
+for k in (4, 10, 20):  # 6, 45 and 190 pairs of untied groups of 30
+    s = rank_samples([np.arange(30.0) + 30 * g for g in range(k)])
+    ms = pair_moments(s.sizes, s.tie_pattern, all_pairs(k))
+    counts.append(mvn_tail_counts(ms, "s_abs", [2.0, 2.5, 3.0, 3.5], 10_000, 7).tolist())
+rng = np.random.default_rng(5)
+tails = []
+for k in (3, 5, 8):
+    s = rank_samples([rng.integers(0, 12, size=rng.integers(4, 15)) for _ in range(k)])
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(k))
+    for alternative, sign in (("greater", 1), ("less", -1), ("two_sided", 1)):
+        tails += [tail_prob(ms, sign * u, alternative).hex() for u in (0.5, 1.5, 2.5, 3.5)]
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Nehalem"])
+def test_mvn_counts_and_tails_do_not_depend_on_the_blas_kernel(kernel):
+    """MVN sampling and the quadrature call no BLAS routine: a run on another
+    OpenBLAS kernel at one BLAS thread must give this process's counts and the
+    same tail floats bit for bit."""
+    here = {}
+    exec(BLAS_SCRIPT, here)
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(pairwise.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = BLAS_SCRIPT + 'print(json.dumps({"counts": counts, "tails": tails}))'
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout) == {"counts": here["counts"], "tails": here["tails"]}
+    assert all(0 < c[-1] < c[0] < 10_000 for c in here["counts"])
