@@ -7,9 +7,8 @@ eps_ab, with independent standard normals xi_g per group and eps_ab per pair and
 D_ab = tau2_ab - n_a n_b (n_a + n_b) s >= 0: Hoeffding's linear projection and its
 degenerate remainder (0 on some tied designs; for control pairs, the one-factor
 split of ``pair_moments``).  A replicate is K + P normals (K groups, P pairs) drawn
-on ``randomization.sample_chunks``, and the pair values are elementwise products
-and sums of them, so the draws depend neither on the BLAS kernel or thread count
-nor on the slicing.
+on ``randomization.sample_chunks``; the pair values are their elementwise products
+and sums, which depend neither on the BLAS kernel or threads nor on the slicing.
 """
 from __future__ import annotations
 
@@ -24,28 +23,26 @@ from .statistics import in_tail, reduce_statistic
 
 
 def _group_factors(ms: MomentSet) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, coef): each pair's rows of its group-a factor, group-b factor and own
-    remainder among a replicate's K + P normals, and its standardized value's
-    coefficients on them, as (3, P) and (3, P, 1) arrays; 0 where tau = 0.  A negative
-    s, a remainder D below -1e-9 tau^2 or a covariance off the factor form by more
-    than 1e-9 tau_p tau_q is a NumericError; a smaller negative D is clipped to 0."""
+    """(rows, coef): the rows of each pair's group-a factor, group-b factor and remainder
+    among a replicate's K + P normals, (3, P), and its standardized value's coefficients
+    on them, (3, P, 1), 0 where tau = 0.  A negative s, a D below -1e-9 tau^2 or a cov
+    entry off the form by over 1e-9 tau_p tau_q is a NumericError; a smaller D is 0."""
     n = np.array(ms.sizes, dtype=float)
     a, b = np.array(ms.pairs, dtype=np.intp).T
     s = float(ms.cov[0, 1] / (n[0] * n[1] * n[2])) if len(a) > 1 else 0.0
     remainder = ms.tau2 - n[a] * n[b] * (n[a] + n[b]) * s
     if not (s >= 0 and np.all(remainder >= -1e-9 * ms.tau2)):
-        raise NumericError(f"pairwise covariance has a negative group or pair variance: "
-                           f"s = {s:.3e}, min D = {remainder.min():.3e}")
-    on_a, on_b = -n[b] * np.sqrt(n[a] * s), n[a] * np.sqrt(n[b] * s)
-    own = np.sqrt(np.clip(remainder, 0.0, None))
+        raise NumericError(f"negative factor variance: s={s:.3g}, D={remainder.min():.3g}")
+    coef = np.stack((-n[b] * np.sqrt(n[a] * s), n[a] * np.sqrt(n[b] * s),
+                     np.sqrt(np.clip(remainder, 0.0, None))))
     loading = np.zeros((len(n), len(a)))
-    loading[a, np.arange(len(a))], loading[b, np.arange(len(a))] = on_a, on_b
-    implied = sum(np.outer(row, row) for row in loading) + np.diag(own**2)
+    loading[a, np.arange(len(a))], loading[b, np.arange(len(a))] = coef[0], coef[1]
+    implied = sum(np.outer(row, row) for row in loading) + np.diag(coef[2] ** 2)
     tau = ms.tau
     if not np.all(np.abs(implied - ms.cov) <= 1e-9 * np.outer(tau, tau)):
         raise NumericError("pairwise covariance is not in the group-factor form")
-    coef = np.stack((on_a, on_b, own)) / np.where(tau > 0, tau, np.inf)
-    return np.stack((a, b, len(n) + np.arange(len(a)))), coef[..., None]
+    rows = np.stack((a, b, len(n) + np.arange(len(a))))
+    return rows, (coef / np.where(tau > 0, tau, np.inf))[..., None]
 
 
 def _mvn_tail_counts(
@@ -62,7 +59,10 @@ def _mvn_tail_counts(
     def tally(normal: np.ndarray) -> np.ndarray:
         terms = np.ascontiguousarray(normal.T)[rows]  # (3, P, replicates)
         terms *= coef
-        stats = reduce_statistic(kind, (terms[0] + terms[1] + terms[2]).T)
+        z = terms[0]
+        z += terms[1]
+        z += terms[2]
+        stats = reduce_statistic(kind, z.T)
         return in_tail(kind, stats[:, None], thresholds[None, :]).sum(axis=0)
 
     return sample_chunks(nsim, seed, draw, tally, cells)
