@@ -222,8 +222,10 @@ def _factor_cov(pm):
 
 def test_group_factors_reproduce_the_covariance():
     rng = np.random.default_rng(21)
-    designs = [((2, 2, 2), TiePattern((3, 3))), ((2, 2, 2), TiePattern((1, 5))),
-               ((2, 3, 2), TiePattern((7,))), ((3, 4), TiePattern((2, 1, 3, 1)))]
+    # two-valued designs leave no remainder, (1, 2, 2) a rounding-negative one
+    singular = [((2, 2, 2), TiePattern((3, 3))), ((2, 2, 2), TiePattern((1, 5))),
+                ((1, 2, 2), TiePattern((1, 4)))]
+    designs = singular + [((2, 3, 2), TiePattern((7,))), ((3, 4), TiePattern((2, 1, 3, 1)))]
     for _ in range(12):
         sizes = tuple(int(n) for n in rng.integers(1, 9, size=rng.integers(3, 9)))
         designs.append((sizes, TiePattern(random_tie_pattern(rng, sum(sizes)))))
@@ -234,9 +236,8 @@ def test_group_factors_reproduce_the_covariance():
             assert np.all(np.abs(_factor_cov(pm) - pm.cov) <= 1e-12 * scale)
             if tie.e == 1:  # fully tied: every coefficient is 0
                 assert not np.any(_group_factors(pm)[1])
-    # two-valued (2, 2, 2) leaves no remainder: the pair correlation is singular
-    for tie in (TiePattern((3, 3)), TiePattern((1, 5))):
-        own = _group_factors(pair_moments((2, 2, 2), tie, all_pairs(3)))[1][2]
+    for sizes, tie in singular:  # the pair correlation is singular
+        own = _group_factors(pair_moments(sizes, tie, all_pairs(3)))[1][2]
         assert np.all(own <= 1e-7)
 
 
@@ -248,14 +249,10 @@ def test_sets_not_in_group_factor_form_are_refused():
     off[p, q] = off[q, p] = 1e-6 * pm.tau[p] * pm.tau[q]
     negative = pm.cov.copy()
     negative[0, 1] = negative[1, 0] = -pm.cov[0, 1]  # a negative group variance
-    n = np.array(pm.sizes)
-    a, b = np.array(pm.pairs).T
-    shrunk = pm.tau2.copy()
-    shrunk[p] = 0.99 * n[a[p]] * n[b[p]] * (n[a[p]] + n[b[p]]) * pm.cov[0, 1] / (n[0] * n[1] * n[2])
-    shrunk_cov = pm.cov.copy()
-    shrunk_cov[p, p] = shrunk[p]
+    # two-valued (2, 2, 2) has D = 0, so a shrunk tau^2 leaves D < 0
+    flat = pair_moments((2, 2, 2), TiePattern((3, 3)), all_pairs(3))
     for bad in (dataclasses.replace(pm, cov=off), dataclasses.replace(pm, cov=negative),
-                dataclasses.replace(pm, tau2=shrunk, cov=shrunk_cov)):
+                dataclasses.replace(flat, tau2=0.99 * flat.tau2)):
         with pytest.raises(NumericError):
             mvn_tail_counts(bad, "s_max", [1.0], 100, 0)
     assert mvn_tail_counts(dataclasses.replace(pm), "s_max", [1.0], 100, 0)[0] > 0
