@@ -121,8 +121,8 @@ def sample_chunks(
     ``max(1, _SLICE_CELLS // cells_per_replicate)`` replicates (the last one shorter);
     ``draw`` must then consume the generator row by row, so that the slices draw
     exactly what one call for the whole chunk would.  The unit is the array cells
-    of one replicate's draw.  With ``None`` each
-    chunk is one slice, for draws that read the generator in another order.
+    of one replicate's draw.  With ``None`` each chunk is one slice, for draws that
+    read the generator in another order.
 
     The calling thread and up to min(worker_count(), chunks) - 1 helper threads
     repeat one step: take the next slice of the free chunk with the most replicates
