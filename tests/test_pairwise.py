@@ -195,9 +195,9 @@ def test_mvn_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch, iq_groups)
         chunk_rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
         normal = chunk_rng.standard_normal((randomization.CHUNK_SIZE, k + len(a)))
         whole = normal[:, a] * on_a + normal[:, b] * on_b + normal[:, k:] * own
-        for cells in (1 << 40, default_cells, 7 * (k + len(a))):
-            monkeypatch.setattr(randomization, "_SLICE_CELLS", cells)
-            rows = min(randomization.CHUNK_SIZE, cells // (k + len(a)))
+        for budget in (1 << 40, default_cells, 7 * (k + len(a))):
+            monkeypatch.setattr(randomization, "_SLICE_CELLS", budget)
+            per_slice = min(randomization.CHUNK_SIZE, budget // (k + len(a)))
             slices = []
 
             def record(kind, z):
@@ -206,7 +206,7 @@ def test_mvn_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch, iq_groups)
 
             monkeypatch.setattr(pairwise, "reduce_statistic", record)
             _mvn_tail_counts(factors, "s_max", np.array([1.0]), randomization.CHUNK_SIZE, 3)
-            assert [len(z) for z in slices[:-1]] == [rows] * (len(slices) - 1)
+            assert [len(z) for z in slices[:-1]] == [per_slice] * (len(slices) - 1)
             assert np.array_equal(np.concatenate(slices), whole)
 
 
