@@ -105,6 +105,13 @@ def _slice_rows(cells_per_replicate: int) -> int:
     return max(1, _SLICE_CELLS // cells_per_replicate)
 
 
+def _key_bits(n: int, label_bits: int) -> int:
+    """Bits of the permutation draw's sort keys for n pooled values: 32 while two of a
+    row's keys share their 32 - label_bits random bits with probability at most
+    C(n, 2) 2**(label_bits - 32) <= 1/16, else 64."""
+    return 32 if math.comb(n, 2) << (label_bits + 4) <= 1 << 32 else 64
+
+
 def sample_chunks(
     nsim: int,
     seed: int,
@@ -121,8 +128,8 @@ def sample_chunks(
     ``max(1, _SLICE_CELLS // cells_per_replicate)`` replicates (the last one shorter);
     ``draw`` must then consume the generator row by row, so that the slices draw
     exactly what one call for the whole chunk would.  The unit is the array cells
-    of one replicate's draw.  With ``None`` each chunk is one slice, for draws that
-    read the generator in another order.
+    one replicate's draw and tally hold.  With ``None`` each chunk is one slice, for
+    draws that read the generator in another order.
 
     The calling thread and up to min(worker_count(), chunks) - 1 helper threads
     repeat one step: take the next slice of the free chunk with the most replicates
@@ -529,28 +536,46 @@ def _mc_tail_counts(
         return sample_chunks(nsim, seed, draw_tables, tail_counts, None)
 
     value_class = np.repeat(np.arange(n_values, dtype=np.int64), d)
-    label_template = np.repeat(np.arange(n_groups, dtype=np.uint64), sizes)
-    label_mask = np.uint64((1 << max(1, (n_groups - 1).bit_length())) - 1)
+    label_bits = max(1, (n_groups - 1).bit_length())
+    key_type = np.dtype(f"<u{_key_bits(tie.N, label_bits) // 8}")
+    label_template = np.repeat(np.arange(n_groups), sizes).astype(key_type)
+    label_mask = key_type.type((1 << label_bits) - 1)
+    words = -(-tie.N * key_type.itemsize // 8)  # raw 64-bit outputs per replicate
     cells = n_groups * n_values + value_class.size
     # bincount key of a cell: its label times n_values plus its row's table start plus
     # its value class
     row_start = np.arange(min(_slice_rows(cells), nsim), dtype=np.int64) * (n_groups * n_values)
     offsets = row_start[:, None] + value_class
 
-    def draw_labels(rng: np.random.Generator, reps: int) -> np.ndarray:
-        # a random key per pooled value with its group label in the low bits; sorting
-        # a row's keys orders its labels at random, and the label of the i-th sorted
-        # key goes to the i-th smallest value
-        key = rng.bit_generator.random_raw((reps, tie.N))
+    def sorted_keys(rng: np.random.Generator, reps: int) -> np.ndarray:
+        # a random key per pooled value with its group label in the low bits; the
+        # keys are the raw outputs' little-endian bytes read as narrower little-endian
+        # words, so each output gives its low half first on any machine
+        key = rng.bit_generator.random_raw((reps, words)).astype("<u8", copy=False)
+        key = key.view(key_type)[:, : tie.N]
         key &= ~label_mask
         key |= label_template
         key.sort(axis=1)
+        return key
+
+    def draw_labels(rng: np.random.Generator, reps: int) -> np.ndarray:
+        # sorting a row's keys orders its labels at random, and the label of the i-th
+        # sorted key goes to the i-th smallest value; a row where two keys share their
+        # random bits is redrawn from a generator seeded with its own keys until none
+        # do, which takes nothing from the chunk's stream
+        key = sorted_keys(rng, reps)
+        shared = key[:, 1:] ^ key[:, :-1]
+        if shared.min() <= label_mask:
+            for i in np.flatnonzero((shared <= label_mask).any(axis=1)):
+                redraw = np.random.default_rng(key[i].astype("<u8").view("<u4"))
+                while (key[i, 1:] ^ key[i, :-1] <= label_mask).any():
+                    key[i] = sorted_keys(redraw, 1)[0]
         key &= label_mask
-        return key.view(np.int64)
+        return key
 
     def tally_labels(key: np.ndarray) -> np.ndarray:
         reps = len(key)
-        key *= n_values
+        key = np.multiply(key, n_values, dtype=np.int64)
         key += offsets[:reps]
         counts = np.bincount(key.ravel(), minlength=reps * n_groups * n_values)
         counts = counts.reshape(reps, n_groups, n_values)

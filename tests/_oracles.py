@@ -6,6 +6,7 @@ weights.  Used to pin expected values and to validate the package's faster route
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -125,42 +126,87 @@ def random_tie_pattern(rng: np.random.Generator, n_total: int) -> tuple[int, ...
     return tuple(int(b - a) for a, b in zip(edges[:-1], edges[1:]))
 
 
-def replayed_statistics(values, sizes, pairs, mu, tau, kind, nsim, seed, chunk_size):
-    """Per-replicate statistic from replaying the Monte Carlo runner's draws.
+def replay_key_bits(n_total: int, n_groups: int) -> int:
+    """Sort-key width of the Monte Carlo permutation draw: 32 bits while
+    C(N, 2) 2**(b - 32) <= 1/16 with b = max(1, bit_length(G - 1)) label bits, else 64."""
+    bits = max(1, (n_groups - 1).bit_length())
+    return 32 if Fraction(math.comb(n_total, 2) * 2**bits, 2**32) <= Fraction(1, 16) else 64
+
+
+def replayed_labels(n_total, sizes, nsim, seed, chunk_size, key_bits=None):
+    """Yield (labels, redraws) per replicate from replaying the Monte Carlo runner's draws.
 
     Chunk i of ``chunk_size`` replicates draws from the i-th child of
-    ``SeedSequence(seed)``: N raw 64-bit outputs of its bit generator per replicate,
-    one key per pooled value in the order of the group labels.  Each key's low
-    max(1, bit_length(G - 1)) bits are replaced by its label, the keys are sorted
-    as Python ints, and the labels in key order label the pooled values in
-    ascending order.  Every replicate's W* is recomputed by pair counting and
-    standardized (0 where tau is 0).
+    ``SeedSequence(seed)``.  A replicate reads ceil(N key_bits / 64) raw 64-bit outputs
+    of its bit generator and cuts each into 64 / key_bits keys, lowest bits first, of
+    which it keeps the first N: one key per pooled value in the order of the group
+    labels.  Each key's low b = max(1, bit_length(G - 1)) bits are replaced by its
+    label and the keys are sorted as Python ints.  If two sorted keys agree above
+    their label bits, the replicate is redrawn the same way, from a generator seeded
+    with those sorted keys cut into 32-bit words (low word first), until no two
+    agree.  The labels in key order label the pooled values in ascending order;
+    ``redraws`` counts the redraws.  ``key_bits`` defaults to ``replay_key_bits``.
     """
-    pooled = sorted(values)
-    n = len(pooled)
     template = [g for g, size in enumerate(sizes) for _ in range(size)]
     bits = max(1, (len(sizes) - 1).bit_length())
     low = (1 << bits) - 1
-    stats = []
+    key_bits = key_bits or replay_key_bits(n_total, len(sizes))
+    per_word = 64 // key_bits
+    words = -(-n_total // per_word)
+
+    def sorted_keys(bit_generator):
+        raw = bit_generator.random_raw(words).tolist()
+        keys = [(w >> (key_bits * j)) % (1 << key_bits) for w in raw for j in range(per_word)]
+        return sorted((k & ~low) | g for k, g in zip(keys[:n_total], template))
+
+    def collide(keys):
+        return len({k >> bits for k in keys}) < n_total
+
     n_chunks = -(-nsim // chunk_size)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
-        size = min(chunk_size, nsim - i * chunk_size)
-        raw = np.random.default_rng(child).bit_generator.random_raw(size * n).tolist()
-        for r in range(size):
-            keys = sorted((k & ~low) | g for k, g in zip(raw[r * n : (r + 1) * n], template))
-            labels = [k & low for k in keys]
-            groups = [[v for v, g in zip(pooled, labels) if g == k] for k in range(len(sizes))]
-            w = np.array([brute_w_star(groups[a], groups[b]) for a, b in pairs])
-            z = np.zeros(len(pairs))
-            ok = tau > 0
-            z[ok] = (w[ok] - mu[ok]) / tau[ok]
-            stats.append({"s_max": z.max(), "s_min": z.min(), "s_abs": np.abs(z).max()}[kind])
+        bit_generator = np.random.default_rng(child).bit_generator
+        for _ in range(min(chunk_size, nsim - i * chunk_size)):
+            keys = sorted_keys(bit_generator)
+            redraws = 0
+            if collide(keys):
+                entropy = [part for k in keys for part in (k % 2**32, k >> 32)]
+                redraw = np.random.default_rng(entropy).bit_generator
+                while collide(keys):
+                    keys = sorted_keys(redraw)
+                    redraws += 1
+            yield [k & low for k in keys], redraws
+
+
+def sorted_w_star(x, y) -> float:
+    """W* of the pair-count definition, each y counted by binary search in sorted x."""
+    xs = sorted(x)
+    lt = sum(bisect.bisect_left(xs, b) for b in y)
+    le = sum(bisect.bisect_right(xs, b) for b in y)
+    return lt + (le - lt) / 2
+
+
+def replayed_statistics(values, sizes, pairs, mu, tau, kind, nsim, seed, chunk_size,
+                        key_bits=None):
+    """Per-replicate statistic from replaying the Monte Carlo runner's draws
+    (``replayed_labels``): every replicate's W* is recomputed by pair counting
+    (``sorted_w_star``) and standardized (0 where tau is 0)."""
+    pooled = sorted(values)
+    stats = []
+    for labels, _ in replayed_labels(len(pooled), sizes, nsim, seed, chunk_size, key_bits):
+        groups = [[v for v, g in zip(pooled, labels) if g == k] for k in range(len(sizes))]
+        w = np.array([sorted_w_star(groups[a], groups[b]) for a, b in pairs])
+        z = np.zeros(len(pairs))
+        ok = tau > 0
+        z[ok] = (w[ok] - mu[ok]) / tau[ok]
+        stats.append({"s_max": z.max(), "s_min": z.min(), "s_abs": np.abs(z).max()}[kind])
     return np.array(stats)
 
 
-def replayed_tail_counts(values, sizes, pairs, mu, tau, kind, thresholds, nsim, seed, chunk_size):
+def replayed_tail_counts(values, sizes, pairs, mu, tau, kind, thresholds, nsim, seed, chunk_size,
+                         key_bits=None):
     """Replayed tail counts per threshold: ``<=`` for s_min, ``>=`` for s_max and s_abs."""
-    stats = replayed_statistics(values, sizes, pairs, mu, tau, kind, nsim, seed, chunk_size)
+    stats = replayed_statistics(values, sizes, pairs, mu, tau, kind, nsim, seed, chunk_size,
+                                key_bits)
     if kind == "s_min":
         return np.array([(stats <= t).sum() for t in thresholds], dtype=np.int64)
     return np.array([(stats >= t).sum() for t in thresholds], dtype=np.int64)

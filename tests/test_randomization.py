@@ -40,6 +40,8 @@ from _exact import exact_moments, exact_null_distribution
 from _oracles import (
     enumerate_pair_stats,
     random_tie_pattern,
+    replay_key_bits,
+    replayed_labels,
     replayed_statistics,
     replayed_tail_counts,
     split_moments,
@@ -381,10 +383,11 @@ def _pair_moments(s, all_group_pairs):
     return ms.pairs, ms.mu, ms.tau
 
 
-def _tail_count_setup(tied, all_group_pairs):
+def _tail_count_setup(tied, all_group_pairs, last=9):
+    """Four groups of 9, 9, 9 and ``last`` values, tied to five values or untied."""
     rng = np.random.default_rng(21)
-    draw = (lambda: rng.integers(0, 5, size=9)) if tied else (lambda: rng.normal(size=9))
-    s = rank_samples([draw() for _ in range(4)])
+    draw = (lambda n: rng.integers(0, 5, size=n)) if tied else (lambda n: rng.normal(size=n))
+    s = rank_samples([draw(n) for n in (9, 9, 9, last)])
     pairs, mu, tau = _pair_moments(s, all_group_pairs)
     cells = s.n_groups * len(s.tie_pattern.d) + s.tie_pattern.N
     return s, pairs, mu, tau, cells
@@ -421,10 +424,13 @@ def test_sliced_chunks_agree_across_worker_counts(monkeypatch):
         np.testing.assert_array_equal(sliced, whole)
 
 
-@pytest.mark.parametrize("tied", [False, True])
-@pytest.mark.parametrize("all_group_pairs", [False, True])
-def test_tail_counts_equal_the_replayed_draws(monkeypatch, tied, all_group_pairs):
-    s, pairs, mu, tau, cells = _tail_count_setup(tied, all_group_pairs)
+@pytest.mark.parametrize("tied, all_group_pairs, last", [
+    (False, False, 9), (False, True, 8), (True, False, 8), (True, True, 9),
+])
+def test_tail_counts_equal_the_replayed_draws(monkeypatch, tied, all_group_pairs, last):
+    """N = 36 takes its 32-bit keys from 18 raw outputs; N = 35 leaves the high half
+    of its 18th unused."""
+    s, pairs, mu, tau, cells = _tail_count_setup(tied, all_group_pairs, last)
     nsim, seed = randomization.CHUNK_SIZE + 1500, 29  # two chunks
     replay = (compute_midranks(np.concatenate(s.scores)), s.sizes, pairs, mu, tau)
     for kind in ("s_max", "s_min", "s_abs"):
@@ -442,6 +448,85 @@ def test_tail_counts_equal_the_replayed_draws(monkeypatch, tied, all_group_pairs
                                   nsim, seed)
             np.testing.assert_array_equal(got, want)
         monkeypatch.undo()
+
+
+def test_keys_are_32_bits_while_two_share_their_random_bits_with_probability_at_most_1_16():
+    for n_groups, widest in ((2, 16384), (3, 11585), (10, 5793)):
+        label_bits = max(1, (n_groups - 1).bit_length())
+        for n, width in ((2, 32), (widest, 32), (widest + 1, 64), (10**6, 64)):
+            assert randomization._key_bits(n, label_bits) == width, (n_groups, n)
+            assert replay_key_bits(n, n_groups) == width
+
+
+@pytest.mark.parametrize("n_total, width, redraws", [(11585, 32, 2), (11586, 64, 0)])
+def test_draws_either_side_of_the_key_width_rule_equal_the_replayed_draws(
+    n_total, width, redraws
+):
+    """Three groups at the largest N with 32-bit keys (odd) and one past it (even).  At
+    N = 11585 a row collides with probability about 1/16; seed 0's first row does,
+    and so does its first redraw."""
+    rng = np.random.default_rng(5)
+    s = rank_samples([rng.normal(size=n) for n in (3862, 3862, n_total - 7724)])
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(3))
+    assert randomization._key_bits(n_total, 2) == width
+    nsim, seed = 3, 0
+    replay = (compute_midranks(np.concatenate(s.scores)), s.sizes, ms.pairs, ms.mu, ms.tau,
+              "s_max")
+    stats = replayed_statistics(*replay, nsim, seed, randomization.CHUNK_SIZE)
+    thresholds = np.sort(stats)
+    got = _mc_tail_counts(s.tie_pattern, s.sizes, ms.pairs, ms.mu, ms.tau, "s_max", thresholds,
+                          nsim, seed)
+    np.testing.assert_array_equal(got, [3, 2, 1])  # the three replayed statistics, distinct
+    drawn = replayed_labels(n_total, s.sizes, nsim, seed, randomization.CHUNK_SIZE)
+    assert [red for _, red in drawn] == [redraws, 0, 0]
+
+
+def test_rows_whose_keys_collide_are_redrawn_without_bias_or_dependence_on_slices(monkeypatch):
+    """With 16-bit keys, three groups keep 14 random bits, and about 63% of the rows of
+    N = 181 values have two keys sharing them.  The redrawn rows are the replayed ones,
+    every statistic lies within 5 standard errors of exact enumeration at two
+    attained thresholds, and the counts do not depend on slices or threads."""
+    monkeypatch.setattr(randomization, "_key_bits", lambda n, label_bits: 16)
+    monkeypatch.setattr(randomization, "_draws_count_tables", lambda *a: False)
+    rng = np.random.default_rng(4)
+    s = rank_samples([rng.integers(0, 3, n) for n in (60, 61, 60)])
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(3))
+    args = (s.tie_pattern, s.sizes, ms.pairs, ms.mu, ms.tau)
+    chunk = randomization.CHUNK_SIZE
+    replay = (compute_midranks(np.concatenate(s.scores)), s.sizes, ms.pairs, ms.mu, ms.tau)
+    redrawn = [red > 0 for _, red in replayed_labels(181, s.sizes, 200, 2, chunk, 16)]
+    assert sum(redrawn) > 100
+    exact = exact_null_distribution(s, "vector_w", budget=10**100)
+    weights = exact.weights.astype(float) / exact.total
+    nsim = 10_000
+    for kind in ("s_max", "s_min", "s_abs"):
+        head = np.unique(replayed_statistics(*replay, kind, 200, 2, chunk, 16))
+        want = replayed_tail_counts(*replay, kind, head, 200, 2, chunk, 16)
+        np.testing.assert_array_equal(_mc_tail_counts(*args, kind, head, 200, 2), want)
+        stats = reduce_statistic(kind, standardize(exact.values, ms.mu, ms.tau))
+        order = np.argsort(stats)
+        values, below = stats[order], np.cumsum(weights[order])  # P(stat <= value)
+        # P(stat >= value) is 1 - P(stat < value), where the sorted values start to tie
+        above = 1 - np.concatenate(([0.0], below[:-1]))
+        tails = below if kind == "s_min" else above
+        last = np.append(values[1:] != values[:-1], True)  # P(stat <= v) at v's last copy
+        first = np.concatenate(([True], values[1:] != values[:-1]))
+        keep = last if kind == "s_min" else first
+        values, tails = values[keep], tails[keep]
+        picks = [int(np.argmin(np.abs(tails - p))) for p in (0.2, 0.6)]
+        thresholds, p = values[picks], tails[picks]
+        got = _mc_tail_counts(*args, kind, thresholds, nsim, 9) / nsim
+        assert np.all(np.abs(got - p) <= 5 * np.sqrt(p * (1 - p) / nsim)), (kind, got, p)
+    thresholds = np.array([0.5, 1.5, 2.5])
+    whole = _mc_tail_counts(*args, "s_abs", thresholds, 4500, 4)  # two chunks
+    assert 0 < whole.sum() < 3 * 4500
+    cells = s.n_groups * len(s.tie_pattern.d) + s.tie_pattern.N
+    for rows in (1, 7):
+        _sliced(monkeypatch, rows, cells)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("STEELRANK_THREADS", threads)
+            got = _mc_tail_counts(*args, "s_abs", thresholds, 4500, 4)
+            np.testing.assert_array_equal(got, whole, err_msg=f"{rows} rows, {threads} threads")
 
 
 def test_negative_seed_is_a_parameter_error():
@@ -1039,21 +1124,32 @@ enabled = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get
 """
 
 
-def test_permutation_draws_do_not_depend_on_the_simd_level():
+def _avx512(feature: str) -> bool:
+    """Whether a numpy dispatch target needs AVX-512 (X86_V4 and AVX512_* in numpy 2.4,
+    AVX512F, AVX512_SKX and the like before it)."""
+    return feature == "X86_V4" or feature.startswith("AVX512")
+
+
+@pytest.mark.parametrize("level", ["no_dispatch", "no_avx512"])
+def test_permutation_draws_do_not_depend_on_the_simd_level(level):
     """numpy sorts with the widest SIMD it dispatches to; a run with every dispatched
-    feature disabled must draw the same replicates as this process."""
+    feature disabled, or only the AVX-512 ones (numpy's AVX2 sort), must draw the
+    same replicates as this process."""
     here = {}
     exec(SIMD_SCRIPT, here)
-    if not here["enabled"]:
-        pytest.skip("numpy dispatches to no SIMD feature on this machine")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(here["enabled"]))
+    off = [f for f in here["enabled"] if level == "no_dispatch" or _avx512(f)]
+    if not off:
+        pytest.skip(f"numpy dispatches to no feature {level} would disable on this machine")
+    # what this process runs without stays off in the child
+    off_here = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off_here + off))
     src = str(Path(randomization.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = SIMD_SCRIPT + 'print(json.dumps({"counts": counts.tolist(), "enabled": enabled}))'
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     there = json.loads(done.stdout)
-    assert there["enabled"] == []
+    assert there["enabled"] == [f for f in here["enabled"] if f not in off]
     assert there["counts"] == here["counts"].tolist()
     assert 0 < sum(there["counts"]) < 3 * 10_000
 
