@@ -44,7 +44,7 @@ def test_readme_library_example_gives_the_values_its_comments_give(capsys):
     assert out.count("(README: ") == 4 and 'obs.statistic == "s_min": True' in out
     # the full values behind the rounded comments
     assert ns["p_asym"] == 0.09459608006223369
-    assert (ns["p_mc"], ns["p_all"], ns["p_exact"]) == (0.10394, 0.32528, 0.31666666666666665)
+    assert (ns["p_mc"], ns["p_all"], ns["p_exact"]) == (0.1033, 0.32556, 0.31666666666666665)
 
 
 def test_readme_example_refuses_a_comment_its_value_does_not_give(monkeypatch, tmp_path):
