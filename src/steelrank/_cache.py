@@ -15,8 +15,7 @@ from typing import Callable, Hashable, TypeVar
 import numpy as np
 
 DESIGN_CACHE_BYTES = 3 << 20  # bytes the per-process design cache holds at most
-# bytes charged per entry beside its arrays: key, containers, object headers and what
-# is derived from a moment set after it is stored (a small set and its one-factor split)
+# bytes charged per entry beside its arrays: key, containers and object headers
 ENTRY_BYTES = 2 << 10
 
 V = TypeVar("V")
@@ -24,13 +23,15 @@ V = TypeVar("V")
 
 def held_bytes(value) -> int | None:
     """Bytes a value holds: its arrays' bytes plus 8 per other field or item of the
-    dataclasses, tuples and lists it is made of.  None when the value holds a
+    dataclasses, tuples and lists it is made of, plus the ``derived_bytes`` a dataclass
+    names for what it derives after it is stored.  None when the value holds a
     writable array, which a shared value must not, or an object array, whose
     elements' sizes are unknown."""
     if isinstance(value, np.ndarray):
         return None if value.flags.writeable or value.dtype == object else value.nbytes
     if is_dataclass(value):
-        value = [getattr(value, f.name) for f in fields(value)]
+        held = held_bytes([getattr(value, f.name) for f in fields(value)])
+        return None if held is None else held + getattr(value, "derived_bytes", 0)
     if isinstance(value, (tuple, list)):
         sizes = [held_bytes(v) for v in value]
         return None if None in sizes else sum(sizes)

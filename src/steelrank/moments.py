@@ -80,6 +80,13 @@ class MomentSet:
     def tau(self) -> np.ndarray:
         return np.sqrt(self.tau2)
 
+    @property
+    def derived_bytes(self) -> int:
+        """Bytes ``derived`` keeps with the set at most, charged to it in the design
+        cache: 64 per pair, for the pair index (16) and the group factors (48) or the
+        one-factor split (24)."""
+        return 64 * len(self.pairs)
+
     def check_samples(self, samples: RankedSamples) -> None:
         """Refuse samples of other group sizes or tie sums than the set was computed for."""
         if self.sizes != samples.sizes:

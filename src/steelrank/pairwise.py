@@ -7,8 +7,9 @@ eps_ab, with independent standard normals xi_g per group and eps_ab per pair and
 D_ab = tau2_ab - n_a n_b (n_a + n_b) s >= 0: Hoeffding's linear projection and its
 degenerate remainder (0 on some tied designs; for control pairs, the one-factor
 split of ``pair_moments``).  A replicate is K + P normals (K groups, P pairs) drawn
-on ``randomization.sample_chunks``; the pair values are their elementwise products
-and sums, which depend neither on the BLAS kernel or threads nor on the slicing.
+on ``randomization.sample_chunks``, in slices sized by the 2 (K + P) + 3 P floats
+its tally holds; the pair values are their elementwise products and sums, which
+depend neither on the BLAS kernel or threads nor on the slicing.
 """
 from __future__ import annotations
 
@@ -52,6 +53,9 @@ def _mvn_tail_counts(
     normal in its group-factor form, chunked like the Monte Carlo engine."""
     rows, coef = factors
     cells = int(rows[2, -1]) + 1  # K group factors, then one remainder per pair
+    # a replicate's tally holds its draw, the draw's transposed copy and three
+    # gathered blocks of one row per pair at once
+    held = 2 * cells + 3 * rows.shape[1]
 
     def draw(rng: np.random.Generator, replicates: int) -> np.ndarray:
         return rng.standard_normal((replicates, cells))
@@ -65,7 +69,7 @@ def _mvn_tail_counts(
         stats = reduce_statistic(kind, z.T)
         return in_tail(kind, stats[:, None], thresholds[None, :]).sum(axis=0)
 
-    return sample_chunks(nsim, seed, draw, tally, cells)
+    return sample_chunks(nsim, seed, draw, tally, held)
 
 
 def mvn_tail_counts(

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,9 @@ from steelrank import (
     simulated_tail_counts,
     var_w,
 )
-from steelrank import pairwise, randomization
+from steelrank import _cache, pairwise, randomization, statistics
 from steelrank.cli import main
-from steelrank.moments import all_pairs, control_pairs
+from steelrank.moments import all_pairs, control_pairs, tie_sums
 from steelrank.pairwise import _group_factors, _mvn_tail_counts, mvn_tail_counts
 from steelrank.statistics import reduce_statistic
 
@@ -168,7 +169,7 @@ def test_mvn_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch, iq_groups)
     s = rank_samples([rng.integers(0, 7, size=8).tolist() for _ in range(4)])
     pm = pair_moments(s.sizes, s.tie_pattern, all_pairs(s.n_groups))
     factors = _group_factors(pm)
-    cells = s.n_groups + len(pm.pairs)  # normals per replicate
+    cells = 2 * s.n_groups + 5 * len(pm.pairs)  # floats a replicate's tally holds
     for kind, threshold in (("s_max", 1.2), ("s_max", 2.3), ("s_min", -1.9), ("s_abs", 2.1)):
         counts = {}
         for rows, threads in ((None, "1"), (1, "1"), (7, "1"), (7, "2")):
@@ -195,9 +196,10 @@ def test_mvn_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch, iq_groups)
         chunk_rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
         normal = chunk_rng.standard_normal((randomization.CHUNK_SIZE, k + len(a)))
         whole = normal[:, a] * on_a + normal[:, b] * on_b + normal[:, k:] * own
-        for budget in (1 << 40, default_cells, 7 * (k + len(a))):
+        held = 2 * k + 5 * len(a)  # floats a replicate's tally holds
+        for budget in (1 << 40, default_cells, 7 * held):
             monkeypatch.setattr(randomization, "_SLICE_CELLS", budget)
-            per_slice = min(randomization.CHUNK_SIZE, budget // (k + len(a)))
+            per_slice = min(randomization.CHUNK_SIZE, budget // held)
             slices = []
 
             def record(kind, z):
@@ -256,6 +258,42 @@ def test_sets_not_in_group_factor_form_are_refused():
         with pytest.raises(NumericError):
             mvn_tail_counts(bad, "s_max", [1.0], 100, 0)
     assert mvn_tail_counts(dataclasses.replace(pm), "s_max", [1.0], 100, 0)[0] > 0
+
+
+def test_mvn_slices_hold_the_slice_budget(monkeypatch):
+    """At 10 groups a replicate's tally holds 2 (K + P) + 3 P = 155 + 90 floats; slices
+    sized by the K + P normals of the draw alone held 7.7 MiB at one thread."""
+    monkeypatch.setenv("STEELRANK_THREADS", "1")
+    rng = np.random.default_rng(3)
+    s = rank_samples([np.round(rng.normal(size=50), 1) for _ in range(10)])
+    pm = pair_moments(s.sizes, s.tie_pattern, all_pairs(10))
+    mvn_tail_counts(pm, "s_abs", [1.0, 2.0], 4096, 1)  # derive the group factors first
+    tracemalloc.start()
+    try:
+        counts = mvn_tail_counts(pm, "s_abs", [1.0, 2.0], 10_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < counts[1] < counts[0] < 10_000
+    assert peak < 1.5 * 8 * randomization._SLICE_CELLS
+
+
+def test_a_stored_all_pairs_set_is_charged_for_what_it_derives():
+    """The pair index of ``observe`` and the group factors of MVN sampling are kept
+    with the set after it is stored; its design-cache charge covers them at 45 and
+    190 pairs, where they outgrow the per-entry charge."""
+    for k in (10, 20):
+        s = rank_samples([np.arange(3.0) + g for g in range(k)])
+        pm = pair_moments(s.sizes, s.tie_pattern, all_pairs(k))
+        charge = _cache.DESIGNS._sizes[("moments", s.sizes, pm.pairs,
+                                        *tie_sums(s.tie_pattern))]
+        fields = sum(_cache.held_bytes(getattr(pm, f.name)) for f in dataclasses.fields(pm))
+        observe(s, pm, "two_sided")
+        mvn_tail_counts(pm, "s_abs", [1.0], 10, 0)
+        derived = [pm.derived(statistics._pair_index), pm.derived(_group_factors)]
+        nbytes = sum(arr.nbytes for parts in derived for arr in parts)
+        assert nbytes > _cache.ENTRY_BYTES
+        assert charge >= fields + nbytes + _cache.ENTRY_BYTES
 
 
 def test_mc_and_mvn_agree_at_moderate_sizes():
