@@ -32,16 +32,23 @@ on the design:
   N and V.  The draws depend on the chunk size, so each chunk is one slice, the
   whole chain, and the slice budget below does not apply.
 * Permutations otherwise: the group labels of the N pooled values are shuffled
-  by sorting random keys (Knuth, TAOCP Vol. 2, 3.4.2).  A replicate reads N raw
-  64-bit outputs of its chunk's PCG64 stream, one key per pooled value, replaces
-  the low b = max(1, bit_length(G - 1)) bits of each key by that value's group
-  label, and sorts the row; the labels in key order label the pooled values in
-  ascending order.  A replicate is a uniformly random labeling unless two of its
-  keys share their top 64 - b bits, where the label bits order them; that has
-  probability at most C(N, 2) 2**(b - 64), about 1e-14 at N = 300 and 4e-12 at
-  N = 6000, and is not redrawn.  The bytes are portable: a sorted array is
-  unique, so they depend neither on the sort algorithm nor on the SIMD level
-  numpy dispatches to, and the raw PCG64 stream is one numpy keeps stable.
+  by sorting random keys (Knuth, TAOCP Vol. 2, 3.4.2).  A replicate takes N keys
+  of w bits, one per pooled value, from ceil(N w / 64) raw outputs of its chunk's
+  PCG64 stream, each output cut into 64 / w keys from its lowest bits up (a rule
+  on values, so the keys do not depend on byte order).  It replaces the low
+  b = max(1, bit_length(G - 1)) bits of each key by that value's group label and
+  sorts the row; the labels in key order label the pooled values in ascending
+  order.  The width reads N and G only: w = 32 while two of a row's keys share
+  their 32 - b random bits with probability C(N, 2) 2**(b - 32) <= 1/16 (N up to
+  16384 at 2 groups, 11585 at 3, 5793 at 10), else w = 64.  A row where two keys
+  share their random bits, which the label bits would then order, is redrawn
+  from a generator seeded with its own sorted keys until no two share them; the
+  redraw takes nothing from the chunk's stream, so slices and threads do not
+  change it, and every accepted row is a uniformly random labeling.  32-bit keys
+  halve the raw read and the sort of 64-bit ones.  The bytes are portable: a
+  sorted array is unique, so they depend neither on the sort algorithm nor on
+  the SIMD level numpy dispatches to, and the raw PCG64 stream is one numpy
+  keeps stable.
   Each chunk is drawn in consecutive slices of at most
   ``_SLICE_CELLS`` array cells (replicates times cells per replicate; one
   replicate where a single one is larger), so the memory a thread holds is bounded
@@ -49,8 +56,9 @@ on the design:
   x distinct values.  The budget is sized so that a slice's arrays fit a core's L2
   cache and the allocator reuses their freed memory from slice to slice instead of
   faulting fresh pages in.  Slicing does not change the draws, so reports are the
-  same as drawing each chunk at once.  The draw is the keys, their labels and the
-  row sort; the bincount and the tally run after the chunk's generator is released.
+  same as drawing each chunk at once.  The draw is the keys, their labels, the
+  row sort and any redraw; the bincount and the tally run after the chunk's
+  generator is released.
 
 Both draws sample the same conditional distribution, but from different random
 streams: only designs the rule routes to count tables report other Monte Carlo
@@ -541,7 +549,9 @@ def _mc_tail_counts(
     label_template = np.repeat(np.arange(n_groups), sizes).astype(key_type)
     label_mask = key_type.type((1 << label_bits) - 1)
     words = -(-tie.N * key_type.itemsize // 8)  # raw 64-bit outputs per replicate
-    cells = n_groups * n_values + value_class.size
+    # int64 cells a replicate holds: its count table, and its keys beside the cell
+    # index the tally makes from them
+    cells = n_groups * n_values + tie.N * (8 + key_type.itemsize) // 8
     # bincount key of a cell: its label times n_values plus its row's table start plus
     # its value class
     row_start = np.arange(min(_slice_rows(cells), nsim), dtype=np.int64) * (n_groups * n_values)

@@ -389,7 +389,8 @@ def _tail_count_setup(tied, all_group_pairs, last=9):
     draw = (lambda n: rng.integers(0, 5, size=n)) if tied else (lambda n: rng.normal(size=n))
     s = rank_samples([draw(n) for n in (9, 9, 9, last)])
     pairs, mu, tau = _pair_moments(s, all_group_pairs)
-    cells = s.n_groups * len(s.tie_pattern.d) + s.tie_pattern.N
+    # int64 cells per replicate: its count table, its 32-bit keys and their cell index
+    cells = s.n_groups * len(s.tie_pattern.d) + s.tie_pattern.N * 3 // 2
     return s, pairs, mu, tau, cells
 
 
@@ -520,7 +521,7 @@ def test_rows_whose_keys_collide_are_redrawn_without_bias_or_dependence_on_slice
     thresholds = np.array([0.5, 1.5, 2.5])
     whole = _mc_tail_counts(*args, "s_abs", thresholds, 4500, 4)  # two chunks
     assert 0 < whole.sum() < 3 * 4500
-    cells = s.n_groups * len(s.tie_pattern.d) + s.tie_pattern.N
+    cells = s.n_groups * len(s.tie_pattern.d) + s.tie_pattern.N * 10 // 8  # 16-bit keys
     for rows in (1, 7):
         _sliced(monkeypatch, rows, cells)
         for threads in ("1", "2", "3"):
