@@ -54,11 +54,11 @@ on the design:
   replicate where a single one is larger), so the memory a thread holds is bounded
   by the slice budget, about 3 MiB, and depends neither on nsim nor on N x groups
   x distinct values.  The budget is sized so that a slice's arrays fit a core's L2
-  cache and the allocator reuses their freed memory from slice to slice instead of
-  faulting fresh pages in.  Slicing does not change the draws, so reports are the
-  same as drawing each chunk at once.  The draw is the keys, their labels, the
-  row sort and any redraw; the bincount and the tally run after the chunk's
-  generator is released.
+  cache, and each thread keeps its largest one, the slice's bincount keys, from
+  slice to slice, so that the memory is not faulted in again per slice.  Slicing
+  does not change the draws, so reports are the same as drawing each chunk at
+  once.  The draw is the keys, their labels, the row sort and any redraw; the
+  bincount and the tally run after the chunk's generator is released.
 
 Both draws sample the same conditional distribution, but from different random
 streams: only designs the rule routes to count tables report other Monte Carlo
@@ -549,13 +549,18 @@ def _mc_tail_counts(
     label_template = np.repeat(np.arange(n_groups), sizes).astype(key_type)
     label_mask = key_type.type((1 << label_bits) - 1)
     words = -(-tie.N * key_type.itemsize // 8)  # raw 64-bit outputs per replicate
-    # int64 cells a replicate holds: its count table, and its keys beside the cell
-    # index the tally makes from them
+    # int64 cells a replicate holds: its count table, its keys and the bincount keys
+    # made from them
     cells = n_groups * n_values + tie.N * (8 + key_type.itemsize) // 8
     # bincount key of a cell: its label times n_values plus its row's table start plus
     # its value class
     row_start = np.arange(min(_slice_rows(cells), nsim), dtype=np.int64) * (n_groups * n_values)
     offsets = row_start[:, None] + value_class
+
+    # each thread's slice of bincount keys, kept from slice to slice: arrays made
+    # fresh per slice were returned to the system and faulted in again on every
+    # slice (11k minor faults per 10k-replicate call on r1 3x100, 500 kept)
+    held = threading.local()
 
     def sorted_keys(rng: np.random.Generator, reps: int) -> np.ndarray:
         # a random key per pooled value with its group label in the low bits; the
@@ -574,20 +579,24 @@ def _mc_tail_counts(
         # random bits is redrawn from a generator seeded with its own keys until none
         # do, which takes nothing from the chunk's stream
         key = sorted_keys(rng, reps)
-        shared = key[:, 1:] ^ key[:, :-1]
+        if not hasattr(held, "cell"):
+            held.cell = np.empty((len(offsets), tie.N), dtype=np.int64)
+        # the bits neighbouring keys share, in the memory of the thread's bincount keys
+        scratch = held.cell[:reps].view(key_type)[:, : tie.N - 1]
+        shared = np.bitwise_xor(key[:, 1:], key[:, :-1], out=scratch)
         if shared.min() <= label_mask:
             for i in np.flatnonzero((shared <= label_mask).any(axis=1)):
                 redraw = np.random.default_rng(key[i].astype("<u8").view("<u4"))
                 while (key[i, 1:] ^ key[i, :-1] <= label_mask).any():
                     key[i] = sorted_keys(redraw, 1)[0]
-        key &= label_mask
         return key
 
     def tally_labels(key: np.ndarray) -> np.ndarray:
         reps = len(key)
-        key = np.multiply(key, n_values, dtype=np.int64)
-        key += offsets[:reps]
-        counts = np.bincount(key.ravel(), minlength=reps * n_groups * n_values)
+        key &= label_mask
+        cell = np.multiply(key, n_values, out=held.cell[:reps], dtype=np.int64)
+        cell += offsets[:reps]
+        counts = np.bincount(cell.ravel(), minlength=reps * n_groups * n_values)
         counts = counts.reshape(reps, n_groups, n_values)
         w2 = []
         for a in firsts:

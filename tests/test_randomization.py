@@ -1155,6 +1155,37 @@ def test_permutation_draws_do_not_depend_on_the_simd_level(level):
     assert 0 < sum(there["counts"]) < 3 * 10_000
 
 
+FAULT_SCRIPT = """
+import resource, sys
+import numpy as np
+from steelrank import pair_moments, rank_samples, simulated_tail_counts
+from steelrank.moments import control_pairs
+
+k, n = map(int, sys.argv[1:])
+rng = np.random.default_rng(8)
+s = rank_samples([np.round(rng.normal(size=n), 1) for _ in range(k)])
+ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(k))
+simulated_tail_counts(s, ms, "s_abs", [1.0, 2.0], 10_000, 5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+simulated_tail_counts(s, ms, "s_abs", [1.0, 2.0], 10_000, 5)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads minor faults on Linux")
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("design", ["3x100", "10x50"])
+def test_permutation_slices_reuse_their_memory_in_a_fresh_process(design, threads):
+    """r1 designs in a process that ran nothing else: with slice arrays made fresh per
+    slice, a 10k-replicate call took 11k (3x100) and 19k (10x50) minor faults."""
+    env = dict(os.environ, STEELRANK_THREADS=threads)
+    src = str(Path(randomization.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, *design.split("x")], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert int(done.stdout) < 2000
+
+
 def test_count_table_draws_agree_across_worker_counts_and_slices(monkeypatch):
     s = rank_samples(_routed_groups("two_valued_4x20"))
     pairs, mu, tau = _pair_moments(s, True)
