@@ -45,7 +45,10 @@ on the design:
   from a generator seeded with its own sorted keys until no two share them; the
   redraw takes nothing from the chunk's stream, so slices and threads do not
   change it, and every accepted row is a uniformly random labeling.  32-bit keys
-  halve the raw read and the sort of 64-bit ones.  The bytes are portable: a
+  halve the raw read and the sort of 64-bit ones: on a 2-CPU AVX-512 VM at 10k
+  replicates, r1 and untied designs of 300 to 3000 values took 0.48-0.95x the
+  time of 64-bit keys with numpy's AVX-512 sort, 0.42-0.69x with its AVX2 sort,
+  and the same within noise at x86-64-v2 (README.md).  The bytes are portable: a
   sorted array is unique, so they depend neither on the sort algorithm nor on
   the SIMD level numpy dispatches to, and the raw PCG64 stream is one numpy
   keeps stable.
