@@ -560,9 +560,9 @@ def _mc_tail_counts(
     row_start = np.arange(min(_slice_rows(cells), nsim), dtype=np.int64) * (n_groups * n_values)
     offsets = row_start[:, None] + value_class
 
-    # each thread's slice of bincount keys, kept from slice to slice: arrays made
-    # fresh per slice were returned to the system and faulted in again on every
-    # slice (11k minor faults per 10k-replicate call on r1 3x100, 500 kept)
+    # each thread's slice of bincount keys, kept from slice to slice: made fresh per
+    # slice, the arrays were returned to the system and faulted in again on every
+    # slice (r1 3x100, 10k replicates: 11k minor faults per call, about 500 kept)
     held = threading.local()
 
     def sorted_keys(rng: np.random.Generator, reps: int) -> np.ndarray:
