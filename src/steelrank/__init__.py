@@ -12,13 +12,7 @@ from .confidence import (
 from .errors import BudgetError, NumericError, ParameterError
 from .gauss import joint_lower_box_prob, solve_common_threshold, tail_prob
 from .moments import MomentSet, cov_w, mean_w, pair_moments, var_w
-from .randomization import (
-    PValue,
-    exact_p_value,
-    sampled_p_value,
-    simulated_tail_counts,
-    split_count,
-)
+from .randomization import PValue, exact_p_value, simulated_tail_counts, split_count
 from .ranks import (
     Diagnostics,
     RankedSamples,
@@ -58,7 +52,6 @@ __all__ = [
     "rank_samples",
     "rank_sums",
     "select_indices",
-    "sampled_p_value",
     "simultaneous_bounds",
     "simultaneous_intervals",
     "simulated_tail_counts",

@@ -1,5 +1,7 @@
 """One analysis run: its checked configuration, the engines each mode and method
-runs, and the report mapping that the CLI renders."""
+runs, and the report mapping that the CLI renders.  Every report p-value is built
+here: an exact probability as it is, a sampled count as hits / nsim with its
+binomial standard error, or (hits + 1) / (nsim + 1) under --conservative-mc."""
 from __future__ import annotations
 
 import dataclasses
@@ -15,17 +17,10 @@ from .errors import BudgetError, ParameterError
 from .gauss import DEFAULT_NODES, MAX_NODES, brent_root, tail_prob
 from .moments import MomentSet, all_pairs, control_pairs, pair_moments
 from .pairwise import mvn_tail_counts
-from .randomization import (
-    DEFAULT_BUDGET,
-    PValue,
-    exact_p_value,
-    sampled_p_value,
-    simulated_tail_counts,
-)
+from .randomization import DEFAULT_BUDGET, PValue, exact_p_value, simulated_tail_counts
 from .ranks import TiePattern, check_asymptotic_conditions, rank_samples
 from .statistics import (
     ALTERNATIVE_TABLE,
-    Observation,
     normalize_alternative,
     observe,
     rank_sums,
@@ -37,25 +32,6 @@ MODES = ("steel", "pairwise", "confidence", "quality_harness")
 FORMATS = ("csv_long", "csv_wide", "whitespace")
 METHODS = ("asymptotic", "simulated", "exact", "all")
 OUTPUTS = ("json", "text")
-# mode -> --method -> the engines that answer, in order.  Steel always reports its
-# quadrature; "exact_or_monte_carlo" is exact unless exact_p_value refuses the splits
-# as over --exact-budget, and Monte Carlo otherwise.  All-pairs has no exact entry:
-# pairwise --method exact is refused.
-_STEEL_ENGINES = {
-    "asymptotic": ("asymptotic",),
-    "simulated": ("asymptotic", "monte_carlo"),
-    "exact": ("asymptotic", "exact"),
-    "all": ("asymptotic", "exact_or_monte_carlo"),
-}
-ENGINES = {
-    "steel": _STEEL_ENGINES,
-    "confidence": _STEEL_ENGINES,
-    "pairwise": {
-        "asymptotic": ("mvn_sample",),
-        "simulated": ("monte_carlo",),
-        "all": ("monte_carlo", "mvn_sample"),
-    },
-}
 HARNESS_P_GRID = (0.20, 0.15, 0.10, 0.05, 0.025, 0.01)
 # the design a moment set names, which its report blocks leave out
 _DESIGN_FIELDS = ("sizes", "pairs", "s2", "s3", "s3_plus", "fully_tied")
@@ -90,6 +66,9 @@ class RunConfig:
         for name, allowed in choices.items():
             if (value := getattr(self, name)) not in allowed:
                 raise ParameterError(f"{name} must be one of {allowed}, got {value!r}")
+        for name in ("nsim", "seed", "nodes", "exact_budget"):  # numpy integers too
+            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {v!r}")
         if self.nsim < 1:
             raise ParameterError("nsim must be >= 1")
         if self.seed < 0:
@@ -119,23 +98,74 @@ def _fields(obj, *drop: str) -> dict:
     return {name: getattr(obj, name) for name in _field_names(type(obj), drop)}
 
 
-def _asymptotic_p(
-    ms: MomentSet, obs: Observation, alternative: str, continuity: bool, nodes: int
-) -> tuple[PValue, list[str]]:
-    if len(obs.degenerate) == len(ms.pairs):  # fully tied data: the statistics are constant
-        return PValue(estimate=1.0, method="asymptotic"), [
-            "degenerate data: asymptotic p-value set to 1"
-        ]
+# An engine takes (samples, moments, observation, config) and asks its tail entry
+# for the observation's p-value.
+def _asymptotic_p(samples, ms, obs, cfg) -> PValue:
+    if obs.degenerate:  # fully tied data: the statistics are constant
+        return PValue(estimate=1.0, method="asymptotic")
     # move the observed statistic half a raw unit towards the body of its tail
-    shift = 0.5 if continuity else 0.0
+    shift = 0.5 if cfg.continuity else 0.0
     tau = ms.tau
     st = obs.statistic_value * tau
-    lower = ALTERNATIVE_TABLE[alternative][1] == "lower"
+    lower = ALTERNATIVE_TABLE[cfg.alternative][1] == "lower"
     u = (st + shift if lower else st - shift) / tau
-    if alternative == "two_sided":
+    if cfg.alternative == "two_sided":
         u = np.maximum(u, 0.0)
-    p = tail_prob(ms, u, alternative, nodes)
-    return PValue(estimate=p, method="asymptotic"), []
+    return PValue(estimate=tail_prob(ms, u, cfg.alternative, cfg.nodes), method="asymptotic")
+
+
+def _exact_p(samples, ms, obs, cfg) -> PValue:
+    p = exact_p_value(samples, ms, obs.statistic, [obs.statistic_value], cfg.exact_budget)
+    return PValue(estimate=float(p[0]), method="exact")
+
+
+def _sampled_p(method: str, hits: int, cfg: RunConfig) -> PValue:
+    """A sampled tail estimate, hits / nsim or (hits + 1) / (nsim + 1) under
+    ``conservative_mc``, with its binomial standard error."""
+    nsim = cfg.nsim
+    estimate = (hits + 1) / (nsim + 1) if cfg.conservative_mc else hits / nsim
+    std_error = math.sqrt(estimate * (1 - estimate) / nsim)
+    return PValue(estimate=estimate, method=method, nsim=nsim, std_error=std_error, seed=cfg.seed)
+
+
+def _monte_carlo_p(samples, ms, obs, cfg) -> PValue:
+    hits = simulated_tail_counts(samples, ms, obs.statistic, [obs.statistic_value], cfg.nsim,
+                                 cfg.seed)
+    return _sampled_p("monte_carlo", int(hits[0]), cfg)
+
+
+def _mvn_sample_p(samples, ms, obs, cfg) -> PValue:
+    hits = mvn_tail_counts(ms, obs.statistic, [obs.statistic_value], cfg.nsim, cfg.seed)
+    return _sampled_p("mvn_sample", int(hits[0]), cfg)
+
+
+def exact_or_monte_carlo(samples, ms, obs, cfg) -> PValue:
+    """Exact, unless exact_p_value refuses the splits as over the budget, which it
+    does before any walk; Monte Carlo then."""
+    try:
+        return _exact_p(samples, ms, obs, cfg)
+    except BudgetError:
+        return _monte_carlo_p(samples, ms, obs, cfg)
+
+
+# mode -> --method -> the engines that answer, in order; a report keys each p-value
+# by the method that gave it.  Steel always reports its quadrature.  All-pairs has no
+# exact entry: pairwise --method exact is refused.
+_STEEL_ENGINES = {
+    "asymptotic": (_asymptotic_p,),
+    "simulated": (_asymptotic_p, _monte_carlo_p),
+    "exact": (_asymptotic_p, _exact_p),
+    "all": (_asymptotic_p, exact_or_monte_carlo),
+}
+ENGINES = {
+    "steel": _STEEL_ENGINES,
+    "confidence": _STEEL_ENGINES,
+    "pairwise": {
+        "asymptotic": (_mvn_sample_p,),
+        "simulated": (_monte_carlo_p,),
+        "all": (_monte_carlo_p, _mvn_sample_p),
+    },
+}
 
 
 def quality_harness(
@@ -233,31 +263,13 @@ def analyze(cfg: RunConfig, groups: Mapping[str, Sequence[float]]) -> dict:
     obs = observe(samples, ms, cfg.alternative)
     diag = check_asymptotic_conditions(samples, cfg.epsilon)
     warnings = list(diag.warnings)
-    if obs.degenerate and not steel:
-        warnings.append("fully tied data: statistics are degenerate at 0")
-
+    if obs.degenerate:  # fully tied data: every pair's statistic is constant
+        warnings.append("degenerate data: asymptotic p-value set to 1" if steel
+                        else "fully tied data: statistics are degenerate at 0")
     p_values: dict[str, dict] = {}
     for engine in engines:
-        if engine in ("exact", "exact_or_monte_carlo"):
-            try:
-                budget = cfg.exact_budget
-                pv = exact_p_value(samples, ms, obs.statistic, obs.statistic_value, budget)
-                engine = "exact"
-            except BudgetError:  # refused before any walk
-                if engine == "exact":
-                    raise
-                engine = "monte_carlo"
-        if engine == "asymptotic":
-            pv, extra = _asymptotic_p(ms, obs, cfg.alternative, cfg.continuity, cfg.nodes)
-            warnings += extra
-        elif engine != "exact":
-            tail = (obs.statistic, [obs.statistic_value], cfg.nsim, cfg.seed)
-            if engine == "monte_carlo":
-                hits = simulated_tail_counts(samples, ms, *tail)
-            else:
-                hits = mvn_tail_counts(ms, *tail)
-            pv = sampled_p_value(int(hits[0]), cfg.nsim, cfg.seed, engine, cfg.conservative_mc)
-        p_values[engine] = {k: v for k, v in _fields(pv).items() if v is not None}
+        pv = engine(samples, ms, obs, cfg)
+        p_values[pv.method] = {k: v for k, v in _fields(pv).items() if v is not None}
     report.update(diagnostics=_fields(diag, "warnings"), p_values=p_values, warnings=warnings)
 
     if not steel:

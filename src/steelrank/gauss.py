@@ -220,14 +220,17 @@ def _box_mass(ms: MomentSet, u: np.ndarray, nodes: int, alternative: str) -> tup
     n, sigma0, sigma, tau = _split(ms)
     z, weight = _nodes(nodes)
     common = np.outer(n * sigma0, z)
-    # Phi arguments, one row per factor and one column per node
-    a = ((u * tau)[:, None] - common) / sigma[:, None]
+    # Phi arguments, one row per factor and one column per node; a finite u near the
+    # float maximum overflows to the infinite arguments whose Phi is exact
+    with np.errstate(over="ignore"):
+        a = ((u * tau)[:, None] - common) / sigma[:, None]
+        if alternative == "two_sided":
+            b = ((-u * tau)[:, None] - common) / sigma[:, None]
     if alternative == "greater":
         logs = _log_ndtr(a)
     elif alternative == "less":
         logs = _log_ndtr(-a)
     else:
-        b = ((-u * tau)[:, None] - common) / sigma[:, None]
         # miss = 1 - factor: log1p keeps a factor near 1 exact, the difference a small one
         below, upper_miss, inside = _ndtr(np.stack((b, -a, a)))
         miss = upper_miss + below

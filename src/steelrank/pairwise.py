@@ -79,12 +79,9 @@ def mvn_tail_counts(
     nsim: int,
     seed: int,
 ) -> np.ndarray:
-    """Tail counts of a statistic at each threshold over nsim draws of the joint
-    normal with the pair covariance of ``moments``, from one shared run.
-
-    The tail and the checks are those of ``simulated_tail_counts``; returns int64
-    counts out of nsim draws.  A set whose covariance is not in the group-factor
-    form of the module docstring is a NumericError.
-    """
+    """Tail counts of a tail request without samples (``check_tail_request``) out of
+    nsim draws of the joint normal with the pair covariance of ``moments``, int64,
+    from one shared run.  A set whose covariance is not in the group-factor form of
+    the module docstring is a NumericError."""
     thr = check_tail_request(statistic, thresholds)
     return _mvn_tail_counts(moments.derived(_group_factors), statistic, thr, nsim, seed)

@@ -11,9 +11,10 @@ int64, and expanded in batches of about _EXPAND_BLOCK rows, so candidates that d
 not fit cost time but no memory beyond a block.  Given the tie pattern, the sizes,
 the pairs, the statistic and the moments, the walk's standardized statistic does
 not depend on the data: exact_p_value keeps it sorted with cumulative weights, a
-tail table, in the process's design cache (``_cache.DESIGNS``), and reads each
-p-value off it by one binary search.  Tables past 2**63 splits carry Python-int
-weights and are not kept.
+tail table, in the process's design cache (``_cache.DESIGNS``), and reads the
+p-values at a threshold vector off it by one vectorized binary search.  Tables
+past 2**63 splits carry Python-int weights and are not kept.  Both engines answer
+the tail request of ``check_tail_request``; ``analysis`` builds the report p-values.
 
 Monte Carlo mode splits the replicates into fixed-size chunks; chunk i draws from an
 independent RNG substream derived from (seed, i), always in the same slices and the
@@ -237,7 +238,7 @@ def split_count(sizes: Sequence[int]) -> int:
 @dataclass(frozen=True)
 class PValue:
     estimate: float
-    method: str  # exact | monte_carlo | asymptotic
+    method: str  # exact | monte_carlo | mvn_sample | asymptotic
     nsim: int | None = None
     std_error: float | None = None
     seed: int | None = None
@@ -412,8 +413,12 @@ def _enumerate_w(
 
 def check_tail_request(statistic: str, thresholds: Sequence[float]) -> np.ndarray:
     """The thresholds of a tail request as floats, after the checks every tail entry
-    makes: a scalar statistic and a non-empty ascending vector of thresholds
-    without NaN, which is in no tail and would read as a tail of 0."""
+    makes.  A request is (samples, moments, statistic, thresholds): a MomentSet of
+    control or all pairs whose tie pattern the samples have (``check_samples``),
+    which standardizes each pair with its mu and tau; s_max, s_min or s_abs, in its
+    tail at t when s_min <= t or s_max, s_abs >= t (``in_tail``); and a non-empty
+    ascending vector of thresholds without NaN, which is in no tail and would read
+    as a tail of 0."""
     if statistic not in ("s_max", "s_min", "s_abs"):
         raise ParameterError(f"statistic must be s_max, s_min or s_abs, got {statistic!r}")
     thr = np.asarray(thresholds, dtype=float)
@@ -445,22 +450,19 @@ def exact_p_value(
     samples: RankedSamples,
     moments: MomentSet,
     statistic: str,
-    threshold: float,
+    thresholds: Sequence[float],
     budget: int = DEFAULT_BUDGET,
-) -> PValue:
-    """Exact tail probability of a statistic at ``threshold``, ties included in the tail.
+) -> np.ndarray:
+    """Exact tail probabilities of a tail request (``check_tail_request``): at each
+    threshold the exact integer count of the splits in the tail over the split
+    count, divided as Python ints, so correctly rounded at any split count.
 
-    ``moments`` is a MomentSet of control or all pairs, as for
-    simulated_tail_counts; the tail is s_min <= threshold for
-    ``s_min``, statistic >= threshold for ``s_max`` and ``s_abs``.  The tail mass
-    is the exact integer count of the splits in it.
-
-    Only the threshold depends on the data, so the tail table of the walk is kept
+    Only the thresholds depend on the data, so the tail table of the walk is kept
     in the design cache per tie pattern, sizes, pairs, statistic, mu and tau2, and
-    the mass is read off it by one binary search.  The budget is checked on every
-    call, before the cache.
+    the masses are read off it by one binary search per threshold.  The budget is
+    checked on every call, before the cache.
     """
-    check_tail_request(statistic, [threshold])
+    thr = check_tail_request(statistic, thresholds)
     moments.check_samples(samples)
     tie, sizes, pairs = samples.tie_pattern, samples.sizes, moments.pairs
     total = _check_budget(sizes, budget)
@@ -471,8 +473,8 @@ def exact_p_value(
 
     key = ("exact", tie.d, sizes, pairs, statistic, mu.tobytes(), moments.tau2.tobytes())
     values, cum = DESIGNS.get(key, table)
-    mass = sorted_tail_mass(statistic, values, cum, threshold)
-    return PValue(estimate=mass / total, method="exact")
+    masses = sorted_tail_mass(statistic, values, cum, thr).tolist()  # Python ints
+    return np.array([mass / total for mass in masses])
 
 
 def _draws_count_tables(tie: TiePattern, n_groups: int) -> bool:
@@ -612,23 +614,6 @@ def _mc_tail_counts(
     return sample_chunks(nsim, seed, draw_labels, tally_labels, cells)
 
 
-def sampled_p_value(
-    hits: int, nsim: int, seed: int, method: str, conservative: bool = False
-) -> PValue:
-    """Sampled tail estimate with its binomial standard error.
-
-    ``conservative`` switches the estimate to (hits+1)/(nsim+1).
-    """
-    estimate = (hits + 1) / (nsim + 1) if conservative else hits / nsim
-    return PValue(
-        estimate=estimate,
-        method=method,
-        nsim=nsim,
-        std_error=math.sqrt(estimate * (1 - estimate) / nsim),
-        seed=seed,
-    )
-
-
 def simulated_tail_counts(
     samples: RankedSamples,
     moments: MomentSet,
@@ -637,16 +622,9 @@ def simulated_tail_counts(
     nsim: int,
     seed: int,
 ) -> np.ndarray:
-    """Monte Carlo tail counts of a statistic at each threshold, from one shared run.
-
-    ``moments`` is a MomentSet of control or all pairs; its pairs are standardized
-    with its mu and tau.  The tail is the one the statistic's alternative tests:
-    s_min <= t for ``s_min``, statistic >= t for ``s_max`` and ``s_abs``.  Returns
-    int64 counts out of nsim replicates.
-    """
+    """Monte Carlo tail counts of a tail request (``check_tail_request``) out of nsim
+    replicates, int64, from one shared run."""
     thr = check_tail_request(statistic, thresholds)
     moments.check_samples(samples)
-    pairs, mu, tau = moments.pairs, moments.mu, moments.tau
-    return _mc_tail_counts(
-        samples.tie_pattern, samples.sizes, pairs, mu, tau, statistic, thr, nsim, seed
-    )
+    tie, pairs, mu, tau = samples.tie_pattern, moments.pairs, moments.mu, moments.tau
+    return _mc_tail_counts(tie, samples.sizes, pairs, mu, tau, statistic, thr, nsim, seed)

@@ -53,13 +53,15 @@ def in_tail(kind: str, values, threshold):
     return values >= threshold
 
 
-def sorted_tail_mass(kind: str, values: np.ndarray, cum: np.ndarray, threshold: float) -> int:
-    """The weight in the tail at ``threshold`` of statistic values sorted ascending,
-    where cum[i] is the weight of the first i values: the sum of the weights that
-    ``in_tail`` selects, found by one binary search."""
+def sorted_tail_mass(
+    kind: str, values: np.ndarray, cum: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """The weight in the tail at each threshold of statistic values sorted ascending,
+    where cum[i] is the weight of the first i values: the sums of the weights that
+    ``in_tail`` selects, found by one vectorized binary search, in cum's dtype."""
     if _TAIL_SIDE[kind] == "lower":
-        return int(cum[np.searchsorted(values, threshold, side="right")])
-    return int(cum[-1] - cum[np.searchsorted(values, threshold, side="left")])
+        return cum[np.searchsorted(values, thresholds, side="right")]
+    return cum[-1] - cum[np.searchsorted(values, thresholds, side="left")]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from steelrank import (
     observe,
     pair_moments,
     rank_samples,
-    sampled_p_value,
     select_indices,
     simulated_tail_counts,
     simultaneous_bounds,
@@ -30,7 +29,7 @@ from steelrank import (
     tail_prob,
     var_w,
 )
-from steelrank.analysis import quality_harness
+from steelrank.analysis import RunConfig, _sampled_p, quality_harness
 from steelrank.cli import main
 from steelrank.moments import all_pairs, control_pairs
 
@@ -149,7 +148,7 @@ def test_criterion_4_reference_example(iq_groups):
     nsim = 100_000
     counts = simulated_tail_counts(samples, ms, obs.statistic, [obs.statistic_value], nsim,
                                    20260809)
-    pv = sampled_p_value(int(counts[0]), nsim, 20260809, "monte_carlo")
+    pv = _sampled_p("monte_carlo", int(counts[0]), RunConfig(nsim=nsim, seed=20260809))
     band = 3 * math.sqrt(0.10474 * (1 - 0.10474) / nsim)
     assert abs(pv.estimate - 0.10474) <= band
 

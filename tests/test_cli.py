@@ -433,6 +433,18 @@ def test_settings_outside_their_range_are_parameter_errors(capsys):
             run(RunConfig(input=IQ, **{field: "bogus"}))
 
 
+@pytest.mark.parametrize("field", ["nsim", "seed", "nodes", "exact_budget"])
+@pytest.mark.parametrize("value", [2.5, 20.0, True, False])
+def test_integer_settings_refuse_floats_and_bools(field, value):
+    # a float reached range, seed and node code that needs an int, and True ran as 1
+    with pytest.raises(ParameterError, match=f"{field} must be an integer, got {value!r}"):
+        RunConfig(input=IQ, **{field: value})
+    # whole numbers pass, numpy's too, and give the same report
+    want, numpy_int = (render_json(run(RunConfig(input=IQ, method="asymptotic", **{field: n})))
+                       for n in (20, np.int64(20)))
+    assert numpy_int == want and json.loads(want)["config"][field] == 20
+
+
 def test_all_falls_back_to_monte_carlo_exactly_past_the_exact_budget(capsys):
     # 5, 5 and 4 untied values have 14! / (5! 5! 4!) = 252,252 splits
     base = ["--input", str(DATA / "untied_5x5x4.csv"), "--nsim", "2000"]

@@ -216,6 +216,21 @@ def test_extreme_thresholds():
     assert tail_prob(ms, 0.0, "two_sided") == 1.0
 
 
+def test_finite_thresholds_near_the_float_maximum_raise_no_warning():
+    # u * tau overflows to inf in the Phi arguments, which the quadrature reads exactly
+    ms = no_ties_moments((5, 5, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tail_prob(ms, 1e308, "greater") == 0.0
+        assert tail_prob(ms, -1e308, "greater") == 1.0
+        assert tail_prob(ms, 1e308, "less") == 1.0
+        assert tail_prob(ms, -1e308, "less") == 0.0
+        assert tail_prob(ms, 1e308, "two_sided") == 0.0
+        assert tail_prob(ms, [1e308, 0.0], "greater") == 0.5
+        with pytest.raises(ParameterError, match=">= 0"):
+            tail_prob(ms, -1e308, "two_sided")
+
+
 def test_saturation_on_every_side():
     # tails far beyond any coordinate round to exactly 0, full boxes to exactly 1
     ms = no_ties_moments((5, 5, 5))

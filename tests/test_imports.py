@@ -19,14 +19,14 @@ PUBLIC_NAMES = [
     "TiePattern", "check_asymptotic_conditions", "compute_midranks", "cov_w",
     "exact_p_value", "extract_tie_pattern", "joint_lower_box_prob", "kth_difference",
     "mann_whitney_star", "mean_w", "observe", "pair_moments", "rank_samples", "rank_sums",
-    "sampled_p_value", "select_indices", "simulated_tail_counts", "simultaneous_bounds",
+    "select_indices", "simulated_tail_counts", "simultaneous_bounds",
     "simultaneous_intervals", "solve_common_threshold", "split_count", "tail_prob", "var_w",
 ]
 
 
 def test_public_names_are_pinned_and_resolve():
     assert sorted(steelrank.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 32
     for name in PUBLIC_NAMES:
         assert hasattr(steelrank, name), name
 

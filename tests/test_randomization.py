@@ -24,13 +24,13 @@ from steelrank import (
     observe,
     pair_moments,
     rank_samples,
-    sampled_p_value,
     simulated_tail_counts,
     split_count,
 )
 from steelrank import _cache, randomization, statistics
-from steelrank.analysis import RunConfig, analyze
+from steelrank.analysis import RunConfig, _sampled_p, analyze
 from steelrank.moments import all_pairs, control_pairs
+from steelrank.pairwise import mvn_tail_counts
 from steelrank.randomization import _mc_tail_counts, worker_count
 from steelrank.statistics import in_tail, reduce_statistic, standardize
 
@@ -58,14 +58,16 @@ def _steel(groups, alternative):
 def _exact_p(s, obs, budget=randomization.DEFAULT_BUDGET):
     """Exact p-value of a steel observation, at its statistic and observed value."""
     ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
-    return exact_p_value(s, ms, obs.statistic, obs.statistic_value, budget)
+    return exact_p_value(s, ms, obs.statistic, [obs.statistic_value], budget)[0]
 
 
 def _mc_p(s, obs, nsim, seed, conservative=False):
-    """Monte Carlo p-value of a steel observation: tail count, then sampled_p_value."""
+    """Monte Carlo p-value of a steel observation: tail count, then the report's
+    sampled p-value."""
     ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
     counts = simulated_tail_counts(s, ms, obs.statistic, [obs.statistic_value], nsim, seed)
-    return sampled_p_value(int(counts[0]), nsim, seed, "monte_carlo", conservative)
+    cfg = RunConfig(nsim=nsim, seed=seed, conservative_mc=conservative)
+    return _sampled_p("monte_carlo", int(counts[0]), cfg)
 
 
 @pytest.fixture
@@ -155,17 +157,17 @@ def test_exact_moments_match_formulas_small_grid():
 def test_exact_p_value_hand_case():
     s, obs = _steel([[1, 2], [3, 4]], "greater")
     assert obs.w_star.tolist() == [4]
-    assert _exact_p(s, obs).estimate == pytest.approx(1 / 6, rel=1e-15)
+    assert _exact_p(s, obs) == pytest.approx(1 / 6, rel=1e-15)
 
 
 def test_exact_p_value_at_minimum_is_one():
     s, obs = _steel([[3, 4], [1, 2]], "greater")  # observed W* = 0, the minimum
-    assert _exact_p(s, obs).estimate == 1.0
+    assert _exact_p(s, obs) == 1.0
 
 
 def test_exact_p_value_fully_tied():
     s, obs = _steel([[5, 5], [5, 5]], "two_sided")
-    assert _exact_p(s, obs).estimate == 1.0
+    assert _exact_p(s, obs) == 1.0
 
 
 def test_tail_inclusivity():
@@ -173,7 +175,7 @@ def test_tail_inclusivity():
     for _ in range(10):
         groups = [rng.integers(0, 5, size=3).tolist() for _ in range(3)]
         s, obs = _steel(groups, "less")
-        p = _exact_p(s, obs).estimate
+        p = _exact_p(s, obs)
         assert p >= 1 / split_count(s.sizes)
 
 
@@ -283,22 +285,22 @@ def test_tail_counts_reject_moments_of_another_design():
         simulated_tail_counts(s, pair_moments((2, 2, 3), s.tie_pattern, all_pairs(3)), "s_max",
                               [0.0], 100, 0)
     with pytest.raises(ParameterError, match="different group sizes"):
-        exact_p_value(s, swapped, "s_max", 0.0)
+        exact_p_value(s, swapped, "s_max", [0.0])
     with pytest.raises(ParameterError, match="different group sizes"):
-        exact_p_value(s, pair_moments((2, 2, 3), s.tie_pattern, all_pairs(3)), "s_max", 0.0)
+        exact_p_value(s, pair_moments((2, 2, 3), s.tie_pattern, all_pairs(3)), "s_max", [0.0])
 
 
 def test_moments_of_another_tie_pattern_of_the_same_sizes_are_refused():
     s = rank_samples([[1, 1, 1, 2, 2], [1, 2, 2, 2, 3], [2, 3, 3, 3, 3]])
     untied = pair_moments(s.sizes, TiePattern.no_ties(15), control_pairs(3))
     for call in (lambda: observe(s, untied, "greater"),
-                 lambda: exact_p_value(s, untied, "s_max", 2.0),
+                 lambda: exact_p_value(s, untied, "s_max", [2.0]),
                  lambda: simulated_tail_counts(s, untied, "s_max", [2.0], 100, 0)):
         with pytest.raises(ParameterError, match="different tie pattern"):
             call()
     ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(3))
     assert round(observe(s, ms, "greater").statistic_value, 3) == 2.583
-    assert round(exact_p_value(s, ms, "s_max", 2.0).estimate, 4) == 0.0409
+    assert round(exact_p_value(s, ms, "s_max", [2.0])[0], 4) == 0.0409
     # another pattern with the same tie sums has the same moments, and is accepted
     same_sums = rank_samples([[1, 1, 1, 2, 2], [2, 2, 3, 3, 3], [3, 3, 3, 3]])
     other = rank_samples([[0, 1, 2, 2, 2], [2, 2, 2, 3, 3], [3, 3, 3, 3]])
@@ -306,7 +308,7 @@ def test_moments_of_another_tie_pattern_of_the_same_sizes_are_refused():
     ms = pair_moments(same_sums.sizes, same_sums.tie_pattern, control_pairs(3))
     assert pair_moments(other.sizes, other.tie_pattern, control_pairs(3)) is ms
     observe(other, ms, "greater")
-    exact_p_value(other, ms, "s_max", 0.0)
+    exact_p_value(other, ms, "s_max", [0.0])
 
 
 def test_exact_p_value_rejects_a_nan_threshold_and_vector_statistics():
@@ -314,11 +316,15 @@ def test_exact_p_value_rejects_a_nan_threshold_and_vector_statistics():
     ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
     # a NaN threshold is in no tail, so it would read as p = 0
     with pytest.raises(ParameterError, match="NaN"):
-        exact_p_value(s, ms, "s_max", math.nan)
+        exact_p_value(s, ms, "s_max", [math.nan])
     with pytest.raises(ParameterError):
-        exact_p_value(s, ms, "vector_w", 0.0)
-    assert exact_p_value(s, ms, "s_max", -math.inf).estimate == 1.0
-    assert exact_p_value(s, ms, "s_max", math.inf).estimate == 0.0
+        exact_p_value(s, ms, "vector_w", [0.0])
+    # a scalar threshold is no vector, and an unsorted vector is no request
+    with pytest.raises(ParameterError, match="non-empty vector"):
+        exact_p_value(s, ms, "s_max", 0.5)
+    with pytest.raises(ParameterError, match="ascending"):
+        exact_p_value(s, ms, "s_max", [1.0, 0.5])
+    assert exact_p_value(s, ms, "s_max", [-math.inf, math.inf]).tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("all_group_pairs", [False, True])
@@ -341,11 +347,40 @@ def test_exact_p_value_equals_index_level_enumeration(all_group_pairs):
         assert len(w) == total
         for kind, stats in (("s_max", z.max(axis=1)), ("s_min", z.min(axis=1)),
                             ("s_abs", np.abs(z).max(axis=1))):
-            for t in np.unique(stats):
+            thresholds = np.unique(stats)
+            got = exact_p_value(s, moments, kind, thresholds)
+            for t, p in zip(thresholds, got.tolist()):
                 hits = int((stats <= t).sum() if kind == "s_min" else (stats >= t).sum())
-                got = exact_p_value(s, moments, kind, float(t)).estimate
                 # the tail mass is the exact split count: hits / total, correctly rounded
-                assert round(got * total) == hits and got == hits / total, (sizes, kind, t)
+                assert round(p * total) == hits and p == hits / total, (sizes, kind, t)
+
+
+# the tail entries of the three counting engines, each taking one tail request
+TAIL_ENTRIES = {
+    "exact": lambda s, ms, kind, thr: exact_p_value(s, ms, kind, thr),
+    "monte_carlo": lambda s, ms, kind, thr: simulated_tail_counts(s, ms, kind, thr, 3000, 5),
+    "mvn_sample": lambda s, ms, kind, thr: mvn_tail_counts(ms, kind, thr, 3000, 5),
+}
+
+
+@pytest.mark.parametrize("all_group_pairs", [False, True])
+@pytest.mark.parametrize("engine", sorted(TAIL_ENTRIES))
+def test_a_threshold_vector_gets_each_threshold_its_own_answer(engine, all_group_pairs):
+    rng = np.random.default_rng(7)
+    s = rank_samples([rng.integers(0, 3, size=n) for n in (3, 3, 2)])
+    pairs = (all_pairs if all_group_pairs else control_pairs)(s.n_groups)
+    ms = pair_moments(s.sizes, s.tie_pattern, pairs)
+    w, _ = randomization._enumerate_w(s.tie_pattern, s.sizes, ms.pairs)
+    tail = TAIL_ENTRIES[engine]
+    for kind in ("s_max", "s_min", "s_abs"):
+        # five attained values, where splits tie with a threshold, across the support
+        values = np.unique(reduce_statistic(kind, standardize(w, ms.mu, ms.tau)))
+        thresholds = values[np.linspace(0, len(values) - 1, 5).round().astype(int)]
+        whole = tail(s, ms, kind, thresholds)
+        # probabilities from the exact engine, counts sharing their draws from the others
+        assert whole.dtype == (np.float64 if engine == "exact" else np.int64)
+        assert len(set(whole.tolist())) > 2, (kind, whole)
+        assert whole.tolist() == [tail(s, ms, kind, [t])[0] for t in thresholds.tolist()]
 
 
 @pytest.mark.parametrize("all_group_pairs", [False, True])
@@ -718,7 +753,7 @@ def test_exact_weights_stay_exact_past_2_pow_53_splits(n, weight_type):
     for alternative in ("greater", "less", "two-sided"):
         obs = observe(s, ms, alternative)
         want = two_valued_tail(groups, ms.mu, ms.tau, obs.statistic)
-        got = _exact_p(s, obs, budget=10**30).estimate
+        got = _exact_p(s, obs, budget=10**30)
         assert got == pytest.approx(float(want), rel=0, abs=1e-12)
     dist = exact_null_distribution(s, "vector_w", budget=10**30)
     assert dist.weights.dtype == weight_type
@@ -802,7 +837,7 @@ def test_exact_candidate_memory_is_bounded_by_the_expansion_block(walk_calls):
         obs = observe(s, ms, alternative)
         tracemalloc.start()
         try:
-            got = _exact_p(s, obs, budget=10**30).estimate
+            got = _exact_p(s, obs, budget=10**30)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -836,7 +871,7 @@ def test_one_control_against_many_tied_values_builds_only_fitting_moves(monkeypa
             z = (w[:, 0] - ms.mu[0]) / ms.tau[0]
         for alternative in ("greater", "less", "two-sided"):
             obs = observe(s, ms, alternative)
-            got = _exact_p(s, obs).estimate
+            got = _exact_p(s, obs)
             assert got == float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
             if n == 9:
                 stats = {"s_max": z, "s_min": z, "s_abs": np.abs(z)}[obs.statistic]
@@ -886,14 +921,14 @@ def _charged_bytes():
 def test_a_repeated_exact_p_value_walks_once(walk_calls):
     s = _UNTIED_333
     ms = _control_moments(s)
-    p = exact_p_value(s, ms, "s_max", 1.0)
-    assert exact_p_value(s, ms, "s_max", 1.0) == p
-    exact_p_value(s, ms, "s_max", -0.5)  # another threshold reads the same table
+    p = exact_p_value(s, ms, "s_max", [1.0])
+    assert exact_p_value(s, ms, "s_max", [1.0]).tolist() == p.tolist()
+    exact_p_value(s, ms, "s_max", [-0.5])  # another threshold reads the same table
     assert len(walk_calls) == 1
-    exact_p_value(s, ms, "s_min", 1.0)
-    exact_p_value(s, pair_moments(s.sizes, s.tie_pattern, all_pairs(3)), "s_max", 1.0)
+    exact_p_value(s, ms, "s_min", [1.0])
+    exact_p_value(s, pair_moments(s.sizes, s.tie_pattern, all_pairs(3)), "s_max", [1.0])
     tied = _samples_with_ties((2,) + (1,) * 7, s.sizes)
-    exact_p_value(tied, _control_moments(tied), "s_max", 1.0)
+    exact_p_value(tied, _control_moments(tied), "s_max", [1.0])
     assert len(walk_calls) == 4 and len(_exact_tables()) == 4
 
 
@@ -901,10 +936,10 @@ def test_the_budget_is_checked_before_the_cache(walk_calls):
     s = _UNTIED_333
     ms = _control_moments(s)
     assert split_count(s.sizes) == 1680
-    exact_p_value(s, ms, "s_max", 1.0, budget=1680)
+    exact_p_value(s, ms, "s_max", [1.0], budget=1680)
     for statistic in ("s_max", "s_min"):  # a kept table, then none
         with pytest.raises(BudgetError, match="1680 splits"):
-            exact_p_value(s, ms, statistic, 1.0, budget=1679)
+            exact_p_value(s, ms, statistic, [1.0], budget=1679)
     assert len(walk_calls) == 1 and len(_exact_tables()) == 1
     with pytest.raises(BudgetError, match="1680 splits"):
         randomization._enumerate_w(s.tie_pattern, s.sizes, ms.pairs, budget=1679)
@@ -932,7 +967,7 @@ def test_the_design_cache_holds_its_byte_cap_and_evicts_the_least_recently_used(
 
     def p_value(d):
         s = _samples_with_ties(d, (4, 4, 4))
-        return exact_p_value(s, _control_moments(s), "s_max", 0.5)
+        return exact_p_value(s, _control_moments(s), "s_max", [0.5]).tolist()
 
     first = p_value(ties[0])
     for d in ties[1:]:
@@ -953,7 +988,7 @@ def test_a_table_over_the_cap_is_returned_but_not_kept(monkeypatch, walk_calls):
     monkeypatch.setattr(_cache.DESIGNS, "limit", 64)
     s = _UNTIED_333
     ms = _control_moments(s)
-    p = [exact_p_value(s, ms, "s_max", 1.0) for _ in range(2)]
+    p = [exact_p_value(s, ms, "s_max", [1.0]).tolist() for _ in range(2)]
     assert p[0] == p[1]
     assert len(walk_calls) == 2 and _cache.DESIGNS._nbytes == 0 and not _cache.DESIGNS._items
 
@@ -973,7 +1008,7 @@ def test_two_threads_asking_at_once_get_identical_results():
         try:
             for i, (s, ms) in enumerate(designs):
                 start.wait()  # both threads ask for the same table at once
-                results[slot][i] = [exact_p_value(s, ms, "s_abs", t).estimate for t in thresholds]
+                results[slot][i] = exact_p_value(s, ms, "s_abs", thresholds).tolist()
         except Exception as exc:  # reported below: an assertion in a thread is lost
             errors.append(exc)
 
@@ -1098,7 +1133,7 @@ def test_both_draws_match_exact_enumeration_on_small_designs(monkeypatch, sizes,
             # the attained values whose exact tails lie nearest 0.2 and 0.6
             tail = 1 - cum[:-1] / cum[-1] if kind != "s_min" else cum[1:] / cum[-1]
             picks = sorted({values[np.argmin(np.abs(tail - p))] for p in (0.2, 0.6)})
-            exact = np.array([exact_p_value(s, ms, kind, t).estimate for t in picks])
+            exact = exact_p_value(s, ms, kind, picks)
             for tables in (False, True):
                 monkeypatch.setattr(randomization, "_draws_count_tables", lambda *a: tables)
                 got = simulated_tail_counts(s, ms, kind, picks, nsim, 11) / nsim
@@ -1249,7 +1284,7 @@ def test_tail_tables_give_the_masked_sum_at_every_attained_value(tied, all_group
             thresholds = np.concatenate([values, np.nextafter(values, -np.inf),
                                          np.nextafter(values, np.inf), [-np.inf, np.inf]])
             for t in thresholds.tolist():
-                got = exact_p_value(s, ms, statistic, t).estimate
+                got = exact_p_value(s, ms, statistic, [t])[0]
                 assert got == _masked_mass(s, ms, statistic, t) / total, (sizes, statistic, t)
         keys = [key for key in _exact_tables() if key[1:4] == (s.tie_pattern.d, s.sizes, pairs)]
         assert sorted(key[4] for key in keys) == ["s_abs", "s_max", "s_min"]
@@ -1258,7 +1293,7 @@ def test_tail_tables_give_the_masked_sum_at_every_attained_value(tied, all_group
 def test_tail_tables_are_read_only_and_end_at_the_split_count():
     s = rank_samples([[0.3, 1.2, 2.5, 0.1], [1.1, 2.2, 3.3, 4.4], [0.5, 0.6, 0.7, 5.0]])
     ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(3))
-    exact_p_value(s, ms, "s_abs", 1.0)
+    exact_p_value(s, ms, "s_abs", [1.0])
     ((key, (values, cum)),) = _exact_tables().items()
     assert key[4] == "s_abs" and not values.flags.writeable and not cum.flags.writeable
     assert cum.dtype == np.int64 and cum[0] == 0 and cum[-1] == split_count(s.sizes)
@@ -1271,8 +1306,8 @@ def test_a_hand_built_moment_set_reads_no_other_sets_tail_table():
     total = split_count(s.sizes)
     shifted = dataclasses.replace(ms, mu=ms.mu + 1.0)
     for threshold in (-0.5, 0.0, 0.7):
-        p = exact_p_value(s, ms, "s_max", threshold).estimate
-        q = exact_p_value(s, shifted, "s_max", threshold).estimate
+        p = exact_p_value(s, ms, "s_max", [threshold])[0]
+        q = exact_p_value(s, shifted, "s_max", [threshold])[0]
         assert p == _masked_mass(s, ms, "s_max", threshold) / total
         assert q == _masked_mass(s, shifted, "s_max", threshold) / total
         assert q < p
@@ -1286,7 +1321,7 @@ def test_python_int_weight_walks_keep_no_tail_table(walk_calls):
     s, obs = _steel(groups, "greater")
     ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(s.n_groups))
     for _ in range(2):
-        got = _exact_p(s, obs, budget=10**30).estimate
+        got = _exact_p(s, obs, budget=10**30)
         assert got == float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
     assert len(walk_calls) == 2 and not _exact_tables()
     # the one table path gives Python-int cumulative weights, which the cache refuses
