@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from typing import Mapping, Sequence
@@ -35,6 +36,9 @@ OUTPUTS = ("json", "text")
 HARNESS_P_GRID = (0.20, 0.15, 0.10, 0.05, 0.025, 0.01)
 # the design a moment set names, which its report blocks leave out
 _DESIGN_FIELDS = ("sizes", "pairs", "s2", "s3", "s3_plus", "fully_tied")
+# what a RunConfig field annotated int, float or bool takes; only a bool field takes a bool
+_KINDS = {"int": ("an integer", (int, np.integer)), "float": ("a real number", numbers.Real),
+          "bool": ("a bool", bool)}
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,13 @@ class RunConfig:
         for name, allowed in choices.items():
             if (value := getattr(self, name)) not in allowed:
                 raise ParameterError(f"{name} must be one of {allowed}, got {value!r}")
-        for name in ("nsim", "seed", "nodes", "exact_budget"):  # numpy integers too
-            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {v!r}")
+        for f in dataclasses.fields(self):  # each field's annotation names its type
+            kind, _, optional = f.type.partition(" | ")
+            v = getattr(self, f.name)
+            if kind in _KINDS and not (optional and v is None):
+                what, types = _KINDS[kind]
+                if not isinstance(v, types) or isinstance(v, bool) != (kind == "bool"):
+                    raise ParameterError(f"{f.name} must be {what}, got {v!r}")
         if self.nsim < 1:
             raise ParameterError("nsim must be >= 1")
         if self.seed < 0:

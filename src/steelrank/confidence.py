@@ -17,7 +17,7 @@ from ._cache import DESIGNS
 from .errors import NumericError, ParameterError
 from .gauss import DEFAULT_NODES, joint_lower_box_prob, solve_common_threshold
 from .moments import MomentSet, control_pairs, pair_moments
-from .ranks import RankedSamples, TiePattern, rank_samples
+from .ranks import RankedSamples, TiePattern, rank_samples, whole
 
 DIRECTIONS = ("upper", "lower")
 # kth_difference: a table of at most _SORT_CELLS differences is partitioned whole;
@@ -101,9 +101,9 @@ def kth_difference(control: Sequence[float], treatment: Sequence[float], k: int)
     0.0 to its inputs, so no difference it selects is -0.0.
     """
     x, y = rank_samples([control, treatment]).scores
-    if int(k) != k or not 1 <= k <= x.size * y.size:
+    if (whole_k := whole(k)) is None or not 1 <= whole_k <= x.size * y.size:
         raise ParameterError(f"k must be an integer in [1, {x.size * y.size}], got {k!r}")
-    return _kth_differences(x, y, (int(k),))[0]
+    return _kth_differences(x, y, (whole_k,))[0]
 
 
 def _kth_differences(x: np.ndarray, y: np.ndarray, ks: tuple[int, ...]) -> list[float]:

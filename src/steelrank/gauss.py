@@ -16,9 +16,9 @@ error 5.7e-6 at u = 8 on the (7, 5) design) until the window follows the
 integrand's mass.
 
 The entry points take the control-pair ``MomentSet`` of ``pair_moments``, whose
-sigma0_2 and sigma2 are this split.  Every built set with tau > 0 has sigma0 > 0
-and sigma_i > 0 (only fully tied data give zeros, and then tau = 0 as well), so
-each factor is a smooth Phi; a set that breaks this is refused.
+sigma0_2 and sigma2 are this split, and refuse any other set (``MomentSet.scales``).
+Every built set with tau > 0 has sigma0 > 0 and sigma_i > 0 (only fully tied data
+give zeros, and then tau = 0 as well), so each factor is a smooth Phi.
 
 Import rule: no run imports scipy.  The normal CDF and its log are Cephes' ndtr
 evaluated in numpy (``_ndtr``, ``_log_ndtr``), and thresholds are solved by
@@ -189,17 +189,10 @@ def _split(ms: MomentSet) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
 
 
 def _checked_split(ms: MomentSet) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    n = np.asarray(ms.sizes[1:], dtype=float)
-    if not n.size == ms.sigma2.size == ms.tau2.size == ms.mu.size:
-        raise ParameterError("moment set component lengths disagree")
+    ms.scales()  # the set pair_moments builds, so its split holds exactly
     if (ms.tau2 <= 0).any():
         raise ParameterError("tau must be strictly positive (degenerate data carry no test)")
-    # a NaN or infinite variance is refused here, not carried into the product
-    squares = np.concatenate(([ms.sigma0_2], ms.sigma2, ms.tau2))
-    if not (np.isfinite(squares) & (squares > 0)).all():
-        raise ParameterError("sigma0, sigma and tau must be finite and positive")
-    if np.any(np.abs(n * n * ms.sigma0_2 + ms.sigma2 - ms.tau2) > 1e-10 * ms.tau2):
-        raise ParameterError("tau^2 != n^2*sigma0^2 + sigma^2; inconsistent model")
+    n = np.asarray(ms.sizes[1:], dtype=float)
     sigma, tau = np.sqrt(ms.sigma2), np.sqrt(ms.tau2)
     for arr in (n, sigma, tau):
         arr.setflags(write=False)
@@ -251,8 +244,8 @@ def tail_prob(ms: MomentSet, u, alternative: str, nodes: int = DEFAULT_NODES) ->
     greater: P(any coordinate i >= u_i); less: P(any <= u_i); two_sided:
     P(any |coordinate i| >= u_i), u_i >= 0.  ``u`` is a scalar or one threshold
     per coordinate, none of them NaN.  A set of other pairs, one with tau_i = 0
-    (fully tied data) or one whose variances are not finite and positive is a
-    ParameterError.
+    (fully tied data) or one that is not the set ``pair_moments`` builds for its
+    design is a ParameterError.
 
     Numeric contract: the tail and the box are complements, and whichever is smaller
     is integrated directly, so a small tail keeps its relative accuracy and a tail

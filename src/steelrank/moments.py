@@ -1,19 +1,22 @@
 """Exact conditional moments of tie-corrected Mann-Whitney statistics under random splits.
 
-All formulas are evaluated in exact rational arithmetic (the tie sums are integers)
-and converted to float at the end, so tie corrections never suffer cancellation.
+Every null moment is an integer multiple of the two scales (s, r) of the tie
+pattern (``_scales``): exact rationals, as the tie sums are integers, each turned
+into a float by one integer division, so tie corrections never suffer cancellation.
+The engines that read the factor form take the scales from ``MomentSet.scales``,
+which accepts only the sets ``pair_moments`` builds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
+from dataclasses import dataclass, fields
 from typing import Callable, TypeVar
 
 import numpy as np
 
 from ._cache import DESIGNS
-from .errors import NumericError, ParameterError
-from .ranks import RankedSamples, TiePattern
+from .errors import ParameterError
+from .ranks import RankedSamples, TiePattern, whole
 
 V = TypeVar("V")
 
@@ -83,9 +86,9 @@ class MomentSet:
     @property
     def derived_bytes(self) -> int:
         """Bytes ``derived`` keeps with the set at most, charged to it in the design
-        cache: 64 per pair, for the pair index (16) and the group factors (48) or the
-        one-factor split (24)."""
-        return 64 * len(self.pairs)
+        cache: 88 per pair, for the pair index (16), the group factors (48) and the
+        one-factor split (24), and 16 for the scales."""
+        return 88 * len(self.pairs) + 16
 
     def check_samples(self, samples: RankedSamples) -> None:
         """Refuse samples of other group sizes or tie sums than the set was computed for."""
@@ -94,12 +97,19 @@ class MomentSet:
         if (self.s2, self.s3, self.s3_plus, self.fully_tied) != tie_sums(samples.tie_pattern):
             raise ParameterError("moments were computed for a different tie pattern")
 
+    def scales(self) -> tuple[float, float]:
+        """The design's scales (s, r) as floats, for the engines that read the factor
+        form.  Only the set ``pair_moments`` builds for its own sizes, pairs and tie
+        sums has them (checked once: the cached set, or one equal to it field by field);
+        any other set is a ParameterError naming the first field that differs."""
+        return self.derived(_checked_scales)
+
     def derived(self, build: Callable[["MomentSet"], V]) -> V:
-        """build(self), built on first use and kept with this set: the quadrature
-        keeps a control-pair set's checked one-factor split here, and ``observe``
-        its pair index arrays.  A set is read-only, so what is derived
-        from it stays valid, and a set built by hand (``dataclasses.replace``
-        included) never reads what another set derived."""
+        """build(self), built on first use and kept with this set: the checked
+        scales, the quadrature's one-factor split of a control-pair set, the group
+        factors of MVN sampling and the pair index arrays of ``observe``.  A set is
+        read-only, so what is derived from it stays valid, and a set built by hand
+        (``dataclasses.replace`` included) never reads what another set derived."""
         value = self._derived.get(build)
         if value is None:
             value = self._derived.setdefault(build, build(self))
@@ -107,9 +117,9 @@ class MomentSet:
 
 
 def _check_size(n: int, name: str) -> int:
-    if int(n) != n or n < 1:
+    if (whole_n := whole(n)) is None or whole_n < 1:
         raise ParameterError(f"{name} must be an integer >= 1, got {n!r}")
-    return int(n)
+    return whole_n
 
 
 def mean_w(n0: int, ni: int) -> float:
@@ -117,18 +127,21 @@ def mean_w(n0: int, ni: int) -> float:
     return _check_size(n0, "n0") * _check_size(ni, "ni") / 2
 
 
-def _var_w_exact(n0: int, ni: int, tie: TiePattern) -> Fraction:
-    n = tie.N
-    if n0 + ni > n:
-        raise ParameterError(f"n0 + ni = {n0 + ni} exceeds pooled size N = {n}")
-    if tie.e == 1:
-        return Fraction(0)
-    out = Fraction(n0 * ni * (n0 + ni + 1), 12)
-    if tie.s3_plus:
-        out -= Fraction(n0 * ni * (n0 + ni - 2) * tie.s3_plus, 12 * n * (n - 1) * (n - 2))
-    if tie.s2 and n > n0 + ni:
-        out -= Fraction(n0 * ni * (n - n0 - ni) * tie.s2, 4 * n * (n - 1) * (n - 2))
-    return out
+def _scales(n: int, s2: int, s3: int, fully_tied: bool) -> tuple[int, int, int]:
+    """(S, R, D): the exact scales s = S/D and r = R/D of a tie pattern of n values
+    with tie sums s2 and s3, as integers over one denominator.
+
+    With M = n(n-1)(n-2), s = (1 - s3/M)/12 and r = (1 - (3(n-2) s2 - 2 s3)/M)/12, and
+    every null moment is an integer multiple of them: cov(W_ab, W_ac) = n_a n_b n_c s
+    and var W_ab = n_a n_b ((n_a + n_b) s + r).  Both are 1/12 without ties and 0 when
+    all values tie; r is 0 on two-valued data with ties, and s > 0 and r > 0 otherwise.
+    A float of them is one int / int division, which Python rounds correctly, so it
+    is the float of the exact rational, as float(Fraction) is.
+    """
+    if fully_tied:
+        return 0, 0, 1
+    m = n * (n - 1) * (n - 2) or 1  # below 3 values nothing ties, so s2 = s3 = 0
+    return m - s3, m - 3 * (n - 2) * s2 + 2 * s3, 12 * m
 
 
 def var_w(n0: int, ni: int, tie: TiePattern) -> float:
@@ -140,19 +153,10 @@ def var_w(n0: int, ni: int, tie: TiePattern) -> float:
     """
     n0 = _check_size(n0, "n0")
     ni = _check_size(ni, "ni")
-    return float(_var_w_exact(n0, ni, tie))
-
-
-def _cov_w_exact(n0: int, n1: int, n2: int, tie: TiePattern) -> Fraction:
-    n = tie.N
-    if n0 + n1 + n2 > n:
-        raise ParameterError(f"n0 + n1 + n2 = {n0 + n1 + n2} exceeds pooled size N = {n}")
-    if tie.e == 1:
-        return Fraction(0)
-    out = Fraction(n0 * n1 * n2, 12)
-    if tie.s3:
-        out -= Fraction(n0 * n1 * n2 * tie.s3, 12 * n * (n - 1) * (n - 2))
-    return out
+    if n0 + ni > tie.N:
+        raise ParameterError(f"n0 + ni = {n0 + ni} exceeds pooled size N = {tie.N}")
+    s, r, d = _scales(tie.N, tie.s2, tie.s3, tie.e == 1)
+    return n0 * ni * ((n0 + ni) * s + r) / d
 
 
 def cov_w(n0: int, n1: int, n2: int, tie: TiePattern) -> float:
@@ -161,22 +165,15 @@ def cov_w(n0: int, n1: int, n2: int, tie: TiePattern) -> float:
     n0 = _check_size(n0, "n0")
     n1 = _check_size(n1, "n1")
     n2 = _check_size(n2, "n2")
-    return float(_cov_w_exact(n0, n1, n2, tie))
-
-
-def _sigma0_sq_exact(n0: int, tie: TiePattern) -> Fraction:
-    n = tie.N
-    if tie.e == 1:
-        return Fraction(0)
-    out = Fraction(n0, 12)
-    if tie.s3:
-        out -= Fraction(n0 * tie.s3, 12 * n * (n - 1) * (n - 2))
-    return out
+    if n0 + n1 + n2 > tie.N:
+        raise ParameterError(f"n0 + n1 + n2 = {n0 + n1 + n2} exceeds pooled size N = {tie.N}")
+    s, _, d = _scales(tie.N, tie.s2, tie.s3, tie.e == 1)
+    return n0 * n1 * n2 * s / d
 
 
 def pair_moments(sizes, tie: TiePattern, pairs) -> MomentSet:
     """Moment set of the statistics of ``pairs``, the control pairs or all pairs of
-    len(sizes) groups, from the shared-sample identities.
+    len(sizes) groups, from the shared-sample identities and the scales of ``_scales``.
 
     Pairs sharing their first or their second sample covary positively (three-sample
     covariance with the shared size first); mixed sharing flips the sign because
@@ -184,11 +181,12 @@ def pair_moments(sizes, tie: TiePattern, pairs) -> MomentSet:
     disjoint pairs are uncorrelated.  For control pairs the covariance matches that
     of n_i*V0 + V_i with independent V's, which is what makes the one-dimensional
     quadrature work: cov[i][j] = n_i*n_j*sigma0_2 off the diagonal and tau2[i] =
-    n_i^2*sigma0_2 + sigma2[i] on it.
+    n_i^2*sigma0_2 + sigma2[i] on it, with sigma0_2 = n_0 s and sigma2[i] =
+    n_0 n_i (n_0 s + r), which is positive unless all values tie.
 
-    The formulas read the data only through N, s2, s3, s3_plus and whether all
-    values are tied, so results are kept per process in ``_cache.DESIGNS`` under
-    the sizes, the pairs and those sums: tie patterns with equal sums share one entry.
+    The formulas read the data only through N, s2, s3 and whether all values are
+    tied, so results are kept per process in ``_cache.DESIGNS`` under the sizes,
+    the pairs and the tie sums: tie patterns with equal sums share one entry.
     """
     sizes = tuple(_check_size(n, "size") for n in sizes)
     if len(sizes) < 2:
@@ -197,58 +195,42 @@ def pair_moments(sizes, tie: TiePattern, pairs) -> MomentSet:
         raise ParameterError(f"sizes sum to {sum(sizes)} but tie pattern has N = {tie.N}")
     pairs = tuple((int(a), int(b)) for a, b in pairs)
     _check_pairs(len(sizes), pairs)
-    key = ("moments", sizes, pairs, *tie_sums(tie))  # N = sum(sizes)
-    return DESIGNS.get(key, lambda: _pair_moments(sizes, tie, pairs))
+    return _built(sizes, pairs, tie_sums(tie))
 
 
-def _pair_moments(
-    sizes: tuple[int, ...], tie: TiePattern, pairs: tuple[tuple[int, int], ...]
-) -> MomentSet:
-    exact: dict[tuple[int, ...], Fraction] = {}  # each distinct size tuple's exact moment
-    floats: dict[tuple[int, ...], float] = {}  # and its float, each made once
-    ratios: dict[tuple[int, int], float] = {}
+def _built(sizes: tuple[int, ...], pairs: tuple[tuple[int, int], ...], sums) -> MomentSet:
+    key = ("moments", sizes, pairs, *sums)  # N = sum(sizes)
+    return DESIGNS.get(key, lambda: _pair_moments(sizes, pairs, sums))
 
-    def moment(*ns: int) -> Fraction:
-        if ns not in exact:
-            exact[ns] = (_var_w_exact if len(ns) == 2 else _cov_w_exact)(*ns, tie)
-        return exact[ns]
 
-    def value(*ns: int) -> float:
-        if ns not in floats:
-            floats[ns] = float(moment(*ns))
-        return floats[ns]
-
+def _pair_moments(sizes: tuple[int, ...], pairs, sums: tuple[int, int, int, bool]) -> MomentSet:
+    """The moment set of a design, each float one division of exact integers."""
+    s2, s3, s3_plus, fully_tied = sums
+    s, r, d = _scales(sum(sizes), s2, s3, fully_tied)
     n_pairs = len(pairs)
-    cov = [[0.0] * n_pairs for _ in range(n_pairs)]
-    ratio = []
+    cov = np.zeros((n_pairs, n_pairs))
     for p, (a, b) in enumerate(pairs):
-        na, nb = sizes[a], sizes[b]
-        cov[p][p] = value(na, nb)
-        if (na, nb) not in ratios:
-            ratios[na, nb] = float(1 - moment(na, nb) / Fraction(na * nb * (na + nb + 1), 12))
-        ratio.append(ratios[na, nb])
+        cov[p, p] = sizes[a] * sizes[b] * ((sizes[a] + sizes[b]) * s + r) / d
         for q in range(p + 1, n_pairs):
-            c, d = pairs[q]
-            shared = {a, b} & {c, d}
-            if not shared:
-                continue
-            s = shared.pop()
-            others = [v for v in (a, b, c, d) if v != s]
-            sign = 1.0 if (s == a) == (s == c) else -1.0
-            cov[p][q] = cov[q][p] = sign * value(sizes[s], *(sizes[v] for v in others))
-
+            c, e = pairs[q]
+            shared = {a, b} & {c, e}
+            if shared:
+                g = shared.pop()
+                sign = 1.0 if (g == a) == (g == c) else -1.0
+                cov[p, q] = cov[q, p] = sign * (math.prod(sizes[v] for v in {a, b, c, e}) * s / d)
     sigma0_2, sigma2 = None, None
     if all(a == 0 for a, _ in pairs):
-        sigma0_2, sigma2 = _factor_split(sizes, tie, moment)
-    cov = np.array(cov)
-    s2, s3, s3_plus, fully_tied = tie_sums(tie)
+        n0 = sizes[0]
+        sigma0_2 = n0 * s / d
+        sigma2 = np.array([n0 * ni * (n0 * s + r) / d for ni in sizes[1:]])
+    ns = [sizes[a] + sizes[b] for a, b in pairs]  # the ratio is 1 - var / its untied value
     return MomentSet(
         sizes=sizes,
         pairs=pairs,
         mu=np.array([sizes[a] * sizes[b] / 2 for a, b in pairs]),
         tau2=np.diag(cov).copy(),
         cov=cov,
-        correction_ratio=ratio,
+        correction_ratio=[((n + 1) * d - 12 * (n * s + r)) / ((n + 1) * d) for n in ns],
         sigma0_2=sigma0_2,
         sigma2=sigma2,
         s2=s2,
@@ -258,35 +240,16 @@ def _pair_moments(
     )
 
 
-def _factor_split(
-    sizes: tuple[int, ...], tie: TiePattern, moment
-) -> tuple[float, np.ndarray]:
-    """sigma0_2 and sigma2 of the control pairs' one-factor split.
-
-    In closed form, with N = tie.N, s2 = tie.s2 and s3 = tie.s3,
-        sigma2[i] = n0*n_i/12 * ((n0 + 1) - ((n0 - 2)*s3 + 3*(N - 2)*s2) / (N(N-1)(N-2))),
-    (the fraction is 0 when s2 = s3 = 0), which is positive unless all values tie
-    (then every moment is 0).  Each is computed, checked and converted once per
-    distinct treatment size, and the covariance identity is checked once per
-    distinct pair of treatment sizes.
-    """
-    n0 = sizes[0]
-    treat = sizes[1:]
-    s0_sq = _sigma0_sq_exact(n0, tie)
-    sig_sq: dict[int, float] = {}
-    for i, ni in enumerate(treat):
-        if ni not in sig_sq:
-            v = moment(n0, ni) - ni * ni * s0_sq
-            if v < 0:
-                raise NumericError(
-                    f"negative idiosyncratic variance {float(v)} for treatment {i + 1}"
-                )
-            sig_sq[ni] = float(v)
-    checked = set()
-    for i in range(len(treat)):
-        for j in range(i + 1, len(treat)):
-            if (treat[i], treat[j]) not in checked:
-                checked.add((treat[i], treat[j]))
-                if moment(n0, treat[i], treat[j]) != treat[i] * treat[j] * s0_sq:
-                    raise NumericError("factor decomposition is inconsistent with the covariance")
-    return float(s0_sq), np.array([sig_sq[ni] for ni in treat])
+def _checked_scales(ms: MomentSet) -> tuple[float, float]:
+    """``MomentSet.scales``: a set must be the one ``pair_moments`` builds for its own
+    sizes, pairs and tie sums, the cached set itself or equal to it field by field."""
+    if not all(type(v) is int and v >= 0 for v in (*ms.sizes, ms.s2, ms.s3, ms.s3_plus)):
+        raise ParameterError("a moment set's sizes and tie sums must be Python ints >= 0")
+    built = _built(ms.sizes, ms.pairs, (ms.s2, ms.s3, ms.s3_plus, bool(ms.fully_tied)))
+    if built is not ms:
+        for f in fields(ms):
+            if not np.array_equal(getattr(ms, f.name), getattr(built, f.name)):
+                raise ParameterError(f"moment set field {f.name!r} is not what pair_moments "
+                                     "builds for the set's sizes, pairs and tie sums")
+    s, r, d = _scales(sum(ms.sizes), ms.s2, ms.s3, ms.fully_tied)
+    return s / d, r / d

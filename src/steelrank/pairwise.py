@@ -1,15 +1,15 @@
 """All-pairs tails from the approximating joint normal: seeded sampling of the
 standardized pair statistics under their null covariance.
 
-The covariance has one factor per group: with s = cov(W_01, W_02) / (n_0 n_1 n_2),
-W_ab covaries as n_a n_b sqrt(s) (xi_b / sqrt(n_b) - xi_a / sqrt(n_a)) + sqrt(D_ab)
-eps_ab, with independent standard normals xi_g per group and eps_ab per pair and
-D_ab = tau2_ab - n_a n_b (n_a + n_b) s >= 0: Hoeffding's linear projection and its
-degenerate remainder (0 on some tied designs; for control pairs, the one-factor
-split of ``pair_moments``).  A replicate is K + P normals (K groups, P pairs) drawn
-on ``randomization.sample_chunks``, in slices sized by the 2 (K + P) + 3 P floats
-its tally holds; the pair values are their elementwise products and sums, which
-depend neither on the BLAS kernel or threads nor on the slicing.
+The covariance has one factor per group: with the scales (s, r) of the design
+(``MomentSet.scales``), W_ab covaries as n_a n_b sqrt(s) (xi_b / sqrt(n_b) - xi_a /
+sqrt(n_a)) + sqrt(D_ab) eps_ab, with independent standard normals xi_g per group and
+eps_ab per pair and D_ab = n_a n_b r >= 0: Hoeffding's linear projection and its
+degenerate remainder (0 on two-valued tied data; for control pairs, the one-factor
+split of ``pair_moments``).  A replicate is K + P normals (K groups, P pairs) drawn on
+``randomization.sample_chunks``, in slices sized by the 2 (K + P) + 3 P floats its
+tally holds; the pair values are their elementwise products and sums, which depend
+neither on the BLAS kernel or threads nor on the slicing.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError
 from .moments import MomentSet
 from .randomization import check_tail_request, sample_chunks
 from .statistics import in_tail, reduce_statistic
@@ -26,22 +25,16 @@ from .statistics import in_tail, reduce_statistic
 def _group_factors(ms: MomentSet) -> tuple[np.ndarray, np.ndarray]:
     """(rows, coef): the rows of each pair's group-a factor, group-b factor and remainder
     among a replicate's K + P normals, (3, P), and its standardized value's coefficients
-    on them, (3, P, 1), 0 where tau = 0.  A negative s, a D below -1e-9 tau^2 or a cov
-    entry off the form by over 1e-9 tau_p tau_q is a NumericError; a smaller D is 0."""
+    on them, (3, P, 1), 0 where tau = 0."""
+    s, r = ms.scales()
     n = np.array(ms.sizes, dtype=float)
     a, b = np.array(ms.pairs, dtype=np.intp).T
-    s = float(ms.cov[0, 1] / (n[0] * n[1] * n[2])) if len(a) > 1 else 0.0
-    remainder = ms.tau2 - n[a] * n[b] * (n[a] + n[b]) * s
-    if not (s >= 0 and np.all(remainder >= -1e-9 * ms.tau2)):
-        raise NumericError(f"negative factor variance: s={s:.3g}, D={remainder.min():.3g}")
-    coef = np.stack((-n[b] * np.sqrt(n[a] * s), n[a] * np.sqrt(n[b] * s),
-                     np.sqrt(np.clip(remainder, 0.0, None))))
-    loading = np.zeros((len(n), len(a)))
-    loading[a, np.arange(len(a))], loading[b, np.arange(len(a))] = coef[0], coef[1]
-    implied = sum(np.outer(row, row) for row in loading) + np.diag(coef[2] ** 2)
     tau = ms.tau
-    if not np.all(np.abs(implied - ms.cov) <= 1e-9 * np.outer(tau, tau)):
-        raise NumericError("pairwise covariance is not in the group-factor form")
+    if len(a) == 1:  # a lone pair covaries with no other: its own normal carries all of it
+        coef = np.stack((np.zeros(1), np.zeros(1), tau))
+    else:
+        coef = np.stack((-n[b] * np.sqrt(n[a] * s), n[a] * np.sqrt(n[b] * s),
+                         np.sqrt(n[a] * n[b] * r)))
     rows = np.stack((a, b, len(n) + np.arange(len(a))))
     return rows, (coef / np.where(tau > 0, tau, np.inf))[..., None]
 
@@ -81,7 +74,7 @@ def mvn_tail_counts(
 ) -> np.ndarray:
     """Tail counts of a tail request without samples (``check_tail_request``) out of
     nsim draws of the joint normal with the pair covariance of ``moments``, int64,
-    from one shared run.  A set whose covariance is not in the group-factor form of
-    the module docstring is a NumericError."""
+    from one shared run.  A set that is not the one ``pair_moments`` builds for its
+    design is a ParameterError."""
     thr = check_tail_request(statistic, thresholds)
     return _mvn_tail_counts(moments.derived(_group_factors), statistic, thr, nsim, seed)

@@ -32,6 +32,14 @@ def _as_scores(values) -> np.ndarray:
     return arr
 
 
+def whole(value) -> int | None:
+    """int(value) when value equals it, else None: NaN, infinities and non-numbers too."""
+    try:
+        return int(value) if int(value) == value else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 @dataclass(frozen=True)
 class TiePattern:
     """Multiplicities of the distinct pooled values, in ascending value order.
@@ -49,9 +57,9 @@ class TiePattern:
             return  # already clean, as rank_samples builds it
         clean = []
         for m in self.d:
-            if int(m) != m or m < 1:
+            if (whole_m := whole(m)) is None or whole_m < 1:
                 raise ParameterError(f"multiplicities must be integers >= 1, got {m!r}")
-            clean.append(int(m))
+            clean.append(whole_m)
         object.__setattr__(self, "d", tuple(clean))
 
     @property

@@ -210,3 +210,97 @@ def replayed_tail_counts(values, sizes, pairs, mu, tau, kind, thresholds, nsim, 
     if kind == "s_min":
         return np.array([(stats <= t).sum() for t in thresholds], dtype=np.int64)
     return np.array([(stats >= t).sum() for t in thresholds], dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# the null moments in their classical three-term form, with the tie sums taken
+# from the multiplicities here: the oracle for ``pair_moments``
+
+
+def _tie_sums(d) -> tuple[int, int, int, bool]:
+    """N, s2 = sum d(d-1), s3_plus = sum d(d-1)(d+1) and whether one value holds all."""
+    return sum(d), sum(m * (m - 1) for m in d), sum(m * (m - 1) * (m + 1) for m in d), len(d) == 1
+
+
+def var_w_exact(n0: int, ni: int, d) -> Fraction:
+    """Null variance of W* of a (n0, ni) pair drawn from a pooled sample of multiplicities d."""
+    n, s2, s3_plus, tied = _tie_sums(d)
+    if n0 + ni > n:
+        raise ValueError(f"n0 + ni = {n0 + ni} exceeds pooled size N = {n}")
+    if tied:
+        return Fraction(0)
+    out = Fraction(n0 * ni * (n0 + ni + 1), 12)
+    if s3_plus:
+        out -= Fraction(n0 * ni * (n0 + ni - 2) * s3_plus, 12 * n * (n - 1) * (n - 2))
+    if s2 and n > n0 + ni:
+        out -= Fraction(n0 * ni * (n - n0 - ni) * s2, 4 * n * (n - 1) * (n - 2))
+    return out
+
+
+def cov_w_exact(n0: int, n1: int, n2: int, d) -> Fraction:
+    """Null covariance of the two W* sharing the sample of size n0, against n1 and n2."""
+    n, s2, s3_plus, tied = _tie_sums(d)
+    if n0 + n1 + n2 > n:
+        raise ValueError(f"n0 + n1 + n2 = {n0 + n1 + n2} exceeds pooled size N = {n}")
+    if tied:
+        return Fraction(0)
+    out = Fraction(n0 * n1 * n2, 12)
+    s3 = s3_plus - 3 * s2
+    if s3:
+        out -= Fraction(n0 * n1 * n2 * s3, 12 * n * (n - 1) * (n - 2))
+    return out
+
+
+def sigma0_sq_exact(n0: int, d) -> Fraction:
+    """Common-factor variance of the control pairs: cov(W_01, W_02) / (n1 n2)."""
+    n, s2, s3_plus, tied = _tie_sums(d)
+    if tied:
+        return Fraction(0)
+    out = Fraction(n0, 12)
+    s3 = s3_plus - 3 * s2
+    if s3:
+        out -= Fraction(n0 * s3, 12 * n * (n - 1) * (n - 2))
+    return out
+
+
+def oracle_pair_moments(sizes, d, pairs) -> dict:
+    """Covariance, correction ratios and one-factor split of a pair set from the
+    formulas above, converting every moment at each use; the one-factor split is
+    checked against the covariance for every treatment pair."""
+    exact = {}
+
+    def moment(*ns):
+        if ns not in exact:
+            exact[ns] = (var_w_exact if len(ns) == 2 else cov_w_exact)(*ns, d)
+        return exact[ns]
+
+    n_pairs = len(pairs)
+    cov = np.zeros((n_pairs, n_pairs), dtype=float)
+    ratio = np.empty(n_pairs, dtype=float)
+    for p, (a, b) in enumerate(pairs):
+        var = moment(sizes[a], sizes[b])
+        cov[p, p] = float(var)
+        ratio[p] = float(1 - var / Fraction(sizes[a] * sizes[b] * (sizes[a] + sizes[b] + 1), 12))
+        for q in range(p + 1, n_pairs):
+            c, e = pairs[q]
+            shared = {a, b} & {c, e}
+            if not shared:
+                continue
+            s = shared.pop()
+            others = [v for v in (a, b, c, e) if v != s]
+            sign = 1.0 if (s == a) == (s == c) else -1.0
+            cov[p, q] = cov[q, p] = sign * float(moment(sizes[s], *(sizes[v] for v in others)))
+    sigma0_2, sigma2 = None, None
+    if all(a == 0 for a, _ in pairs):
+        n0, treat = sizes[0], sizes[1:]
+        s0_sq = sigma0_sq_exact(n0, d)
+        sig_sq = [moment(n0, ni) - ni * ni * s0_sq for ni in treat]
+        if min(sig_sq) < 0:
+            raise AssertionError(f"negative idiosyncratic variance {float(min(sig_sq))}")
+        for i in range(len(treat)):
+            for j in range(i + 1, len(treat)):
+                if moment(n0, treat[i], treat[j]) != treat[i] * treat[j] * s0_sq:
+                    raise AssertionError("the one-factor split is inconsistent with the covariance")
+        sigma0_2, sigma2 = float(s0_sq), np.array([float(v) for v in sig_sq])
+    return {"tau2": np.diag(cov).copy(), "cov": cov, "correction_ratio": ratio,
+            "sigma2": sigma2, "sigma0_2": sigma0_2}

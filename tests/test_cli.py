@@ -433,16 +433,42 @@ def test_settings_outside_their_range_are_parameter_errors(capsys):
             run(RunConfig(input=IQ, **{field: "bogus"}))
 
 
-@pytest.mark.parametrize("field", ["nsim", "seed", "nodes", "exact_budget"])
+@pytest.mark.parametrize("field", ["nsim", "seed", "nodes", "exact_budget", "pre_round"])
 @pytest.mark.parametrize("value", [2.5, 20.0, True, False])
 def test_integer_settings_refuse_floats_and_bools(field, value):
-    # a float reached range, seed and node code that needs an int, and True ran as 1
+    # a float reached range, seed, node and rounding code that needs an int, and True ran as 1
     with pytest.raises(ParameterError, match=f"{field} must be an integer, got {value!r}"):
         RunConfig(input=IQ, **{field: value})
     # whole numbers pass, numpy's too, and give the same report
     want, numpy_int = (render_json(run(RunConfig(input=IQ, method="asymptotic", **{field: n})))
                        for n in (20, np.int64(20)))
     assert numpy_int == want and json.loads(want)["config"][field] == 20
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    # "no" turned the continuity correction on and was echoed as given
+    ("continuity", "no", "a bool"),
+    ("continuity", 1, "a bool"),
+    ("conservative_mc", "no", "a bool"),
+    ("conservative_mc", 0, "a bool"),
+    ("rounding_eps", True, "a real number"),
+    ("rounding_eps", "0.1", "a real number"),
+    ("conf_level", True, "a real number"),
+    ("conf_level", "0.9", "a real number"),
+    ("epsilon", "0.1", "a real number"),
+    ("epsilon", False, "a real number"),
+])
+def test_flag_and_real_settings_refuse_other_types(field, value, kind):
+    with pytest.raises(ParameterError, match=f"{field} must be {kind}, got {value!r}"):
+        RunConfig(input=IQ, **{field: value})
+
+
+def test_pre_round_none_and_real_settings_of_numpy_types_pass():
+    plain = render_json(run(RunConfig(input=IQ, method="asymptotic", mode="confidence",
+                                      pre_round=None, conf_level=0.9, rounding_eps=0.0)))
+    numpy = render_json(run(RunConfig(input=IQ, method="asymptotic", mode="confidence",
+                                      conf_level=np.float64(0.9), rounding_eps=np.float64(0.0))))
+    assert numpy == plain
 
 
 def test_all_falls_back_to_monte_carlo_exactly_past_the_exact_budget(capsys):

@@ -22,6 +22,8 @@ from steelrank import (
     extract_tie_pattern,
     joint_lower_box_prob,
     pair_moments,
+    rank_samples,
+    select_indices,
     solve_common_threshold,
     tail_prob,
 )
@@ -29,6 +31,7 @@ from steelrank.analysis import quality_harness
 import steelrank.gauss as gauss
 from steelrank.gauss import _box_mass, _log_ndtr, _ndtr, _split, brent_root
 from steelrank.moments import all_pairs, control_pairs
+from steelrank.pairwise import mvn_tail_counts
 
 DATA = Path(__file__).parent / "data"
 
@@ -353,47 +356,98 @@ def test_quadrature_node_doubling():
             ) <= 1e-10
 
 
-def _hand_built(**fields) -> MomentSet:
-    """A (4, 2, 3) control-pair moment set with some fields replaced by hand."""
-    ms = pair_moments((4, 2, 3), TiePattern((2, 1, 3, 1, 2)), control_pairs(3))
-    return dataclasses.replace(ms, **fields)
+TIED_423 = ((4, 2, 3), TiePattern((2, 1, 3, 1, 2)))  # a tied design of unequal sizes
 
 
-def test_a_consistent_hand_built_set_is_read_as_given():
-    # sigma0 = 1, sigma = (1, 2), tau^2 = n^2 + sigma^2 = (5, 13): a bivariate normal
-    # with correlation 6/sqrt(65), checked against the Genz CDF
-    ms = _hand_built(sigma0_2=1.0, sigma2=[1.0, 4.0], tau2=[5.0, 13.0], mu=[0.0, 0.0])
+def test_a_built_tied_unequal_size_set_is_read_as_given():
+    # the split is the square roots of the set's own variances, and the tails are
+    # those of the bivariate normal of its correlation, by the Genz CDF
+    ms = pair_moments(*TIED_423, control_pairs(3))
     n, sigma0, sigma, tau = _split(ms)
-    assert (n.tolist(), sigma0, sigma.tolist()) == ([2.0, 3.0], 1.0, [1.0, 2.0])
-    rho = 6 / math.sqrt(65)
-    oracle = 1 - multivariate_normal(mean=[0, 0], cov=[[1, rho], [rho, 1]]).cdf([1.0, 1.0])
-    assert tail_prob(ms, 1.0, "greater") == pytest.approx(oracle, abs=1e-6)
+    assert (n.tolist(), sigma0) == ([2.0, 3.0], math.sqrt(ms.sigma0_2))
+    assert sigma.tobytes() == np.sqrt(ms.sigma2).tobytes()
+    assert 0 < ms.cov[0, 1] / (tau[0] * tau[1]) < 1
+    u = np.array([1.0, 1.4])
+    mvn = genz(ms)
+    assert tail_prob(ms, u, "greater") == pytest.approx(1 - mvn.cdf(u), abs=1e-6)
+    assert tail_prob(ms, u, "two_sided") == pytest.approx(1 - mvn.cdf(u, lower_limit=-u),
+                                                          abs=1e-6)
+    c = ms.mu + u * tau
+    assert joint_lower_box_prob(ms, c) == pytest.approx(mvn.cdf(u), abs=1e-6)
 
 
-@pytest.mark.parametrize("fields, match", [
+# a consistent one-factor model of the (4, 2, 3) design's shape, but not its moments:
+# sigma0 = 1, sigma = (1, 2), tau^2 = n^2 + sigma^2 = (5, 13)
+MODEL = {"sigma0_2": 1.0, "sigma2": [1.0, 4.0], "tau2": [5.0, 13.0], "mu": [0.0, 0.0]}
+SPLIT_MUTATIONS = [
     # a NaN sigma_1 once dropped its factor: the tail read 1 - Phi(1) = 0.1587
-    ({"sigma2": [np.nan, 4.0]}, "finite and positive"),
-    ({"sigma2": [0.0, 4.0], "tau2": [4.0, 13.0]}, "finite and positive"),
-    ({"sigma2": [np.inf, 4.0]}, "finite and positive"),
-    ({"sigma0_2": np.nan}, "finite and positive"),
-    ({"sigma0_2": np.inf}, "finite and positive"),
-    ({"sigma0_2": 0.0, "tau2": [1.0, 4.0]}, "finite and positive"),
-    ({"tau2": [np.nan, 13.0]}, "finite and positive"),
-    ({"tau2": [np.inf, 13.0]}, "finite and positive"),
-    ({"tau2": [0.0, 13.0]}, "tau must be strictly positive"),
-    ({"tau2": [5.0, 14.0]}, "inconsistent"),
-    ({"tau2": [5.0, 13.0, 1.0]}, "lengths disagree"),
-])
-def test_split_refuses_what_no_built_set_holds(fields, match):
-    good = {"sigma0_2": 1.0, "sigma2": [1.0, 4.0], "tau2": [5.0, 13.0], "mu": [0.0, 0.0]}
-    ms = _hand_built(**{**good, **fields})
-    for call in (
-        lambda: tail_prob(ms, 1.0, "greater"),
-        lambda: joint_lower_box_prob(ms, [0.0, 0.0]),
-        lambda: solve_common_threshold(ms, 0.9),
-    ):
-        with pytest.raises(ParameterError, match=match):
-            call()
+    {"sigma2": [np.nan, 4.0]},
+    {"sigma2": [0.0, 4.0], "tau2": [4.0, 13.0]},
+    {"sigma2": [np.inf, 4.0]},
+    {"sigma0_2": np.nan},
+    {"sigma0_2": np.inf},
+    {"sigma0_2": 0.0, "tau2": [1.0, 4.0]},
+    {"tau2": [np.nan, 13.0]},
+    {"tau2": [np.inf, 13.0]},
+    {"tau2": [0.0, 13.0]},
+    {"tau2": [5.0, 14.0]},
+    {"tau2": [5.0, 13.0, 1.0]},
+]
+FIELD_ORDER = [f.name for f in dataclasses.fields(MomentSet)]
+
+
+def _first_field(fields) -> str:
+    return min(fields, key=FIELD_ORDER.index)
+
+
+def _four_groups() -> MomentSet:
+    s = rank_samples([[1, 4, 6, 9], [2, 3, 8], [5, 7, 10, 12], [11, 13, 14]])
+    return pair_moments(s.sizes, s.tie_pattern, all_pairs(4))
+
+
+def _off_form(ms: MomentSet) -> dict:
+    p, q = ms.pairs.index((0, 1)), ms.pairs.index((2, 3))  # disjoint pairs: cov 0
+    cov = ms.cov.copy()
+    cov[p, q] = cov[q, p] = 1e-6 * ms.tau[p] * ms.tau[q]
+    return {"cov": cov}
+
+
+def _negative_group_variance(ms: MomentSet) -> dict:
+    cov = ms.cov.copy()
+    cov[0, 1] = cov[1, 0] = -ms.cov[0, 1]
+    return {"cov": cov}
+
+
+HAND_BUILT = (
+    [(lambda: pair_moments(*TIED_423, control_pairs(3)), lambda ms: MODEL, "mu")]
+    + [(lambda: pair_moments(*TIED_423, control_pairs(3)), lambda ms, f=f: {**MODEL, **f}, "mu")
+       for f in SPLIT_MUTATIONS]
+    + [(lambda: pair_moments(*TIED_423, control_pairs(3)), lambda ms, f=f: f, _first_field(f))
+       for f in SPLIT_MUTATIONS]
+    + [(_four_groups, _off_form, "cov"), (_four_groups, _negative_group_variance, "cov"),
+       # two-valued (2, 2, 2) has no remainder, so a shrunk tau^2 would leave one below 0
+       (lambda: pair_moments((2, 2, 2), TiePattern((3, 3)), all_pairs(3)),
+        lambda ms: {"tau2": 0.99 * ms.tau2}, "tau2"),
+       (lambda: pair_moments((2, 2, 2), TiePattern((3, 3)), control_pairs(3)),
+        lambda ms: {"sigma2": 0.99 * ms.sigma2}, "sigma2")]
+)
+
+
+@pytest.mark.parametrize("build, mutate, field", HAND_BUILT)
+def test_a_set_that_is_not_its_designs_moments_is_refused_by_every_engine(build, mutate, field):
+    ms = build()
+    engines = [lambda m: mvn_tail_counts(m, "s_max", [1.0], 100, 0)]
+    if ms.sigma2 is not None:  # the quadrature reads only control-pair sets
+        engines += [
+            lambda m: tail_prob(m, 1.0, "greater"),
+            lambda m: joint_lower_box_prob(m, m.mu),
+            lambda m: solve_common_threshold(m, 0.9),
+            lambda m: select_indices(m, 0.9, "upper"),
+        ]
+    for call in engines:
+        with pytest.raises(ParameterError, match=f"field '{field}' is not what pair_moments"):
+            call(dataclasses.replace(ms, **mutate(ms)))
+        call(dataclasses.replace(ms))  # an unchanged copy is the set of its design
 
 
 def test_split_refuses_fully_tied_and_all_pair_sets():

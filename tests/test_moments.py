@@ -16,19 +16,19 @@ from hypothesis import strategies as st
 
 from steelrank import _cache, gauss, moments
 from steelrank import (
-    NumericError,
     ParameterError,
     TiePattern,
     cov_w,
     extract_tie_pattern,
+    kth_difference,
     mean_w,
     pair_moments,
     tail_prob,
     var_w,
 )
-from steelrank.moments import all_pairs, control_pairs
+from steelrank.moments import all_pairs, control_pairs, tie_sums
 
-from _oracles import random_tie_pattern, split_moments
+from _oracles import oracle_pair_moments, random_tie_pattern, split_moments
 
 TIE_213 = TiePattern((2, 1, 3))  # pooled values like (1, 1, 2, 3, 3, 3)
 
@@ -290,7 +290,7 @@ def test_tie_patterns_with_equal_sums_share_one_moment_set():
     ms = pair_moments((5, 5, 4), a, control_pairs(3))
     assert pair_moments((5, 5, 4), b, control_pairs(3)) is ms
     assert len(_design_keys("moments")) == 1
-    fresh = moments._pair_moments((5, 5, 4), b, control_pairs(3))
+    fresh = moments._pair_moments((5, 5, 4), control_pairs(3), tie_sums(b))
     for name in MOMENT_ARRAYS:
         np.testing.assert_array_equal(getattr(ms, name), getattr(fresh, name))
     assert ms.sigma0_2 == fresh.sigma0_2
@@ -338,62 +338,10 @@ def test_the_design_cache_bounds_the_memory_its_small_entries_hold(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the moment loop as it was before each exact moment was converted once: the
-# oracle for the cached conversions
+# the moments against the classical three-term formulas of ``_oracles``
 
 
-def oracle_pair_moments(sizes, tie, pairs):
-    """Covariance, correction ratios and one-factor split, converting every moment
-    at each use and checking the factor identity for every treatment pair."""
-    exact = {}
-
-    def moment(*ns):
-        if ns not in exact:
-            exact[ns] = (moments._var_w_exact if len(ns) == 2 else moments._cov_w_exact)(*ns, tie)
-        return exact[ns]
-
-    n_pairs = len(pairs)
-    cov = np.zeros((n_pairs, n_pairs), dtype=float)
-    ratio = np.empty(n_pairs, dtype=float)
-    for p, (a, b) in enumerate(pairs):
-        var = moment(sizes[a], sizes[b])
-        cov[p, p] = float(var)
-        ratio[p] = float(1 - var / Fraction(sizes[a] * sizes[b] * (sizes[a] + sizes[b] + 1), 12))
-        for q in range(p + 1, n_pairs):
-            c, d = pairs[q]
-            shared = {a, b} & {c, d}
-            if not shared:
-                continue
-            s = shared.pop()
-            others = [v for v in (a, b, c, d) if v != s]
-            sign = 1.0 if (s == a) == (s == c) else -1.0
-            cov[p, q] = cov[q, p] = sign * float(moment(sizes[s], *(sizes[v] for v in others)))
-    sigma0_2, sigma2 = None, None
-    if all(a == 0 for a, _ in pairs):
-        n0, treat = sizes[0], sizes[1:]
-        s0_sq = moments._sigma0_sq_exact(n0, tie)
-        sig_sq = []
-        for i, ni in enumerate(treat):
-            v = moment(n0, ni) - ni * ni * s0_sq
-            if v < 0:
-                raise NumericError(
-                    f"negative idiosyncratic variance {float(v)} for treatment {i + 1}"
-                )
-            sig_sq.append(v)
-        for i in range(len(treat)):
-            for j in range(i + 1, len(treat)):
-                if moment(n0, treat[i], treat[j]) != treat[i] * treat[j] * s0_sq:
-                    raise NumericError("factor decomposition is inconsistent with the covariance")
-        sigma0_2, sigma2 = float(s0_sq), np.array([float(v) for v in sig_sq])
-    return {"tau2": np.diag(cov).copy(), "cov": cov, "correction_ratio": ratio,
-            "sigma2": sigma2, "sigma0_2": sigma0_2}
-
-
-def moment_outcome(compute):
-    try:
-        out = compute()
-    except (ParameterError, NumericError, ZeroDivisionError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+def moment_bytes(out) -> dict:
     if isinstance(out, moments.MomentSet):
         out = {name: getattr(out, name) for name in
                ("tau2", "cov", "correction_ratio", "sigma2", "sigma0_2")}
@@ -409,7 +357,7 @@ designs = st.one_of(
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(designs, st.sampled_from(["ties", "untied", "fully_tied", "short"]),
        st.booleans(), st.data())
-def test_pair_moments_equal_the_loop_that_converts_every_use(sizes, kind, every_pair, data):
+def test_pair_moments_equal_the_classical_formulas(sizes, kind, every_pair, data):
     sizes = tuple(sizes)
     n = sum(sizes)
     if kind == "ties":
@@ -418,11 +366,44 @@ def test_pair_moments_equal_the_loop_that_converts_every_use(sizes, kind, every_
         tie = TiePattern.no_ties(n)
     elif kind == "fully_tied":
         tie = TiePattern((n,))
-    else:  # a pattern over fewer values than the design holds: the moments refuse it
+    else:  # mostly a pattern over fewer values than the design holds
         tie = extract_tie_pattern(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=3)))
     pairs = (all_pairs if every_pair else control_pairs)(len(sizes))
-    want = moment_outcome(lambda: oracle_pair_moments(sizes, tie, pairs))
-    assert moment_outcome(lambda: moments._pair_moments(sizes, tie, pairs)) == want
+    if tie.N != n:
+        with pytest.raises(ParameterError, match="sizes sum to"):
+            pair_moments(sizes, tie, pairs)
+        return
+    want = moment_bytes(oracle_pair_moments(sizes, tie.d, pairs))
+    assert moment_bytes(pair_moments(sizes, tie, pairs)) == want
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+def test_the_scales_are_nonnegative_and_r_is_zero_exactly_on_two_valued_data(d):
+    tie = TiePattern(tuple(d))
+    s, r, denominator = moments._scales(tie.N, tie.s2, tie.s3, tie.e == 1)
+    assert denominator > 0 and s >= 0 and r >= 0
+    assert (s == 0) == (tie.e == 1)
+    # two values of which one repeats; untied (1, 1) has s = r = 1/12
+    assert (r == 0) == (tie.e == 1 or (tie.e == 2 and tie.N > 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mean_w(math.nan, 3),
+    lambda: mean_w(3, math.inf),
+    lambda: TiePattern((1, math.nan)),
+    lambda: TiePattern((1, -math.inf)),
+    lambda: var_w(math.inf, 3, TIE_213),
+    lambda: cov_w(2, 2, math.nan, TIE_213),
+    lambda: pair_moments((2, math.inf), TiePattern.no_ties(4), control_pairs(2)),
+    lambda: pair_moments((2, None), TiePattern.no_ties(4), control_pairs(2)),
+    lambda: kth_difference([1.0, 2.0], [3.0, 4.0], math.nan),
+    lambda: kth_difference([1.0, 2.0], [3.0, 4.0], math.inf),
+], ids=["mean_nan", "mean_inf", "tie_nan", "tie_inf", "var_inf", "cov_nan", "pair_inf",
+        "pair_none", "kth_nan", "kth_inf"])
+def test_non_finite_sizes_multiplicities_and_indices_are_parameter_errors(call):
+    with pytest.raises(ParameterError, match="must be (an )?integers? "):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +434,37 @@ def test_the_one_factor_split_is_built_once_per_moment_set():
         assert not arr.flags.writeable
         assert arr.tobytes() == np.sqrt(square).tobytes()
     assert not n.flags.writeable
-    # a set built by hand with other variances gets a split of its own
+    # a copy made by hand is checked and split on its own, to the same values
+    copy = dataclasses.replace(ms)
+    other = gauss._split(copy)
+    assert other is not split and gauss._split(copy) is other
+    assert all(np.array_equal(x, y) for x, y in zip(other, split))
+    # one with other variances is not the set of its design
     scaled = dataclasses.replace(ms, sigma0_2=4 * ms.sigma0_2, sigma2=4 * ms.sigma2,
                                  tau2=4 * ms.tau2)
-    other = gauss._split(scaled)
-    assert other is not split and gauss._split(scaled) is other
-    assert other[1] == 2 * sigma0
+    with pytest.raises(ParameterError, match="field 'tau2'"):
+        gauss._split(scaled)
     with pytest.raises(ParameterError, match="treatment-vs-control"):
         gauss._split(pair_moments((5, 5, 4), TiePattern((3, 4, 7)), all_pairs(3)))
+
+
+def test_the_scales_of_a_set_are_checked_once_and_read_off_its_design():
+    tie = TiePattern((3, 4, 7))
+    ms = pair_moments((5, 5, 4), tie, all_pairs(3))
+    s, r, denominator = moments._scales(14, tie.s2, tie.s3, False)
+    assert ms.scales() is ms.scales()
+    assert ms.scales() == (float(Fraction(s, denominator)), float(Fraction(r, denominator)))
+    assert ms.cov[0, 1] == float(Fraction(5 * 5 * 4 * s, denominator))
+    untied = pair_moments((5, 5, 4), TiePattern.no_ties(14), all_pairs(3))
+    assert untied.scales() == (1 / 12, 1 / 12)
+    assert pair_moments((5, 5, 4), TiePattern((14,)), all_pairs(3)).scales() == (0.0, 0.0)
+    # the design fields themselves must be what pair_moments gives
+    for fields in ({"s2": 1.5}, {"s3": -1}, {"sizes": (5, 5, math.nan)}):
+        with pytest.raises(ParameterError):
+            dataclasses.replace(ms, **fields).scales()
+    # tie sums of another pattern name the moments that differ first
+    with pytest.raises(ParameterError, match="field 'tau2'"):
+        dataclasses.replace(ms, s2=0, s3=0, s3_plus=0).scales()
 
 
 def test_a_byte_lru_sizes_each_value_once_when_it_is_stored(monkeypatch):
