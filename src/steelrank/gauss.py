@@ -15,10 +15,10 @@ relative error <= 1e-8 against the K=1 collapse 1 - Phi(u) for |u| <= 6.  Beyond
 error 5.7e-6 at u = 8 on the (7, 5) design) until the window follows the
 integrand's mass.
 
-The entry points take the control-pair ``MomentSet`` of ``pair_moments``, whose
-sigma0_2 and sigma2 are this split, and refuse any other set (``MomentSet.scales``).
-Every built set with tau > 0 has sigma0 > 0 and sigma_i > 0 (only fully tied data
-give zeros, and then tau = 0 as well), so each factor is a smooth Phi.
+The entry points take a control-pair ``MomentSet``, whose sigma0_2 and sigma2 are
+this split; a set is built from its design alone, so the split holds exactly.
+Every set with tau > 0 has sigma0 > 0 and sigma_i > 0 (only fully tied data give
+zeros, and then tau = 0 as well), so each factor is a smooth Phi.
 
 Import rule: no run imports scipy.  The normal CDF and its log are Cephes' ndtr
 evaluated in numpy (``_ndtr``, ``_log_ndtr``), and thresholds are solved by
@@ -189,7 +189,6 @@ def _split(ms: MomentSet) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
 
 
 def _checked_split(ms: MomentSet) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    ms.scales()  # the set pair_moments builds, so its split holds exactly
     if (ms.tau2 <= 0).any():
         raise ParameterError("tau must be strictly positive (degenerate data carry no test)")
     n = np.asarray(ms.sizes[1:], dtype=float)

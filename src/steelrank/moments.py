@@ -3,13 +3,13 @@
 Every null moment is an integer multiple of the two scales (s, r) of the tie
 pattern (``_scales``): exact rationals, as the tie sums are integers, each turned
 into a float by one integer division, so tie corrections never suffer cancellation.
-The engines that read the factor form take the scales from ``MomentSet.scales``,
-which accepts only the sets ``pair_moments`` builds.
+A ``MomentSet`` is built from its design alone, the group sizes, the pairs and the
+tie sums, so every set holds the moments of its design and no engine checks one.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -31,15 +31,6 @@ def all_pairs(n_groups: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a in range(n_groups) for b in range(a + 1, n_groups))
 
 
-def _check_pairs(n_groups: int, pairs) -> None:
-    # the Monte Carlo kernel tallies each first group's pairs in this order
-    if pairs not in (control_pairs(n_groups), all_pairs(n_groups)):
-        raise ParameterError(
-            f"pairs must be the control pairs or all pairs of {n_groups} groups, in order; "
-            f"got {pairs!r}"
-        )
-
-
 def tie_sums(tie: TiePattern) -> tuple[int, int, int, bool]:
     """(s2, s3, s3_plus, fully tied): what the moments read of a tie pattern besides N."""
     return tie.s2, tie.s3, tie.s3_plus, tie.e == 1
@@ -51,32 +42,49 @@ class MomentSet:
     set: the treatment-vs-control pairs (0, i) or all pairs (a, b), a < b, in the
     order of mu and tau.  The first group of a pair plays the control role.
 
-    For control pairs the set also holds the one-factor split (common variance
-    sigma0_2, idiosyncratic sigma2); for any other pair set both are None.  The
-    set names the design it was computed for: the group sizes and the tie sums
-    s2, s3, s3_plus and whether all values are tied.  The arrays are read-only.
+    A set is built from its design alone: the group sizes, the pairs and the tie sums
+    s2, s3, s3_plus and whether all values are tied (``tie_sums``).  The moments are
+    not init fields; the constructor computes them, read-only, so ``dataclasses.replace``
+    of a moment raises ValueError.  For control pairs the set also holds the one-factor
+    split (common variance sigma0_2, idiosyncratic sigma2); for any other pair set both
+    are None.  Tie sums that no tie pattern of sum(sizes) values has, where they show
+    (s3_plus other than s3 + 3*s2, fully_tied other than s2 = N(N-1), or scales below 0,
+    or s = 0 without full ties), are a ParameterError.
     """
 
     sizes: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
-    mu: np.ndarray
-    tau2: np.ndarray
-    cov: np.ndarray
-    correction_ratio: np.ndarray
-    sigma0_2: float | None
-    sigma2: np.ndarray | None
+    mu: np.ndarray = field(init=False)
+    tau2: np.ndarray = field(init=False)
+    cov: np.ndarray = field(init=False)
+    correction_ratio: np.ndarray = field(init=False)
+    sigma0_2: float | None = field(init=False)
+    sigma2: np.ndarray | None = field(init=False)
     s2: int
     s3: int
     s3_plus: int
     fully_tied: bool
 
     def __post_init__(self) -> None:
-        _check_pairs(len(self.sizes), self.pairs)
-        for name in ("mu", "tau2", "cov", "sigma2", "correction_ratio"):
-            if getattr(self, name) is not None:
-                arr = np.asarray(getattr(self, name), dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        sizes, s2, s3 = self.sizes, self.s2, self.s3
+        if not (type(sizes) is tuple and all(type(n) is int and n >= 1 for n in sizes)
+                and all(type(v) is int and v >= 0 for v in (s2, s3, self.s3_plus))):
+            raise ParameterError("a moment set's sizes must be a tuple of Python ints >= 1 "
+                                 "and its tie sums Python ints >= 0")
+        if len(sizes) < 2:
+            raise ParameterError("need a control size and at least one treatment size")
+        # the Monte Carlo kernel tallies each first group's pairs in this order
+        if self.pairs not in (control_pairs(len(sizes)), all_pairs(len(sizes))):
+            raise ParameterError(f"pairs must be the control pairs or all pairs of {len(sizes)} "
+                                 f"groups, in order; got {self.pairs!r}")
+        n = sum(sizes)
+        if self.s3_plus != s3 + 3 * s2 or self.fully_tied is not (s2 == n * (n - 1)):
+            raise ParameterError("s3_plus must be s3 + 3*s2, and fully_tied whether s2 = N(N-1)")
+        scales = _scales(n, s2, s3, self.fully_tied)
+        if not self.fully_tied and (scales[0] <= 0 or scales[1] < 0):
+            raise ParameterError(f"no tie pattern of {n} values has s2 = {s2} and s3 = {s3}")
+        for name, value in zip(_MOMENTS, _pair_moments(sizes, self.pairs, scales)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "_derived", {})  # not a field: see derived()
 
     @property
@@ -87,33 +95,34 @@ class MomentSet:
     def derived_bytes(self) -> int:
         """Bytes ``derived`` keeps with the set at most, charged to it in the design
         cache: 88 per pair, for the pair index (16), the group factors (48) and the
-        one-factor split (24), and 16 for the scales."""
-        return 88 * len(self.pairs) + 16
+        one-factor split (24)."""
+        return 88 * len(self.pairs)
 
     def check_samples(self, samples: RankedSamples) -> None:
         """Refuse samples of other group sizes or tie sums than the set was computed for."""
-        if self.sizes != samples.sizes:
-            raise ParameterError("moments were computed for different group sizes")
-        if (self.s2, self.s3, self.s3_plus, self.fully_tied) != tie_sums(samples.tie_pattern):
-            raise ParameterError("moments were computed for a different tie pattern")
+        design = (samples.sizes, *tie_sums(samples.tie_pattern))
+        if (self.sizes, self.s2, self.s3, self.s3_plus, self.fully_tied) != design:
+            raise ParameterError("moments were computed for different group sizes "
+                                 "or a different tie pattern")
 
     def scales(self) -> tuple[float, float]:
-        """The design's scales (s, r) as floats, for the engines that read the factor
-        form.  Only the set ``pair_moments`` builds for its own sizes, pairs and tie
-        sums has them (checked once: the cached set, or one equal to it field by field);
-        any other set is a ParameterError naming the first field that differs."""
-        return self.derived(_checked_scales)
+        """The design's scales (s, r) as floats, for the engines that read the factor form."""
+        s, r, d = _scales(sum(self.sizes), self.s2, self.s3, self.fully_tied)
+        return s / d, r / d
 
     def derived(self, build: Callable[["MomentSet"], V]) -> V:
-        """build(self), built on first use and kept with this set: the checked
-        scales, the quadrature's one-factor split of a control-pair set, the group
-        factors of MVN sampling and the pair index arrays of ``observe``.  A set is
-        read-only, so what is derived from it stays valid, and a set built by hand
-        (``dataclasses.replace`` included) never reads what another set derived."""
+        """build(self), built on first use and kept with this set: the quadrature's
+        one-factor split of a control-pair set, the group factors of MVN sampling and
+        the pair index arrays of ``observe``.  A set is read-only, so what is derived
+        from it stays valid, and a set built by hand (``dataclasses.replace`` included)
+        never reads what another set derived."""
         value = self._derived.get(build)
         if value is None:
             value = self._derived.setdefault(build, build(self))
         return value
+
+
+_MOMENTS = ("mu", "tau2", "cov", "correction_ratio", "sigma0_2", "sigma2")
 
 
 def _check_size(n: int, name: str) -> int:
@@ -189,24 +198,18 @@ def pair_moments(sizes, tie: TiePattern, pairs) -> MomentSet:
     the pairs and the tie sums: tie patterns with equal sums share one entry.
     """
     sizes = tuple(_check_size(n, "size") for n in sizes)
-    if len(sizes) < 2:
-        raise ParameterError("need a control size and at least one treatment size")
     if sum(sizes) != tie.N:
         raise ParameterError(f"sizes sum to {sum(sizes)} but tie pattern has N = {tie.N}")
     pairs = tuple((int(a), int(b)) for a, b in pairs)
-    _check_pairs(len(sizes), pairs)
-    return _built(sizes, pairs, tie_sums(tie))
-
-
-def _built(sizes: tuple[int, ...], pairs: tuple[tuple[int, int], ...], sums) -> MomentSet:
+    sums = tie_sums(tie)
     key = ("moments", sizes, pairs, *sums)  # N = sum(sizes)
-    return DESIGNS.get(key, lambda: _pair_moments(sizes, pairs, sums))
+    return DESIGNS.get(key, lambda: MomentSet(sizes, pairs, *sums))
 
 
-def _pair_moments(sizes: tuple[int, ...], pairs, sums: tuple[int, int, int, bool]) -> MomentSet:
-    """The moment set of a design, each float one division of exact integers."""
-    s2, s3, s3_plus, fully_tied = sums
-    s, r, d = _scales(sum(sizes), s2, s3, fully_tied)
+def _pair_moments(sizes: tuple[int, ...], pairs, scales: tuple[int, int, int]) -> tuple:
+    """(mu, tau2, cov, correction_ratio, sigma0_2, sigma2) of a design with the scales
+    (S, R, D) of ``_scales``, each float one division of exact integers, arrays read-only."""
+    s, r, d = scales
     n_pairs = len(pairs)
     cov = np.zeros((n_pairs, n_pairs))
     for p, (a, b) in enumerate(pairs):
@@ -224,32 +227,10 @@ def _pair_moments(sizes: tuple[int, ...], pairs, sums: tuple[int, int, int, bool
         sigma0_2 = n0 * s / d
         sigma2 = np.array([n0 * ni * (n0 * s + r) / d for ni in sizes[1:]])
     ns = [sizes[a] + sizes[b] for a, b in pairs]  # the ratio is 1 - var / its untied value
-    return MomentSet(
-        sizes=sizes,
-        pairs=pairs,
-        mu=np.array([sizes[a] * sizes[b] / 2 for a, b in pairs]),
-        tau2=np.diag(cov).copy(),
-        cov=cov,
-        correction_ratio=[((n + 1) * d - 12 * (n * s + r)) / ((n + 1) * d) for n in ns],
-        sigma0_2=sigma0_2,
-        sigma2=sigma2,
-        s2=s2,
-        s3=s3,
-        s3_plus=s3_plus,
-        fully_tied=fully_tied,
-    )
-
-
-def _checked_scales(ms: MomentSet) -> tuple[float, float]:
-    """``MomentSet.scales``: a set must be the one ``pair_moments`` builds for its own
-    sizes, pairs and tie sums, the cached set itself or equal to it field by field."""
-    if not all(type(v) is int and v >= 0 for v in (*ms.sizes, ms.s2, ms.s3, ms.s3_plus)):
-        raise ParameterError("a moment set's sizes and tie sums must be Python ints >= 0")
-    built = _built(ms.sizes, ms.pairs, (ms.s2, ms.s3, ms.s3_plus, bool(ms.fully_tied)))
-    if built is not ms:
-        for f in fields(ms):
-            if not np.array_equal(getattr(ms, f.name), getattr(built, f.name)):
-                raise ParameterError(f"moment set field {f.name!r} is not what pair_moments "
-                                     "builds for the set's sizes, pairs and tie sums")
-    s, r, d = _scales(sum(ms.sizes), ms.s2, ms.s3, ms.fully_tied)
-    return s / d, r / d
+    ratio = [((n + 1) * d - 12 * (n * s + r)) / ((n + 1) * d) for n in ns]
+    moments = (np.array([sizes[a] * sizes[b] / 2 for a, b in pairs]), np.diag(cov).copy(), cov,
+               np.array(ratio), sigma0_2, sigma2)
+    for arr in moments:
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
+    return moments

@@ -1,7 +1,7 @@
 """All-pairs tails from the approximating joint normal: seeded sampling of the
 standardized pair statistics under their null covariance.
 
-The covariance has one factor per group: with the scales (s, r) of the design
+The covariance has one factor per group: with the scales (s, r) of the set's design
 (``MomentSet.scales``), W_ab covaries as n_a n_b sqrt(s) (xi_b / sqrt(n_b) - xi_a /
 sqrt(n_a)) + sqrt(D_ab) eps_ab, with independent standard normals xi_g per group and
 eps_ab per pair and D_ab = n_a n_b r >= 0: Hoeffding's linear projection and its
@@ -74,7 +74,6 @@ def mvn_tail_counts(
 ) -> np.ndarray:
     """Tail counts of a tail request without samples (``check_tail_request``) out of
     nsim draws of the joint normal with the pair covariance of ``moments``, int64,
-    from one shared run.  A set that is not the one ``pair_moments`` builds for its
-    design is a ParameterError."""
+    from one shared run."""
     thr = check_tail_request(statistic, thresholds)
     return _mvn_tail_counts(moments.derived(_group_factors), statistic, thr, nsim, seed)

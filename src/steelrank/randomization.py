@@ -458,21 +458,20 @@ def exact_p_value(
     count, divided as Python ints, so correctly rounded at any split count.
 
     Only the thresholds depend on the data, so the tail table of the walk is kept
-    in the design cache per tie pattern, sizes, pairs, statistic, mu and tau2, and
-    the masses are read off it by one binary search per threshold.  The budget is
-    checked on every call, before the cache.
+    in the design cache per tie pattern, sizes, pairs and statistic, which fix the
+    moments, and the masses are read off it by one binary search per threshold.
+    The budget is checked on every call, before the cache.
     """
     thr = check_tail_request(statistic, thresholds)
     moments.check_samples(samples)
     tie, sizes, pairs = samples.tie_pattern, samples.sizes, moments.pairs
     total = _check_budget(sizes, budget)
-    mu = moments.mu
 
     def table() -> tuple[np.ndarray, np.ndarray]:
-        return _tail_table(*_enumerate_w(tie, sizes, pairs, budget), mu, moments.tau, statistic)
+        return _tail_table(*_enumerate_w(tie, sizes, pairs, budget), moments.mu, moments.tau,
+                           statistic)
 
-    key = ("exact", tie.d, sizes, pairs, statistic, mu.tobytes(), moments.tau2.tobytes())
-    values, cum = DESIGNS.get(key, table)
+    values, cum = DESIGNS.get(("exact", tie.d, sizes, pairs, statistic), table)
     masses = sorted_tail_mass(statistic, values, cum, thr).tolist()  # Python ints
     return np.array([mass / total for mass in masses])
 

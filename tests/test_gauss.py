@@ -19,11 +19,14 @@ from steelrank import (
     NumericError,
     ParameterError,
     TiePattern,
+    exact_p_value,
     extract_tie_pattern,
     joint_lower_box_prob,
+    observe,
     pair_moments,
     rank_samples,
     select_indices,
+    simulated_tail_counts,
     solve_common_threshold,
     tail_prob,
 )
@@ -434,8 +437,12 @@ HAND_BUILT = (
 
 
 @pytest.mark.parametrize("build, mutate, field", HAND_BUILT)
-def test_a_set_that_is_not_its_designs_moments_is_refused_by_every_engine(build, mutate, field):
+def test_a_set_that_is_not_its_designs_moments_cannot_be_built(build, mutate, field):
     ms = build()
+    # replace refuses the moments, which are no init fields, naming the first given
+    with pytest.raises(ValueError, match=f"field {field} is declared with init=False"):
+        dataclasses.replace(ms, **mutate(ms))
+    copy = dataclasses.replace(ms)  # an unchanged copy is the set of its design
     engines = [lambda m: mvn_tail_counts(m, "s_max", [1.0], 100, 0)]
     if ms.sigma2 is not None:  # the quadrature reads only control-pair sets
         engines += [
@@ -445,9 +452,23 @@ def test_a_set_that_is_not_its_designs_moments_is_refused_by_every_engine(build,
             lambda m: select_indices(m, 0.9, "upper"),
         ]
     for call in engines:
-        with pytest.raises(ParameterError, match=f"field '{field}' is not what pair_moments"):
-            call(dataclasses.replace(ms, **mutate(ms)))
-        call(dataclasses.replace(ms))  # an unchanged copy is the set of its design
+        assert np.array_equal(call(copy), call(ms))
+
+
+def test_a_set_with_other_variances_reaches_no_engine_that_reads_samples():
+    # a set with four times its design's tau2 once read s_max 0.718 for 1.436, an
+    # exact tail of 0.0 for 0.168 and 0 Monte Carlo hits in 2,000 for 349
+    s = rank_samples([[1, 2, 2, 5], [3, 4, 6], [2, 7, 8]])
+    ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(3))
+    with pytest.raises(ValueError, match="field tau2 is declared with init=False"):
+        dataclasses.replace(ms, tau2=4 * ms.tau2)
+    hand_built = MomentSet(ms.sizes, ms.pairs, ms.s2, ms.s3, ms.s3_plus, ms.fully_tied)
+    assert hand_built is not ms
+    for m in (ms, hand_built):
+        value = observe(s, m, "greater").statistic_value
+        assert value == pytest.approx(1.436071, abs=1e-6)
+        assert exact_p_value(s, m, "s_max", [value])[0] == pytest.approx(0.168095, abs=1e-6)
+        assert simulated_tail_counts(s, m, "s_max", [value], 2000, 1).tolist() == [349]
 
 
 def test_split_refuses_fully_tied_and_all_pair_sets():

@@ -217,22 +217,18 @@ def test_pairs_other_than_control_or_all_pairs_are_refused():
         tail_prob(pair_moments((5, 5, 4), tie, all_pairs(3)), 1.0, "greater")
 
 
-# A moment set with consistently permuted pairs: the Monte Carlo kernel would
-# tally its pairs in the wrong columns, so construction must refuse it even
-# under -O, which strips asserts.
+# A moment set with permuted pairs: the Monte Carlo kernel would tally its pairs
+# in the wrong columns, so construction must refuse it even under -O, which
+# strips asserts.
 REORDERED_SCRIPT = """
 import sys
-import numpy as np
-from steelrank import MomentSet, ParameterError, TiePattern, pair_moments
+from steelrank import MomentSet, ParameterError
 from steelrank.moments import all_pairs
 
-pm = pair_moments((5, 5, 4), TiePattern.no_ties(14), all_pairs(3))
-order = [1, 0, 2]  # pairs ((0, 2), (0, 1), (1, 2))
+pairs = all_pairs(3)
 try:
-    MomentSet(sizes=pm.sizes, pairs=tuple(pm.pairs[i] for i in order), mu=pm.mu[order],
-              tau2=pm.tau2[order], cov=pm.cov[np.ix_(order, order)],
-              correction_ratio=pm.correction_ratio[order], sigma0_2=None, sigma2=None,
-              s2=0, s3=0, s3_plus=0, fully_tied=False)
+    MomentSet((5, 5, 4), (pairs[1], pairs[0], pairs[2]), s2=0, s3=0, s3_plus=0,
+              fully_tied=False)
     print(sys.flags.optimize, "accepted")
 except ParameterError:
     print(sys.flags.optimize, "refused")
@@ -290,10 +286,15 @@ def test_tie_patterns_with_equal_sums_share_one_moment_set():
     ms = pair_moments((5, 5, 4), a, control_pairs(3))
     assert pair_moments((5, 5, 4), b, control_pairs(3)) is ms
     assert len(_design_keys("moments")) == 1
-    fresh = moments._pair_moments((5, 5, 4), control_pairs(3), tie_sums(b))
+    scales = moments._scales(b.N, b.s2, b.s3, False)
+    fresh = dict(zip(moments._MOMENTS, moments._pair_moments((5, 5, 4), control_pairs(3), scales)))
     for name in MOMENT_ARRAYS:
-        np.testing.assert_array_equal(getattr(ms, name), getattr(fresh, name))
-    assert ms.sigma0_2 == fresh.sigma0_2
+        np.testing.assert_array_equal(getattr(ms, name), fresh[name])
+    assert ms.sigma0_2 == fresh["sigma0_2"]
+    hand_built = moments.MomentSet((5, 5, 4), control_pairs(3), *tie_sums(b))
+    assert hand_built is not ms
+    for name in MOMENT_ARRAYS:
+        np.testing.assert_array_equal(getattr(ms, name), getattr(hand_built, name))
     assert pair_moments((5, 5, 4), TiePattern.no_ties(14), control_pairs(3)) is not ms
 
 
@@ -434,37 +435,82 @@ def test_the_one_factor_split_is_built_once_per_moment_set():
         assert not arr.flags.writeable
         assert arr.tobytes() == np.sqrt(square).tobytes()
     assert not n.flags.writeable
-    # a copy made by hand is checked and split on its own, to the same values
+    # a copy made by hand is split on its own, to the same values
     copy = dataclasses.replace(ms)
     other = gauss._split(copy)
     assert other is not split and gauss._split(copy) is other
     assert all(np.array_equal(x, y) for x, y in zip(other, split))
-    # one with other variances is not the set of its design
-    scaled = dataclasses.replace(ms, sigma0_2=4 * ms.sigma0_2, sigma2=4 * ms.sigma2,
-                                 tau2=4 * ms.tau2)
-    with pytest.raises(ParameterError, match="field 'tau2'"):
-        gauss._split(scaled)
+    # one with other variances than its design's cannot be built
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(ms, sigma0_2=4 * ms.sigma0_2, sigma2=4 * ms.sigma2,
+                            tau2=4 * ms.tau2)
     with pytest.raises(ParameterError, match="treatment-vs-control"):
         gauss._split(pair_moments((5, 5, 4), TiePattern((3, 4, 7)), all_pairs(3)))
 
 
-def test_the_scales_of_a_set_are_checked_once_and_read_off_its_design():
+def test_the_scales_of_a_set_are_read_off_its_design():
     tie = TiePattern((3, 4, 7))
     ms = pair_moments((5, 5, 4), tie, all_pairs(3))
     s, r, denominator = moments._scales(14, tie.s2, tie.s3, False)
-    assert ms.scales() is ms.scales()
     assert ms.scales() == (float(Fraction(s, denominator)), float(Fraction(r, denominator)))
     assert ms.cov[0, 1] == float(Fraction(5 * 5 * 4 * s, denominator))
     untied = pair_moments((5, 5, 4), TiePattern.no_ties(14), all_pairs(3))
     assert untied.scales() == (1 / 12, 1 / 12)
     assert pair_moments((5, 5, 4), TiePattern((14,)), all_pairs(3)).scales() == (0.0, 0.0)
-    # the design fields themselves must be what pair_moments gives
+    # the design fields themselves must be Python ints, as pair_moments gives them
     for fields in ({"s2": 1.5}, {"s3": -1}, {"sizes": (5, 5, math.nan)}):
-        with pytest.raises(ParameterError):
-            dataclasses.replace(ms, **fields).scales()
-    # tie sums of another pattern name the moments that differ first
-    with pytest.raises(ParameterError, match="field 'tau2'"):
-        dataclasses.replace(ms, s2=0, s3=0, s3_plus=0).scales()
+        with pytest.raises(ParameterError, match="Python ints"):
+            dataclasses.replace(ms, **fields)
+    # tie sums of another pattern build that pattern's moments, and cannot carry these
+    other = dataclasses.replace(ms, s2=0, s3=0, s3_plus=0)
+    for name in MOMENT_ARRAYS[:3]:
+        np.testing.assert_array_equal(getattr(other, name), getattr(untied, name))
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(ms, s2=0, s3=0, s3_plus=0, tau2=ms.tau2)
+
+
+# tie sums that no pattern of the (4, 3, 5) design's 12 values has: each would
+# build a set with a negative or NaN variance, or a zero scale without full ties
+IMPOSSIBLE_SUMS = [
+    {"s2": 10**4, "s3": 0, "s3_plus": 3 * 10**4, "fully_tied": False},  # r < 0
+    {"s2": 0, "s3": 10**6, "s3_plus": 10**6, "fully_tied": False},  # s < 0
+    {"s2": 0, "s3": 12 * 11 * 10, "s3_plus": 12 * 11 * 10, "fully_tied": False},  # s = 0
+    {"s2": 2, "s3": 0, "s3_plus": 7, "fully_tied": False},  # s3_plus is not s3 + 3*s2
+    {"s2": 12 * 11, "s3": 12 * 11 * 10, "s3_plus": 12 * 11 * 13, "fully_tied": False},
+    {"s2": 0, "s3": 0, "s3_plus": 0, "fully_tied": True},
+    {"s2": 0, "s3": 0, "s3_plus": 0, "fully_tied": 0},  # fully_tied must be a bool
+    {"s2": True, "s3": 0, "s3_plus": 3, "fully_tied": False},
+    {"s2": np.int64(2), "s3": 0, "s3_plus": 6, "fully_tied": False},
+]
+
+
+@pytest.mark.parametrize("sums", IMPOSSIBLE_SUMS)
+@pytest.mark.parametrize("pair_set", [control_pairs, all_pairs])
+def test_a_set_of_impossible_tie_sums_cannot_be_built(sums, pair_set):
+    with pytest.raises(ParameterError):
+        moments.MomentSet((4, 3, 5), pair_set(3), **sums)
+
+
+@pytest.mark.parametrize("sizes", [[4, 3, 5], (4, 3, 0), (4, 3.0, 5), (4, True, 5), (12,), ()])
+def test_a_set_of_other_than_two_or_more_python_int_sizes_cannot_be_built(sizes):
+    with pytest.raises(ParameterError):
+        moments.MomentSet(sizes, control_pairs(len(sizes)), s2=0, s3=0, s3_plus=0,
+                          fully_tied=False)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=5), st.data())
+def test_the_sums_of_every_tie_pattern_build_the_set_pair_moments_gives(sizes, data):
+    sizes = tuple(sizes)
+    n = sum(sizes)
+    tie = extract_tie_pattern(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    for pair_set in (control_pairs, all_pairs):
+        built = pair_moments(sizes, tie, pair_set(len(sizes)))
+        hand_built = moments.MomentSet(sizes, pair_set(len(sizes)), *tie_sums(tie))
+        for f in dataclasses.fields(hand_built):
+            a, b = getattr(hand_built, f.name), getattr(built, f.name)
+            assert (a is b is None) or np.array_equal(a, b), f.name
+        assert (hand_built.tau2 >= 0).all() and (hand_built.correction_ratio >= 0).all()
 
 
 def test_a_byte_lru_sizes_each_value_once_when_it_is_stored(monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -17,6 +16,7 @@ import pytest
 
 from steelrank import (
     BudgetError,
+    MomentSet,
     ParameterError,
     TiePattern,
     compute_midranks,
@@ -29,7 +29,7 @@ from steelrank import (
 )
 from steelrank import _cache, randomization, statistics
 from steelrank.analysis import RunConfig, _sampled_p, analyze
-from steelrank.moments import all_pairs, control_pairs
+from steelrank.moments import all_pairs, control_pairs, tie_sums
 from steelrank.pairwise import mvn_tail_counts
 from steelrank.randomization import _mc_tail_counts, worker_count
 from steelrank.statistics import in_tail, reduce_statistic, standardize
@@ -1300,18 +1300,17 @@ def test_tail_tables_are_read_only_and_end_at_the_split_count():
     assert len(cum) == len(values) + 1 and (np.diff(values) >= 0).all()
 
 
-def test_a_hand_built_moment_set_reads_no_other_sets_tail_table():
+def test_a_hand_built_moment_set_shares_its_designs_tail_table():
     s = rank_samples([[0.3, 1.2, 2.5, 0.1], [1.1, 2.2, 3.3, 4.4], [0.5, 0.6, 0.7, 5.0]])
     ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(3))
+    hand_built = MomentSet(ms.sizes, ms.pairs, *tie_sums(s.tie_pattern))
+    assert hand_built is not ms
     total = split_count(s.sizes)
-    shifted = dataclasses.replace(ms, mu=ms.mu + 1.0)
     for threshold in (-0.5, 0.0, 0.7):
+        q = exact_p_value(s, hand_built, "s_max", [threshold])[0]
         p = exact_p_value(s, ms, "s_max", [threshold])[0]
-        q = exact_p_value(s, shifted, "s_max", [threshold])[0]
-        assert p == _masked_mass(s, ms, "s_max", threshold) / total
-        assert q == _masked_mass(s, shifted, "s_max", threshold) / total
-        assert q < p
-    assert len(_exact_tables()) == 2
+        assert p == q == _masked_mass(s, ms, "s_max", threshold) / total
+    assert len(_exact_tables()) == 1
 
 
 def test_python_int_weight_walks_keep_no_tail_table(walk_calls):
