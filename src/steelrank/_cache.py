@@ -23,15 +23,14 @@ V = TypeVar("V")
 
 def held_bytes(value) -> int | None:
     """Bytes a value holds: its arrays' bytes plus 8 per other field or item of the
-    dataclasses, tuples and lists it is made of, plus the ``derived_bytes`` a dataclass
-    names for what it derives after it is stored.  None when the value holds a
+    dataclasses, tuples and lists it is made of.  None when the value holds a
     writable array, which a shared value must not, or an object array, whose
-    elements' sizes are unknown."""
+    elements' sizes are unknown.  A stored value holds no more than its fields:
+    what a caller builds from one is built per call and not kept with it."""
     if isinstance(value, np.ndarray):
         return None if value.flags.writeable or value.dtype == object else value.nbytes
     if is_dataclass(value):
-        held = held_bytes([getattr(value, f.name) for f in fields(value)])
-        return None if held is None else held + getattr(value, "derived_bytes", 0)
+        return held_bytes([getattr(value, f.name) for f in fields(value)])
     if isinstance(value, (tuple, list)):
         sizes = [held_bytes(v) for v in value]
         return None if None in sizes else sum(sizes)

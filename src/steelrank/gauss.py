@@ -181,21 +181,15 @@ def _log_ndtr(a) -> np.ndarray:
 
 def _split(ms: MomentSet) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """(n, sigma0, sigma, tau) of a control-pair moment set: the treatment sizes and
-    the one-factor split tau_i^2 = n_i^2*sigma0^2 + sigma_i^2, built and checked once
-    per set and kept with it.  Other pair sets have no split."""
+    the one-factor split tau_i^2 = n_i^2*sigma0^2 + sigma_i^2, built from the set on
+    each call.  Other pair sets have no split, and a set with tau_i = 0 (fully tied
+    data) has no smooth one."""
     if ms.sigma2 is None:
         raise ParameterError("the one-factor model needs the treatment-vs-control pairs")
-    return ms.derived(_checked_split)
-
-
-def _checked_split(ms: MomentSet) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     if (ms.tau2 <= 0).any():
         raise ParameterError("tau must be strictly positive (degenerate data carry no test)")
     n = np.asarray(ms.sizes[1:], dtype=float)
-    sigma, tau = np.sqrt(ms.sigma2), np.sqrt(ms.tau2)
-    for arr in (n, sigma, tau):
-        arr.setflags(write=False)
-    return n, math.sqrt(ms.sigma0_2), sigma, tau
+    return n, math.sqrt(ms.sigma0_2), np.sqrt(ms.sigma2), np.sqrt(ms.tau2)
 
 
 def _box_mass(ms: MomentSet, u: np.ndarray, nodes: int, alternative: str) -> tuple[float, float]:
@@ -310,7 +304,8 @@ def brent_root(
     def value(x: float) -> float:
         fx = float(f(x))
         if math.isnan(fx):
-            raise NumericError(f"the function value at x={x} is NaN; the root solve cannot continue")
+            raise NumericError(f"the function value at x={x} is NaN; "
+                               "the root solve cannot continue")
         return fx
 
     xpre, xcur = float(a), float(b)

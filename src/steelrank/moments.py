@@ -4,21 +4,20 @@ Every null moment is an integer multiple of the two scales (s, r) of the tie
 pattern (``_scales``): exact rationals, as the tie sums are integers, each turned
 into a float by one integer division, so tie corrections never suffer cancellation.
 A ``MomentSet`` is built from its design alone, the group sizes, the pairs and the
-tie sums, so every set holds the moments of its design and no engine checks one.
+tie sums, so every set holds the moments of its design and no engine checks one.  A
+set holds nothing besides its fields: each engine builds what it reads from a set,
+such as the quadrature's one-factor split, on each call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
 
 import numpy as np
 
 from ._cache import DESIGNS
 from .errors import ParameterError
 from .ranks import RankedSamples, TiePattern, whole
-
-V = TypeVar("V")
 
 
 def control_pairs(n_groups: int) -> tuple[tuple[int, int], ...]:
@@ -85,18 +84,10 @@ class MomentSet:
             raise ParameterError(f"no tie pattern of {n} values has s2 = {s2} and s3 = {s3}")
         for name, value in zip(_MOMENTS, _pair_moments(sizes, self.pairs, scales)):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_derived", {})  # not a field: see derived()
 
     @property
     def tau(self) -> np.ndarray:
         return np.sqrt(self.tau2)
-
-    @property
-    def derived_bytes(self) -> int:
-        """Bytes ``derived`` keeps with the set at most, charged to it in the design
-        cache: 88 per pair, for the pair index (16), the group factors (48) and the
-        one-factor split (24)."""
-        return 88 * len(self.pairs)
 
     def check_samples(self, samples: RankedSamples) -> None:
         """Refuse samples of other group sizes or tie sums than the set was computed for."""
@@ -109,17 +100,6 @@ class MomentSet:
         """The design's scales (s, r) as floats, for the engines that read the factor form."""
         s, r, d = _scales(sum(self.sizes), self.s2, self.s3, self.fully_tied)
         return s / d, r / d
-
-    def derived(self, build: Callable[["MomentSet"], V]) -> V:
-        """build(self), built on first use and kept with this set: the quadrature's
-        one-factor split of a control-pair set, the group factors of MVN sampling and
-        the pair index arrays of ``observe``.  A set is read-only, so what is derived
-        from it stays valid, and a set built by hand (``dataclasses.replace`` included)
-        never reads what another set derived."""
-        value = self._derived.get(build)
-        if value is None:
-            value = self._derived.setdefault(build, build(self))
-        return value
 
 
 _MOMENTS = ("mu", "tau2", "cov", "correction_ratio", "sigma0_2", "sigma2")

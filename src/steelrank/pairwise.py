@@ -76,4 +76,4 @@ def mvn_tail_counts(
     nsim draws of the joint normal with the pair covariance of ``moments``, int64,
     from one shared run."""
     thr = check_tail_request(statistic, thresholds)
-    return _mvn_tail_counts(moments.derived(_group_factors), statistic, thr, nsim, seed)
+    return _mvn_tail_counts(_group_factors(moments), statistic, thr, nsim, seed)

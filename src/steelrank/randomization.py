@@ -83,7 +83,7 @@ import numpy as np
 from ._cache import DESIGNS
 from .errors import BudgetError, ParameterError
 from .moments import MomentSet
-from .ranks import RankedSamples, TiePattern
+from .ranks import RankedSamples, TiePattern, whole
 from .statistics import in_tail, reduce_statistic, sorted_tail_mass, standardize
 
 DEFAULT_BUDGET = 10_000_000
@@ -226,12 +226,16 @@ def sample_chunks(
 
 
 def split_count(sizes: Sequence[int]) -> int:
-    """Number of labeled splits of the pooled sample: N! / (n0! * ... * nK!)."""
+    """Number of labeled splits of the pooled sample: N! / (n0! * ... * nK!).  A size
+    that is not an integer >= 0 is a ParameterError."""
     total = 0
     out = 1
-    for s in sizes:
-        total += int(s)
-        out *= math.comb(total, int(s))
+    for size in sizes:
+        s = size if type(size) is int else whole(size)
+        if s is None or s < 0:
+            raise ParameterError(f"sizes must be integers >= 0, got {size!r}")
+        total += s
+        out *= math.comb(total, s)
     return out
 
 
@@ -501,8 +505,9 @@ def _mc_tail_counts(
     A replicate is its (group, distinct value) count table, drawn one of two ways
     (see _draws_count_tables): by shuffling the group labels of the N pooled values,
     a row sort of random keys that carry them, and taking one bincount per slice,
-    or block by block as a chain of hypergeometric draws.  Twice the Mann-Whitney value of pair (a, b) is the exact
-    integer sum_j counts_b[j] * (2 cum_a[j] - counts_a[j]), so w = 2W / 2 is exact.
+    or block by block as a chain of hypergeometric draws.  Twice the Mann-Whitney
+    value of pair (a, b) is the exact integer sum_j counts_b[j] * (2 cum_a[j] -
+    counts_a[j]), so w = 2W / 2 is exact.
     """
     d = np.asarray(tie.d, dtype=np.int64)
     n_values = d.size

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .moments import MomentSet
-from .ranks import RankedSamples, rank_samples
+from .ranks import RankedSamples, rank_samples, whole
 
 # alternative -> (extreme statistic, tail side): the one place this mapping lives
 ALTERNATIVE_TABLE = {
@@ -90,11 +90,14 @@ def mann_whitney_star(control: Sequence[float], treatment: Sequence[float]) -> f
 
 
 def rank_sums(w_star: Sequence[float], treatment_sizes: Sequence[int]) -> np.ndarray:
-    """Within-pair rank-sum form of the statistics: W* + n_i*(n_i+1)/2."""
+    """Within-pair rank-sum form of the statistics: W* + n_i*(n_i+1)/2.  A treatment
+    size that is not an integer >= 1 is a ParameterError."""
     w = np.asarray(w_star, dtype=float)
     n = np.asarray(treatment_sizes, dtype=float)
     if w.shape != n.shape:
         raise ParameterError("w_star and treatment_sizes must have matching lengths")
+    if not all((v := whole(x)) is not None and v >= 1 for x in n.ravel().tolist()):
+        raise ParameterError(f"treatment sizes must be integers >= 1, got {treatment_sizes!r}")
     return w + n * (n + 1) / 2
 
 
@@ -105,14 +108,6 @@ def _twice_w(t: np.ndarray) -> np.ndarray:
     return t @ (2 * np.cumsum(t, axis=1) - t).T
 
 
-def _pair_index(moments: MomentSet) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the second group of each pair, as two read-only index arrays."""
-    a, b = np.array(moments.pairs, dtype=np.int64).reshape(-1, 2).T
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
-
-
 def observe(samples: RankedSamples, moments: MomentSet, alternative: str) -> Observation:
     """Standardize the statistic of each of the moment set's pairs and reduce them to
     the alternative's extreme (max, min or abs-max).
@@ -121,7 +116,7 @@ def observe(samples: RankedSamples, moments: MomentSet, alternative: str) -> Obs
     """
     statistic = ALTERNATIVE_TABLE[normalize_alternative(alternative)][0]
     moments.check_samples(samples)
-    a, b = moments.derived(_pair_index)
+    a, b = np.array(moments.pairs, dtype=np.intp).T
     w = _twice_w(samples.counts)[b, a] / 2
     tau = moments.tau
     z = standardize(w, moments.mu, tau)

@@ -18,7 +18,7 @@ from steelrank import (
     simulated_tail_counts,
     var_w,
 )
-from steelrank import _cache, pairwise, randomization, statistics
+from steelrank import _cache, pairwise, randomization
 from steelrank.cli import main
 from steelrank.moments import all_pairs, control_pairs, tie_sums
 from steelrank.pairwise import _group_factors, _mvn_tail_counts, mvn_tail_counts
@@ -260,22 +260,20 @@ def test_mvn_slices_hold_the_slice_budget(monkeypatch):
     assert peak < 1.5 * 8 * randomization._SLICE_CELLS
 
 
-def test_a_stored_all_pairs_set_is_charged_for_what_it_derives():
-    """The pair index of ``observe`` and the group factors of MVN sampling are kept
-    with the set after it is stored; its design-cache charge covers them at 45 and
-    190 pairs, where they outgrow the per-entry charge."""
+def test_a_stored_all_pairs_set_keeps_nothing_the_engines_build_from_it():
+    """``observe`` and MVN sampling build the pair index and the group factors from
+    a stored set on each call, at 45 and 190 pairs: the set holds only its fields
+    afterwards and its design-cache charge stays as it was stored."""
     for k in (10, 20):
         s = rank_samples([np.arange(3.0) + g for g in range(k)])
         pm = pair_moments(s.sizes, s.tie_pattern, all_pairs(k))
-        charge = _cache.DESIGNS._sizes[("moments", s.sizes, pm.pairs,
-                                        *tie_sums(s.tie_pattern))]
-        fields = sum(_cache.held_bytes(getattr(pm, f.name)) for f in dataclasses.fields(pm))
+        key = ("moments", s.sizes, pm.pairs, *tie_sums(s.tie_pattern))
+        charge = _cache.DESIGNS._sizes[key]
         observe(s, pm, "two_sided")
         mvn_tail_counts(pm, "s_abs", [1.0], 10, 0)
-        derived = [pm.derived(statistics._pair_index), pm.derived(_group_factors)]
-        nbytes = sum(arr.nbytes for parts in derived for arr in parts)
-        assert nbytes > _cache.ENTRY_BYTES
-        assert charge >= fields + nbytes + _cache.ENTRY_BYTES
+        assert _cache.DESIGNS._sizes[key] == charge
+        assert len(dataclasses.fields(pm)) == 12
+        assert set(vars(pm)) == {f.name for f in dataclasses.fields(pm)}
 
 
 def test_mc_and_mvn_agree_at_moderate_sizes():

@@ -94,6 +94,11 @@ def test_split_count():
     assert split_count((2, 2)) == 6
     assert split_count((2, 2, 2)) == 90
     assert split_count((6, 6, 6, 6)) == math.factorial(24) // math.factorial(6) ** 4
+    # a row with zeros, as the exact walk's compositions have, and integral floats
+    assert split_count((0, 3)) == 1 and split_count((2.0, np.int64(3))) == 10
+    for sizes in ([2.5, 3], [-1, 3], [float("nan"), 3], ["2", 3]):
+        with pytest.raises(ParameterError, match="integers >= 0"):
+            split_count(sizes)
 
 
 def test_exact_distribution_hand_case():
