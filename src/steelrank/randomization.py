@@ -231,7 +231,7 @@ def split_count(sizes: Sequence[int]) -> int:
     total = 0
     out = 1
     for size in sizes:
-        s = size if type(size) is int else whole(size)
+        s = whole(size)
         if s is None or s < 0:
             raise ParameterError(f"sizes must be integers >= 0, got {size!r}")
         total += s

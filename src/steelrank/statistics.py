@@ -93,11 +93,12 @@ def rank_sums(w_star: Sequence[float], treatment_sizes: Sequence[int]) -> np.nda
     """Within-pair rank-sum form of the statistics: W* + n_i*(n_i+1)/2.  A treatment
     size that is not an integer >= 1 is a ParameterError."""
     w = np.asarray(w_star, dtype=float)
-    n = np.asarray(treatment_sizes, dtype=float)
-    if w.shape != n.shape:
+    sizes = np.asarray(treatment_sizes)
+    if w.shape != sizes.shape:
         raise ParameterError("w_star and treatment_sizes must have matching lengths")
-    if not all((v := whole(x)) is not None and v >= 1 for x in n.ravel().tolist()):
+    if not all((v := whole(x)) is not None and v >= 1 for x in sizes.ravel().tolist()):
         raise ParameterError(f"treatment sizes must be integers >= 1, got {treatment_sizes!r}")
+    n = sizes.astype(float)
     return w + n * (n + 1) / 2
 
 

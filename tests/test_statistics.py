@@ -113,7 +113,7 @@ def test_rank_sums_accessor(iq_groups):
     obs = _observe(iq_groups, "less")
     assert rank_sums(obs.w_star, [6, 6, 6]).tolist() == [28, 38, 33.5]
     assert rank_sums([3.0], [2.0]).tolist() == [6.0]
-    for size in (2.5, -2, 0, float("nan"), float("inf")):
+    for size in (2.5, -2, 0, float("nan"), float("inf"), "2", "x"):
         with pytest.raises(ParameterError, match="integers >= 1"):
             rank_sums([3.0], [size])
 
