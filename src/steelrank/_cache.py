@@ -2,8 +2,8 @@
 
 The package keeps one per process, ``DESIGNS`` below: the moment sets of
 ``moments.pair_moments``, the no-ties index selections of ``confidence`` and the
-exact tail tables of ``randomization``.  Values are read-only, so every caller
-can share one object.
+standardized exact walks of ``randomization``.  Values are read-only, so every
+caller can share one object.
 """
 from __future__ import annotations
 

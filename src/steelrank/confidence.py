@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ._cache import DESIGNS
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, integer
 from .gauss import DEFAULT_NODES, joint_lower_box_prob, solve_common_threshold
 from .moments import MomentSet, control_pairs, pair_moments
 from .ranks import RankedSamples, TiePattern, rank_samples, whole
@@ -213,14 +213,14 @@ def _selection(
     """The no-ties control-pair moments of a design and its upper selection at
     one-sided level gamma.
 
-    Neither depends on the data, so both are kept per process in ``_cache.DESIGNS``.
-    """
+    Neither depends on the data, so both are kept per process in ``_cache.DESIGNS``,
+    under a checked node count: 16.0 and True would find the entries of 16 and 1."""
 
     def solve() -> tuple[MomentSet, IndexSelection]:
         ms = pair_moments(sizes, TiePattern.no_ties(sum(sizes)), control_pairs(len(sizes)))
         return ms, select_indices(ms, gamma, "upper", nodes)
 
-    return DESIGNS.get(("selection", sizes, gamma, nodes), solve)
+    return DESIGNS.get(("selection", sizes, gamma, integer(nodes, "nodes")), solve)
 
 
 def _prepare(groups: Sequence[Sequence[float]] | RankedSamples, rounding_eps: float):

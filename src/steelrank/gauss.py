@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, integer
 from .moments import MomentSet
 from .statistics import normalize_alternative
 
@@ -201,7 +201,7 @@ def _box_mass(ms: MomentSet, u: np.ndarray, nodes: int, alternative: str) -> tup
     directly and the other is 1 minus it, so a small side keeps its relative accuracy and
     both sides reach exactly 0 and 1.
     """
-    if not 1 <= nodes <= MAX_NODES:
+    if not 1 <= integer(nodes, "nodes") <= MAX_NODES:
         raise ParameterError(f"nodes must be in [1, {MAX_NODES}], got {nodes}")
     n, sigma0, sigma, tau = _split(ms)
     z, weight = _nodes(nodes)
@@ -247,8 +247,8 @@ def tail_prob(ms: MomentSet, u, alternative: str, nodes: int = DEFAULT_NODES) ->
     not the node count, limits accuracy.
 
     ``nodes`` is a request: the rule uses 8 panels x max(2, ceil(nodes/8)) nodes, so
-    any request up to 16 gives 16 nodes and 160 gives 160.  nodes < 1 is a
-    ParameterError.
+    any request up to 16 gives 16 nodes and 160 gives 160.  nodes that are not an
+    integer in [1, MAX_NODES] (``errors.integer``: no bool) are a ParameterError.
     """
     alt = normalize_alternative(alternative)
     k = len(_split(ms)[0])

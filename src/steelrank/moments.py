@@ -180,7 +180,10 @@ def pair_moments(sizes, tie: TiePattern, pairs) -> MomentSet:
     sizes = tuple(_check_size(n, "size") for n in sizes)
     if sum(sizes) != tie.N:
         raise ParameterError(f"sizes sum to {sum(sizes)} but tie pattern has N = {tie.N}")
-    pairs = tuple((int(a), int(b)) for a, b in pairs)
+    given = tuple(map(tuple, pairs))
+    pairs = tuple(tuple(map(whole, pair)) for pair in given)
+    if any(None in pair for pair in pairs):
+        raise ParameterError(f"pair indices must be integers, got {given!r}")
     sums = tie_sums(tie)
     key = ("moments", sizes, pairs, *sums)  # N = sum(sizes)
     return DESIGNS.get(key, lambda: MomentSet(sizes, pairs, *sums))

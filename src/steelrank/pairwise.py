@@ -19,7 +19,7 @@ import numpy as np
 
 from .moments import MomentSet
 from .randomization import check_tail_request, sample_chunks
-from .statistics import in_tail, reduce_statistic
+from .statistics import tail_counts
 
 
 def _group_factors(ms: MomentSet) -> tuple[np.ndarray, np.ndarray]:
@@ -59,8 +59,7 @@ def _mvn_tail_counts(
         z = terms[0]
         z += terms[1]
         z += terms[2]
-        stats = reduce_statistic(kind, z.T)
-        return in_tail(kind, stats[:, None], thresholds[None, :]).sum(axis=0)
+        return tail_counts(kind, z.T, thresholds)
 
     return sample_chunks(nsim, seed, draw, tally, held)
 

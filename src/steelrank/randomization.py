@@ -8,13 +8,13 @@ memory scale with the live merged states and their fitting expansions, not with
 the splits.  The candidate expansions (distinct count rows times block
 compositions) are tested for fit in blocks of about _EXPAND_BLOCK cells, 2 MiB of
 int64, and expanded in batches of about _EXPAND_BLOCK rows, so candidates that do
-not fit cost time but no memory beyond a block.  Given the tie pattern, the sizes,
-the pairs, the statistic and the moments, the walk's standardized statistic does
-not depend on the data: exact_p_value keeps it sorted with cumulative weights, a
-tail table, in the process's design cache (``_cache.DESIGNS``), and reads the
-p-values at a threshold vector off it by one vectorized binary search.  Tables
-past 2**63 splits carry Python-int weights and are not kept.  Both engines answer
-the tail request of ``check_tail_request``; ``analysis`` builds the report p-values.
+not fit cost time but no memory beyond a block.  Given the tie pattern, the sizes
+and the pairs, which fix the moments, the walk does not depend on the data:
+exact_p_value keeps it standardized with its weights, one entry for every
+statistic, in the process's design cache (``_cache.DESIGNS``); walks past 2**63
+splits carry Python-int weights and are not kept.  Both engines answer the tail
+request of ``check_tail_request`` and count its tails with
+``statistics.tail_counts``; ``analysis`` builds the report p-values.
 
 Monte Carlo mode splits the replicates into fixed-size chunks; chunk i draws from an
 independent RNG substream derived from (seed, i), always in the same slices and the
@@ -81,10 +81,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ._cache import DESIGNS
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, ParameterError, integer
 from .moments import MomentSet
 from .ranks import RankedSamples, TiePattern, whole
-from .statistics import in_tail, reduce_statistic, sorted_tail_mass, standardize
+from .statistics import standardize, tail_counts, twice_w
 
 DEFAULT_BUDGET = 10_000_000
 CHUNK_SIZE = 4096
@@ -154,6 +154,7 @@ def sample_chunks(
     An exception from ``draw`` or ``tally`` stops every thread and is raised once
     they have all ended.
     """
+    nsim, seed = integer(nsim, "nsim"), integer(seed, "seed")
     if nsim < 1:
         raise ParameterError("nsim must be >= 1")
     if seed < 0:
@@ -349,7 +350,9 @@ def _expansion_batches(
 
 
 def _check_budget(sizes: Sequence[int], budget: int) -> int:
-    """The split count of the sizes, refused when it is over the budget."""
+    """The split count of the sizes, refused when over the budget, an integer >= 0."""
+    if integer(budget, "budget") < 0:
+        raise ParameterError(f"budget must be >= 0, got {budget!r}")
     total = split_count(sizes)
     if total > budget:
         # str() of a large int is slow, and refused past 4300 digits
@@ -435,21 +438,6 @@ def check_tail_request(statistic: str, thresholds: Sequence[float]) -> np.ndarra
     return thr
 
 
-def _tail_table(
-    w: np.ndarray, wt: np.ndarray, mu: np.ndarray, tau: np.ndarray, statistic: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """A walk's reduced statistic sorted ascending, and at index i the weight of its
-    first i sorted rows (0 first, the split count last), in the weights' dtype;
-    both read-only."""
-    stats = reduce_statistic(statistic, standardize(w, mu, tau))
-    order = np.argsort(stats)
-    values = stats[order]
-    cum = np.concatenate((np.zeros(1, dtype=wt.dtype), np.cumsum(wt[order])))
-    values.setflags(write=False)
-    cum.setflags(write=False)
-    return values, cum
-
-
 def exact_p_value(
     samples: RankedSamples,
     moments: MomentSet,
@@ -461,23 +449,24 @@ def exact_p_value(
     threshold the exact integer count of the splits in the tail over the split
     count, divided as Python ints, so correctly rounded at any split count.
 
-    Only the thresholds depend on the data, so the tail table of the walk is kept
-    in the design cache per tie pattern, sizes, pairs and statistic, which fix the
-    moments, and the masses are read off it by one binary search per threshold.
-    The budget is checked on every call, before the cache.
+    Only the thresholds depend on the data, so the standardized walk is kept in the
+    design cache per tie pattern, sizes and pairs, which fix the moments, for all three
+    statistics; a mass is the weight of its rows in the tail (``tail_counts``).  The
+    budget is checked on every call, before the cache.
     """
     thr = check_tail_request(statistic, thresholds)
     moments.check_samples(samples)
     tie, sizes, pairs = samples.tie_pattern, samples.sizes, moments.pairs
     total = _check_budget(sizes, budget)
 
-    def table() -> tuple[np.ndarray, np.ndarray]:
-        return _tail_table(*_enumerate_w(tie, sizes, pairs, budget), moments.mu, moments.tau,
-                           statistic)
+    def walk() -> tuple[np.ndarray, np.ndarray]:
+        w, wt = _enumerate_w(tie, sizes, pairs, budget)
+        z = standardize(w, moments.mu, moments.tau)
+        z.setflags(write=False)
+        return z, wt
 
-    values, cum = DESIGNS.get(("exact", tie.d, sizes, pairs, statistic), table)
-    masses = sorted_tail_mass(statistic, values, cum, thr).tolist()  # Python ints
-    return np.array([mass / total for mass in masses])
+    z, wt = DESIGNS.get(("exact", tie.d, sizes, pairs), walk)
+    return np.array([mass / total for mass in tail_counts(statistic, z, thr, wt).tolist()])
 
 
 def _draws_count_tables(tie: TiePattern, n_groups: int) -> bool:
@@ -506,21 +495,19 @@ def _mc_tail_counts(
     (see _draws_count_tables): by shuffling the group labels of the N pooled values,
     a row sort of random keys that carry them, and taking one bincount per slice,
     or block by block as a chain of hypergeometric draws.  Twice the Mann-Whitney
-    value of pair (a, b) is the exact integer sum_j counts_b[j] * (2 cum_a[j] -
-    counts_a[j]), so w = 2W / 2 is exact.
+    values are exact integers (``twice_w``, or its sum block by block), so w = 2W / 2
+    is exact; ``tail_counts`` counts the replicates in each tail.
     """
     d = np.asarray(tie.d, dtype=np.int64)
     n_values = d.size
     n_groups = len(sizes)
     sizes = np.asarray(sizes, dtype=np.int64)
-    thr = np.asarray(thresholds, dtype=float)
     # control pairs or all pairs, as MomentSet checks: each first group a is paired
     # with a+1, ..., last, in order
     firsts = sorted({a for a, _ in pairs})
 
-    def tail_counts(w2: np.ndarray) -> np.ndarray:
-        stats = reduce_statistic(kind, standardize(w2 / 2, mu, tau))
-        return in_tail(kind, stats[:, None], thr[None, :]).sum(axis=0).astype(np.int64)
+    def tally_w2(w2: np.ndarray) -> np.ndarray:
+        return tail_counts(kind, standardize(w2 / 2, mu, tau), thresholds)
 
     if _draws_count_tables(tie, n_groups):
         columns = np.cumsum([0] + [n_groups - 1 - a for a in firsts])  # pair columns per first
@@ -550,7 +537,7 @@ def _mc_tail_counts(
                 free -= k
             return w2
 
-        return sample_chunks(nsim, seed, draw_tables, tail_counts, None)
+        return sample_chunks(nsim, seed, draw_tables, tally_w2, None)
 
     value_class = np.repeat(np.arange(n_values, dtype=np.int64), d)
     label_bits = max(1, (n_groups - 1).bit_length())
@@ -562,8 +549,9 @@ def _mc_tail_counts(
     # made from them
     cells = n_groups * n_values + tie.N * (8 + key_type.itemsize) // 8
     # bincount key of a cell: its label times n_values plus its row's table start plus
-    # its value class
-    row_start = np.arange(min(_slice_rows(cells), nsim), dtype=np.int64) * (n_groups * n_values)
+    # its value class, for the rows of the longest slice, which no chunk passes
+    row_start = np.arange(min(_slice_rows(cells), CHUNK_SIZE), dtype=np.int64)
+    row_start *= n_groups * n_values
     offsets = row_start[:, None] + value_class
 
     # each thread's slice of bincount keys, kept from slice to slice: made fresh per
@@ -606,14 +594,7 @@ def _mc_tail_counts(
         cell = np.multiply(key, n_values, out=held.cell[:reps], dtype=np.int64)
         cell += offsets[:reps]
         counts = np.bincount(cell.ravel(), minlength=reps * n_groups * n_values)
-        counts = counts.reshape(reps, n_groups, n_values)
-        w2 = []
-        for a in firsts:
-            c2 = np.cumsum(counts[:, a, :], axis=1)
-            c2 *= 2
-            c2 -= counts[:, a, :]
-            w2.append(np.einsum("ikj,ij->ik", counts[:, a + 1 :, :], c2))
-        return tail_counts(np.hstack(w2))
+        return tally_w2(twice_w(counts.reshape(reps, n_groups, n_values), firsts))
 
     return sample_chunks(nsim, seed, draw_labels, tally_labels, cells)
 

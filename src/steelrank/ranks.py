@@ -115,7 +115,9 @@ class RankedSamples:
     scores: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(n) for n in self.sizes)
+        sizes = tuple(whole(n) for n in self.sizes)
+        if None in sizes:
+            raise ParameterError(f"group sizes must be integers, got {self.sizes!r}")
         if any(n < 1 for n in sizes):
             raise ParameterError("every group needs at least one observation")
         table = np.asarray(self.counts, dtype=np.int64)

@@ -1,6 +1,7 @@
 """Mann-Whitney statistics of group pairs and their standardized extremes."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,14 +29,13 @@ def normalize_alternative(alternative: str) -> str:
 
 
 def reduce_statistic(kind: str, z: np.ndarray) -> np.ndarray:
-    """Row-wise max (s_max), min (s_min) or absolute max (s_abs) of standardized values."""
-    if kind == "s_max":
-        return z.max(axis=1)
-    if kind == "s_min":
-        return z.min(axis=1)
-    if kind == "s_abs":
-        return np.abs(z).max(axis=1)
-    raise ParameterError(f"unknown statistic {kind!r}")
+    """Row-wise max (s_max), min (s_min) or absolute max (s_abs) of standardized values,
+    folded pair by pair: one elementwise ufunc per column, where a reduction over each
+    short row would pay numpy's per-row overhead."""
+    if kind not in _TAIL_SIDE:
+        raise ParameterError(f"unknown statistic {kind!r}")
+    columns = (np.abs(z) if kind == "s_abs" else z).T
+    return functools.reduce(np.minimum if kind == "s_min" else np.maximum, columns)
 
 
 def standardize(w: np.ndarray, mu: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -53,15 +53,14 @@ def in_tail(kind: str, values, threshold):
     return values >= threshold
 
 
-def sorted_tail_mass(
-    kind: str, values: np.ndarray, cum: np.ndarray, thresholds: np.ndarray
-) -> np.ndarray:
-    """The weight in the tail at each threshold of statistic values sorted ascending,
-    where cum[i] is the weight of the first i values: the sums of the weights that
-    ``in_tail`` selects, found by one vectorized binary search, in cum's dtype."""
-    if _TAIL_SIDE[kind] == "lower":
-        return cum[np.searchsorted(values, thresholds, side="right")]
-    return cum[-1] - cum[np.searchsorted(values, thresholds, side="left")]
+def tail_counts(kind: str, z: np.ndarray, thresholds: np.ndarray, weights=None) -> np.ndarray:
+    """At each threshold, the rows of standardized values z whose extreme statistic is
+    in the tail (``in_tail``): their number as int64, or the sum of their exact
+    integer ``weights``, in the weights' dtype (Python ints for an object array)."""
+    hits = in_tail(kind, reduce_statistic(kind, z)[:, None], np.asarray(thresholds)[None, :])
+    if weights is None:
+        return hits.sum(axis=0, dtype=np.int64)
+    return np.array([weights[hit].sum() for hit in hits.T], dtype=weights.dtype)
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def mann_whitney_star(control: Sequence[float], treatment: Sequence[float]) -> f
     A half-integer in [0, n0*ni]; adding the value with samples swapped gives n0*ni.
     It is read off the count table of the two samples, as ``observe`` reads it.
     """
-    return float(_twice_w(rank_samples([control, treatment]).counts)[1, 0] / 2)
+    return float(twice_w(rank_samples([control, treatment]).counts[None], [0])[0, 0] / 2)
 
 
 def rank_sums(w_star: Sequence[float], treatment_sizes: Sequence[int]) -> np.ndarray:
@@ -102,23 +101,30 @@ def rank_sums(w_star: Sequence[float], treatment_sizes: Sequence[int]) -> np.nda
     return w + n * (n + 1) / 2
 
 
-def _twice_w(t: np.ndarray) -> np.ndarray:
-    """Twice the Mann-Whitney values from the count table t: entry [b, a] is the exact
-    integer sum_j t_b[j] * (2 cum_a[j] - t_a[j]), with cum_a the running sum of t_a,
-    as each value of b beats the values of a below it and ties those equal."""
-    return t @ (2 * np.cumsum(t, axis=1) - t).T
+def twice_w(counts: np.ndarray, firsts) -> np.ndarray:
+    """Twice the Mann-Whitney value of each pair (a, b), a in ``firsts`` and b > a in
+    order, over a stack of count tables (tables, groups, values): the exact integer
+    sum_j counts_b[j] * (2 cum_a[j] - counts_a[j]), with cum_a the running sum of
+    counts_a, as each value of b beats the values of a below it and ties those equal."""
+    w2 = []
+    for a in firsts:
+        c2 = np.cumsum(counts[:, a, :], axis=1)
+        c2 *= 2
+        c2 -= counts[:, a, :]
+        w2.append(np.einsum("ikj,ij->ik", counts[:, a + 1 :, :], c2))
+    return np.concatenate(w2, axis=1)
 
 
 def observe(samples: RankedSamples, moments: MomentSet, alternative: str) -> Observation:
     """Standardize the statistic of each of the moment set's pairs and reduce them to
     the alternative's extreme (max, min or abs-max).
 
-    Twice the Mann-Whitney value of pair (a, b) is read off the count table.
+    Twice the Mann-Whitney value of each pair is read off the count table (``twice_w``).
     """
     statistic = ALTERNATIVE_TABLE[normalize_alternative(alternative)][0]
     moments.check_samples(samples)
-    a, b = np.array(moments.pairs, dtype=np.intp).T
-    w = _twice_w(samples.counts)[b, a] / 2
+    firsts = sorted({a for a, _ in moments.pairs})
+    w = twice_w(samples.counts[None], firsts)[0] / 2
     tau = moments.tau
     z = standardize(w, moments.mu, tau)
     return Observation(

@@ -27,7 +27,7 @@ def iq_groups():
 @pytest.fixture(autouse=True)
 def _cold_caches():
     """Each test starts with every per-process cache empty, so its first call computes:
-    the design cache's moment sets, index selections and exact tail tables,
+    the design cache's moment sets, index selections and standardized exact walks,
     compositions, quadrature nodes, report field names and the CLI parser."""
     analysis._field_names.cache_clear()
     randomization._compositions.cache_clear()

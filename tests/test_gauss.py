@@ -27,6 +27,8 @@ from steelrank import (
     rank_samples,
     select_indices,
     simulated_tail_counts,
+    simultaneous_bounds,
+    simultaneous_intervals,
     solve_common_threshold,
     tail_prob,
 )
@@ -518,6 +520,26 @@ def test_node_count_above_the_cap_is_rejected_on_every_path():
             joint_lower_box_prob(ms, ms.mu, nodes=nodes)
         with pytest.raises(ParameterError, match="nodes"):
             solve_common_threshold(ms, 0.9, nodes=nodes)
+
+
+@pytest.mark.parametrize("nodes", [16.5, 16.0, True, np.float64(32), "16", None])
+def test_a_node_count_that_is_not_an_integer_is_refused_on_every_path(nodes):
+    ms = no_ties_moments((5, 4, 4))
+    groups = [[1.0, 2.5, 3.0], [4.0, 5.5], [0.5, 7.0]]
+    for kept in (1, 16, 32):  # a kept selection whose key equals a bad count's
+        simultaneous_bounds(groups, 0.9, "upper", nodes=kept)
+        simultaneous_intervals(groups, 0.9, nodes=kept)
+    calls = [lambda: tail_prob(ms, 1.0, alternative, nodes=nodes)
+             for alternative in ("greater", "less", "two_sided")]
+    calls += [lambda: joint_lower_box_prob(ms, ms.mu, nodes=nodes),
+              lambda: solve_common_threshold(ms, 0.9, nodes=nodes),
+              lambda: select_indices(ms, 0.9, "upper", nodes=nodes),
+              lambda: simultaneous_bounds(groups, 0.9, "upper", nodes=nodes),
+              lambda: simultaneous_intervals(groups, 0.9, nodes=nodes)]
+    for call in calls:
+        with pytest.raises(ParameterError, match="nodes must be an integer"):
+            call()
+    assert tail_prob(ms, 1.0, "greater", nodes=np.int32(16)) == tail_prob(ms, 1.0, "greater", 16)
 
 
 def test_node_request_rounds_up_to_whole_panels():

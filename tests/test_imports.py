@@ -53,6 +53,21 @@ def test_private_cross_module_imports_match_allowlist():
     assert private_import_edges() == ALLOWED
 
 
+def imported_names(module: str) -> set[str]:
+    """Every name a package module imports from the package's other modules."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+
+
+def test_the_engines_count_tails_through_the_statistics_kernel():
+    # the tail rule lives in statistics: the sampling and exact engines call
+    # tail_counts and never reduce or test a statistic themselves
+    for module in ("randomization", "pairwise"):
+        names = imported_names(module)
+        assert "tail_counts" in names and not names & {"in_tail", "reduce_statistic"}, module
+
+
 ENGINE_ENTRIES = {"simulated_tail_counts", "exact_p_value", "mvn_tail_counts", "tail_prob",
                   "simultaneous_bounds", "simultaneous_intervals"}
 

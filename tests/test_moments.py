@@ -217,6 +217,18 @@ def test_pairs_other_than_control_or_all_pairs_are_refused():
         tail_prob(pair_moments((5, 5, 4), tie, all_pairs(3)), 1.0, "greater")
 
 
+@pytest.mark.parametrize("pairs", [((0, 1.9), (0, 2.2)), (("0", "1"), ("0", "2")),
+                                   ((0, 1), (0, 2.5)), ((0, 1), (0, float("nan")))])
+def test_pair_indices_that_are_not_integers_are_refused(pairs):
+    with pytest.raises(ParameterError, match="pair indices must be integers"):
+        pair_moments((5, 5, 4), TiePattern.no_ties(14), pairs)
+
+
+def test_integral_pair_indices_give_the_control_pairs():
+    ms = pair_moments((5, 5, 4), TiePattern.no_ties(14), ((0, 1.0), (np.int64(0), 2)))
+    assert ms.pairs == control_pairs(3) and all(type(v) is int for p in ms.pairs for v in p)
+
+
 # A moment set with permuted pairs: the Monte Carlo kernel would tally its pairs
 # in the wrong columns, so construction must refuse it even under -O, which
 # strips asserts.

@@ -22,7 +22,7 @@ from steelrank import _cache, pairwise, randomization
 from steelrank.cli import main
 from steelrank.moments import all_pairs, control_pairs, tie_sums
 from steelrank.pairwise import _group_factors, _mvn_tail_counts, mvn_tail_counts
-from steelrank.statistics import reduce_statistic
+from steelrank.statistics import tail_counts
 
 from _exact import exact_moments
 from _oracles import enumerate_pair_stats, random_tie_pattern
@@ -201,11 +201,11 @@ def test_mvn_sliced_chunks_give_the_unsliced_tail_counts(monkeypatch, iq_groups)
             per_slice = min(randomization.CHUNK_SIZE, budget // held)
             slices = []
 
-            def record(kind, z):
+            def record(kind, z, thresholds):
                 slices.append(np.array(z))
-                return reduce_statistic(kind, z)
+                return tail_counts(kind, z, thresholds)
 
-            monkeypatch.setattr(pairwise, "reduce_statistic", record)
+            monkeypatch.setattr(pairwise, "tail_counts", record)
             _mvn_tail_counts(factors, "s_max", np.array([1.0]), randomization.CHUNK_SIZE, 3)
             assert [len(z) for z in slices[:-1]] == [per_slice] * (len(slices) - 1)
             assert np.array_equal(np.concatenate(slices), whole)

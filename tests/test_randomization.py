@@ -190,6 +190,36 @@ def test_budget_error_advises_monte_carlo():
         _exact_p(s, obs, budget=1000)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), 1e7, True, -1, "10"])
+def test_a_budget_that_is_not_an_integer_at_least_zero_is_refused(budget, walk_calls):
+    s = _UNTIED_333
+    ms = _control_moments(s)
+    with pytest.raises(ParameterError, match="budget must be"):
+        exact_p_value(s, ms, "s_max", [1.0], budget=budget)
+    with pytest.raises(ParameterError, match="budget must be"):
+        randomization._enumerate_w(s.tie_pattern, s.sizes, ms.pairs, budget=budget)
+    assert not walk_calls[1:]  # only the direct call reached the walk, which refused it
+    got = exact_p_value(s, ms, "s_max", [1.0], budget=np.int64(split_count(s.sizes)))
+    assert got.tolist() == exact_p_value(s, ms, "s_max", [1.0]).tolist()
+
+
+@pytest.mark.parametrize("nsim, seed, name", [(True, 1, "nsim"), (1000.5, 1, "nsim"),
+                                              (np.float64(1000), 1, "nsim"), (1000, 1.5, "seed"),
+                                              (1000, False, "seed"), (None, 1, "nsim")])
+def test_sampling_counts_that_are_not_integers_are_refused(nsim, seed, name):
+    s = _UNTIED_333
+    ms = _control_moments(s)
+    for draw in (
+        lambda: simulated_tail_counts(s, ms, "s_max", [1.0], nsim, seed),
+        lambda: mvn_tail_counts(ms, "s_max", [1.0], nsim, seed),
+        lambda: randomization.sample_chunks(nsim, seed, lambda rng, b: b, len, 1),
+    ):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            draw()
+    got = simulated_tail_counts(s, ms, "s_max", [1.0], np.int64(1000), np.uint8(1))
+    assert got.tolist() == simulated_tail_counts(s, ms, "s_max", [1.0], 1000, 1).tolist()
+
+
 def test_simulated_matches_exact_within_four_se():
     s, obs = _steel([[1, 2], [3, 4]], "greater")
     exact = 1 / 6
@@ -884,8 +914,8 @@ def test_one_control_against_many_tied_values_builds_only_fitting_moves(monkeypa
                 hits = (stats <= t) if obs.statistic == "s_min" else (stats >= t)
                 assert got == hits.sum() / len(z)
         moves = [(total, comps) for total, comps in recorded if comps.shape[1] == 2]
-        # one walk per alternative: each builds its statistic's tail table
-        assert sorted(total for total, _ in moves) == sorted(s.tie_pattern.d * 3)
+        # one walk for the three alternatives, which all read its kept rows
+        assert sorted(total for total, _ in moves) == sorted(s.tie_pattern.d)
         for total, comps in moves:
             assert (comps <= np.asarray(s.sizes)).all() and (comps.sum(axis=1) == total).all()
             assert comps[:, 0].tolist() == [0, 1]
@@ -915,7 +945,7 @@ def _control_moments(s):
 
 
 def _exact_tables():
-    """The design cache's exact tail tables by key, least recently used first."""
+    """The design cache's standardized exact walks by key, least recently used first."""
     return {key: table for key, table in _cache.DESIGNS._items.items() if key[0] == "exact"}
 
 
@@ -928,13 +958,14 @@ def test_a_repeated_exact_p_value_walks_once(walk_calls):
     ms = _control_moments(s)
     p = exact_p_value(s, ms, "s_max", [1.0])
     assert exact_p_value(s, ms, "s_max", [1.0]).tolist() == p.tolist()
-    exact_p_value(s, ms, "s_max", [-0.5])  # another threshold reads the same table
+    exact_p_value(s, ms, "s_max", [-0.5])  # another threshold reads the same walk
+    exact_p_value(s, ms, "s_min", [1.0])  # and so do the other statistics
+    exact_p_value(s, ms, "s_abs", [1.0])
     assert len(walk_calls) == 1
-    exact_p_value(s, ms, "s_min", [1.0])
     exact_p_value(s, pair_moments(s.sizes, s.tie_pattern, all_pairs(3)), "s_max", [1.0])
     tied = _samples_with_ties((2,) + (1,) * 7, s.sizes)
     exact_p_value(tied, _control_moments(tied), "s_max", [1.0])
-    assert len(walk_calls) == 4 and len(_exact_tables()) == 4
+    assert len(walk_calls) == 3 and len(_exact_tables()) == 3
 
 
 def test_the_budget_is_checked_before_the_cache(walk_calls):
@@ -942,7 +973,7 @@ def test_the_budget_is_checked_before_the_cache(walk_calls):
     ms = _control_moments(s)
     assert split_count(s.sizes) == 1680
     exact_p_value(s, ms, "s_max", [1.0], budget=1680)
-    for statistic in ("s_max", "s_min"):  # a kept table, then none
+    for statistic in ("s_max", "s_min"):  # both read the kept walk
         with pytest.raises(BudgetError, match="1680 splits"):
             exact_p_value(s, ms, statistic, [1.0], budget=1679)
     assert len(walk_calls) == 1 and len(_exact_tables()) == 1
@@ -1131,10 +1162,13 @@ def test_both_draws_match_exact_enumeration_on_small_designs(monkeypatch, sizes,
     for all_group_pairs in (False, True):
         ms = pair_moments(s.sizes, s.tie_pattern, (all_pairs if all_group_pairs
                                                    else control_pairs)(s.n_groups))
+        w, wt = randomization._enumerate_w(s.tie_pattern, s.sizes, ms.pairs)
         for kind in ("s_max", "s_min", "s_abs"):
-            values, cum = randomization._tail_table(
-                *randomization._enumerate_w(s.tie_pattern, s.sizes, ms.pairs),
-                ms.mu, ms.tau, kind)
+            # the walk's statistic sorted, and at index i the weight of its first i rows
+            stats = reduce_statistic(kind, standardize(w, ms.mu, ms.tau))
+            order = np.argsort(stats)
+            values = stats[order]
+            cum = np.concatenate(([0], np.cumsum(wt[order])))
             # the attained values whose exact tails lie nearest 0.2 and 0.6
             tail = 1 - cum[:-1] / cum[-1] if kind != "s_min" else cum[1:] / cum[-1]
             picks = sorted({values[np.argmin(np.abs(tail - p))] for p in (0.2, 0.6)})
@@ -1262,7 +1296,7 @@ def test_two_valued_monte_carlo_matches_the_hypergeometric_oracle(design):
 
 
 # ---------------------------------------------------------------------------
-# tail tables: the exact mass summed over the walk's rows is their oracle
+# the cached walk: the exact mass summed over the walk's rows is its oracle
 
 
 def _masked_mass(s, ms, statistic, threshold):
@@ -1291,18 +1325,23 @@ def test_tail_tables_give_the_masked_sum_at_every_attained_value(tied, all_group
             for t in thresholds.tolist():
                 got = exact_p_value(s, ms, statistic, [t])[0]
                 assert got == _masked_mass(s, ms, statistic, t) / total, (sizes, statistic, t)
-        keys = [key for key in _exact_tables() if key[1:4] == (s.tie_pattern.d, s.sizes, pairs)]
-        assert sorted(key[4] for key in keys) == ["s_abs", "s_max", "s_min"]
+        # the three statistics read one kept walk, keyed without a statistic
+        keys = [key for key in _exact_tables() if key[2:] == (s.sizes, pairs)]
+        assert keys == [("exact", s.tie_pattern.d, s.sizes, pairs)]
 
 
 def test_tail_tables_are_read_only_and_end_at_the_split_count():
     s = rank_samples([[0.3, 1.2, 2.5, 0.1], [1.1, 2.2, 3.3, 4.4], [0.5, 0.6, 0.7, 5.0]])
     ms = pair_moments(s.sizes, s.tie_pattern, control_pairs(3))
     exact_p_value(s, ms, "s_abs", [1.0])
-    ((key, (values, cum)),) = _exact_tables().items()
-    assert key[4] == "s_abs" and not values.flags.writeable and not cum.flags.writeable
-    assert cum.dtype == np.int64 and cum[0] == 0 and cum[-1] == split_count(s.sizes)
-    assert len(cum) == len(values) + 1 and (np.diff(values) >= 0).all()
+    ((key, (z, wt)),) = _exact_tables().items()
+    assert key == ("exact", s.tie_pattern.d, s.sizes, ms.pairs)
+    assert not z.flags.writeable and not wt.flags.writeable
+    assert wt.dtype == np.int64 and (wt > 0).all() and wt.sum() == split_count(s.sizes)
+    # one row per distinct pair-value vector of the walk, standardized
+    w, walk_wt = randomization._enumerate_w(s.tie_pattern, s.sizes, ms.pairs)
+    assert z.tobytes() == standardize(w, ms.mu, ms.tau).tobytes()
+    assert wt.tobytes() == walk_wt.tobytes() and len(np.unique(z, axis=0)) == len(z)
 
 
 def test_a_hand_built_moment_set_shares_its_designs_tail_table():
@@ -1328,12 +1367,13 @@ def test_python_int_weight_walks_keep_no_tail_table(walk_calls):
         got = _exact_p(s, obs, budget=10**30)
         assert got == float(two_valued_tail(groups, ms.mu, ms.tau, obs.statistic))
     assert len(walk_calls) == 2 and not _exact_tables()
-    # the one table path gives Python-int cumulative weights, which the cache refuses
+    # the walk exact_p_value would keep carries Python-int weights, which the cache refuses
     w, wt = randomization._enumerate_w(s.tie_pattern, s.sizes, ms.pairs, budget=10**30)
-    values, cum = randomization._tail_table(w, wt, ms.mu, ms.tau, "s_max")
-    assert wt.dtype == cum.dtype == object and not cum.flags.writeable
-    assert cum[0] == 0 and cum[-1] == split_count(s.sizes) and type(cum[-1]) is int
-    assert _cache.held_bytes((values, cum)) is None
+    z = standardize(w, ms.mu, ms.tau)
+    z.setflags(write=False)
+    assert wt.dtype == object and not wt.flags.writeable
+    assert wt.sum() == split_count(s.sizes) and type(wt.sum()) is int
+    assert _cache.held_bytes((z, wt)) is None
 
 
 def test_a_repeated_exact_analysis_of_one_design_standardizes_no_support(monkeypatch):

@@ -242,6 +242,13 @@ def test_ranked_samples_refuse_fields_that_disagree():
     assert not rebuilt.counts.flags.writeable
 
 
+@pytest.mark.parametrize("sizes", [(2.5, 3), ("2", 3), (2, 3.0001), (float("nan"), 3)])
+def test_ranked_samples_refuse_sizes_that_are_not_integers(sizes):
+    s = rank_samples([[1, 1], [2, 3, 3]])
+    with pytest.raises(ParameterError, match="group sizes must be integers"):
+        RankedSamples(sizes, s.tie_pattern, s.counts, s.scores)
+
+
 def test_a_callers_count_table_stays_writable_and_apart_from_the_record():
     s = rank_samples([[1, 1, 2], [2, 3, 3, 3], [1, 3]])
     assert not s.counts.flags.writeable

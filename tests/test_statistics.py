@@ -17,6 +17,7 @@ from steelrank import (
     rank_sums,
 )
 from steelrank.moments import all_pairs, control_pairs
+from steelrank.statistics import in_tail, reduce_statistic, tail_counts, twice_w
 
 from _oracles import brute_w_star, split_moments
 
@@ -171,3 +172,63 @@ def test_ranked_samples_built_from_midranks_derive_the_same_count_table():
     assert rebuilt.counts.tolist() == s.counts.tolist()
     with pytest.raises(ParameterError, match="count table"):
         RankedSamples(s.sizes, s.tie_pattern, s.counts[:, ::-1], s.scores)
+
+
+@st.composite
+def walks(draw):
+    """Standardized rows on a coarse grid, so that rows tie in their statistic, with
+    exact weights: int64 or Python ints past 2**63 in an object array."""
+    rows = draw(st.integers(min_value=1, max_value=30))
+    pairs = draw(st.integers(min_value=1, max_value=4))
+    grid = st.integers(min_value=-8, max_value=8).map(lambda v: v / 4)
+    z = np.array(draw(st.lists(grid, min_size=rows * pairs, max_size=rows * pairs)))
+    big = draw(st.booleans())
+    weight = st.integers(min_value=1, max_value=2**70 if big else 2**40)
+    weights = np.array(draw(st.lists(weight, min_size=rows, max_size=rows)),
+                       dtype=object if big else np.int64)
+    return z.reshape(rows, pairs), weights
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(walks(), st.sampled_from(["s_max", "s_min", "s_abs"]))
+def test_tail_counts_are_the_masked_count_and_weight_sum(walk, kind):
+    z, weights = walk
+    values = np.unique(reduce_statistic(kind, z))
+    # attained values, the midpoints between them, and both infinities
+    thresholds = np.sort(np.concatenate([values, (values[1:] + values[:-1]) / 2,
+                                         [-np.inf, np.inf]]))
+    counts = tail_counts(kind, z, thresholds)
+    masses = tail_counts(kind, z, thresholds, weights)
+    assert counts.dtype == np.int64 and masses.dtype == weights.dtype
+    for t, count, mass in zip(thresholds, counts.tolist(), masses.tolist()):
+        hit = in_tail(kind, reduce_statistic(kind, z), t)
+        assert count == hit.sum()
+        assert mass == weights[hit].sum() and type(mass) is int
+
+
+def _direct_twice_w(table, a, b):
+    """2W of pair (a, b) from one count table by direct pair counting: each value of
+    b above a value of a counts 2, each equal one 1."""
+    below = np.less.outer(np.arange(table.shape[1]), np.arange(table.shape[1]))
+    tied = np.eye(table.shape[1], dtype=bool)
+    return int(table[a] @ (2 * below + tied) @ table[b])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_twice_w_equals_direct_pair_counting(seed):
+    rng = np.random.default_rng(seed)
+    for n_groups in (2, 3, 5):
+        # random groups over a few distinct values, some of them empty columns
+        tables = rng.integers(0, 4, size=(6, n_groups, rng.integers(1, 8)))
+        tables[:, :, 0] += 1  # every group holds at least one value
+        for pairs in (control_pairs(n_groups), all_pairs(n_groups)):
+            firsts = sorted({a for a, _ in pairs})
+            got = twice_w(tables, firsts)
+            assert got.dtype == np.int64 and got.shape == (len(tables), len(pairs))
+            want = [[_direct_twice_w(t, a, b) for a, b in pairs] for t in tables]
+            assert got.tolist() == want
+            # and W* of the pair-count definition on the values the table lists
+            for t, row in zip(tables, got.tolist()):
+                groups = [np.repeat(np.arange(t.shape[1]), t[g]).tolist() for g in range(n_groups)]
+                assert [v / 2 for v in row] == [brute_w_star(groups[a], groups[b])
+                                                for a, b in pairs]
